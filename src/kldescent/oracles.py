@@ -64,8 +64,11 @@ def _require_positive(value: float, name: str) -> float:
 class SmoothOracle:
     """Continuously differentiable term: value, gradient, optional curvature hint.
 
-    ``lipschitz_hint`` is an upper bound on the gradient's Lipschitz constant
-    (``None`` when no global bound exists).
+    ``lipschitz_hint`` is the gradient's Lipschitz constant or an upper bound
+    on it (``None`` when no global bound exists).  For least squares it is
+    ``||A||_2^2`` from ``power_iteration_sq_norm``: exact up to rounding when
+    the smaller side of ``A`` is small, otherwise a Lanczos bound at most
+    1e-6 above it relatively, under the condition stated there.
     """
 
     value: Callable[[Vector], float]
@@ -203,42 +206,98 @@ def l2_norm_oracle(lam: float) -> ConvexOracle:
     )
 
 
-def power_iteration_sq_norm(A: np.ndarray, rel_tol: float = 1e-6, max_iter: int = 10000) -> float:
-    """Largest squared singular value of ``A`` by power iteration on ``A^T A``.
+# The smaller side of ``A`` up to which ``power_iteration_sq_norm`` forms the
+# Gram matrix and takes its exact top eigenvalue; above it, Lanczos.  Medians
+# on Gaussian matrices (2-core Xeon at 2.1 GHz, OpenBLAS 0.3.31, two threads),
+# dense against Lanczos at rel_tol 1e-6: 200x400 3.5/5.7 ms, 500x500 25/17 ms,
+# 500x1000 24/19 ms, 500x4000 38/65 ms, 600x1200 39/24 ms, 800x1600 72/42 ms,
+# 2000x4000 1.0-2.2/0.6 s.  At 500 either path is within 1.7x of the other
+# for aspect ratios 1 to 8; above it Lanczos wins on near-square matrices.
+_DENSE_MAX_DIM = 500
+# Lanczos basis vectors kept before restarting from the top Ritz vector
+# (2 MB at dimension 2000).
+_LANCZOS_BASIS = 128
 
-    Deterministic start vector; stops when the eigenvalue estimate changes by
-    less than ``rel_tol`` relatively.
+
+def power_iteration_sq_norm(A: np.ndarray, rel_tol: float = 1e-6, max_iter: int = 10000) -> float:
+    """Largest squared singular value ``||A||_2^2``, the top eigenvalue of the
+    Gram matrix of the smaller side of ``A`` (``A A^T`` or ``A^T A``).
+
+    The name is historical; two paths, chosen by the smaller dimension:
+
+    - at most ``_DENSE_MAX_DIM`` (500): the Gram matrix is formed and its top
+      eigenvalue taken from ``numpy.linalg.eigvalsh``, exact up to rounding;
+      ``rel_tol`` and ``max_iter`` are unused;
+    - larger: Lanczos on the Gram operator from a fixed pseudo-random start,
+      with full reorthogonalization and a basis of ``_LANCZOS_BASIS`` vectors,
+      restarted from the top Ritz vector when it fills.  It stops once the
+      top Ritz pair ``(theta, y)`` has residual ``r = ||G y - theta y||`` at
+      most ``rel_tol * theta`` (a residual test, not a step-to-step change),
+      or after ``max_iter`` Gram products, and returns ``theta + r``.
+
+    Ritz values never exceed the largest eigenvalue, and some eigenvalue lies
+    within ``r`` of ``theta``.  So when ``theta`` has converged to the largest
+    eigenvalue, as it does unless the start is nearly orthogonal to its
+    eigenvector or another eigenvalue lies within ``r`` below it, the result
+    is an upper bound; after a residual stop it is at most ``rel_tol`` above
+    the true value relatively.
+    Deterministic: repeated calls return the same bits.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise InvalidInputError(f"A must be a matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise InvalidInputError("A contains non-finite entries")
-    n = A.shape[1]
     if A.size == 0 or not np.any(A):
         return 0.0
-    # fixed start with a mild ramp so it is never orthogonal to the top
-    # singular vector for simple structured matrices
-    v = np.ones(n) + np.linspace(0.0, 1e-3, n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = A.T @ (A @ v)
-        lam_new = float(np.linalg.norm(w))
-        if lam_new == 0.0:
-            return 0.0
-        v = w / lam_new
-        if abs(lam_new - lam) <= rel_tol * lam_new:
-            return lam_new
-        lam = lam_new
-    return lam
+    rows, cols = A.shape
+    if min(rows, cols) <= _DENSE_MAX_DIM:
+        gram = A @ A.T if rows <= cols else A.T @ A
+        return float(np.linalg.eigvalsh(gram)[-1])
+    if rows <= cols:
+        return _lanczos_top_eigenvalue(lambda v: A @ (A.T @ v), rows, rel_tol, max_iter)
+    return _lanczos_top_eigenvalue(lambda v: A.T @ (A @ v), cols, rel_tol, max_iter)
+
+
+def _lanczos_top_eigenvalue(gram: Callable[[Vector], Vector], dim: int,
+                            rel_tol: float, max_iter: int) -> float:
+    """``theta + r`` for the top Ritz pair of the symmetric PSD operator
+    ``gram`` on ``R^dim``; see ``power_iteration_sq_norm``."""
+    basis = np.empty((_LANCZOS_BASIS, dim))
+    alpha = np.empty(_LANCZOS_BASIS)
+    beta = np.empty(_LANCZOS_BASIS)
+    q = np.random.default_rng(0).standard_normal(dim)
+    q /= np.linalg.norm(q)
+    steps = 0
+    while True:
+        for j in range(_LANCZOS_BASIS):
+            basis[j] = q
+            w = gram(q)
+            steps += 1
+            alpha[j] = q @ w
+            done = basis[: j + 1]
+            for _ in range(2):  # twice is enough for full reorthogonalization
+                w -= done.T @ (done @ w)
+            beta[j] = np.linalg.norm(w)
+            # eigh reads the lower triangle of the tridiagonal Lanczos matrix
+            ritz, vecs = np.linalg.eigh(np.diag(alpha[: j + 1]) + np.diag(beta[:j], -1))
+            theta = float(ritz[-1])
+            resid = float(beta[j] * abs(vecs[-1, -1]))
+            if resid <= rel_tol * theta or steps >= max_iter:
+                return theta + resid
+            q = w / beta[j]
+        q = basis.T @ vecs[:, -1]
+        q /= np.linalg.norm(q)
 
 
 def make_least_squares(A: np.ndarray, b: Vector) -> SmoothOracle:
     """Smooth oracle for ``0.5 * ||A x - b||^2``.
 
-    The Lipschitz hint is the squared spectral norm of ``A`` estimated by
-    power iteration at 1e-6 relative tolerance.
+    The Lipschitz hint is the squared spectral norm of ``A`` from
+    ``power_iteration_sq_norm`` at its default ``rel_tol=1e-6``: the exact
+    dense value when the smaller side of ``A`` is at most 500, otherwise a
+    Lanczos upper bound at most 1e-6 above it relatively, which holds when
+    the top Ritz value converged to the largest eigenvalue.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:

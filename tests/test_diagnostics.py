@@ -438,6 +438,22 @@ def test_fit_rate_short_unterminated_is_inconclusive():
     assert fit_rate(trace)["verdict"] == "linear"
 
 
+def test_fit_rate_poor_fit_is_inconclusive():
+    # x^4/4 converges sublinearly; under the window rule the default-config
+    # step lengths oscillate, and neither model fits them (R^2 about 0.46)
+    inst = make_problem("power4-1d", {})
+    trace = pgenls_solve(inst.problem, inst.x0, PgenlsConfig(m=5, max_outer=1500))
+    out = fit_rate(trace)
+    assert out["verdict"] != "linear", out
+    assert out["r2_lin"] is not None and out["r2_pow"] is not None
+    assert out["rho"] is not None and out["slope"] is not None
+    # the monotone run fits the power model and keeps its verdict
+    trace = pgenls_solve(inst.problem, inst.x0, PgenlsConfig(m=0, max_outer=1500))
+    out = fit_rate(trace)
+    assert out["verdict"] == "sublinear", out
+    assert abs(out["theta"] - 0.75) <= 0.05, out
+
+
 def test_fit_rate_on_halving_run():
     trace, _ = halving_trace()
     out = fit_rate(trace)

@@ -5,9 +5,13 @@ prox maps and central finite differences for the gradients.  Expected values
 are frozen from these references, not from the implementations under test.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from kldescent import oracles
+from kldescent.catalog import make_problem
 from kldescent.errors import InvalidInputError
 from kldescent.oracles import (
     CompositeProblem,
@@ -137,6 +141,69 @@ def test_power_iteration_matches_svd():
     est = power_iteration_sq_norm(A)
     ref = float(np.linalg.norm(A, 2) ** 2)
     assert est == pytest.approx(ref, rel=1e-4)
+
+
+def catalog_matrix(problem_id, seed):
+    """The matrix a catalog instance hands to ``make_least_squares``, with
+    its reference value from a dense SVD."""
+    with mock.patch.object(oracles, "power_iteration_sq_norm",
+                           wraps=oracles.power_iteration_sq_norm) as spy:
+        make_problem(problem_id, {"seed": seed})
+    A = spy.call_args.args[0]
+    return A, float(np.linalg.norm(A, 2) ** 2)
+
+
+def with_spectrum(rows, cols, top):
+    """``U diag(s) V^T`` with orthonormal factors from QR, where ``s`` is
+    ``top`` followed by values spread over [0.1, 1.9]: ``||A||_2^2`` is
+    ``max(top)^2`` up to rounding, with no SVD.  The smaller side is above
+    the dense threshold, so these take the Lanczos path."""
+    k = min(rows, cols)
+    assert k > oracles._DENSE_MAX_DIM
+    rng = np.random.default_rng(rows + cols)
+    s = np.concatenate([top, rng.uniform(0.1, 1.9, k - len(top))])
+    U = np.linalg.qr(rng.standard_normal((rows, k)))[0]
+    V = np.linalg.qr(rng.standard_normal((cols, k)))[0]
+    return (U * s) @ V.T, float(np.max(top)) ** 2
+
+
+def rank_one(rows, cols):
+    rng = np.random.default_rng(3)
+    u, v = rng.standard_normal(rows), rng.standard_normal(cols)
+    return np.outer(u, v), float(u @ u) * float(v @ v)
+
+
+HINT_REL_TOL = 1e-6
+HINT_CASES = {
+    **{f"{pid}-seed{seed}": (lambda pid=pid, seed=seed: catalog_matrix(pid, seed))
+       for pid in ("lasso", "l0-ls", "l1-l2-dc", "quad-l1") for seed in range(5)},
+    # a clustered top, as in the spectrum of a Gaussian matrix
+    "krylov-wide": lambda: with_spectrum(600, 900, np.linspace(2.0, 1.98, 8)),
+    "krylov-tall": lambda: with_spectrum(900, 600, np.linspace(2.0, 1.98, 8)),
+    "krylov-restart": lambda: with_spectrum(600, 900, np.linspace(2.0, 1.98, 8)),
+    "krylov-repeated-top": lambda: with_spectrum(600, 900, [2.0, 2.0, 2.0]),
+    # the Krylov space is invariant after two steps: the exact value
+    "krylov-rank-one": lambda: rank_one(600, 900),
+    "zero": lambda: (np.zeros((700, 900)), 0.0),
+    "non-finite": lambda: (np.full((700, 900), np.nan), None),
+    "not-2d": lambda: (np.ones((2, 3, 4)), None),
+}
+# cases run with a Lanczos basis that fills long before convergence
+RESTARTED = {"krylov-restart": 16}
+
+
+@pytest.mark.parametrize("case", HINT_CASES)
+def test_lipschitz_hint_is_upper_bound(case, monkeypatch):
+    if case in RESTARTED:
+        monkeypatch.setattr(oracles, "_LANCZOS_BASIS", RESTARTED[case])
+    A, ref = HINT_CASES[case]()
+    if ref is None:
+        with pytest.raises(InvalidInputError):
+            power_iteration_sq_norm(A, rel_tol=HINT_REL_TOL)
+        return
+    hint = power_iteration_sq_norm(A, rel_tol=HINT_REL_TOL)
+    assert ref * (1.0 - 1e-12) <= hint <= ref * (1.0 + 2.0 * HINT_REL_TOL), (hint, ref)
+    assert power_iteration_sq_norm(A, rel_tol=HINT_REL_TOL) == hint
 
 
 # ---------------------------------------------------------------------------
