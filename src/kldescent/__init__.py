@@ -34,7 +34,7 @@ from .errors import (
     OracleInconsistencyError,
 )
 from .memory import MemoryWindow
-from .npg import NpgConfig, dc_residual, npg_solve, npg_step
+from .npg import NpgConfig, dc_residual, npg_solve
 from .oracles import (
     CompositeProblem,
     ConvexOracle,
@@ -63,7 +63,7 @@ __all__ = [
     "check_h4", "check_prop_bound", "dc_residual", "describe_problems",
     "estimate_bbar", "f_delta", "fit_decay", "fit_rate", "inner_schedule",
     "l0_oracle", "l1_oracle", "l2_norm_oracle", "make_least_squares",
-    "make_power4_1d", "make_problem", "npg_solve", "npg_step", "pg_residual",
+    "make_power4_1d", "make_problem", "npg_solve", "pg_residual",
     "pgenls_solve", "problem_ids", "prox_l0", "prox_l1", "read_trace_csv",
     "theta_dc", "write_trace_csv", "xi_gamma", "zero_oracle",
 ]

@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from typing import Optional
@@ -303,23 +301,6 @@ def _apply_sweep_value(cfg: dict, param: str, value) -> dict:
     return out
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("KLDESCENT_THREADS")
-    if raw is None or raw == "":
-        return os.cpu_count() or 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InvalidInputError(
-            f"KLDESCENT_THREADS must be a positive integer, got {raw!r}"
-        ) from None
-    if cap < 1:
-        raise InvalidInputError(
-            f"KLDESCENT_THREADS must be a positive integer, got {raw!r}"
-        )
-    return cap
-
-
 def _csv_cell(v) -> str:
     if v is None:
         return ""
@@ -336,7 +317,6 @@ def cmd_sweep(args) -> int:
         diag_overrides(cfg)
         values = _parse_sweep_values(args.values)
         configs = [_apply_sweep_value(cfg, args.param, v) for v in values]
-        cap = _thread_cap()
     except InvalidInputError as exc:
         _err(str(exc))
         return 1
@@ -347,23 +327,14 @@ def cmd_sweep(args) -> int:
         _err(f"cannot create {root}: {exc}")
         return 1
 
-    subdirs = [root / f"{args.param.replace('.', '_')}_{v}" for v in values]
-    workers = max(1, min(cap, len(values)))
-
-    def job(pair):
-        sub_cfg, subdir = pair
-        sub_cfg = dict(sub_cfg, output_dir=str(subdir))
+    results = []
+    for value, sub_cfg in zip(values, configs):
+        subdir = root / f"{args.param.replace('.', '_')}_{value}"
         try:
-            return execute(sub_cfg, subdir)
+            results.append(execute(dict(sub_cfg, output_dir=str(subdir)), subdir))
         except Exception as exc:  # isolation: one bad run must not kill the sweep
             _err(f"{subdir.name}: unexpected failure: {exc}")
-            return 2, {}
-
-    if workers == 1:
-        results = [job(p) for p in zip(configs, subdirs)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, zip(configs, subdirs)))
+            results.append((2, {}))
 
     rows = [",".join(_AGGREGATE_COLUMNS)]
     for value, (status, fields) in zip(values, results):

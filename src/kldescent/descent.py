@@ -1,0 +1,183 @@
+"""Window line-search driver shared by ``npg_major`` and ``pgenls``.
+
+Both solvers are instances of one GLL-type scheme.  From the current iterate
+they try stepsize weights ``gamma0 * rho**j`` for ``j = 0, 1, ...`` and accept
+the first candidate whose merit sits below the maximum of the last ``m + 1``
+merits minus a forcing decrement.  This module owns what the two share:
+
+- the config fields both solvers validate alike (:func:`check_common_config`);
+- the Barzilai-Borwein start ``gamma0`` of each trial loop
+  (:func:`initial_gamma`);
+- the penalty check on each prox output (:func:`checked_penalty`);
+- the solve loop (:func:`descend`): the start point and ``F(x^0)``, the merit
+  window, the row-0 trace record, the acceptance test and its
+  :class:`~kldescent.errors.BacktrackingFailureError`, the trace rows, the
+  rotation of the :class:`Iterate` and the three stopping rules.
+
+A solver supplies its own parts as a trial generator for one outer
+iteration, ``trials(it, gamma0)``.  Its body up to the first trial is the
+per-iteration setup.  Each ``next()`` returns the next trial as
+``(gamma, candidate, merit, decrement)``, where ``merit`` is the value the
+window tests and stores.  ``send(grad_next)``, with ``grad_next`` the gradient
+of ``f`` at the candidate, accepts the last trial and returns the rest of its
+trace row: ``(f_value, merit, beta, step_norm, residual, xi)``.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import asdict, dataclass
+from typing import Callable, Generator, Optional
+
+import numpy as np
+
+from .errors import BacktrackingFailureError, InvalidInputError, OracleInconsistencyError
+from .memory import MemoryWindow
+from .oracles import CompositeProblem, Vector, as_vector
+from .trace import IterateRecord, Trace
+
+__all__ = ["Iterate", "check_common_config", "initial_gamma", "checked_penalty", "descend"]
+
+
+@dataclass(slots=True)
+class Iterate:
+    """The paired state ``(x^k, x^{k-1})`` an outer iteration starts from.
+
+    :func:`descend` rotates ``x`` and the gradients; the trial generator
+    computes ``grad`` where it first needs it and, for a concave term,
+    updates ``h`` when its candidate is accepted.
+    """
+
+    k: int
+    x: Vector
+    x_prev: Vector                       # x^{k-1}; x^0 itself at k = 0
+    h: float                             # h(x); 0 without a concave term
+    grad: Optional[Vector] = None        # grad f(x), once computed
+    grad_prev: Optional[Vector] = None   # grad f(x_prev), if it was computed
+
+
+Trials = Callable[[Iterate, float], Generator[tuple, Optional[Vector], None]]
+
+
+def check_common_config(config) -> None:
+    """Validate the fields every solver config has (``m``, the gamma bounds,
+    ``rho``, the two iteration caps, the tolerances and ``gamma_init_rule``)."""
+    if not isinstance(config.m, int) or config.m < 0:
+        raise InvalidInputError(f"m must be a nonnegative integer, got {config.m!r}")
+    if not 0.0 < config.gamma_min <= config.gamma_max:
+        raise InvalidInputError(
+            f"gamma bounds must satisfy 0 < gamma_min <= gamma_max, "
+            f"got [{config.gamma_min!r}, {config.gamma_max!r}]"
+        )
+    if not config.rho > 1.0:
+        raise InvalidInputError(f"rho must exceed 1, got {config.rho!r}")
+    if config.max_outer < 1:
+        raise InvalidInputError(f"max_outer must be at least 1, got {config.max_outer!r}")
+    if config.max_inner < 1:
+        raise InvalidInputError(f"max_inner must be at least 1, got {config.max_inner!r}")
+    if not config.tol_step > 0.0 or not config.tol_resid > 0.0:
+        raise InvalidInputError("tolerances must be positive")
+    if config.gamma_init_rule not in ("constant", "spectral"):
+        raise InvalidInputError(
+            f"gamma_init_rule must be 'constant' or 'spectral', got {config.gamma_init_rule!r}"
+        )
+
+
+def initial_gamma(config, it: Iterate) -> float:
+    """First trial weight: the Barzilai-Borwein curvature estimate
+    ``<dx, dg> / <dx, dx>`` clamped to ``[gamma_min, gamma_max]``.
+
+    It needs the gradient at the previous iterate, so it falls back to
+    ``gamma_min`` until one is known: ``npg_major`` knows it from ``k = 1``,
+    ``pgenls`` from ``k = 1`` only when its first step did not extrapolate
+    (``beta = 0``), else from ``k = 2``.  Also ``gamma_min`` under the
+    constant rule and when the estimate is undefined.
+    """
+    if config.gamma_init_rule == "constant" or it.grad_prev is None:
+        return config.gamma_min
+    dx = it.x - it.x_prev
+    dg = it.grad - it.grad_prev
+    denom = float(dx @ dx)
+    if denom == 0.0:
+        return config.gamma_min
+    ratio = float(dx @ dg) / denom
+    if not math.isfinite(ratio):
+        return config.gamma_min
+    return float(min(max(ratio, config.gamma_min), config.gamma_max))
+
+
+def checked_penalty(problem: CompositeProblem, cand: Vector, k: int):
+    """``g(cand)`` for a prox output, which must lie in the domain of ``g``."""
+    g_cand = problem.g.value(cand)
+    if not math.isfinite(g_cand):
+        raise OracleInconsistencyError(
+            f"prox output has non-finite penalty value at outer iteration {k}"
+        )
+    return g_cand
+
+
+def descend(problem: CompositeProblem, x0: Vector, config, trials: Trials, *,
+            algorithm: str, problem_id: str, seed: Optional[int]) -> Trace:
+    """Run the window line search from ``z^0 = (x^0, x^0)``.
+
+    Stops when ``||x^{k+1} - x^k|| <= tol_step * (1 + ||x^k||)`` and the
+    residual is at most ``tol_resid`` (``tolerance``), when an iterate repeats
+    exactly (``stationary``), or after ``max_outer`` steps (``max_outer``).
+    """
+    x0 = as_vector(x0, "x0")
+    if problem.dimension != x0.shape[0]:
+        raise InvalidInputError(
+            f"x0 has dimension {x0.shape[0]}, problem expects {problem.dimension}"
+        )
+    g0 = problem.g.value(x0)
+    if not math.isfinite(g0):
+        raise InvalidInputError("x0 lies outside the domain of the penalty term")
+    f0 = problem.f.value(x0)
+    h0 = problem.h.value(x0) if problem.h is not None else 0.0
+    F0 = float(f0 + g0 - h0)
+
+    window = MemoryWindow(config.m)
+    window.push(0, F0)  # every merit of the bootstrap pair equals F(x^0)
+    _, ell = window.window_max()
+    trace = Trace(algorithm=algorithm, problem_id=problem_id, config=asdict(config),
+                  seed=seed)
+    trace.records.append(IterateRecord(
+        k=0, x=x0, f_value=F0, merit=F0, ell=ell, gamma=math.nan,
+        beta=math.nan, j_inner=-1, step_norm=0.0, residual=math.nan))
+
+    it = Iterate(k=0, x=x0, x_prev=x0, h=float(h0))
+    trace.terminated = "max_outer"
+    for k in range(config.max_outer):
+        steps = trials(it, initial_gamma(config, it))
+        for j in range(config.max_inner):
+            gamma, cand, merit, decrement = next(steps)
+            if not math.isnan(merit) and window.accept(merit, decrement):
+                break
+        else:
+            raise BacktrackingFailureError(
+                f"no acceptable step within {config.max_inner} trials at outer "
+                f"iteration {k} (last gamma {gamma:.6g})",
+                k=k, j=j, gamma=gamma,
+            )
+        grad_next = problem.f.gradient(cand)
+        f_value, row_merit, beta, step_norm, residual, xi = steps.send(grad_next)
+
+        window.push(k + 1, merit)
+        _, ell = window.window_max()
+        trace.records.append(IterateRecord(
+            k=k + 1, x=cand, f_value=f_value, merit=row_merit, ell=ell,
+            gamma=gamma, beta=beta, j_inner=j, step_norm=step_norm,
+            residual=residual, xi=xi))
+
+        x_scale = 1.0 + float(np.linalg.norm(it.x))
+        it.k = k + 1
+        it.x_prev, it.x = it.x, cand
+        it.grad_prev, it.grad = it.grad, grad_next
+
+        if step_norm == 0.0:
+            trace.terminated = "stationary"
+            break
+        if step_norm <= config.tol_step * x_scale and residual <= config.tol_resid:
+            trace.terminated = "tolerance"
+            break
+    return trace

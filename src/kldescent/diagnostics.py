@@ -30,6 +30,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import npg, pgenls
 from ._version import __version__
 from .errors import (
     FrameworkViolationError,
@@ -568,10 +569,10 @@ def derive_audit_inputs(trace: Trace) -> dict:
         m = int(cfg["m"])
         if trace.algorithm == "npg_major":
             c = float(cfg["c"])
-            a = 0.5 * (alpha * delta * gamma_min + (1.0 - alpha) * c)
+            a = npg.decrease_constant(alpha, delta, gamma_min, c)
         else:
             c = None
-            a = 0.5 * alpha * (min(gamma_min, delta) if delta > 0.0 else gamma_min)
+            a = pgenls.decrease_constant(alpha, delta, gamma_min)
     except KeyError as exc:
         raise InsufficientTraceError(
             f"config snapshot is missing {exc.args[0]!r}"
@@ -641,7 +642,7 @@ def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
 
     cfg = trace.config or {}
     degenerate = (trace.algorithm != "npg_major" and delta is not None
-                  and delta == 0.0 and float(cfg.get("beta_max", 0.0)) > 0.0)
+                  and pgenls.degenerate_decrease(delta, float(cfg.get("beta_max", 0.0))))
     fields["h1.degenerate_a"] = bool(degenerate)
 
     rec = check_h1(trace, a)

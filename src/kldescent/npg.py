@@ -9,27 +9,35 @@ acceptance test
 
 with the trial weight ``gamma`` doubled (factor ``rho``) on every rejection.
 The guaranteed sufficient-decrease constant of an accepted run is
-``(alpha*delta*gamma_min + (1-alpha)*c)/2``.
+:func:`decrease_constant`.
+
+This module owns the majorized step: its config, the linearization, the
+trial candidates with their decrement, the surrogate-duality merit recorded
+in the trace and the stationarity residual.  The window line search around
+it is :func:`kldescent.descent.descend`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    BacktrackingFailureError,
-    InvalidInputError,
-    OracleInconsistencyError,
-)
-from .memory import MemoryWindow
+from .descent import Iterate, check_common_config, checked_penalty, descend
+from .errors import InvalidInputError
 from .oracles import CompositeProblem, Vector, as_vector
-from .trace import IterateRecord, Trace
+from .trace import Trace
 
-__all__ = ["NpgConfig", "NpgState", "StepResult", "npg_step", "npg_solve", "dc_residual"]
+__all__ = ["NpgConfig", "decrease_constant", "npg_solve", "dc_residual"]
+
+
+def decrease_constant(alpha: float, delta: float, gamma_min: float, c: float) -> float:
+    """Sufficient-decrease constant ``(alpha*delta*gamma_min + (1-alpha)*c)/2``
+    guaranteed for every accepted majorized step."""
+    return 0.5 * (alpha * delta * gamma_min + (1.0 - alpha) * c)
 
 
 @dataclass(frozen=True)
@@ -48,127 +56,23 @@ class NpgConfig:
     gamma_init_rule: str = "spectral"
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 0:
-            raise InvalidInputError(f"m must be a nonnegative integer, got {self.m!r}")
-        if not 0.0 < self.gamma_min <= self.gamma_max:
-            raise InvalidInputError(
-                f"gamma bounds must satisfy 0 < gamma_min <= gamma_max, "
-                f"got [{self.gamma_min!r}, {self.gamma_max!r}]"
-            )
-        if not self.rho > 1.0:
-            raise InvalidInputError(f"rho must exceed 1, got {self.rho!r}")
+        check_common_config(self)
         if not 0.0 < self.delta < 1.0:
             raise InvalidInputError(f"delta must lie in (0, 1), got {self.delta!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise InvalidInputError(f"alpha must lie in [0, 1], got {self.alpha!r}")
         if not self.c > 0.0:
             raise InvalidInputError(f"c must be positive, got {self.c!r}")
-        if self.max_outer < 1:
-            raise InvalidInputError(f"max_outer must be at least 1, got {self.max_outer!r}")
-        if self.max_inner < 1:
-            raise InvalidInputError(f"max_inner must be at least 1, got {self.max_inner!r}")
-        if not self.tol_step > 0.0 or not self.tol_resid > 0.0:
-            raise InvalidInputError("tolerances must be positive")
-        if self.gamma_init_rule not in ("constant", "spectral"):
-            raise InvalidInputError(
-                f"gamma_init_rule must be 'constant' or 'spectral', got {self.gamma_init_rule!r}"
-            )
 
     def h1_constant(self) -> float:
         """Sufficient-decrease constant guaranteed for every accepted step."""
-        return 0.5 * (self.alpha * self.delta * self.gamma_min + (1.0 - self.alpha) * self.c)
-
-    def snapshot(self) -> dict:
-        return asdict(self)
+        return decrease_constant(self.alpha, self.delta, self.gamma_min, self.c)
 
 
-@dataclass
-class NpgState:
-    k: int
-    x_curr: Vector
-    x_prev: Optional[Vector]
-    xi_prev: Optional[Vector]
-    gamma_prev: Optional[float]
-    window: MemoryWindow
-    grad_curr: Optional[Vector] = None
-    grad_prev: Optional[Vector] = None
-    h_curr: Optional[float] = None
-
-
-@dataclass
-class StepResult:
-    x_next: Vector
-    gamma: float
-    j: int
-    xi: Vector
-    decrement: float
-    f_next: float          # F(x_next)
-    theta_next: float      # surrogate-duality merit of the new paired state
-    step_norm: float
-    g_next: float
-    h_next: float
-
-
-def _initial_gamma(state: NpgState, config: NpgConfig) -> float:
-    if config.gamma_init_rule == "constant" or state.x_prev is None:
-        return config.gamma_min
-    dx = state.x_curr - state.x_prev
-    dg = state.grad_curr - state.grad_prev
-    denom = float(dx @ dx)
-    if denom == 0.0:
-        return config.gamma_min
-    ratio = float(dx @ dg) / denom  # Barzilai-Borwein curvature estimate
-    if not math.isfinite(ratio):
-        return config.gamma_min
-    return float(min(max(ratio, config.gamma_min), config.gamma_max))
-
-
-def npg_step(problem: CompositeProblem, state: NpgState, config: NpgConfig) -> StepResult:
-    """Run one backtracked majorized proximal step from ``state.x_curr``."""
-    x = state.x_curr
-    if state.grad_curr is None:
-        state.grad_curr = problem.f.gradient(x)
-    if state.h_curr is None:
-        state.h_curr = problem.h.value(x) if problem.h is not None else 0.0
-    grad = state.grad_curr
-    if problem.h is not None:
-        xi = -problem.h.subgradient(x)
-    else:
-        xi = np.zeros_like(x)
-    direction = grad + xi
-    gamma0 = _initial_gamma(state, config)
-    coeff_base = config.alpha * config.delta
-    coeff_free = (1.0 - config.alpha) * config.c
-
-    gamma = gamma0
-    last = (0, gamma0)
-    for j in range(config.max_inner):
-        gamma = gamma0 * config.rho**j
-        cand = problem.g.prox(x - direction / gamma, gamma)
-        g_cand = problem.g.value(cand)
-        if not math.isfinite(g_cand):
-            raise OracleInconsistencyError(
-                f"prox output has non-finite penalty value at outer iteration {state.k}"
-            )
-        f_cand = problem.f.value(cand)
-        h_cand = problem.h.value(cand) if problem.h is not None else 0.0
-        F_cand = float(f_cand + g_cand - h_cand)
-        diff = cand - x
-        step_sq = float(diff @ diff)
-        decrement = 0.5 * (coeff_base * gamma + coeff_free) * step_sq
-        last = (j, gamma)
-        if not math.isnan(F_cand) and state.window.accept(F_cand, decrement):
-            theta = float(f_cand + g_cand - state.h_curr + xi @ diff)
-            return StepResult(
-                x_next=cand, gamma=gamma, j=j, xi=xi, decrement=decrement,
-                f_next=F_cand, theta_next=theta, step_norm=math.sqrt(step_sq),
-                g_next=float(g_cand), h_next=float(h_cand),
-            )
-    raise BacktrackingFailureError(
-        f"no acceptable step within {config.max_inner} trials at outer iteration "
-        f"{state.k} (last gamma {last[1]:.6g})",
-        k=state.k, j=last[0], gamma=last[1],
-    )
+def _residual(grad_next: Vector, grad: Vector, gamma: float, diff: Vector,
+              step_norm: float) -> float:
+    top = grad_next - grad - gamma * diff
+    return math.sqrt(float(top @ top) + step_norm**2)
 
 
 def dc_residual(problem: CompositeProblem, x_curr: Vector, x_prev: Vector,
@@ -184,73 +88,44 @@ def dc_residual(problem: CompositeProblem, x_curr: Vector, x_prev: Vector,
     if not (math.isfinite(gamma_prev) and gamma_prev > 0.0):
         raise InvalidInputError(f"gamma_prev must be positive, got {gamma_prev!r}")
     diff = x_curr - x_prev
-    top = problem.f.gradient(x_curr) - problem.f.gradient(x_prev) - gamma_prev * diff
-    return math.sqrt(float(top @ top) + float(diff @ diff))
+    return _residual(problem.f.gradient(x_curr), problem.f.gradient(x_prev),
+                     gamma_prev, diff, math.sqrt(float(diff @ diff)))
 
 
 def npg_solve(problem: CompositeProblem, x0: Vector, config: NpgConfig | None = None,
               *, problem_id: str = "", seed: Optional[int] = None) -> Trace:
-    """Iterate :func:`npg_step` until the joint step/residual tolerance or a cap.
-
-    Stops when ``||x^{k+1} - x^k|| <= tol_step * (1 + ||x^k||)`` and the
-    residual is at most ``tol_resid``, when an iterate repeats exactly
-    (stationary), or after ``max_outer`` steps.
-    """
+    """Run the majorized proximal descent from ``x0``; see
+    :func:`kldescent.descent.descend` for the stopping rules."""
     config = config or NpgConfig()
-    x0 = as_vector(x0, "x0")
-    if problem.dimension != x0.shape[0]:
-        raise InvalidInputError(
-            f"x0 has dimension {x0.shape[0]}, problem expects {problem.dimension}"
-        )
-    g0 = problem.g.value(x0)
-    if not math.isfinite(g0):
-        raise InvalidInputError("x0 lies outside the domain of the penalty term")
-    f0 = problem.f.value(x0)
-    h0 = problem.h.value(x0) if problem.h is not None else 0.0
-    F0 = float(f0 + g0 - h0)
+    coeff_base = config.alpha * config.delta
+    coeff_free = (1.0 - config.alpha) * config.c
 
-    window = MemoryWindow(config.m)
-    window.push(0, F0)
-    _, ell = window.window_max()
-    state = NpgState(k=0, x_curr=x0, x_prev=None, xi_prev=None, gamma_prev=None,
-                     window=window, h_curr=float(h0))
-    trace = Trace(algorithm="npg_major", problem_id=problem_id,
-                  config=config.snapshot(), seed=seed)
-    trace.records.append(IterateRecord(
-        k=0, x=x0, f_value=F0, merit=F0, ell=ell, gamma=float("nan"),
-        beta=float("nan"), j_inner=-1, step_norm=0.0, residual=float("nan")))
+    def trials(it: Iterate, gamma0: float):
+        x = it.x
+        if it.grad is None:
+            it.grad = problem.f.gradient(x)
+        if problem.h is not None:
+            xi = -problem.h.subgradient(x)
+        else:
+            xi = np.zeros_like(x)
+        direction = it.grad + xi
+        for j in itertools.count():
+            gamma = gamma0 * config.rho**j
+            cand = problem.g.prox(x - direction / gamma, gamma)
+            g_cand = checked_penalty(problem, cand, it.k)
+            f_cand = problem.f.value(cand)
+            h_cand = problem.h.value(cand) if problem.h is not None else 0.0
+            F_cand = float(f_cand + g_cand - h_cand)
+            diff = cand - x
+            step_sq = float(diff @ diff)
+            decrement = 0.5 * (coeff_base * gamma + coeff_free) * step_sq
+            grad_next = yield gamma, cand, F_cand, decrement
+            if grad_next is not None:
+                theta = float(f_cand + g_cand - it.h + xi @ diff)
+                it.h = float(h_cand)
+                step_norm = math.sqrt(step_sq)
+                yield (F_cand, theta, math.nan, step_norm,
+                       _residual(grad_next, it.grad, gamma, diff, step_norm), xi)
 
-    terminated = "max_outer"
-    for k in range(config.max_outer):
-        result = npg_step(problem, state, config)
-        x_next = result.x_next
-        diff = x_next - state.x_curr
-        grad_next = problem.f.gradient(x_next)
-        top = grad_next - state.grad_curr - result.gamma * diff
-        residual = math.sqrt(float(top @ top) + result.step_norm**2)
-
-        window.push(k + 1, result.f_next)
-        _, ell = window.window_max()
-        trace.records.append(IterateRecord(
-            k=k + 1, x=x_next, f_value=result.f_next, merit=result.theta_next,
-            ell=ell, gamma=result.gamma, beta=float("nan"), j_inner=result.j,
-            step_norm=result.step_norm, residual=residual, xi=result.xi))
-
-        x_scale = 1.0 + float(np.linalg.norm(state.x_curr))
-        state.x_prev = state.x_curr
-        state.x_curr = x_next
-        state.xi_prev = result.xi
-        state.gamma_prev = result.gamma
-        state.grad_prev = state.grad_curr
-        state.grad_curr = grad_next
-        state.h_curr = result.h_next
-        state.k = k + 1
-
-        if result.step_norm == 0.0:
-            terminated = "stationary"
-            break
-        if result.step_norm <= config.tol_step * x_scale and residual <= config.tol_resid:
-            terminated = "tolerance"
-            break
-    trace.terminated = terminated
-    return trace
+    return descend(problem, x0, config, trials, algorithm="npg_major",
+                   problem_id=problem_id, seed=seed)

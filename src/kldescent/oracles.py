@@ -241,6 +241,7 @@ def power_iteration_sq_norm(A: np.ndarray, rel_tol: float = 1e-6, max_iter: int 
     eigenvector or another eigenvalue lies within ``r`` below it, the result
     is an upper bound; after a residual stop it is at most ``rel_tol`` above
     the true value relatively.
+    A zero matrix gives 0.0 on both paths, with no separate scan for it.
     Deterministic: repeated calls return the same bits.
     """
     A = np.asarray(A, dtype=np.float64)
@@ -248,7 +249,7 @@ def power_iteration_sq_norm(A: np.ndarray, rel_tol: float = 1e-6, max_iter: int 
         raise InvalidInputError(f"A must be a matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise InvalidInputError("A contains non-finite entries")
-    if A.size == 0 or not np.any(A):
+    if A.size == 0:
         return 0.0
     rows, cols = A.shape
     if min(rows, cols) <= _DENSE_MAX_DIM:
@@ -300,10 +301,8 @@ def make_least_squares(A: np.ndarray, b: Vector) -> SmoothOracle:
     the top Ritz value converged to the largest eigenvalue.
     """
     A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2:
-        raise InvalidInputError(f"A must be a matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise InvalidInputError("A contains non-finite entries")
+    # validates A as well, in the one scan of A before any product
+    lipschitz_hint = power_iteration_sq_norm(A)
     b = as_vector(b, "b")
     if b.shape[0] != A.shape[0]:
         raise InvalidInputError(
@@ -322,8 +321,7 @@ def make_least_squares(A: np.ndarray, b: Vector) -> SmoothOracle:
             raise InvalidInputError(f"expected dimension {n}, got {x.shape[0]}")
         return A.T @ (A @ x - b)
 
-    return SmoothOracle(value=value, gradient=gradient,
-                        lipschitz_hint=power_iteration_sq_norm(A))
+    return SmoothOracle(value=value, gradient=gradient, lipschitz_hint=lipschitz_hint)
 
 
 def make_power4_1d() -> SmoothOracle:

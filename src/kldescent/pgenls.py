@@ -15,28 +15,46 @@ the product ``gamma_j * beta_j`` decay geometrically, which keeps the inertial
 term harmless in the limit.  Setting ``delta = 0``, ``beta_max = 0`` and
 ``m = 0`` recovers the classical monotone backtracking proximal gradient
 method.
+
+This module owns the extrapolated step: its config, the trial schedule of
+``(gamma, beta)``, the extrapolated candidates with their decrement, the
+proximity-augmented merit and the stationarity residual.  The window line
+search around it is :func:`kldescent.descent.descend`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .errors import (
-    BacktrackingFailureError,
-    InvalidInputError,
-    OracleInconsistencyError,
-)
-from .memory import MemoryWindow
+from .descent import Iterate, check_common_config, checked_penalty, descend
+from .errors import InvalidInputError
 from .oracles import CompositeProblem, Vector, as_vector
-from .trace import IterateRecord, Trace
+from .trace import Trace
 
-__all__ = ["PgenlsConfig", "AugmentedState", "PgStepResult", "f_delta",
-           "inner_schedule", "pgenls_step", "pgenls_solve", "pg_residual"]
+__all__ = ["PgenlsConfig", "decrease_constant", "degenerate_decrease", "f_delta",
+           "inner_schedule", "pgenls_solve", "pg_residual"]
+
+
+def decrease_constant(alpha: float, delta: float, gamma_min: float) -> float:
+    """Audited sufficient-decrease constant.
+
+    ``(alpha/2) * min(gamma_min, delta)`` for the paired state; with
+    ``delta = 0`` the audit covers the x-block only, where the acceptance
+    test still forces ``(alpha/2) * gamma_min``.
+    """
+    if delta > 0.0:
+        return 0.5 * alpha * min(gamma_min, delta)
+    return 0.5 * alpha * gamma_min
+
+
+def degenerate_decrease(delta: float, beta_max: float) -> bool:
+    """True when extrapolation is on without a proximity term, so the
+    paired-state decrease constant degenerates to the x-block one."""
+    return delta == 0.0 and beta_max > 0.0
 
 
 @dataclass(frozen=True)
@@ -57,40 +75,22 @@ class PgenlsConfig:
     beta_init_rule: str = "constant"
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 0:
-            raise InvalidInputError(f"m must be a nonnegative integer, got {self.m!r}")
+        check_common_config(self)
         if not self.delta >= 0.0:
             raise InvalidInputError(f"delta must be nonnegative, got {self.delta!r}")
         if not 0.0 < self.alpha < 1.0:
             raise InvalidInputError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if not 0.0 < self.gamma_min <= self.gamma_max:
-            raise InvalidInputError(
-                f"gamma bounds must satisfy 0 < gamma_min <= gamma_max, "
-                f"got [{self.gamma_min!r}, {self.gamma_max!r}]"
-            )
         if not 0.0 <= self.beta_max <= 1.0:
             raise InvalidInputError(f"beta_max must lie in [0, 1], got {self.beta_max!r}")
-        if not self.rho > 1.0:
-            raise InvalidInputError(f"rho must exceed 1, got {self.rho!r}")
         if not 0.0 < self.nu < 1.0 / self.rho:
             raise InvalidInputError(
                 f"nu must lie strictly in (0, 1/rho) = (0, {1.0 / self.rho!r}), got {self.nu!r}"
-            )
-        if self.max_outer < 1:
-            raise InvalidInputError(f"max_outer must be at least 1, got {self.max_outer!r}")
-        if self.max_inner < 1:
-            raise InvalidInputError(f"max_inner must be at least 1, got {self.max_inner!r}")
-        if not self.tol_step > 0.0 or not self.tol_resid > 0.0:
-            raise InvalidInputError("tolerances must be positive")
-        if self.gamma_init_rule not in ("constant", "spectral"):
-            raise InvalidInputError(
-                f"gamma_init_rule must be 'constant' or 'spectral', got {self.gamma_init_rule!r}"
             )
         if self.beta_init_rule not in ("constant", "nesterov"):
             raise InvalidInputError(
                 f"beta_init_rule must be 'constant' or 'nesterov', got {self.beta_init_rule!r}"
             )
-        if self.delta == 0.0 and self.beta_max > 0.0:
+        if self.degenerate_a():
             warnings.warn(
                 "delta=0 with beta_max>0: the paired-state decrease constant is "
                 "degenerate; audits fall back to the x-block only",
@@ -98,50 +98,11 @@ class PgenlsConfig:
             )
 
     def degenerate_a(self) -> bool:
-        return self.delta == 0.0 and self.beta_max > 0.0
+        return degenerate_decrease(self.delta, self.beta_max)
 
     def h1_constant(self) -> float:
-        """Audited sufficient-decrease constant.
-
-        ``(alpha/2) * min(gamma_min, delta)`` for the paired state; with
-        ``delta = 0`` the audit covers the x-block only, where the acceptance
-        test still forces ``(alpha/2) * gamma_min``.
-        """
-        if self.delta > 0.0:
-            return 0.5 * self.alpha * min(self.gamma_min, self.delta)
-        return 0.5 * self.alpha * self.gamma_min
-
-    def snapshot(self) -> dict:
-        return asdict(self)
-
-
-@dataclass
-class AugmentedState:
-    k: int
-    x_curr: Vector
-    x_pair: Vector                 # second block of z^k (x^{k-1}, bootstrap x^0)
-    window: MemoryWindow
-    gamma_prev: Optional[float]
-    beta_prev: Optional[float]
-    y_prev: Optional[Vector]
-    grad_curr: Optional[Vector] = None   # cache of f.gradient(x_curr)
-    grad_prev: Optional[Vector] = None
-    t_prev: float = 1.0                  # Nesterov counters (used when enabled)
-    t_curr: float = 1.0
-
-
-@dataclass
-class PgStepResult:
-    x_next: Vector
-    gamma: float
-    beta: float
-    j: int
-    y: Vector
-    grad_y: Vector
-    decrement: float
-    f_next: float       # F(x_next)
-    merit_next: float   # F_delta((x_next, x_curr))
-    step_norm: float
+        """Audited sufficient-decrease constant; see :func:`decrease_constant`."""
+        return decrease_constant(self.alpha, self.delta, self.gamma_min)
 
 
 def f_delta(problem: CompositeProblem, x: Vector, u: Vector, delta: float) -> float:
@@ -159,73 +120,10 @@ def inner_schedule(gamma0: float, beta0: float, rho: float, nu: float, j: int):
     return gamma0 * rho**j, beta0 * nu**j
 
 
-def _initial_gamma(state: AugmentedState, config: PgenlsConfig) -> float:
-    if config.gamma_init_rule == "constant" or state.grad_prev is None:
-        return config.gamma_min
-    dx = state.x_curr - state.x_pair
-    dg = state.grad_curr - state.grad_prev
-    denom = float(dx @ dx)
-    if denom == 0.0:
-        return config.gamma_min
-    ratio = float(dx @ dg) / denom
-    if not math.isfinite(ratio):
-        return config.gamma_min
-    return float(min(max(ratio, config.gamma_min), config.gamma_max))
-
-
-def _initial_beta(state: AugmentedState, config: PgenlsConfig) -> float:
-    if config.beta_init_rule == "constant":
-        return config.beta_max
-    beta = (state.t_prev - 1.0) / state.t_curr
-    return float(min(max(beta, 0.0), config.beta_max))
-
-
-def pgenls_step(problem: CompositeProblem, state: AugmentedState,
-                config: PgenlsConfig) -> PgStepResult:
-    """Run one backtracked extrapolated proximal-gradient trial loop."""
-    x = state.x_curr
-    u = state.x_pair
-    inertia = x - u
-    inertia_sq = float(inertia @ inertia)
-    gamma0 = _initial_gamma(state, config)
-    beta0 = _initial_beta(state, config)
-    delta = config.delta
-    alpha = config.alpha
-
-    last = (0, gamma0)
-    for j in range(config.max_inner):
-        gamma, beta = inner_schedule(gamma0, beta0, config.rho, config.nu, j)
-        if beta == 0.0:
-            y = x
-            if state.grad_curr is None:
-                state.grad_curr = problem.f.gradient(x)
-            grad_y = state.grad_curr
-        else:
-            y = x + beta * inertia
-            grad_y = problem.f.gradient(y)
-        cand = problem.g.prox(y - grad_y / gamma, gamma)
-        g_cand = problem.g.value(cand)
-        if not math.isfinite(g_cand):
-            raise OracleInconsistencyError(
-                f"prox output has non-finite penalty value at outer iteration {state.k}"
-            )
-        F_cand = float(problem.f.value(cand) + g_cand)
-        diff = cand - x
-        step_sq = float(diff @ diff)
-        merit_cand = F_cand + 0.5 * delta * step_sq
-        decrement = 0.5 * alpha * (gamma * step_sq + delta * inertia_sq)
-        last = (j, gamma)
-        if not math.isnan(merit_cand) and state.window.accept(merit_cand, decrement):
-            return PgStepResult(
-                x_next=cand, gamma=gamma, beta=beta, j=j, y=y, grad_y=grad_y,
-                decrement=decrement, f_next=F_cand, merit_next=merit_cand,
-                step_norm=math.sqrt(step_sq),
-            )
-    raise BacktrackingFailureError(
-        f"no acceptable step within {config.max_inner} trials at outer iteration "
-        f"{state.k} (last gamma {last[1]:.6g})",
-        k=state.k, j=last[0], gamma=last[1],
-    )
+def _residual(grad_x: Vector, grad_y: Vector, gamma: float, x_minus_y: Vector,
+              delta: float, dxp: Vector, step_norm: float) -> float:
+    top = grad_x - grad_y - gamma * x_minus_y + delta * dxp
+    return math.sqrt(float(top @ top) + (delta * step_norm) ** 2)
 
 
 def pg_residual(problem: CompositeProblem, x_curr: Vector, y_curr: Vector,
@@ -244,19 +142,19 @@ def pg_residual(problem: CompositeProblem, x_curr: Vector, y_curr: Vector,
     if not delta >= 0.0:
         raise InvalidInputError(f"delta must be nonnegative, got {delta!r}")
     dxp = x_curr - x_prev
-    top = (problem.f.gradient(x_curr) - problem.f.gradient(y_curr)
-           - gamma_prev * (x_curr - y_curr) + delta * dxp)
-    return math.sqrt(float(top @ top) + float(delta * delta) * float(dxp @ dxp))
+    return _residual(problem.f.gradient(x_curr), problem.f.gradient(y_curr), gamma_prev,
+                     x_curr - y_curr, delta, dxp, math.sqrt(float(dxp @ dxp)))
 
 
 def pgenls_solve(problem: CompositeProblem, x0: Vector,
                  config: PgenlsConfig | None = None, *, problem_id: str = "",
                  seed: Optional[int] = None, algorithm_label: str = "pgenls") -> Trace:
-    """Iterate :func:`pgenls_step` from the bootstrap pair ``(x^0, x^0)``.
+    """Run the extrapolated proximal gradient from the bootstrap pair
+    ``(x^0, x^0)``; see :func:`kldescent.descent.descend` for the stopping
+    rules.
 
     Problems carrying a concave ``-h`` term are rejected; use the DC solver
-    for those.  Termination mirrors the DC solver: joint step / residual
-    tolerance, exact stationarity, or the outer cap.
+    for those.
     """
     config = config or PgenlsConfig()
     if problem.h is not None:
@@ -264,63 +162,45 @@ def pgenls_solve(problem: CompositeProblem, x0: Vector,
             "the extrapolated solver handles objectives f + g only; "
             "this problem has a concave term"
         )
-    x0 = as_vector(x0, "x0")
-    if problem.dimension != x0.shape[0]:
-        raise InvalidInputError(
-            f"x0 has dimension {x0.shape[0]}, problem expects {problem.dimension}"
-        )
-    g0 = problem.g.value(x0)
-    if not math.isfinite(g0):
-        raise InvalidInputError("x0 lies outside the domain of the penalty term")
-    F0 = float(problem.f.value(x0) + g0)
+    delta = config.delta
+    alpha = config.alpha
+    nesterov = config.beta_init_rule == "nesterov"
+    t_prev = t_curr = 1.0  # Nesterov counters
 
-    window = MemoryWindow(config.m)
-    window.push(0, F0)  # z^0 = (x^0, x^0) so the proximity term vanishes
-    _, ell = window.window_max()
-    state = AugmentedState(k=0, x_curr=x0, x_pair=x0, window=window,
-                           gamma_prev=None, beta_prev=None, y_prev=None)
-    trace = Trace(algorithm=algorithm_label, problem_id=problem_id,
-                  config=config.snapshot(), seed=seed)
-    trace.records.append(IterateRecord(
-        k=0, x=x0, f_value=F0, merit=F0, ell=ell, gamma=float("nan"),
-        beta=float("nan"), j_inner=-1, step_norm=0.0, residual=float("nan")))
+    def trials(it: Iterate, gamma0: float):
+        nonlocal t_prev, t_curr
+        x = it.x
+        inertia = x - it.x_prev
+        inertia_sq = float(inertia @ inertia)
+        if nesterov:
+            beta0 = float(min(max((t_prev - 1.0) / t_curr, 0.0), config.beta_max))
+        else:
+            beta0 = config.beta_max
+        for j in itertools.count():
+            gamma, beta = inner_schedule(gamma0, beta0, config.rho, config.nu, j)
+            if beta == 0.0:
+                y = x
+                if it.grad is None:
+                    it.grad = problem.f.gradient(x)
+                grad_y = it.grad
+            else:
+                y = x + beta * inertia
+                grad_y = problem.f.gradient(y)
+            cand = problem.g.prox(y - grad_y / gamma, gamma)
+            g_cand = checked_penalty(problem, cand, it.k)
+            F_cand = float(problem.f.value(cand) + g_cand)
+            diff = cand - x
+            step_sq = float(diff @ diff)
+            merit = F_cand + 0.5 * delta * step_sq
+            decrement = 0.5 * alpha * (gamma * step_sq + delta * inertia_sq)
+            grad_next = yield gamma, cand, merit, decrement
+            if grad_next is not None:
+                if nesterov:
+                    t_prev, t_curr = t_curr, 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_curr**2))
+                step_norm = math.sqrt(step_sq)
+                yield (F_cand, merit, beta, step_norm,
+                       _residual(grad_next, grad_y, gamma, cand - y, delta, diff,
+                                 step_norm), None)
 
-    terminated = "max_outer"
-    for k in range(config.max_outer):
-        result = pgenls_step(problem, state, config)
-        x_next = result.x_next
-        grad_next = problem.f.gradient(x_next)
-        dxp = x_next - state.x_curr
-        top = (grad_next - result.grad_y - result.gamma * (x_next - result.y)
-               + config.delta * dxp)
-        residual = math.sqrt(float(top @ top)
-                             + (config.delta * result.step_norm) ** 2)
-
-        window.push(k + 1, result.merit_next)
-        _, ell = window.window_max()
-        trace.records.append(IterateRecord(
-            k=k + 1, x=x_next, f_value=result.f_next, merit=result.merit_next,
-            ell=ell, gamma=result.gamma, beta=result.beta, j_inner=result.j,
-            step_norm=result.step_norm, residual=residual))
-
-        x_scale = 1.0 + float(np.linalg.norm(state.x_curr))
-        state.x_pair = state.x_curr
-        state.x_curr = x_next
-        state.gamma_prev = result.gamma
-        state.beta_prev = result.beta
-        state.y_prev = result.y
-        state.grad_prev = state.grad_curr
-        state.grad_curr = grad_next
-        state.k = k + 1
-        if config.beta_init_rule == "nesterov":
-            state.t_prev, state.t_curr = state.t_curr, 0.5 * (
-                1.0 + math.sqrt(1.0 + 4.0 * state.t_curr**2))
-
-        if result.step_norm == 0.0:
-            terminated = "stationary"
-            break
-        if result.step_norm <= config.tol_step * x_scale and residual <= config.tol_resid:
-            terminated = "tolerance"
-            break
-    trace.terminated = terminated
-    return trace
+    return descend(problem, x0, config, trials, algorithm=algorithm_label,
+                   problem_id=problem_id, seed=seed)

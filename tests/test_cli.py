@@ -201,14 +201,6 @@ def test_sweep_value_validation(tmp_path, capsys):
                  "--values", "true"]) == 1
 
 
-def test_sweep_thread_cap_validation(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("KLDESCENT_THREADS", "zero")
-    path, _ = write_config(tmp_path)
-    assert main(["sweep", str(path), "--param", "delta",
-                 "--values", "0.5"]) == 1
-    assert "KLDESCENT_THREADS" in capsys.readouterr().err
-
-
 def test_sweep_helpers_direct():
     assert _parse_sweep_values("1, 2.5, -3") == [1, 2.5, -3]
     with pytest.raises(InvalidInputError):

@@ -126,6 +126,15 @@ def test_spectral_restart_matches_quadratic_curvature():
         assert r.gamma == pytest.approx(cfg.rho**r.j_inner)
 
 
+def test_spectral_start_applies_from_the_first_step():
+    # grad f(x^0) is known after step 0, so step 1 (row 2) already starts from
+    # the Barzilai-Borwein estimate, exactly 1 for f = x^2/2.
+    cfg = NpgConfig(m=0, gamma_min=1e-2, max_outer=3)
+    r1, r2 = npg_solve(quad_1d(), np.array([4.0]), cfg).records[1:3]
+    assert r1.gamma == cfg.gamma_min * cfg.rho**r1.j_inner
+    assert r2.gamma == cfg.rho**r2.j_inner
+
+
 def test_stationary_exit_at_fixed_point():
     trace = npg_solve(quad_1d(), np.array([0.0]), HALVING)
     assert trace.terminated == "stationary"

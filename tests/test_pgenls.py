@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 from kldescent.catalog import make_problem
-from kldescent.errors import InvalidInputError
-from kldescent.oracles import CompositeProblem, make_least_squares, zero_oracle
+from kldescent.errors import BacktrackingFailureError, InvalidInputError
+from kldescent.oracles import (
+    CompositeProblem,
+    SmoothOracle,
+    make_least_squares,
+    zero_oracle,
+)
 from kldescent.pgenls import (
     PgenlsConfig,
     f_delta,
@@ -179,3 +184,32 @@ def test_dimension_and_domain_guards():
 def test_config_validation(kwargs):
     with pytest.raises(InvalidInputError):
         PgenlsConfig(**kwargs)
+
+
+def test_backtracking_failure_carries_location():
+    # f = x^2/2 whose gradient turns uphill below 3: the step from 4 to 2 is
+    # accepted, then every trial from 2 moves away from the minimizer.
+    lying = SmoothOracle(value=lambda x: 0.5 * float(x @ x),
+                         gradient=lambda x: x if x[0] >= 3.0 else -10.0 * x)
+    p = CompositeProblem(f=lying, g=zero_oracle(), h=None, dimension=1)
+    cfg = PgenlsConfig(m=0, delta=0.0, beta_max=0.0, gamma_min=2.0, gamma_max=2.0,
+                       gamma_init_rule="constant", max_inner=5)
+    with pytest.raises(BacktrackingFailureError) as exc:
+        pgenls_solve(p, np.array([4.0]), cfg)
+    err = exc.value
+    assert (err.k, err.j, err.gamma) == (1, 4, 2.0 * cfg.rho**4)
+    assert str(err) == ("no acceptable step within 5 trials at outer iteration 1 "
+                        "(last gamma 32)")
+
+
+@pytest.mark.parametrize("beta_max, spectral_from", [(0.9, 2), (0.0, 1)])
+def test_spectral_start_needs_a_known_previous_gradient(beta_max, spectral_from):
+    # An extrapolated first step never evaluates grad f(x^0), so the
+    # Barzilai-Borwein start is gamma_min until k = 2; without extrapolation
+    # it applies from k = 1.  For f = x^2/2 the estimate is exactly 1.
+    cfg = PgenlsConfig(m=0, beta_max=beta_max, gamma_min=1e-2, max_outer=6,
+                       tol_step=1e-300, tol_resid=1e-300)
+    trace = pgenls_solve(quad_1d(), np.array([4.0]), cfg)
+    for r in trace.records[1:]:
+        gamma0 = 1.0 if r.k > spectral_from else cfg.gamma_min
+        assert r.gamma == gamma0 * cfg.rho**r.j_inner, r.k
