@@ -69,11 +69,25 @@ class SmoothOracle:
     ``||A||_2^2`` from ``power_iteration_sq_norm``: exact up to rounding when
     the smaller side of ``A`` is small, otherwise a Lanczos bound at most
     1e-6 above it relatively, under the condition stated there.
+
+    ``quadratic`` promises that ``f`` is quadratic, so its gradient is affine:
+    ``grad f(x + beta (x - u)) = grad f(x) + beta (grad f(x) - grad f(u))``
+    for all ``x``, ``u`` and ``beta``, and a solver may extrapolate gradients
+    it knows instead of calling ``gradient``.  Like ``lipschitz_hint`` it
+    describes the function and is set by the builder that knows it
+    (``make_least_squares``); an oracle built by hand keeps ``False``.
+
+    An oracle may cache work between calls (``make_least_squares`` keeps the
+    residual of its last ``value`` call).  Such a cache is keyed on the
+    contents of the point, never on the array object, so a point changed in
+    place or a call from another thread can only miss it; a miss costs time,
+    never a wrong answer.
     """
 
     value: Callable[[Vector], float]
     gradient: Callable[[Vector], Vector]
     lipschitz_hint: Optional[float] = None
+    quadratic: bool = False
 
 
 @dataclass(frozen=True)
@@ -291,6 +305,11 @@ def _lanczos_top_eigenvalue(gram: Callable[[Vector], Vector], dim: int,
         q /= np.linalg.norm(q)
 
 
+def _residual(A: np.ndarray, x: Vector, b: Vector) -> Vector:
+    """``A x - b``, the one product with ``A`` of a least-squares oracle call."""
+    return A @ x - b
+
+
 def make_least_squares(A: np.ndarray, b: Vector) -> SmoothOracle:
     """Smooth oracle for ``0.5 * ||A x - b||^2``.
 
@@ -299,6 +318,16 @@ def make_least_squares(A: np.ndarray, b: Vector) -> SmoothOracle:
     dense value when the smaller side of ``A`` is at most 500, otherwise a
     Lanczos upper bound at most 1e-6 above it relatively, which holds when
     the top Ritz value converged to the largest eigenvalue.
+
+    The oracle keeps a one-entry cache: each ``value(x)`` call stores the
+    residual ``r = A x - b`` under a key made of the dtype, shape and bytes
+    of ``x``, and ``gradient`` at a point with the same key returns
+    ``A^T r``, saving the product with ``A``.  That is the same computation
+    on the same bits, so a hit returns exactly what a miss would.  Solvers
+    evaluate ``f`` at a candidate before they need its gradient, so an
+    accepted step costs one product for its gradient instead of two.
+    ``A`` and ``b`` are used as given, not copied, and must not change after
+    the build: a cached residual would still be that of the old data.
     """
     A = np.asarray(A, dtype=np.float64)
     # validates A as well, in the one scan of A before any product
@@ -309,19 +338,29 @@ def make_least_squares(A: np.ndarray, b: Vector) -> SmoothOracle:
             f"dimension mismatch: A has {A.shape[0]} rows but b has {b.shape[0]} entries"
         )
     n = A.shape[1]
+    # (key of the point, A @ x - b) of the last value call, replaced whole so
+    # that a reader never pairs one call's key with another call's residual
+    cache = None
 
     def value(x):
+        nonlocal cache
         if x.shape[0] != n:
             raise InvalidInputError(f"expected dimension {n}, got {x.shape[0]}")
-        r = A @ x - b
+        key = (x.dtype, x.shape, x.tobytes())
+        r = _residual(A, x, b)
+        cache = (key, r)
         return 0.5 * float(r @ r)
 
     def gradient(x):
         if x.shape[0] != n:
             raise InvalidInputError(f"expected dimension {n}, got {x.shape[0]}")
-        return A.T @ (A @ x - b)
+        last = cache
+        if last is not None and last[0] == (x.dtype, x.shape, x.tobytes()):
+            return A.T @ last[1]
+        return A.T @ _residual(A, x, b)
 
-    return SmoothOracle(value=value, gradient=gradient, lipschitz_hint=lipschitz_hint)
+    return SmoothOracle(value=value, gradient=gradient, lipschitz_hint=lipschitz_hint,
+                        quadratic=True)
 
 
 def make_power4_1d() -> SmoothOracle:

@@ -16,6 +16,11 @@ term harmless in the limit.  Setting ``delta = 0``, ``beta_max = 0`` and
 ``m = 0`` recovers the classical monotone backtracking proximal gradient
 method.
 
+For a quadratic ``f`` (``SmoothOracle.quadratic``) the gradient at ``y`` is
+extrapolated as ``grad f(x) + beta (grad f(x) - grad f(u))``, as in SpaRSA,
+instead of computed: the trials of an iteration call the gradient oracle at
+most once, and not at all once ``grad f(u)`` is known (from ``k = 2``).
+
 This module owns the extrapolated step: its config, the trial schedule of
 ``(gamma, beta)``, the extrapolated candidates with their decrement, the
 proximity-augmented merit and the stationarity residual.  The window line
@@ -126,6 +131,24 @@ def _residual(grad_x: Vector, grad_y: Vector, gamma: float, x_minus_y: Vector,
     return math.sqrt(float(top @ top) + (delta * step_norm) ** 2)
 
 
+def _gradient_and_step(problem: CompositeProblem, it: Iterate,
+                       inertia: Vector) -> tuple[Vector, Vector]:
+    """``(grad f(x), grad f(x) - grad f(u))`` at the paired state ``(x, u)``.
+
+    Calls the oracle only for a gradient ``it`` does not know, and stores
+    neither in ``it``: the Barzilai-Borwein start must see only the gradients
+    of accepted steps.  With no inertia, ``u = x`` and the difference is 0.
+    """
+    grad_x = it.grad if it.grad is not None else problem.f.gradient(it.x)
+    if it.grad_prev is not None:
+        grad_u = it.grad_prev
+    elif inertia.any():
+        grad_u = problem.f.gradient(it.x_prev)
+    else:
+        grad_u = grad_x
+    return grad_x, grad_x - grad_u
+
+
 def pg_residual(problem: CompositeProblem, x_curr: Vector, y_curr: Vector,
                 x_prev: Vector, gamma_prev: float, delta: float) -> float:
     """Stationarity residual of the paired state after an extrapolated step.
@@ -166,6 +189,7 @@ def pgenls_solve(problem: CompositeProblem, x0: Vector,
     alpha = config.alpha
     nesterov = config.beta_init_rule == "nesterov"
     t_prev = t_curr = 1.0  # Nesterov counters
+    quadratic = problem.f.quadratic
 
     def trials(it: Iterate, gamma0: float):
         nonlocal t_prev, t_curr
@@ -176,6 +200,7 @@ def pgenls_solve(problem: CompositeProblem, x0: Vector,
             beta0 = float(min(max((t_prev - 1.0) / t_curr, 0.0), config.beta_max))
         else:
             beta0 = config.beta_max
+        grad_step = None  # grad f(x) - grad f(x_prev), once a quadratic f needs it
         for j in itertools.count():
             gamma, beta = inner_schedule(gamma0, beta0, config.rho, config.nu, j)
             if beta == 0.0:
@@ -185,7 +210,12 @@ def pgenls_solve(problem: CompositeProblem, x0: Vector,
                 grad_y = it.grad
             else:
                 y = x + beta * inertia
-                grad_y = problem.f.gradient(y)
+                if quadratic:
+                    if grad_step is None:
+                        grad_x, grad_step = _gradient_and_step(problem, it, inertia)
+                    grad_y = grad_x + beta * grad_step
+                else:
+                    grad_y = problem.f.gradient(y)
             cand = problem.g.prox(y - grad_y / gamma, gamma)
             g_cand = checked_penalty(problem, cand, it.k)
             F_cand = float(problem.f.value(cand) + g_cand)

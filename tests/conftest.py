@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
+from kldescent import oracles
 from kldescent.catalog import ProblemInstance, make_problem
 from kldescent.diagnostics import DiagnosticsReport, build_report
 from kldescent.npg import NpgConfig, npg_solve
@@ -79,3 +80,33 @@ def suite() -> Suite:
         r.report = build_report(r.trace, problem=r.instance.problem)
     t2 = time.perf_counter()
     return Suite(runs, t1 - t0, t2 - t1)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """``counted(f) -> (f, calls)``: the smooth oracle ``f`` with its calls
+    counted in ``calls["value"]`` and ``calls["gradient"]``, and every
+    least-squares residual ``A x - b`` in ``calls["residual"]``.  A
+    least-squares call makes one product with ``A`` per residual and one
+    with ``A^T`` per gradient.  ``dataclasses.replace`` keeps the oracle's
+    other fields."""
+    calls = {"value": 0, "gradient": 0, "residual": 0}
+    residual = oracles._residual
+
+    def counting_residual(A, x, b):
+        calls["residual"] += 1
+        return residual(A, x, b)
+
+    monkeypatch.setattr(oracles, "_residual", counting_residual)
+
+    def counting(name, fn):
+        def call(x):
+            calls[name] += 1
+            return fn(x)
+        return call
+
+    def wrap(f):
+        return replace(f, value=counting("value", f.value),
+                       gradient=counting("gradient", f.gradient)), calls
+
+    return wrap

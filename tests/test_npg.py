@@ -1,6 +1,7 @@
 """DC-majorization solver: worked steps, merit identities, failure modes."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -229,3 +230,14 @@ def test_plain_l1_runs_without_h():
     trace = npg_solve(p, inst.x0, NpgConfig(m=3, max_outer=500))
     assert len(trace) > 2
     assert np.all(np.isfinite(trace.column("F")))
+
+
+def test_one_gradient_per_iteration_from_the_cached_residual(counted):
+    # one gradient at x^0 and one per accepted candidate, each right after
+    # the value call at the same point, so none recomputes A x - b
+    inst = make_problem("l1-l2-dc", {"seed": 0})
+    f, calls = counted(inst.problem.f)
+    trace = npg_solve(replace(inst.problem, f=f), inst.x0, NpgConfig(m=5))
+    assert trace.terminated == "tolerance"
+    assert calls["gradient"] == len(trace)  # iterations + 1
+    assert calls["residual"] == calls["value"]

@@ -5,6 +5,8 @@ prox maps and central finite differences for the gradients.  Expected values
 are frozen from these references, not from the implementations under test.
 """
 
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -133,6 +135,88 @@ def test_least_squares_values_and_hint():
     # hint is ||A||^2 = 9; independent reference: dense SVD
     ref = float(np.linalg.norm(A, 2) ** 2)
     assert f.lipschitz_hint == pytest.approx(ref, rel=1e-5)
+
+
+def least_squares_case():
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((12, 7))
+    b = rng.standard_normal(12)
+    return A, b, rng.standard_normal(7)
+
+
+def test_least_squares_gradient_after_value_reuses_the_residual(counted):
+    A, b, x = least_squares_case()
+    f, calls = counted(make_least_squares(A, b))
+    f.value(x)
+    g = f.gradient(x)
+    assert calls["residual"] == 1  # the gradient made no product with A
+    assert g.tobytes() == (A.T @ (A @ x - b)).tobytes()
+
+
+def test_least_squares_cache_misses_give_the_fresh_gradient(counted):
+    A, b, x = least_squares_case()
+    f, calls = counted(make_least_squares(A, b))
+
+    def assert_fresh_gradient(point):
+        before = calls["residual"]
+        assert f.gradient(point).tobytes() == (A.T @ (A @ point - b)).tobytes()
+        assert calls["residual"] == before + 1
+
+    assert_fresh_gradient(x)  # no value call before
+    f.value(x)
+    assert_fresh_gradient(x + 1.0)
+    f.value(x)
+    x[3] += 0.5  # the cached point changed in place
+    assert_fresh_gradient(x)
+    zero = np.zeros(7)
+    f.value(-zero)  # equal in value, not in bits
+    assert_fresh_gradient(zero)
+
+
+def test_least_squares_cache_under_racing_threads():
+    # each thread alternates value and gradient at its own points on one
+    # shared oracle; a switch between another thread's value and this
+    # thread's gradient must only miss the cache
+    A, b, _ = least_squares_case()
+    f = make_least_squares(A, b)
+    wrong = []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            x = rng.standard_normal(7)
+            f.value(x)
+            if f.gradient(x).tobytes() != (A.T @ (A @ x - b)).tobytes():
+                wrong.append(seed)
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_least_squares_dimension_errors_unchanged():
+    A, b, x = least_squares_case()
+    f = make_least_squares(A, b)
+    f.value(x)
+    for call in (f.value, f.gradient):
+        with pytest.raises(InvalidInputError, match=r"^expected dimension 7, got 6$"):
+            call(np.zeros(6))
+
+
+def test_quadratic_is_declared_by_the_builder():
+    A, b, _ = least_squares_case()
+    assert make_least_squares(A, b).quadratic is True
+    assert make_power4_1d().quadratic is False
+    assert oracles.SmoothOracle(value=abs, gradient=abs).quadratic is False
 
 
 def test_power_iteration_matches_svd():

@@ -1,11 +1,13 @@
 """Extrapolated proximal-gradient solver: worked steps, schedules, guards."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from kldescent.catalog import make_problem
+from kldescent.diagnostics import build_report
 from kldescent.errors import BacktrackingFailureError, InvalidInputError
 from kldescent.oracles import (
     CompositeProblem,
@@ -213,3 +215,31 @@ def test_spectral_start_needs_a_known_previous_gradient(beta_max, spectral_from)
     for r in trace.records[1:]:
         gamma0 = 1.0 if r.k > spectral_from else cfg.gamma_min
         assert r.gamma == gamma0 * cfg.rho**r.j_inner, r.k
+
+
+def test_extrapolated_trials_call_the_gradient_at_most_twice(counted):
+    # For the quadratic least-squares f, grad f(y) comes from the gradients at
+    # x and x_prev: only k = 0 and k = 1 call the oracle for it, once each.
+    # The accepted candidate's gradient reuses the residual of its value call.
+    inst = make_problem("lasso", {"seed": 0})
+    f, calls = counted(inst.problem.f)
+    trace = pgenls_solve(replace(inst.problem, f=f), inst.x0, PgenlsConfig(m=5))
+    iterations = len(trace) - 1
+    assert trace.terminated == "tolerance"
+    assert calls["gradient"] <= iterations + 2
+    assert calls["residual"] <= calls["value"] + 1
+
+
+@pytest.mark.parametrize("m", [0, 5])
+@pytest.mark.parametrize("seed", range(5))
+def test_extrapolated_gradient_agrees_with_the_computed_one(seed, m):
+    inst = make_problem("lasso", {"seed": seed})
+    computed = replace(inst.problem, f=replace(inst.problem.f, quadratic=False))
+    traces = [pgenls_solve(problem, inst.x0, PgenlsConfig(m=m))
+              for problem in (computed, inst.problem)]
+    assert traces[0].terminated == traces[1].terminated
+    F_computed, F_extrapolated = (t.records[-1].f_value for t in traces)
+    assert F_extrapolated == pytest.approx(F_computed, rel=1e-10, abs=0.0)
+    for trace in traces:
+        report = build_report(trace, problem=inst.problem)
+        assert report.passed(), report.failures()
