@@ -29,8 +29,6 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Generator, Optional
 
-import numpy as np
-
 from .errors import BacktrackingFailureError, InvalidInputError, OracleInconsistencyError
 from .memory import MemoryWindow
 from .oracles import CompositeProblem, Vector, as_vector
@@ -169,7 +167,7 @@ def descend(problem: CompositeProblem, x0: Vector, config, trials: Trials, *,
             gamma=gamma, beta=beta, j_inner=j, step_norm=step_norm,
             residual=residual, xi=xi))
 
-        x_scale = 1.0 + float(np.linalg.norm(it.x))
+        x_scale = 1.0 + math.sqrt(float(it.x @ it.x))
         it.k = k + 1
         it.x_prev, it.x = it.x, cand
         it.grad_prev, it.grad = it.grad, grad_next

@@ -21,6 +21,8 @@ class MemoryWindow:
 
     Single-owner mutable structure: push indices must be contiguous
     (0, 1, 2, ...) and entries older than ``m`` iterations are evicted.
+    ``push`` recomputes the window's ``(max, argmax)``, so the many
+    ``accept`` calls between two pushes compare against a stored value.
     """
 
     def __init__(self, m: int):
@@ -28,6 +30,7 @@ class MemoryWindow:
             raise InvalidInputError(f"memory depth m must be a nonnegative integer, got {m!r}")
         self.m = m
         self._entries: deque[tuple[int, float]] = deque(maxlen=m + 1)
+        self._max: tuple[float, int] | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -45,16 +48,17 @@ class MemoryWindow:
         if not self._entries and k != 0:
             raise LogicError(f"first push must use index 0, got {k}")
         self._entries.append((k, float(value)))
-
-    def window_max(self) -> tuple[float, int]:
-        """Return ``(max merit, argmax index)``, ties broken toward the largest index."""
-        if not self._entries:
-            raise LogicError("window_max on an empty window")
         best_val, best_idx = self._entries[0][1], self._entries[0][0]
         for idx, val in self._entries:
             if val >= best_val:
                 best_val, best_idx = val, idx
-        return best_val, best_idx
+        self._max = (best_val, best_idx)
+
+    def window_max(self) -> tuple[float, int]:
+        """Return ``(max merit, argmax index)``, ties broken toward the largest index."""
+        if self._max is None:
+            raise LogicError("window_max on an empty window")
+        return self._max
 
     def accept(self, candidate: float, decrement: float) -> bool:
         """Plain floating-point test ``candidate <= window max - decrement``."""
@@ -62,5 +66,6 @@ class MemoryWindow:
         decrement = float(decrement)
         if math.isnan(candidate) or math.isnan(decrement):
             raise InvalidInputError("accept called with NaN candidate or decrement")
-        max_val, _ = self.window_max()
-        return candidate <= max_val - decrement
+        if self._max is None:
+            raise LogicError("accept on an empty window")
+        return candidate <= self._max[0] - decrement

@@ -10,6 +10,7 @@ through one deterministic subgradient per point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, TypeAlias
 
 import numpy as np
@@ -65,10 +66,15 @@ class SmoothOracle:
     """Continuously differentiable term: value, gradient, optional curvature hint.
 
     ``lipschitz_hint`` is the gradient's Lipschitz constant or an upper bound
-    on it (``None`` when no global bound exists).  For least squares it is
-    ``||A||_2^2`` from ``power_iteration_sq_norm``: exact up to rounding when
-    the smaller side of ``A`` is small, otherwise a Lanczos bound at most
-    1e-6 above it relatively, under the condition stated there.
+    on it (``None`` when no global bound exists).  It is computed on first
+    read by calling ``lipschitz_fn`` with no arguments, and cached on the
+    oracle, so an oracle whose hint is never read never pays for it; an
+    oracle built without ``lipschitz_fn`` has no hint.  For least squares it
+    is ``||A||_2^2`` from ``power_iteration_sq_norm``: exact up to rounding
+    when the smaller side of ``A`` is small, otherwise a Lanczos bound at
+    most 1e-6 above it relatively, under the condition stated there.  Two
+    threads reading it first at once may both compute it; the computation is
+    deterministic, so both get the same bits.
 
     ``quadratic`` promises that ``f`` is quadratic, so its gradient is affine:
     ``grad f(x + beta (x - u)) = grad f(x) + beta (grad f(x) - grad f(u))``
@@ -86,8 +92,12 @@ class SmoothOracle:
 
     value: Callable[[Vector], float]
     gradient: Callable[[Vector], Vector]
-    lipschitz_hint: Optional[float] = None
+    lipschitz_fn: Optional[Callable[[], float]] = None
     quadratic: bool = False
+
+    @cached_property
+    def lipschitz_hint(self) -> Optional[float]:
+        return None if self.lipschitz_fn is None else self.lipschitz_fn()
 
 
 @dataclass(frozen=True)
@@ -233,6 +243,17 @@ _DENSE_MAX_DIM = 500
 _LANCZOS_BASIS = 128
 
 
+def _checked_matrix(A) -> np.ndarray:
+    """``A`` as a float64 matrix; ``InvalidInputError`` unless it has two
+    dimensions and finite entries."""
+    A = np.asarray(A, dtype=np.float64)
+    if A.ndim != 2:
+        raise InvalidInputError(f"A must be a matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise InvalidInputError("A contains non-finite entries")
+    return A
+
+
 def power_iteration_sq_norm(A: np.ndarray, rel_tol: float = 1e-6, max_iter: int = 10000) -> float:
     """Largest squared singular value ``||A||_2^2``, the top eigenvalue of the
     Gram matrix of the smaller side of ``A`` (``A A^T`` or ``A^T A``).
@@ -258,11 +279,7 @@ def power_iteration_sq_norm(A: np.ndarray, rel_tol: float = 1e-6, max_iter: int 
     A zero matrix gives 0.0 on both paths, with no separate scan for it.
     Deterministic: repeated calls return the same bits.
     """
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2:
-        raise InvalidInputError(f"A must be a matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise InvalidInputError("A contains non-finite entries")
+    A = _checked_matrix(A)
     if A.size == 0:
         return 0.0
     rows, cols = A.shape
@@ -317,7 +334,10 @@ def make_least_squares(A: np.ndarray, b: Vector) -> SmoothOracle:
     ``power_iteration_sq_norm`` at its default ``rel_tol=1e-6``: the exact
     dense value when the smaller side of ``A`` is at most 500, otherwise a
     Lanczos upper bound at most 1e-6 above it relatively, which holds when
-    the top Ritz value converged to the largest eigenvalue.
+    the top Ritz value converged to the largest eigenvalue.  It is computed
+    on the first read of ``lipschitz_hint``, not here: the solvers backtrack
+    and never read it, only the audit does.  ``A`` is checked here all the
+    same (two dimensions, finite entries), so bad input fails at the build.
 
     The oracle keeps a one-entry cache: each ``value(x)`` call stores the
     residual ``r = A x - b`` under a key made of the dtype, shape and bytes
@@ -327,11 +347,10 @@ def make_least_squares(A: np.ndarray, b: Vector) -> SmoothOracle:
     evaluate ``f`` at a candidate before they need its gradient, so an
     accepted step costs one product for its gradient instead of two.
     ``A`` and ``b`` are used as given, not copied, and must not change after
-    the build: a cached residual would still be that of the old data.
+    the build: a cached residual would still be that of the old data, and a
+    hint read later would be that of the new ``A``.
     """
-    A = np.asarray(A, dtype=np.float64)
-    # validates A as well, in the one scan of A before any product
-    lipschitz_hint = power_iteration_sq_norm(A)
+    A = _checked_matrix(A)
     b = as_vector(b, "b")
     if b.shape[0] != A.shape[0]:
         raise InvalidInputError(
@@ -359,8 +378,9 @@ def make_least_squares(A: np.ndarray, b: Vector) -> SmoothOracle:
             return A.T @ last[1]
         return A.T @ _residual(A, x, b)
 
-    return SmoothOracle(value=value, gradient=gradient, lipschitz_hint=lipschitz_hint,
-                        quadratic=True)
+    # looked up by name when called, so a wrapper of the module's function sees it
+    return SmoothOracle(value=value, gradient=gradient,
+                        lipschitz_fn=lambda: power_iteration_sq_norm(A), quadratic=True)
 
 
 def make_power4_1d() -> SmoothOracle:
@@ -377,4 +397,4 @@ def make_power4_1d() -> SmoothOracle:
         t = float(x[0])
         return np.array([t * t * t])
 
-    return SmoothOracle(value=value, gradient=gradient, lipschitz_hint=None)
+    return SmoothOracle(value=value, gradient=gradient)

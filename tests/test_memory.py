@@ -1,5 +1,6 @@
 """Merit-history window: eviction, tie-breaking, acceptance boundary, misuse."""
 
+import numpy as np
 import pytest
 
 from kldescent.errors import InvalidInputError, LogicError
@@ -49,6 +50,22 @@ def test_accept_boundary_is_inclusive():
     assert w.accept(0.75, 0.25)
     assert not w.accept(0.75 + 1e-15, 0.25)
     assert w.accept(-100.0, 0.0)
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_window_max_matches_brute_force(m):
+    # values from a small set, so that ties are frequent
+    rng = np.random.default_rng(100 + m)
+    values = [float(v) for v in rng.integers(0, 4, 200)]
+    w = MemoryWindow(m)
+    for k, v in enumerate(values):
+        w.push(k, v)
+        recent = range(max(0, k - m), k + 1)
+        best = max(recent, key=lambda i: (values[i], i))
+        assert w.window_max() == (values[best], best)
+        # the acceptance boundary is inclusive, against that maximum
+        assert w.accept(values[best] - 0.5, 0.5)
+        assert not w.accept(values[best] - 0.5 + 1e-9, 0.5)
 
 
 def test_accept_uses_window_max_not_latest():

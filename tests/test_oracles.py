@@ -15,6 +15,7 @@ import pytest
 from kldescent import oracles
 from kldescent.catalog import make_problem
 from kldescent.errors import InvalidInputError
+from kldescent.npg import NpgConfig, npg_solve
 from kldescent.oracles import (
     CompositeProblem,
     box_oracle,
@@ -29,6 +30,7 @@ from kldescent.oracles import (
     subgrad_l2_norm,
     zero_oracle,
 )
+from kldescent.pgenls import PgenlsConfig, pgenls_solve
 
 # ---------------------------------------------------------------------------
 # independent references
@@ -219,6 +221,41 @@ def test_quadratic_is_declared_by_the_builder():
     assert oracles.SmoothOracle(value=abs, gradient=abs).quadratic is False
 
 
+def hint_spy():
+    return mock.patch.object(oracles, "power_iteration_sq_norm",
+                             wraps=oracles.power_iteration_sq_norm)
+
+
+def test_lipschitz_hint_is_computed_on_first_read():
+    with hint_spy() as spy:
+        inst = make_problem("lasso", {"seed": 0})
+        assert spy.call_count == 0
+        npg_solve(inst.problem, inst.x0, NpgConfig(max_outer=50))
+        pgenls_solve(inst.problem, inst.x0, PgenlsConfig(max_outer=50))
+        assert spy.call_count == 0
+        hint = inst.problem.f.lipschitz_hint
+        assert spy.call_count == 1
+        A = spy.call_args.args[0]
+        assert inst.problem.f.lipschitz_hint == hint
+        assert spy.call_count == 1
+    assert hint.hex() == power_iteration_sq_norm(A).hex()
+
+
+@pytest.mark.parametrize("A, message", [
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), "^A contains non-finite entries$"),
+    (np.full((2, 3, 4), np.nan), r"^A must be a matrix, got shape \(2, 3, 4\)$"),
+], ids=["nan", "3-d"])
+def test_least_squares_rejects_a_bad_matrix_at_the_build(A, message):
+    with hint_spy() as spy, pytest.raises(InvalidInputError, match=message):
+        make_least_squares(A, np.ones(2))
+    assert spy.call_count == 0
+
+
+def test_hand_built_oracle_has_no_hint():
+    assert oracles.SmoothOracle(value=abs, gradient=abs).lipschitz_hint is None
+    assert make_power4_1d().lipschitz_hint is None
+
+
 def test_power_iteration_matches_svd():
     rng = np.random.default_rng(7)
     A = rng.standard_normal((20, 13))
@@ -230,9 +267,8 @@ def test_power_iteration_matches_svd():
 def catalog_matrix(problem_id, seed):
     """The matrix a catalog instance hands to ``make_least_squares``, with
     its reference value from a dense SVD."""
-    with mock.patch.object(oracles, "power_iteration_sq_norm",
-                           wraps=oracles.power_iteration_sq_norm) as spy:
-        make_problem(problem_id, {"seed": seed})
+    with hint_spy() as spy:
+        make_problem(problem_id, {"seed": seed}).problem.f.lipschitz_hint
     A = spy.call_args.args[0]
     return A, float(np.linalg.norm(A, 2) ** 2)
 
