@@ -18,7 +18,7 @@ from typing import Optional
 
 from ._version import __version__
 from .catalog import describe_problems, make_problem
-from .diagnostics import DiagnosticsReport, build_report
+from .diagnostics import DiagnosticsReport, _check_constants, build_report
 from .errors import InsufficientTraceError, InvalidInputError, KlDescentError
 from .npg import NpgConfig, npg_solve
 from .pgenls import PgenlsConfig, pgenls_solve
@@ -26,7 +26,7 @@ from .trace import Trace, read_trace_csv, write_trace_csv
 
 _ALGORITHMS = ("npg_major", "pgenls", "pgnls")
 _TOP_KEYS = {"problem", "params", "algorithm", "solver", "diagnostics", "output_dir"}
-_DIAG_KEYS = {"tau", "mu", "kbar"}
+_DIAG_KEYS = ("tau", "mu", "kbar")
 _AGGREGATE_COLUMNS = ("value", "exit", "iterations", "final_f", "verdict",
                       "rho", "slope", "degenerate_a")
 
@@ -84,34 +84,16 @@ def load_config(path: str | Path) -> dict:
 
 def diag_overrides(cfg: dict) -> dict:
     diag = cfg.get("diagnostics", {})
-    unknown = sorted(set(diag) - _DIAG_KEYS)
+    unknown = sorted(set(diag) - set(_DIAG_KEYS))
     if unknown:
         raise InvalidInputError(
             f"unknown diagnostics field(s): {', '.join(unknown)}"
         )
-    out = {"tau": 0.5, "mu": None, "kbar": None}
-    if "tau" in diag:
-        tau = diag["tau"]
-        if not isinstance(tau, (int, float)) or not 0.0 < float(tau) < 1.0:
-            raise InvalidInputError(
-                f"diagnostics.tau must lie in (0, 1), got {tau!r}"
-            )
-        out["tau"] = float(tau)
-    if "mu" in diag:
-        mu = diag["mu"]
-        if not isinstance(mu, (int, float)) or not float(mu) >= 0.0:
-            raise InvalidInputError(
-                f"diagnostics.mu must be nonnegative, got {mu!r}"
-            )
-        out["mu"] = float(mu)
-    if "kbar" in diag:
-        kbar = diag["kbar"]
-        if not isinstance(kbar, int) or isinstance(kbar, bool) or kbar < 1:
-            raise InvalidInputError(
-                f"diagnostics.kbar must be a positive integer, got {kbar!r}"
-            )
-        out["kbar"] = kbar
-    return out
+    _check_constants("diagnostics.", **{name: diag[name] for name in _DIAG_KEYS
+                                        if name in diag})
+    return {"tau": float(diag.get("tau", 0.5)),
+            "mu": float(diag["mu"]) if "mu" in diag else None,
+            "kbar": diag.get("kbar")}
 
 
 def _solver_config(cfg: dict):
@@ -354,19 +336,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = {}
-    if args.delta is not None:
-        cfg["delta"] = args.delta
-    if args.beta_max is not None:
-        cfg["beta_max"] = args.beta_max
     try:
-        trace = read_trace_csv(args.trace, algorithm=args.algorithm, config=cfg)
+        trace = read_trace_csv(args.trace, algorithm=args.algorithm)
         trace.problem_id = args.problem
         trace.terminated = args.terminated
         report = build_report(
             trace, m=args.m, a=args.a, alpha=args.alpha, delta=args.delta,
-            c=args.c, lipschitz=args.lf, tau=args.tau, mu=args.mu,
-            kbar=args.kbar,
+            c=args.c, beta_max=args.beta_max, lipschitz=args.lf, tau=args.tau,
+            mu=args.mu, kbar=args.kbar,
         )
     except (InvalidInputError, InsufficientTraceError) as exc:
         _err(str(exc))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -53,6 +54,24 @@ _RADICAND_FLOOR = -1e-12
 
 def _phi_slack(phi: np.ndarray) -> float:
     return 1e-10 * (1.0 + float(np.max(np.abs(phi))))
+
+
+_CONSTANT_RULES = {
+    "tau": (lambda v: isinstance(v, numbers.Real) and 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "mu": (lambda v: isinstance(v, numbers.Real) and v >= 0.0, "must be nonnegative"),
+    "a": (lambda v: isinstance(v, numbers.Real) and v > 0.0, "must be positive"),
+    "m": (lambda v: isinstance(v, int) and v >= 0, "must be a nonnegative integer"),
+    "kbar": (lambda v: isinstance(v, int) and v >= 1, "must be a positive integer"),
+}
+
+
+def _check_constants(prefix: str = "", **constants) -> None:
+    """Validate the audit constants given, in order; booleans are not
+    numbers here.  ``prefix`` leads the name in the message."""
+    for name, value in constants.items():
+        valid, rule = _CONSTANT_RULES[name]
+        if isinstance(value, bool) or not valid(value):
+            raise InvalidInputError(f"{prefix}{name} {rule}, got {value!r}")
 
 
 @dataclass
@@ -112,8 +131,7 @@ def series_tails(values: np.ndarray, decile: float = 0.1) -> tuple[float, float]
 
 def check_h1(trace: Trace, a: float) -> AuditRecord:
     """Window sufficient decrease with the guaranteed constant ``a``."""
-    if not a >= 0.0:
-        raise InvalidInputError(f"a must be nonnegative, got {a!r}")
+    _check_constants(a=a)
     phi = trace.phi_values()
     ell = trace.column("ell")
     s = trace.column("step_norm")
@@ -139,10 +157,9 @@ def check_acceptance(trace: Trace, alpha: float, delta: float,
     if trace.algorithm == "npg_major":
         if c is None:
             raise InvalidInputError("the DC solver acceptance check needs c")
-        dec = 0.5 * (alpha * delta * gam[1:] + (1.0 - alpha) * c) * s[1:] ** 2
+        dec = npg.decrement(alpha, delta, c, gam[1:], s[1:] ** 2)
     else:
-        prev = np.concatenate([[0.0], s[:-1]])
-        dec = 0.5 * alpha * (gam[1:] * s[1:] ** 2 + delta * prev[1:] ** 2)
+        dec = pgenls.decrement(alpha, delta, gam[1:], s[1:] ** 2, s[:-1] ** 2)
     v = phi[1:] + dec - phi[ell[:-1]]
     worst = float(np.max(v))
     slack = _phi_slack(phi)
@@ -153,8 +170,7 @@ def check_acceptance(trace: Trace, alpha: float, delta: float,
 
 def recompute_ell(trace: Trace, m: int) -> AuditRecord:
     """Re-derive the window argmax column from merits and count mismatches."""
-    if not isinstance(m, int) or m < 0:
-        raise InvalidInputError(f"m must be a nonnegative integer, got {m!r}")
+    _check_constants(m=m)
     phi = trace.phi_values()
     ell = trace.column("ell")
     mismatches = 0
@@ -206,13 +222,14 @@ def verify_theta(trace: Trace, problem: CompositeProblem) -> AuditRecord:
 
 def check_h3(trace: Trace, lipschitz: Optional[float],
              gamma_star: Optional[float] = None,
-             enforce_cap: bool = True) -> AuditRecord:
+             enforce_cap: bool = True, delta: float = 0.0) -> AuditRecord:
     """Merit sandwich plus the residual/step ratio cap.
 
     For DC traces: ``F(x^{k+1}) <= merit^{k+1} <= F(peak_k) + (L/2) step^2``
     and ``b_hat <= 1 + L + gamma_star``.  For extrapolated traces the merit is
     the audited objective itself, so the sandwich needs no curvature slack and
-    the cap is ``sqrt(2) * (L + gamma_star + 2 delta)``.  Set ``enforce_cap``
+    the cap is ``sqrt(2) * (L + gamma_star + 2 delta)``, with ``delta`` the
+    run's proximity weight (see :meth:`Trace.framework_steps`).  Set ``enforce_cap``
     to ``False`` when the curvature constant does not cover the points the
     gradients were taken at (a trace-estimated bound with extrapolation on):
     the ratio is still reported but does not gate.
@@ -220,7 +237,7 @@ def check_h3(trace: Trace, lipschitz: Optional[float],
     phi = trace.phi_values()
     ell = trace.column("ell")
     s = trace.column("step_norm")
-    fsteps = trace.framework_steps()
+    fsteps = trace.framework_steps(delta)
     merit = trace.column("merit")
     resid = trace.column("residual")
     slack = _phi_slack(phi)
@@ -255,9 +272,7 @@ def check_h3(trace: Trace, lipschitz: Optional[float],
         if is_dc:
             cap = 1.0 + lipschitz + gamma_star
         else:
-            cfg = trace.config or {}
-            cap = math.sqrt(2.0) * (lipschitz + gamma_star
-                                    + 2.0 * float(cfg.get("delta", 0.0)))
+            cap = math.sqrt(2.0) * (lipschitz + gamma_star + 2.0 * float(delta))
     details["b_cap"] = cap
     details["b_cap_enforced"] = bool(enforce_cap and cap is not None)
 
@@ -314,14 +329,7 @@ def check_h4(trace: Trace, tau: float, mu: float, kbar: int, a: float) -> AuditR
     slack is deducted inside the radical before comparing.  With ``m = 0``
     every interior range is empty and the check passes vacuously.
     """
-    if not 0.0 < tau < 1.0:
-        raise InvalidInputError(f"tau must lie in (0, 1), got {tau!r}")
-    if not mu >= 0.0:
-        raise InvalidInputError(f"mu must be nonnegative, got {mu!r}")
-    if not a > 0.0:
-        raise InvalidInputError(f"a must be positive, got {a!r}")
-    if not isinstance(kbar, int) or kbar < 1:
-        raise InvalidInputError(f"kbar must be a positive integer, got {kbar!r}")
+    _check_constants(tau=tau, mu=mu, a=a, kbar=kbar)
     phi = trace.phi_values()
     ell = trace.column("ell")
     s = trace.column("step_norm")
@@ -360,14 +368,7 @@ def c_constant(mu: float, tau: float, a: float, m: int) -> float:
         c = (m+1) (1+mu_bar)^(m-1)
             * max( 1 / (sqrt(a) (1 - tau)),  (1+mu_bar)^(1-m) + mu_bar )
     """
-    if not 0.0 < tau < 1.0:
-        raise InvalidInputError(f"tau must lie in (0, 1), got {tau!r}")
-    if not mu >= 0.0:
-        raise InvalidInputError(f"mu must be nonnegative, got {mu!r}")
-    if not a > 0.0:
-        raise InvalidInputError(f"a must be positive, got {a!r}")
-    if not isinstance(m, int) or m < 0:
-        raise InvalidInputError(f"m must be a nonnegative integer, got {m!r}")
+    _check_constants(tau=tau, mu=mu, a=a, m=m)
     denom = math.sqrt(a) * (1.0 - tau)
     mu_bar = mu / denom
     grow = (1.0 + mu_bar) ** (m - 1)
@@ -557,61 +558,70 @@ def _clean(v):
     return v if math.isfinite(v) else None
 
 
-def derive_audit_inputs(trace: Trace) -> dict:
-    """Pull the audit constants out of a trace's config snapshot."""
-    cfg = trace.config
-    if not cfg:
-        raise InsufficientTraceError("trace has no config snapshot")
-    try:
-        alpha = float(cfg["alpha"])
-        delta = float(cfg["delta"])
-        gamma_min = float(cfg["gamma_min"])
-        m = int(cfg["m"])
-        if trace.algorithm == "npg_major":
-            c = float(cfg["c"])
-            a = npg.decrease_constant(alpha, delta, gamma_min, c)
-        else:
-            c = None
-            a = pgenls.decrease_constant(alpha, delta, gamma_min)
-    except KeyError as exc:
+def derive_audit_inputs(trace: Trace, *, m: Optional[int] = None,
+                        a: Optional[float] = None, alpha: Optional[float] = None,
+                        delta: Optional[float] = None, c: Optional[float] = None,
+                        beta_max: Optional[float] = None) -> dict:
+    """Resolve the audit constants of ``trace`` field by field.
+
+    An argument given wins; otherwise the field comes from the trace's config
+    snapshot, the only place it is read.  ``a`` not given is the solver's
+    :func:`~kldescent.npg.decrease_constant` or
+    :func:`~kldescent.pgenls.decrease_constant` of the resolved ``alpha``,
+    ``delta`` and ``c`` and the snapshot's ``gamma_min``.  ``m`` and ``a``
+    must resolve; ``alpha``, ``delta`` and ``c`` stay ``None`` when neither
+    source has them, and ``beta_max`` is then 0 (no extrapolation).
+    """
+    cfg = trace.config or {}
+
+    def resolve(name, given=None):
+        if given is not None:
+            return given
+        return float(cfg[name]) if name in cfg else None
+
+    def require(name, value):
+        if value is not None:
+            return value
+        if cfg:
+            raise InsufficientTraceError(f"config snapshot is missing {name!r}")
         raise InsufficientTraceError(
-            f"config snapshot is missing {exc.args[0]!r}"
-        ) from None
-    return {"m": m, "a": a, "alpha": alpha, "delta": delta, "c": c}
+            "audit constants unavailable: the trace has no config snapshot, so give m and a"
+        )
+
+    alpha, delta, c = resolve("alpha", alpha), resolve("delta", delta), resolve("c", c)
+    if a is None:
+        known = (require("alpha", alpha), require("delta", delta),
+                 require("gamma_min", resolve("gamma_min")))
+        if trace.algorithm == "npg_major":
+            a = npg.decrease_constant(*known, require("c", c))
+        else:
+            a = pgenls.decrease_constant(*known)
+    m = int(require("m", resolve("m", m)))
+    return {"m": m, "a": a, "alpha": alpha, "delta": delta, "c": c,
+            "beta_max": resolve("beta_max", beta_max) or 0.0}
 
 
 def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
                  m: Optional[int] = None, a: Optional[float] = None,
                  alpha: Optional[float] = None, delta: Optional[float] = None,
-                 c: Optional[float] = None, lipschitz: Optional[float] = None,
+                 c: Optional[float] = None, beta_max: Optional[float] = None,
+                 lipschitz: Optional[float] = None,
                  tau: float = 0.5, mu: Optional[float] = None,
                  kbar: Optional[int] = None) -> DiagnosticsReport:
     """Run every applicable audit on ``trace`` and assemble the flat report.
 
-    Constants not given explicitly are taken from the trace's config snapshot;
-    the curvature bound comes from the problem's hint when available, else a
+    The solver constants (``m``, ``a``, ``alpha``, ``delta``, ``c``,
+    ``beta_max``) come from :func:`derive_audit_inputs`: each one given here
+    overrides the trace's config snapshot in every check that uses it.  The
+    curvature bound comes from the problem's hint when available, else a
     gradient-ratio estimate over the stored iterates, else the corresponding
     caps are reported but not enforced.  Checks that cannot be evaluated get
     ``pass = null`` and do not gate the overall verdict.
     """
-    derived: dict = {}
-    if trace.config:
-        try:
-            derived = derive_audit_inputs(trace)
-        except InsufficientTraceError:
-            if m is None or a is None:
-                raise
-
-    m = m if m is not None else derived.get("m")
-    a = a if a is not None else derived.get("a")
-    alpha = alpha if alpha is not None else derived.get("alpha")
-    delta = delta if delta is not None else derived.get("delta")
-    c = c if c is not None else derived.get("c")
-    if m is None or a is None:
-        raise InsufficientTraceError(
-            "audit constants unavailable: give m and a or attach a config snapshot"
-        )
-    m = int(m)
+    inputs = derive_audit_inputs(trace, m=m, a=a, alpha=alpha, delta=delta, c=c,
+                                 beta_max=beta_max)
+    m, a, alpha, delta, c, beta_max = (inputs[k] for k in
+                                       ("m", "a", "alpha", "delta", "c", "beta_max"))
 
     lf_source = None
     if lipschitz is not None:
@@ -640,9 +650,8 @@ def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
     fields["constants.a"] = _clean(a)
     fields["constants.l_f"] = _clean(lipschitz)
 
-    cfg = trace.config or {}
     degenerate = (trace.algorithm != "npg_major" and delta is not None
-                  and pgenls.degenerate_decrease(delta, float(cfg.get("beta_max", 0.0))))
+                  and pgenls.degenerate_decrease(delta, beta_max))
     fields["h1.degenerate_a"] = bool(degenerate)
 
     rec = check_h1(trace, a)
@@ -669,9 +678,9 @@ def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
     # extrapolation offset the residual was built from.
     exact_lf = lf_source in ("hint", "supplied")
     enforce_cap = (trace.algorithm == "npg_major"
-                   or (not degenerate
-                       and (exact_lf or float(cfg.get("beta_max", 0.0)) == 0.0)))
-    rec = check_h3(trace, lipschitz, gamma_star, enforce_cap=enforce_cap)
+                   or (not degenerate and (exact_lf or beta_max == 0.0)))
+    rec = check_h3(trace, lipschitz, gamma_star, enforce_cap=enforce_cap,
+                   delta=delta or 0.0)
     fields["h3.left_max_violation"] = _clean(rec.details.get("left_max_violation"))
     fields["h3.right_max_violation"] = _clean(rec.details.get("right_max_violation"))
     fields["h3.sigma_max"] = _clean(rec.details.get("sigma_max"))

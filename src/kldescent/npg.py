@@ -31,13 +31,19 @@ from .errors import InvalidInputError
 from .oracles import CompositeProblem, Vector, as_vector
 from .trace import Trace
 
-__all__ = ["NpgConfig", "decrease_constant", "npg_solve", "dc_residual"]
+__all__ = ["NpgConfig", "decrease_constant", "decrement", "npg_solve", "dc_residual"]
 
 
 def decrease_constant(alpha: float, delta: float, gamma_min: float, c: float) -> float:
     """Sufficient-decrease constant ``(alpha*delta*gamma_min + (1-alpha)*c)/2``
     guaranteed for every accepted majorized step."""
     return 0.5 * (alpha * delta * gamma_min + (1.0 - alpha) * c)
+
+
+def decrement(alpha: float, delta: float, c: float, gamma, step_sq):
+    """Forcing decrement ``((alpha*delta*gamma + (1-alpha)*c)/2) ||cand - x||^2``
+    of a trial with weight ``gamma``; elementwise on arrays."""
+    return 0.5 * (alpha * delta * gamma + (1.0 - alpha) * c) * step_sq
 
 
 @dataclass(frozen=True)
@@ -97,8 +103,6 @@ def npg_solve(problem: CompositeProblem, x0: Vector, config: NpgConfig | None = 
     """Run the majorized proximal descent from ``x0``; see
     :func:`kldescent.descent.descend` for the stopping rules."""
     config = config or NpgConfig()
-    coeff_base = config.alpha * config.delta
-    coeff_free = (1.0 - config.alpha) * config.c
 
     def trials(it: Iterate, gamma0: float):
         x = it.x
@@ -118,8 +122,8 @@ def npg_solve(problem: CompositeProblem, x0: Vector, config: NpgConfig | None = 
             F_cand = float(f_cand + g_cand - h_cand)
             diff = cand - x
             step_sq = float(diff @ diff)
-            decrement = 0.5 * (coeff_base * gamma + coeff_free) * step_sq
-            grad_next = yield gamma, cand, F_cand, decrement
+            grad_next = yield (gamma, cand, F_cand,
+                               decrement(config.alpha, config.delta, config.c, gamma, step_sq))
             if grad_next is not None:
                 theta = float(f_cand + g_cand - it.h + xi @ diff)
                 it.h = float(h_cand)

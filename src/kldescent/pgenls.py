@@ -40,8 +40,8 @@ from .errors import InvalidInputError
 from .oracles import CompositeProblem, Vector, as_vector
 from .trace import Trace
 
-__all__ = ["PgenlsConfig", "decrease_constant", "degenerate_decrease", "f_delta",
-           "inner_schedule", "pgenls_solve", "pg_residual"]
+__all__ = ["PgenlsConfig", "decrease_constant", "decrement", "degenerate_decrease",
+           "f_delta", "inner_schedule", "pgenls_solve", "pg_residual"]
 
 
 def decrease_constant(alpha: float, delta: float, gamma_min: float) -> float:
@@ -54,6 +54,12 @@ def decrease_constant(alpha: float, delta: float, gamma_min: float) -> float:
     if delta > 0.0:
         return 0.5 * alpha * min(gamma_min, delta)
     return 0.5 * alpha * gamma_min
+
+
+def decrement(alpha: float, delta: float, gamma, step_sq, inertia_sq):
+    """Forcing decrement ``(alpha/2) (gamma ||cand - x||^2 + delta ||x - u||^2)``
+    of a trial with weight ``gamma``; elementwise on arrays."""
+    return 0.5 * alpha * (gamma * step_sq + delta * inertia_sq)
 
 
 def degenerate_decrease(delta: float, beta_max: float) -> bool:
@@ -222,8 +228,8 @@ def pgenls_solve(problem: CompositeProblem, x0: Vector,
             diff = cand - x
             step_sq = float(diff @ diff)
             merit = F_cand + 0.5 * delta * step_sq
-            decrement = 0.5 * alpha * (gamma * step_sq + delta * inertia_sq)
-            grad_next = yield gamma, cand, merit, decrement
+            grad_next = yield (gamma, cand, merit,
+                               decrement(alpha, delta, gamma, step_sq, inertia_sq))
             if grad_next is not None:
                 if nesterov:
                     t_prev, t_curr = t_curr, 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_curr**2))

@@ -89,15 +89,16 @@ class Trace:
             return self.column("F")
         return self.column("merit")
 
-    def framework_steps(self) -> np.ndarray:
+    def framework_steps(self, delta: float) -> np.ndarray:
         """Per-row step length of the audited sequence.
 
         The extrapolated solver's framework runs on the paired state
         ``(x^k, x^{k-1})``, so its step combines two consecutive x-moves;
-        when the proximity weight is 0 the audit falls back to the x-block.
+        when the run's proximity weight ``delta`` is 0 the audit falls back
+        to the x-block.
         """
         s = self.column("step_norm")
-        if self.algorithm == "npg_major" or float(self.config.get("delta", 0.0)) == 0.0:
+        if self.algorithm == "npg_major" or float(delta) == 0.0:
             return s
         prev = np.concatenate([[0.0], s[:-1]])
         return np.sqrt(s * s + prev * prev)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -238,7 +239,7 @@ def test_check_h3_two_block():
     cfg = PgenlsConfig(m=0, delta=1.0, alpha=0.5, gamma_min=2.0, gamma_max=2.0,
                       beta_max=0.5, gamma_init_rule="constant", max_outer=2)
     trace = pgenls_solve(quad_1d(), np.array([4.0]), cfg)
-    rec = check_h3(trace, lipschitz=1.0, gamma_star=2.0)
+    rec = check_h3(trace, lipschitz=1.0, gamma_star=2.0, delta=cfg.delta)
     assert rec.passed is True
     # worked ratios: 2 / 2 and sqrt(3.25) / 2.5
     assert rec.details["b_hat"] == 1.0
@@ -559,6 +560,21 @@ def test_build_report_explicit_constants_only():
     # without any constants the audit cannot run
     with pytest.raises(InsufficientTraceError):
         build_report(synth([1.0, 0.5], [0.0, 1.0]))
+
+
+def test_build_report_explicit_constants_match_snapshot():
+    # every check takes the explicit constants, the proximity weight of the
+    # pgenls paired-state steps and h3 cap included
+    for pid, solve, cfg, own in (("lasso", pgenls_solve, PgenlsConfig(), "beta_max"),
+                                 ("l1-l2-dc", npg_solve, NpgConfig(), "c")):
+        inst = make_problem(pid, {"seed": 0})
+        trace = solve(inst.problem, inst.x0, cfg, problem_id=pid, seed=0)
+        snapshot = build_report(trace, problem=inst.problem)
+        constants = {name: getattr(cfg, name) for name in ("m", "alpha", "delta", own)}
+        explicit = build_report(replace(trace, config={}), problem=inst.problem,
+                                a=cfg.h1_constant(), **constants)
+        assert snapshot.passed(), (pid, snapshot.failures())
+        assert explicit.fields == snapshot.fields, pid
 
 
 def test_build_report_degenerate_flag():

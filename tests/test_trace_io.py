@@ -160,13 +160,12 @@ def test_empty_file_rejected(tmp_path):
 def test_framework_steps_pair_norm():
     trace = _toy_trace(algorithm="pgenls")
     s = trace.column("step_norm")
-    fs = trace.framework_steps()
+    fs = trace.framework_steps(delta=0.5)
     assert fs[0] == s[0]
     for k in range(1, len(s)):
         assert fs[k] == pytest.approx(np.hypot(s[k], s[k - 1]))
     # delta = 0 falls back to the x-block
-    trace.config["delta"] = 0.0
-    np.testing.assert_array_equal(trace.framework_steps(), s)
+    np.testing.assert_array_equal(trace.framework_steps(delta=0.0), s)
 
 
 def test_phi_values_pick_the_audited_merit():
