@@ -111,12 +111,11 @@ def _solver_config(cfg: dict):
         # plain nonmonotone proximal gradient: no proximity term, no
         # extrapolation; forcing both here keeps configs honest.
         for name in ("delta", "beta_max"):
-            if float(solver.get(name, 0.0)) != 0.0:
+            if solver.get(name, 0.0) != 0.0:
                 raise InvalidInputError(
                     f"solver.{name} must be 0 for algorithm 'pgnls'"
                 )
-        solver["delta"] = 0.0
-        solver["beta_max"] = 0.0
+            solver[name] = 0.0
     return cls(**solver)
 
 

@@ -20,13 +20,14 @@ per-iteration setup.  Each ``next()`` returns the next trial as
 ``(gamma, candidate, merit, decrement)``, where ``merit`` is the value the
 window tests and stores.  ``send(grad_next)``, with ``grad_next`` the gradient
 of ``f`` at the candidate, accepts the last trial and returns the rest of its
-trace row: ``(f_value, merit, beta, step_norm, residual, xi)``.
+trace row: ``(f_value, merit, beta, step_norm, residual)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Generator, Optional
 
 from .errors import BacktrackingFailureError, InvalidInputError, OracleInconsistencyError
@@ -58,9 +59,16 @@ Trials = Callable[[Iterate, float], Generator[tuple, Optional[Vector], None]]
 
 
 def check_common_config(config) -> None:
-    """Validate the fields every solver config has (``m``, the gamma bounds,
+    """Validate the type of each int or float field (booleans are not numbers
+    here), then the fields every solver config has (``m``, the gamma bounds,
     ``rho``, the two iteration caps, the tolerances and ``gamma_init_rule``)."""
-    if not isinstance(config.m, int) or config.m < 0:
+    for f in fields(config):  # annotations are strings under postponed evaluation
+        kind = {"int": int, "float": numbers.Real}.get(f.type)
+        value = getattr(config, f.name)
+        if kind and (isinstance(value, bool) or not isinstance(value, kind)):
+            noun = "an integer" if kind is int else "a real number"
+            raise InvalidInputError(f"{f.name} must be {noun}, got {value!r}")
+    if config.m < 0:
         raise InvalidInputError(f"m must be a nonnegative integer, got {config.m!r}")
     if not 0.0 < config.gamma_min <= config.gamma_max:
         raise InvalidInputError(
@@ -158,14 +166,14 @@ def descend(problem: CompositeProblem, x0: Vector, config, trials: Trials, *,
                 k=k, j=j, gamma=gamma,
             )
         grad_next = problem.f.gradient(cand)
-        f_value, row_merit, beta, step_norm, residual, xi = steps.send(grad_next)
+        f_value, row_merit, beta, step_norm, residual = steps.send(grad_next)
 
         window.push(k + 1, merit)
         _, ell = window.window_max()
         trace.records.append(IterateRecord(
             k=k + 1, x=cand, f_value=f_value, merit=row_merit, ell=ell,
             gamma=gamma, beta=beta, j_inner=j, step_norm=step_norm,
-            residual=residual, xi=xi))
+            residual=residual))
 
         x_scale = 1.0 + math.sqrt(float(it.x @ it.x))
         it.k = k + 1

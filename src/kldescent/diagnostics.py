@@ -129,43 +129,39 @@ def series_tails(values: np.ndarray, decile: float = 0.1) -> tuple[float, float]
 # descent conditions
 
 
-def check_h1(trace: Trace, a: float) -> AuditRecord:
-    """Window sufficient decrease with the guaranteed constant ``a``."""
-    _check_constants(a=a)
+def _window_decrease(trace: Trace, name: str, decrement) -> AuditRecord:
+    """Test ``merit_{k+1} + decrement_k <= merit(peak_k)`` within the audit slack;
+    ``decrement`` maps the step-norm column to the decrements of rows ``1..K``."""
     phi = trace.phi_values()
     ell = trace.column("ell")
     s = trace.column("step_norm")
     if len(trace) < 2:
-        return AuditRecord("h1", True, 0.0, {"checked": 0})
-    v = phi[1:] + a * s[1:] ** 2 - phi[ell[:-1]]
+        return AuditRecord(name, True, 0.0, {"checked": 0})
+    v = phi[1:] + decrement(s) - phi[ell[:-1]]
     worst = float(np.max(v))
     slack = _phi_slack(phi)
-    return AuditRecord("h1", bool(worst <= slack), max(worst, -slack),
+    return AuditRecord(name, bool(worst <= slack), max(worst, -slack),
                        {"checked": int(v.size), "slack": slack,
                         "worst_k": int(np.argmax(v))})
+
+
+def check_h1(trace: Trace, a: float) -> AuditRecord:
+    """Window sufficient decrease with the guaranteed constant ``a``."""
+    _check_constants(a=a)
+    return _window_decrease(trace, "h1", lambda s: a * s[1:] ** 2)
 
 
 def check_acceptance(trace: Trace, alpha: float, delta: float,
                      c: Optional[float] = None) -> AuditRecord:
     """Re-check the accepted inequality with each iteration's own stepsize weight."""
-    phi = trace.phi_values()
-    ell = trace.column("ell")
-    s = trace.column("step_norm")
-    gam = trace.column("gamma")
-    if len(trace) < 2:
-        return AuditRecord("acceptance", True, 0.0, {"checked": 0})
-    if trace.algorithm == "npg_major":
-        if c is None:
-            raise InvalidInputError("the DC solver acceptance check needs c")
-        dec = npg.decrement(alpha, delta, c, gam[1:], s[1:] ** 2)
-    else:
-        dec = pgenls.decrement(alpha, delta, gam[1:], s[1:] ** 2, s[:-1] ** 2)
-    v = phi[1:] + dec - phi[ell[:-1]]
-    worst = float(np.max(v))
-    slack = _phi_slack(phi)
-    return AuditRecord("acceptance", bool(worst <= slack), max(worst, -slack),
-                       {"checked": int(v.size), "slack": slack,
-                        "worst_k": int(np.argmax(v))})
+    gam = trace.column("gamma")[1:]
+    if trace.algorithm != "npg_major":
+        return _window_decrease(trace, "acceptance", lambda s: pgenls.decrement(
+            alpha, delta, gam, s[1:] ** 2, s[:-1] ** 2))
+    if c is None and len(trace) > 1:
+        raise InvalidInputError("the DC solver acceptance check needs c")
+    return _window_decrease(trace, "acceptance",
+                            lambda s: npg.decrement(alpha, delta, c, gam, s[1:] ** 2))
 
 
 def recompute_ell(trace: Trace, m: int) -> AuditRecord:
@@ -204,16 +200,18 @@ def theta_dc(problem: CompositeProblem, x_prev: Vector, x_curr: Vector,
 
 
 def verify_theta(trace: Trace, problem: CompositeProblem) -> AuditRecord:
-    """Recompute the stored merit column of a DC trace from oracles."""
+    """Recompute the stored merit column of a DC trace from oracles; ``xi`` is
+    minus the subgradient of ``h`` at the previous iterate, as in the solver."""
     if trace.algorithm != "npg_major":
         raise InvalidInputError("theta verification applies to DC traces only")
+    for rec in trace.records:
+        if rec.x.size == 0:
+            raise InsufficientTraceError(f"row {rec.k} has no stored iterate")
     worst = 0.0
     for prev, curr in zip(trace.records[:-1], trace.records[1:]):
-        if curr.xi is None:
-            raise InsufficientTraceError(
-                f"row {curr.k} lacks the stored subgradient step direction"
-            )
-        recomputed = theta_dc(problem, prev.x, curr.x, curr.xi)
+        xi = (-problem.h.subgradient(prev.x) if problem.h is not None
+              else np.zeros_like(prev.x))
+        recomputed = theta_dc(problem, prev.x, curr.x, xi)
         worst = max(worst, abs(recomputed - curr.merit))
     phi = trace.phi_values()
     slack = _phi_slack(phi)
@@ -250,8 +248,7 @@ def check_h3(trace: Trace, lipschitz: Optional[float],
         return AuditRecord("h3", True, 0.0, {"checked": 0})
 
     is_dc = trace.algorithm == "npg_major"
-    F = trace.column("F")
-    left = F[1:] - merit[1:] if is_dc else np.zeros(len(trace) - 1)
+    left = phi[1:] - merit[1:] if is_dc else np.zeros(len(trace) - 1)  # phi is F
     if is_dc and lipschitz is not None:
         sigma = 0.5 * lipschitz * s[1:] ** 2
         right = merit[1:] - phi[ell[:-1]] - sigma
@@ -569,7 +566,8 @@ def derive_audit_inputs(trace: Trace, *, m: Optional[int] = None,
     :func:`~kldescent.npg.decrease_constant` or
     :func:`~kldescent.pgenls.decrease_constant` of the resolved ``alpha``,
     ``delta`` and ``c`` and the snapshot's ``gamma_min``.  ``m`` and ``a``
-    must resolve; ``alpha``, ``delta`` and ``c`` stay ``None`` when neither
+    must resolve, and ``delta`` too for traces not made by ``npg_major``;
+    ``alpha``, ``c`` and a DC trace's ``delta`` stay ``None`` when neither
     source has them, and ``beta_max`` is then 0 (no extrapolation).
     """
     cfg = trace.config or {}
@@ -579,13 +577,13 @@ def derive_audit_inputs(trace: Trace, *, m: Optional[int] = None,
             return given
         return float(cfg[name]) if name in cfg else None
 
-    def require(name, value):
+    def require(name, value, give="m and a"):
         if value is not None:
             return value
         if cfg:
             raise InsufficientTraceError(f"config snapshot is missing {name!r}")
         raise InsufficientTraceError(
-            "audit constants unavailable: the trace has no config snapshot, so give m and a"
+            f"audit constants unavailable: the trace has no config snapshot, so give {give}"
         )
 
     alpha, delta, c = resolve("alpha", alpha), resolve("delta", delta), resolve("c", c)
@@ -597,6 +595,8 @@ def derive_audit_inputs(trace: Trace, *, m: Optional[int] = None,
         else:
             a = pgenls.decrease_constant(*known)
     m = int(require("m", resolve("m", m)))
+    if trace.algorithm != "npg_major":
+        require("delta", delta, give="delta")
     return {"m": m, "a": a, "alpha": alpha, "delta": delta, "c": c,
             "beta_max": resolve("beta_max", beta_max) or 0.0}
 
@@ -650,7 +650,7 @@ def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
     fields["constants.a"] = _clean(a)
     fields["constants.l_f"] = _clean(lipschitz)
 
-    degenerate = (trace.algorithm != "npg_major" and delta is not None
+    degenerate = (trace.algorithm != "npg_major"
                   and pgenls.degenerate_decrease(delta, beta_max))
     fields["h1.degenerate_a"] = bool(degenerate)
 

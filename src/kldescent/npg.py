@@ -129,7 +129,7 @@ def npg_solve(problem: CompositeProblem, x0: Vector, config: NpgConfig | None = 
                 it.h = float(h_cand)
                 step_norm = math.sqrt(step_sq)
                 yield (F_cand, theta, math.nan, step_norm,
-                       _residual(grad_next, it.grad, gamma, diff, step_norm), xi)
+                       _residual(grad_next, it.grad, gamma, diff, step_norm))
 
     return descend(problem, x0, config, trials, algorithm="npg_major",
                    problem_id=problem_id, seed=seed)

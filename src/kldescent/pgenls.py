@@ -236,7 +236,7 @@ def pgenls_solve(problem: CompositeProblem, x0: Vector,
                 step_norm = math.sqrt(step_sq)
                 yield (F_cand, merit, beta, step_norm,
                        _residual(grad_next, grad_y, gamma, cand - y, delta, diff,
-                                 step_norm), None)
+                                 step_norm))
 
     return descend(problem, x0, config, trials, algorithm=algorithm_label,
                    problem_id=problem_id, seed=seed)

@@ -36,8 +36,14 @@ from .oracles import Vector
 __all__ = ["IterateRecord", "Trace", "write_trace_csv", "read_trace_csv",
            "CSV_COLUMNS", "SIDECAR_MAGIC"]
 
-CSV_COLUMNS = ("k", "F", "merit", "gamma", "beta", "j_inner", "ell",
-               "step_norm", "residual")
+# CSV column -> (IterateRecord attribute, cell type), in file order
+_ROW_SCHEMA = {
+    "k": ("k", int), "F": ("f_value", float), "merit": ("merit", float),
+    "gamma": ("gamma", float), "beta": ("beta", float), "j_inner": ("j_inner", int),
+    "ell": ("ell", int), "step_norm": ("step_norm", float),
+    "residual": ("residual", float),
+}
+CSV_COLUMNS = tuple(_ROW_SCHEMA)
 SIDECAR_MAGIC = b"KLTRACE1"
 MAX_INLINE_DIM = 20
 
@@ -54,7 +60,6 @@ class IterateRecord:
     j_inner: int
     step_norm: float
     residual: float
-    xi: Optional[Vector] = None  # subgradient step direction used to reach x (DC solver)
 
 
 @dataclass
@@ -74,10 +79,8 @@ class Trace:
         return int(self.records[0].x.shape[0]) if self.records else 0
 
     def column(self, name: str) -> np.ndarray:
-        attr = {"F": "f_value"}.get(name, name)
-        if name in ("k", "ell", "j_inner"):
-            return np.array([getattr(r, attr) for r in self.records], dtype=np.int64)
-        return np.array([float(getattr(r, attr)) for r in self.records])
+        attr, kind = _ROW_SCHEMA[name]
+        return np.array([getattr(r, attr) for r in self.records], dtype=kind)
 
     def iterates(self) -> np.ndarray:
         return np.array([r.x for r in self.records])
@@ -107,10 +110,6 @@ class Trace:
         return self.terminated in ("tolerance", "stationary")
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def write_trace_csv(trace: Trace, path: str | Path) -> Path:
     """Write ``trace`` to ``path``; returns the sidecar path when one was needed."""
     path = Path(path)
@@ -119,11 +118,9 @@ def write_trace_csv(trace: Trace, path: str | Path) -> Path:
     header = list(CSV_COLUMNS) + ([f"x_{i}" for i in range(n)] if inline else [])
     lines = [",".join(header)]
     for r in trace.records:
-        cells = [str(int(r.k)), _fmt(r.f_value), _fmt(r.merit), _fmt(r.gamma),
-                 _fmt(r.beta), str(int(r.j_inner)), str(int(r.ell)),
-                 _fmt(r.step_norm), _fmt(r.residual)]
+        cells = [repr(kind(getattr(r, attr))) for attr, kind in _ROW_SCHEMA.values()]
         if inline:
-            cells.extend(_fmt(v) for v in r.x)
+            cells.extend(repr(float(v)) for v in r.x)
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n")
     if not inline:
@@ -182,24 +179,19 @@ def read_trace_csv(path: str | Path, algorithm: str = "", config: dict | None = 
                 f"{path}: line {lineno}: expected {len(header)} cells, got {len(cells)}"
             )
         try:
-            k = int(cells[0])
-            fv, merit, gamma, beta = (float(c) for c in cells[1:5])
-            j_inner = int(cells[5])
-            ell = int(cells[6])
-            step_norm, residual = float(cells[7]), float(cells[8])
-            x = np.array([float(c) for c in cells[9:]]) if n_inline else np.empty(0)
+            row = {attr: kind(cell)
+                   for (attr, kind), cell in zip(_ROW_SCHEMA.values(), cells)}
+            x = np.array([float(c) for c in cells[len(CSV_COLUMNS):]])
         except ValueError as exc:
             raise InvalidInputError(f"{path}: line {lineno}: {exc}") from exc
-        if k != lineno - 2:
+        if row["k"] != lineno - 2:
             raise InvalidInputError(
-                f"{path}: line {lineno}: iteration index {k} out of order"
+                f"{path}: line {lineno}: iteration index {row['k']} out of order"
             )
-        for name, val in (("F", fv), ("step_norm", step_norm)):
-            if math.isinf(val):
+        for name in ("F", "step_norm"):
+            if math.isinf(row[_ROW_SCHEMA[name][0]]):
                 raise InvalidInputError(f"{path}: line {lineno}: {name} is infinite")
-        records.append(IterateRecord(k=k, x=x, f_value=fv, merit=merit, ell=ell,
-                                     gamma=gamma, beta=beta, j_inner=j_inner,
-                                     step_norm=step_norm, residual=residual))
+        records.append(IterateRecord(x=x, **row))
 
     if not n_inline:
         side = path.with_suffix(".bin")

@@ -89,6 +89,14 @@ def test_exit_1_boolean_diagnostics(tmp_path, capsys, name, rule):
     assert not (tmp_path / "out").exists()
 
 
+def test_exit_1_fractional_max_outer(tmp_path, capsys):
+    path, _ = write_config(tmp_path, solver={"max_outer": 2.5})
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        "kldescent: error: max_outer must be an integer, got 2.5\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_1_algorithm_problem_mismatch(tmp_path, capsys):
     path, _ = write_config(tmp_path, problem="l1-l2-dc", params={"seed": 0})
     assert main(["run", str(path)]) == 1
@@ -141,9 +149,10 @@ def test_pgnls_forces_plain_mode(tmp_path):
     assert report["algorithm"] == "pgnls"
     assert report["h1.degenerate_a"] is False
 
-    path2, _ = write_config(tmp_path, name="bad.json", algorithm="pgnls",
-                            solver={"delta": 0.5})
-    assert main(["run", str(path2)]) == 1
+    for delta in (0.5, "abc"):
+        path2, _ = write_config(tmp_path, name="bad.json", algorithm="pgnls",
+                                solver={"delta": delta})
+        assert main(["run", str(path2)]) == 1
 
 
 def test_list_problems(capsys):
@@ -330,6 +339,15 @@ def test_verify_needs_constants(tmp_path, capsys):
         assert main(["verify", str(out / "trace.csv"),
                      "--algorithm", "pgenls", *given]) == 1
         assert "m and a" in capsys.readouterr().err
+
+
+def test_verify_needs_delta_for_extrapolated_traces(tmp_path, capsys):
+    # without delta the paired-state steps and the ratio cap of h3 are wrong
+    _, args = run_and_verify_args(tmp_path, seed=0)
+    i = args.index("--delta")
+    assert main(args[:i] + args[i + 2:]) == 1
+    assert capsys.readouterr().err == ("kldescent: error: audit constants unavailable: "
+                                       "the trace has no config snapshot, so give delta\n")
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from kldescent.oracles import (
     zero_oracle,
 )
 from kldescent.pgenls import PgenlsConfig, pgenls_solve
-from kldescent.trace import IterateRecord, Trace
+from kldescent.trace import IterateRecord, Trace, read_trace_csv, write_trace_csv
 
 
 def quad_1d():
@@ -212,13 +212,38 @@ def test_verify_theta_on_real_run():
     rec = verify_theta(trace, inst.problem)
     assert rec.passed is True
 
-    trace.records[1].xi = None
-    with pytest.raises(InsufficientTraceError, match="row 1"):
-        verify_theta(trace, inst.problem)
-
     pg = pgenls_solve(quad_1d(), np.array([1.0]), PgenlsConfig(max_outer=5))
     with pytest.raises(InvalidInputError, match="DC traces"):
         verify_theta(pg, quad_1d())
+
+
+@pytest.mark.parametrize("params", [{"seed": 3}, {"seed": 3, "rows": 8, "cols": 10}],
+                         ids=["sidecar", "inline"])
+def test_verify_theta_on_read_back_trace(tmp_path, params):
+    inst = make_problem("l1-l2-dc", params)
+    trace = npg_solve(inst.problem, inst.x0, NpgConfig(m=5, max_outer=200))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    rec = verify_theta(read_trace_csv(path, algorithm="npg_major"), inst.problem)
+    assert rec.passed is True
+    assert rec.max_violation == verify_theta(trace, inst.problem).max_violation
+
+    lines = path.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[2] = repr(float(cells[2]) + 1.0)  # merit of row 2
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    doctored = read_trace_csv(path, algorithm="npg_major")
+    assert verify_theta(doctored, inst.problem).passed is False
+
+
+def test_verify_theta_needs_iterates(tmp_path):
+    inst = make_problem("l1-l2-dc", {"seed": 3})
+    trace = npg_solve(inst.problem, inst.x0, NpgConfig(max_outer=20))
+    write_trace_csv(trace, tmp_path / "trace.csv").unlink()  # the sidecar
+    back = read_trace_csv(tmp_path / "trace.csv", algorithm="npg_major")
+    with pytest.raises(InsufficientTraceError, match="row 0 has no stored iterate"):
+        verify_theta(back, inst.problem)
 
 
 def test_check_h3_halving():

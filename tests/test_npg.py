@@ -182,7 +182,9 @@ def test_dimension_mismatch_rejected():
     {"m": -1}, {"m": 1.5}, {"gamma_min": 0.0}, {"gamma_min": 2.0, "gamma_max": 1.0},
     {"rho": 1.0}, {"delta": 0.0}, {"delta": 1.0}, {"alpha": 1.2}, {"c": 0.0},
     {"max_outer": 0}, {"max_inner": 0}, {"tol_step": 0.0},
-    {"gamma_init_rule": "bogus"},
+    {"gamma_init_rule": "bogus"}, {"max_outer": 2.5}, {"max_inner": 2.5},
+    {"m": True}, {"max_outer": True}, {"tol_step": True}, {"alpha": True},
+    {"gamma_min": "0.1"},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(InvalidInputError):
@@ -213,14 +215,6 @@ def test_l1_dc_run_reaches_stationarity():
     # the sparsity pattern at the end is genuinely sparse
     nnz = int(np.count_nonzero(trace.records[-1].x))
     assert 0 < nnz < inst.problem.dimension
-
-
-def test_xi_recorded_for_dc_steps():
-    inst = make_problem("l1-l2-dc", {"seed": 1})
-    trace = npg_solve(inst.problem, inst.x0, NpgConfig(max_outer=10))
-    assert trace.records[0].xi is None
-    for r in trace.records[1:]:
-        assert r.xi is not None and r.xi.shape == r.x.shape
 
 
 def test_plain_l1_runs_without_h():

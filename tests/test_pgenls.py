@@ -181,7 +181,9 @@ def test_dimension_and_domain_guards():
 @pytest.mark.parametrize("kwargs", [
     {"m": -2}, {"delta": -0.1}, {"alpha": 0.0}, {"alpha": 1.0},
     {"beta_max": 1.5}, {"rho": 0.9}, {"max_outer": 0}, {"tol_resid": -1.0},
-    {"gamma_init_rule": "x"}, {"beta_init_rule": "y"},
+    {"gamma_init_rule": "x"}, {"beta_init_rule": "y"}, {"max_outer": 2.5},
+    {"max_inner": 2.5}, {"m": True}, {"max_outer": True}, {"tol_step": True},
+    {"alpha": True}, {"gamma_min": "0.1"},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(InvalidInputError):

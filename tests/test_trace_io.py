@@ -42,15 +42,13 @@ def test_round_trip_exact(tmp_path):
     write_trace_csv(trace, path)
     back = read_trace_csv(path, algorithm="npg_major", config=trace.config)
     assert len(back) == len(trace)
-    for orig, rt in zip(trace.records, back.records):
-        # repr() round-trips float64 exactly
-        np.testing.assert_array_equal(orig.x, rt.x)
-        assert rt.f_value == orig.f_value
-        assert rt.merit == orig.merit
-        assert (rt.gamma == orig.gamma) or (np.isnan(rt.gamma) and np.isnan(orig.gamma))
-        assert rt.j_inner == orig.j_inner
-        assert rt.ell == orig.ell
-        assert rt.step_norm == orig.step_norm
+    # repr() round-trips float64 exactly; NaNs compare equal
+    np.testing.assert_array_equal(back.iterates(), trace.iterates())
+    for name in CSV_COLUMNS:
+        orig, rt = trace.column(name), back.column(name)
+        expect = np.int64 if name in ("k", "j_inner", "ell") else np.float64
+        assert orig.dtype == rt.dtype == expect, name
+        np.testing.assert_array_equal(rt, orig, err_msg=name)
 
 
 def test_header_layout(tmp_path):
