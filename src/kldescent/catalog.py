@@ -9,6 +9,7 @@ right-hand sides can instead be loaded from headerless CSV files via the
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,17 @@ def _load_vector(path: str) -> np.ndarray:
     return b
 
 
+def _number(params: dict, name: str, kind: type, default=None):
+    """``params[name]``, or ``default`` when absent; it must be an integer
+    (``kind`` is ``numbers.Integral``) or a real number (``numbers.Real``),
+    and booleans are neither."""
+    value = params.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a real number"
+        raise InvalidInputError(f"params.{name} must be {noun}, got {value!r}")
+    return value
+
+
 def _sparse_regression_data(params: dict, rows_default: int, cols_default: int):
     """Shared data generator: A (scaled Gaussian), b = A x_true + small noise."""
     if "A_csv" in params or "b_csv" in params:
@@ -72,9 +84,9 @@ def _sparse_regression_data(params: dict, rows_default: int, cols_default: int):
         return A, b
     if "seed" not in params:
         raise InvalidInputError("randomized problems require a 'seed' parameter")
-    seed = int(params["seed"])
-    rows = int(params.get("rows", rows_default))
-    cols = int(params.get("cols", cols_default))
+    seed = int(_number(params, "seed", numbers.Integral))
+    rows = int(_number(params, "rows", numbers.Integral, rows_default))
+    cols = int(_number(params, "cols", numbers.Integral, cols_default))
     if rows <= 0 or cols <= 0:
         raise InvalidInputError(f"rows and cols must be positive, got {rows}x{cols}")
     rng = np.random.default_rng(seed)
@@ -88,9 +100,9 @@ def _sparse_regression_data(params: dict, rows_default: int, cols_default: int):
 
 def _lam_from(params: dict, A: np.ndarray, b: np.ndarray, factor_default: float) -> float:
     if "lam" in params:
-        lam = float(params["lam"])
+        lam = float(_number(params, "lam", numbers.Real))
     else:
-        lam = float(params.get("lam_factor", factor_default)) * float(
+        lam = float(_number(params, "lam_factor", numbers.Real, factor_default)) * float(
             np.max(np.abs(A.T @ b))
         )
     if not np.isfinite(lam) or lam <= 0.0:
@@ -129,7 +141,7 @@ def _make_l1_l2_dc(params: dict) -> ProblemInstance:
 
 
 def _make_power4_1d(params: dict) -> ProblemInstance:
-    x0 = float(params.get("x0", 1.0))
+    x0 = float(_number(params, "x0", numbers.Real, 1.0))
     if not np.isfinite(x0):
         raise InvalidInputError("x0 must be finite")
     problem = CompositeProblem(f=make_power4_1d(), g=zero_oracle(), h=None, dimension=1)
@@ -138,7 +150,7 @@ def _make_power4_1d(params: dict) -> ProblemInstance:
 
 def _make_quad_l1(params: dict) -> ProblemInstance:
     """Strongly convex quadratic plus l1: least squares with a ridge block stacked on."""
-    mu = float(params.get("mu", 1.0))
+    mu = float(_number(params, "mu", numbers.Real, 1.0))
     if not np.isfinite(mu) or mu <= 0.0:
         raise InvalidInputError(f"mu must be positive, got {mu!r}")
     A, b = _sparse_regression_data(params, rows_default=30, cols_default=30)

@@ -97,7 +97,9 @@ def initial_gamma(config, it: Iterate) -> float:
     ``gamma_min`` until one is known: ``npg_major`` knows it from ``k = 1``,
     ``pgenls`` from ``k = 1`` only when its first step did not extrapolate
     (``beta = 0``), else from ``k = 2``.  Also ``gamma_min`` under the
-    constant rule and when the estimate is undefined.
+    constant rule and when the estimate is undefined.  ``pgenls`` raises this
+    start to ``delta/2`` after a rejected first trial; that floor lives in
+    :mod:`kldescent.pgenls`, since ``npg_major`` shares this function.
     """
     if config.gamma_init_rule == "constant" or it.grad_prev is None:
         return config.gamma_min

@@ -279,7 +279,12 @@ def power_iteration_sq_norm(A: np.ndarray, rel_tol: float = 1e-6, max_iter: int 
     A zero matrix gives 0.0 on both paths, with no separate scan for it.
     Deterministic: repeated calls return the same bits.
     """
-    A = _checked_matrix(A)
+    return _sq_norm(_checked_matrix(A), rel_tol, max_iter)
+
+
+def _sq_norm(A: np.ndarray, rel_tol: float = 1e-6, max_iter: int = 10000) -> float:
+    """:func:`power_iteration_sq_norm` of a matrix that ``_checked_matrix``
+    has already passed, without a second scan of its entries."""
     if A.size == 0:
         return 0.0
     rows, cols = A.shape
@@ -337,7 +342,8 @@ def make_least_squares(A: np.ndarray, b: Vector) -> SmoothOracle:
     the top Ritz value converged to the largest eigenvalue.  It is computed
     on the first read of ``lipschitz_hint``, not here: the solvers backtrack
     and never read it, only the audit does.  ``A`` is checked here all the
-    same (two dimensions, finite entries), so bad input fails at the build.
+    same (two dimensions, finite entries), so bad input fails at the build,
+    and only here: the first read does not scan ``A`` again.
 
     The oracle keeps a one-entry cache: each ``value(x)`` call stores the
     residual ``r = A x - b`` under a key made of the dtype, shape and bytes
@@ -378,9 +384,10 @@ def make_least_squares(A: np.ndarray, b: Vector) -> SmoothOracle:
             return A.T @ last[1]
         return A.T @ _residual(A, x, b)
 
-    # looked up by name when called, so a wrapper of the module's function sees it
+    # ``A`` was checked above, so the hint skips the public function's check;
+    # ``_sq_norm`` is looked up by name when called, so a wrapper of it sees it
     return SmoothOracle(value=value, gradient=gradient,
-                        lipschitz_fn=lambda: power_iteration_sq_norm(A), quadratic=True)
+                        lipschitz_fn=lambda: _sq_norm(A), quadratic=True)
 
 
 def make_power4_1d() -> SmoothOracle:

@@ -16,6 +16,18 @@ term harmless in the limit.  Setting ``delta = 0``, ``beta_max = 0`` and
 ``m = 0`` recovers the classical monotone backtracking proximal gradient
 method.
 
+The first trial weight ``gamma0`` comes from
+:func:`kldescent.descent.initial_gamma`.  Its Barzilai-Borwein estimate
+(the default ``spectral`` rule) sees the curvature of ``f`` alone, while
+the acceptance test charges every candidate the proximity term
+``(delta/2) ||cand - x||^2`` in full.  So after an iteration that rejected
+its first trial, the next one starts at
+``min(max(gamma0, delta/2), gamma_max)``; after one accepted at its first
+trial it keeps ``gamma0``, so the window can still accept long steps from a
+small ``gamma``.  The convergence theory admits any start in
+``[gamma_min, gamma_max]``, and at ``delta = 0`` (``pgnls``) the floor is
+inert.
+
 For a quadratic ``f`` (``SmoothOracle.quadratic``) the gradient at ``y`` is
 extrapolated as ``grad f(x) + beta (grad f(x) - grad f(u))``, as in SpaRSA,
 instead of computed: the trials of an iteration call the gradient oracle at
@@ -196,9 +208,12 @@ def pgenls_solve(problem: CompositeProblem, x0: Vector,
     nesterov = config.beta_init_rule == "nesterov"
     t_prev = t_curr = 1.0  # Nesterov counters
     quadratic = problem.f.quadratic
+    rejected_start = False  # did the last iteration reject its first trial?
 
     def trials(it: Iterate, gamma0: float):
-        nonlocal t_prev, t_curr
+        nonlocal t_prev, t_curr, rejected_start
+        if rejected_start:
+            gamma0 = min(max(gamma0, 0.5 * delta), config.gamma_max)
         x = it.x
         inertia = x - it.x_prev
         inertia_sq = float(inertia @ inertia)
@@ -231,6 +246,7 @@ def pgenls_solve(problem: CompositeProblem, x0: Vector,
             grad_next = yield (gamma, cand, merit,
                                decrement(alpha, delta, gamma, step_sq, inertia_sq))
             if grad_next is not None:
+                rejected_start = j > 0
                 if nesterov:
                     t_prev, t_curr = t_curr, 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_curr**2))
                 step_norm = math.sqrt(step_sq)

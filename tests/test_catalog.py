@@ -100,3 +100,32 @@ def test_lam_validation():
         make_problem("lasso", {"seed": 0, "lam": -1.0})
     with pytest.raises(InvalidInputError, match="positive"):
         make_problem("quad-l1", {"seed": 0, "mu": -1.0})
+
+
+@pytest.mark.parametrize("problem_id, params, message", [
+    ("lasso", {"seed": 0, "rows": "abc"}, "params.rows must be an integer, got 'abc'"),
+    ("lasso", {"seed": 0, "rows": 2.5}, "params.rows must be an integer, got 2.5"),
+    ("lasso", {"seed": 0, "cols": 40.0}, "params.cols must be an integer, got 40.0"),
+    ("lasso", {"seed": 1.5}, "params.seed must be an integer, got 1.5"),
+    ("l0-ls", {"seed": True}, "params.seed must be an integer, got True"),
+    ("lasso", {"seed": 0, "lam": "x"}, "params.lam must be a real number, got 'x'"),
+    ("l1-l2-dc", {"seed": 0, "lam": False},
+     "params.lam must be a real number, got False"),
+    ("lasso", {"seed": 0, "lam_factor": None},
+     "params.lam_factor must be a real number, got None"),
+    ("quad-l1", {"seed": 0, "mu": "1"}, "params.mu must be a real number, got '1'"),
+    ("power4-1d", {"x0": True}, "params.x0 must be a real number, got True"),
+    ("power4-1d", {"x0": [1.0]}, "params.x0 must be a real number, got [1.0]"),
+])
+def test_numeric_params_are_type_checked(problem_id, params, message):
+    with pytest.raises(InvalidInputError) as exc:
+        make_problem(problem_id, params)
+    assert str(exc.value) == message
+
+
+def test_numeric_params_accept_numpy_scalars():
+    plain = make_problem("lasso", {"seed": 2, "rows": 8, "cols": 12, "lam": 0.5})
+    numpy = make_problem("lasso", {"seed": np.int64(2), "rows": np.int32(8),
+                                   "cols": np.int64(12), "lam": np.float64(0.5)})
+    assert plain.problem.f.value(np.ones(12)) == numpy.problem.f.value(np.ones(12))
+    assert make_problem("power4-1d", {"x0": 2}).x0[0] == 2.0

@@ -97,6 +97,21 @@ def test_exit_1_fractional_max_outer(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("problem, params, message", [
+    ("lasso", {"seed": 0, "rows": "abc"}, "params.rows must be an integer, got 'abc'"),
+    ("lasso", {"seed": 0, "rows": 2.5}, "params.rows must be an integer, got 2.5"),
+    ("lasso", {"seed": 1.5}, "params.seed must be an integer, got 1.5"),
+    ("lasso", {"seed": True}, "params.seed must be an integer, got True"),
+    ("lasso", {"seed": 0, "lam": "x"}, "params.lam must be a real number, got 'x'"),
+    ("power4-1d", {"x0": "2"}, "params.x0 must be a real number, got '2'"),
+], ids=["rows-str", "rows-float", "seed-float", "seed-bool", "lam-str", "x0-str"])
+def test_exit_1_bad_problem_params(tmp_path, capsys, problem, params, message):
+    path, _ = write_config(tmp_path, problem=problem, params=params)
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == f"kldescent: error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_1_algorithm_problem_mismatch(tmp_path, capsys):
     path, _ = write_config(tmp_path, problem="l1-l2-dc", params={"seed": 0})
     assert main(["run", str(path)]) == 1

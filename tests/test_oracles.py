@@ -222,8 +222,9 @@ def test_quadratic_is_declared_by_the_builder():
 
 
 def hint_spy():
-    return mock.patch.object(oracles, "power_iteration_sq_norm",
-                             wraps=oracles.power_iteration_sq_norm)
+    """Spy on the core a least-squares hint read calls: the Lipschitz value
+    of a matrix the build has already checked."""
+    return mock.patch.object(oracles, "_sq_norm", wraps=oracles._sq_norm)
 
 
 def test_lipschitz_hint_is_computed_on_first_read():
@@ -249,6 +250,18 @@ def test_least_squares_rejects_a_bad_matrix_at_the_build(A, message):
     with hint_spy() as spy, pytest.raises(InvalidInputError, match=message):
         make_least_squares(A, np.ones(2))
     assert spy.call_count == 0
+
+
+def test_first_hint_read_does_not_check_the_matrix_again():
+    A = np.random.default_rng(3).standard_normal((6, 4))
+    with mock.patch.object(oracles, "_checked_matrix",
+                           wraps=oracles._checked_matrix) as check:
+        f = make_least_squares(A, np.ones(6))
+        assert check.call_count == 1
+        hint = f.lipschitz_hint
+        assert check.call_count == 1
+        assert hint.hex() == power_iteration_sq_norm(A).hex()
+        assert check.call_count == 2  # the public function keeps its check
 
 
 def test_hand_built_oracle_has_no_hint():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kldescent.catalog import make_problem
+from kldescent.descent import Iterate, initial_gamma
 from kldescent.diagnostics import build_report
 from kldescent.errors import BacktrackingFailureError, InvalidInputError
 from kldescent.oracles import (
@@ -206,17 +207,107 @@ def test_backtracking_failure_carries_location():
                         "(last gamma 32)")
 
 
-@pytest.mark.parametrize("beta_max, spectral_from", [(0.9, 2), (0.0, 1)])
-def test_spectral_start_needs_a_known_previous_gradient(beta_max, spectral_from):
+@pytest.mark.parametrize("beta_max, starts", [
+    pytest.param(0.9, [1e-2, 0.5, 1.0], id="0.9-2"),
+    pytest.param(0.0, [1e-2, 1.0, 1.0], id="0.0-1"),
+])
+def test_spectral_start_needs_a_known_previous_gradient(beta_max, starts):
     # An extrapolated first step never evaluates grad f(x^0), so the
     # Barzilai-Borwein start is gamma_min until k = 2; without extrapolation
-    # it applies from k = 1.  For f = x^2/2 the estimate is exactly 1.
+    # it applies from k = 1.  For f = x^2/2 the estimate is exactly 1.  Step 1
+    # rejects its first trial, so step 2 starts at delta/2 = 0.5 or above.
     cfg = PgenlsConfig(m=0, beta_max=beta_max, gamma_min=1e-2, max_outer=6,
                        tol_step=1e-300, tol_resid=1e-300)
     trace = pgenls_solve(quad_1d(), np.array([4.0]), cfg)
-    for r in trace.records[1:]:
-        gamma0 = 1.0 if r.k > spectral_from else cfg.gamma_min
+    assert trace.records[1].j_inner > 0
+    rows = trace.records[1:]
+    assert len(rows) >= len(starts)
+    for r in rows:
+        gamma0 = starts[min(r.k, len(starts)) - 1]
         assert r.gamma == gamma0 * cfg.rho**r.j_inner, r.k
+
+
+def spectral_starts(trace, problem, cfg):
+    """The Barzilai-Borwein start :func:`initial_gamma` gives each row after
+    row 0, rebuilt from the stored iterates: ``grad f(x^{k-1})`` is known from
+    ``k = 2``, and at ``k = 1`` only when the first step did not extrapolate."""
+    rec = trace.records
+    starts = []
+    for r in rec[1:]:
+        k = r.k - 1  # the outer iteration that made row r
+        known = k >= 2 or (k == 1 and rec[1].beta == 0.0)
+        it = Iterate(k=k, x=rec[k].x, x_prev=rec[max(k - 1, 0)].x, h=0.0,
+                     grad=problem.f.gradient(rec[k].x),
+                     grad_prev=problem.f.gradient(rec[k - 1].x) if known else None)
+        starts.append(initial_gamma(cfg, it))
+    return starts
+
+
+def floored_starts(trace, problem, cfg):
+    """:func:`spectral_starts`, raised to ``delta/2`` (at most ``gamma_max``)
+    on each row whose previous row rejected its first trial."""
+    starts = spectral_starts(trace, problem, cfg)
+    for i, r in enumerate(trace.records[2:], start=1):
+        if trace.records[r.k - 1].j_inner > 0:
+            starts[i] = min(max(starts[i], 0.5 * cfg.delta), cfg.gamma_max)
+    return starts
+
+
+def assert_starts(trace, starts, cfg):
+    for r, gamma0 in zip(trace.records[1:], starts, strict=True):
+        assert r.gamma == gamma0 * cfg.rho**r.j_inner, r.k
+
+
+def test_start_is_floored_only_after_a_rejected_start():
+    # On x^4/4 the spectral start clamps to gamma_min, far below delta/2; at
+    # m = 5 the window accepts many of those small starts at j = 0, and the
+    # start after such a row stays below delta/2.
+    inst = make_problem("power4-1d")
+    cfg = PgenlsConfig(m=5, max_outer=3000)
+    trace = pgenls_solve(inst.problem, inst.x0, cfg)
+    starts = floored_starts(trace, inst.problem, cfg)
+    assert_starts(trace, starts, cfg)
+    previous_j = [r.j_inner for r in trace.records[1:-1]]
+    after_accept = [s for j, s in zip(previous_j, starts[1:]) if j == 0]
+    after_reject = [s for j, s in zip(previous_j, starts[1:]) if j > 0]
+    assert min(after_accept) < 0.5 * cfg.delta
+    assert min(after_reject) == 0.5 * cfg.delta
+
+
+@pytest.mark.parametrize("problem_id, seed, m", [
+    ("lasso", 0, 0), ("quad-l1", 0, 0), ("l0-ls", 0, 5), ("power4-1d", None, 0),
+])
+def test_plain_mode_starts_are_spectral(problem_id, seed, m):
+    # At delta = 0 the floor delta/2 is inert: every row begins at the
+    # Barzilai-Borwein value, after a rejected start too, so pgnls runs as
+    # it did before the floor.
+    inst = make_problem(problem_id, {} if seed is None else {"seed": seed})
+    cfg = PgenlsConfig(m=m, delta=0.0, beta_max=0.0, max_outer=3000)
+    trace = pgenls_solve(inst.problem, inst.x0, cfg)
+    assert any(r.j_inner > 0 for r in trace.records[1:-1])
+    assert_starts(trace, spectral_starts(trace, inst.problem, cfg), cfg)
+
+
+def test_floored_start_is_clamped_to_gamma_max():
+    # gamma_max = 0.2 < delta/2: step 2 follows a rejected start and begins
+    # at gamma_max, not at delta/2 nor at the spectral fallback gamma_min.
+    cfg = PgenlsConfig(m=0, beta_max=0.9, gamma_min=1e-2, gamma_max=0.2, max_outer=4,
+                       tol_step=1e-300, tol_resid=1e-300)
+    trace = pgenls_solve(quad_1d(), np.array([4.0]), cfg)
+    r1, r2 = trace.records[1:3]
+    assert r1.j_inner > 0 and r1.gamma == cfg.gamma_min * cfg.rho**r1.j_inner
+    assert r2.gamma == cfg.gamma_max * cfg.rho**r2.j_inner
+
+
+def test_power4_monotone_run_rejects_few_trials():
+    # From the spectral start gamma_min = 0.01 each step needs six rejections
+    # to reach the accepted gamma = 0.64; from the floor delta/2 = 0.5 it
+    # needs one.
+    inst = make_problem("power4-1d")
+    trace = pgenls_solve(inst.problem, inst.x0, PgenlsConfig(m=0, max_outer=3000))
+    rows = trace.records[1:]
+    assert len(rows) == 3000
+    assert sum(r.j_inner + 1 for r in rows) / len(rows) <= 2.1
 
 
 def test_extrapolated_trials_call_the_gradient_at_most_twice(counted):
