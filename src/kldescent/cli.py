@@ -405,7 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="free decrease weight (DC solver)")
     p_ver.add_argument("--beta-max", type=float, default=None, dest="beta_max")
     p_ver.add_argument("--lf", type=float, default=None,
-                       help="gradient Lipschitz constant of f")
+                       help="upper bound on the Lipschitz constant of the "
+                            "gradient of f (without it the checks that need "
+                            "one report n/a)")
     p_ver.add_argument("--tau", type=float, default=0.5)
     p_ver.add_argument("--mu", type=float, default=None)
     p_ver.add_argument("--kbar", type=int, default=None)

@@ -227,10 +227,12 @@ def check_h3(trace: Trace, lipschitz: Optional[float],
     and ``b_hat <= 1 + L + gamma_star``.  For extrapolated traces the merit is
     the audited objective itself, so the sandwich needs no curvature slack and
     the cap is ``sqrt(2) * (L + gamma_star + 2 delta)``, with ``delta`` the
-    run's proximity weight (see :meth:`Trace.framework_steps`).  Set ``enforce_cap``
-    to ``False`` when the curvature constant does not cover the points the
-    gradients were taken at (a trace-estimated bound with extrapolation on):
-    the ratio is still reported but does not gate.
+    run's proximity weight (see :meth:`Trace.framework_steps`).  ``lipschitz``
+    is taken as an upper bound; without it, or without ``gamma_star``, there
+    is no cap.  Set ``enforce_cap`` to ``False`` in the degenerate
+    proximity-free case with extrapolation on, where the step does not control
+    the extrapolation offset the residual was built from: the ratio is still
+    reported but does not gate.
     """
     phi = trace.phi_values()
     ell = trace.column("ell")
@@ -239,9 +241,6 @@ def check_h3(trace: Trace, lipschitz: Optional[float],
     merit = trace.column("merit")
     resid = trace.column("residual")
     slack = _phi_slack(phi)
-    if gamma_star is None:
-        gam = trace.column("gamma")
-        gamma_star = float(np.nanmax(gam)) if np.any(np.isfinite(gam)) else None
 
     details: dict = {}
     if len(trace) < 2:
@@ -513,7 +512,11 @@ def fit_rate(trace: Trace) -> dict:
 
 
 def estimate_lipschitz(problem: CompositeProblem, trace: Trace) -> Optional[float]:
-    """Largest gradient-difference ratio over consecutive trace iterates."""
+    """Largest gradient-difference ratio over consecutive trace iterates.
+
+    A lower bound on the Lipschitz constant of the gradient, not an upper
+    one, so :func:`build_report` does not call it: no audit gates on it.
+    """
     best = 0.0
     seen = False
     grad_prev = None
@@ -613,25 +616,20 @@ def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
     The solver constants (``m``, ``a``, ``alpha``, ``delta``, ``c``,
     ``beta_max``) come from :func:`derive_audit_inputs`: each one given here
     overrides the trace's config snapshot in every check that uses it.  The
-    curvature bound comes from the problem's hint when available, else a
-    gradient-ratio estimate over the stored iterates, else the corresponding
-    caps are reported but not enforced.  Checks that cannot be evaluated get
-    ``pass = null`` and do not gate the overall verdict.
+    Lipschitz constant of the gradient of ``f`` is ``lipschitz`` if given,
+    else the problem's ``lipschitz_hint``; either is taken as an upper bound.
+    With neither, ``constants.l_f`` and ``constants.b_cap`` are null and the
+    checks that need them report ``pass = null``.  The ``h3`` ratio cap gates
+    except in the degenerate proximity-free case.  Checks that cannot be
+    evaluated get ``pass = null`` and do not gate the overall verdict.
     """
     inputs = derive_audit_inputs(trace, m=m, a=a, alpha=alpha, delta=delta, c=c,
                                  beta_max=beta_max)
     m, a, alpha, delta, c, beta_max = (inputs[k] for k in
                                        ("m", "a", "alpha", "delta", "c", "beta_max"))
 
-    lf_source = None
-    if lipschitz is not None:
-        lf_source = "supplied"
-    elif problem is not None and problem.f.lipschitz_hint is not None:
+    if lipschitz is None and problem is not None and problem.f.lipschitz_hint is not None:
         lipschitz = float(problem.f.lipschitz_hint)
-        lf_source = "hint"
-    elif problem is not None:
-        lipschitz = estimate_lipschitz(problem, trace)
-        lf_source = "estimated" if lipschitz is not None else None
 
     fields: dict = {
         "version": __version__,
@@ -671,15 +669,10 @@ def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
     fields["ell.mismatches"] = int(rec.details["mismatches"])
     fields["ell.pass"] = rec.passed
 
-    # A trace-estimated curvature constant only covers consecutive iterates;
-    # with extrapolation the prox gradients sit at shifted points, so the
-    # ratio cap is informational there rather than a gate.  Same in the
-    # degenerate proximity-free case: the x-block step does not control the
-    # extrapolation offset the residual was built from.
-    exact_lf = lf_source in ("hint", "supplied")
-    enforce_cap = (trace.algorithm == "npg_major"
-                   or (not degenerate and (exact_lf or beta_max == 0.0)))
-    rec = check_h3(trace, lipschitz, gamma_star, enforce_cap=enforce_cap,
+    # In the degenerate proximity-free case the x-block step does not control
+    # the extrapolation offset the residual was built from, so the ratio cap
+    # is informational there rather than a gate.
+    rec = check_h3(trace, lipschitz, gamma_star, enforce_cap=not degenerate,
                    delta=delta or 0.0)
     fields["h3.left_max_violation"] = _clean(rec.details.get("left_max_violation"))
     fields["h3.right_max_violation"] = _clean(rec.details.get("right_max_violation"))

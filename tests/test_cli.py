@@ -291,12 +291,7 @@ def catalog_runs():
     for pid in problem_ids():
         concave = make_problem(pid, {"seed": 0}).problem.h is not None
         for algorithm in ("npg_major",) if concave else ("npg_major", "pgenls", "pgnls"):
-            marks = ()
-            if (pid, algorithm) == ("power4-1d", "pgenls"):
-                marks = pytest.mark.xfail(strict=True, reason=(
-                    "--lf labels the run's estimated Lipschitz constant as exact, "
-                    "so constants.b_cap_enforced turns on (ROADMAP item 4)"))
-            yield pytest.param(pid, algorithm, id=f"{pid}-{algorithm}", marks=marks)
+            yield pytest.param(pid, algorithm, id=f"{pid}-{algorithm}")
 
 
 def test_verify_reproduces_run_report(tmp_path):

@@ -254,6 +254,10 @@ def test_check_h3_halving():
     assert rec.details["b_hat"] == pytest.approx(math.sqrt(2.0), abs=1e-14)
     assert rec.details["b_cap"] == 4.0
     assert rec.details["b_cap_enforced"] is True
+    # no gamma_star: no cap, and the sandwich alone gates
+    rec = check_h3(trace, lipschitz=1.0)
+    assert rec.passed is True
+    assert rec.details["b_cap"] is None and rec.details["b_cap_enforced"] is False
     # no curvature bound: the upper half cannot be evaluated
     rec = check_h3(trace, lipschitz=None)
     assert rec.passed is None
@@ -615,6 +619,35 @@ def test_build_report_degenerate_flag():
                                       max_outer=100))
     report = build_report(plain, problem=quad_1d())
     assert report.fields["h1.degenerate_a"] is False
+
+
+POWER4_SOLVES = {
+    "npg_major": lambda p, x0: npg_solve(p, x0, NpgConfig(m=5, max_outer=1500)),
+    "pgenls": lambda p, x0: pgenls_solve(p, x0, PgenlsConfig(m=5, max_outer=1500)),
+    "pgnls": lambda p, x0: pgenls_solve(
+        p, x0, PgenlsConfig(m=5, max_outer=1500, delta=0.0, beta_max=0.0),
+        algorithm_label="pgnls"),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(POWER4_SOLVES))
+def test_problem_without_hint_has_no_lipschitz_constant(algorithm, counted):
+    # x^4/4 has no global gradient Lipschitz constant and no hint: the
+    # audit neither estimates one nor gates a cap on it
+    inst = make_problem("power4-1d", {"seed": 0})
+    trace = POWER4_SOLVES[algorithm](inst.problem, inst.x0)
+    f, calls = counted(inst.problem.f)
+    report = build_report(trace, problem=replace(inst.problem, f=f))
+    fields = report.fields
+    assert len(trace) == 1501
+    assert calls["gradient"] == 0
+    assert fields["constants.l_f"] is None and fields["constants.b_cap"] is None
+    assert fields["constants.b_cap_enforced"] is False
+    if algorithm == "npg_major":
+        for key in ("h3.pass", "h3.right_max_violation", "h3.sigma_max",
+                    "bbar_cap.pass"):
+            assert fields[key] is None, key
+    assert report.passed(), report.failures()
 
 
 def test_report_verdict_helpers():
