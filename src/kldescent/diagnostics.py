@@ -12,13 +12,24 @@ Audited conditions, in the order they strengthen each other:
   maximum by at least ``a * step^2``.
 * ``acceptance`` - the per-iteration form of h1 with the accepted stepsize
   weight instead of the worst-case constant.
+* ``ell``  - the stored window argmax column is the one the merits give,
+  ties going to the latest index.
 * ``h3``   - the solver's merit sandwich: objective <= merit <= window max
   plus a curvature slack, and the residual/step ratio stays under an explicit
   cap.
+* ``bbar_cap`` - the worst upward merit move per squared step stays under
+  the Lipschitz bound (DC traces only).
 * ``h4``   - window gap control: merits inside a window stay within a
   combination of one step length and the path length to the window peak.
+* ``series`` - window-peak merits never rise, and once a run stops on its
+  tolerance the last decile of each of the series from :func:`xi_gamma`
+  carries at most 1% of its sum.
 * ``prop_bound`` - path length between consecutive window peaks is bounded by
   the peak-gap series, with an explicit constant from :func:`c_constant`.
+
+``rate`` is no gate: :func:`fit_rate` classifies the tail of the step-length
+sequence as linear, sublinear or finite termination.  The checks
+:func:`build_report` runs work on whole columns, with no loop over the rows.
 """
 
 from __future__ import annotations
@@ -165,19 +176,23 @@ def check_acceptance(trace: Trace, alpha: float, delta: float,
 
 
 def recompute_ell(trace: Trace, m: int) -> AuditRecord:
-    """Re-derive the window argmax column from merits and count mismatches."""
+    """Re-derive the window argmax column from merits and count mismatches.
+
+    Walks the window offsets oldest first, so that ``>=`` hands ties to the
+    latest index; every pass is one column wide, so memory does not grow
+    with ``m``.
+    """
     _check_constants(m=m)
     phi = trace.phi_values()
-    ell = trace.column("ell")
-    mismatches = 0
-    for k in range(len(trace)):
-        lo = max(0, k - m)
-        best_val, best_idx = phi[lo], lo
-        for i in range(lo, k + 1):
-            if phi[i] >= best_val:
-                best_val, best_idx = phi[i], i
-        if best_idx != ell[k]:
-            mismatches += 1
+    n = len(phi)
+    pos = np.arange(n)
+    best_idx = np.maximum(pos - m, 0)
+    best_val = phi[best_idx]
+    for d in range(min(m, n - 1), -1, -1):  # candidate i = k - d for k >= d
+        take = phi[: n - d] >= best_val[d:]
+        best_val[d:] = np.where(take, phi[: n - d], best_val[d:])
+        best_idx[d:] = np.where(take, pos[: n - d], best_idx[d:])
+    mismatches = int(np.count_nonzero(best_idx != trace.column("ell")))
     return AuditRecord("ell", mismatches == 0, float(mismatches),
                        {"mismatches": mismatches})
 
@@ -323,7 +338,8 @@ def check_h4(trace: Trace, tau: float, mu: float, kbar: int, a: float) -> AuditR
     square root amplifies far above the linear audit slack (a slack-sized
     gap of ``1e-10 * scale`` turns into ``1e-5 * sqrt(scale)``), so the
     slack is deducted inside the radical before comparing.  With ``m = 0``
-    every interior range is empty and the check passes vacuously.
+    every interior range is empty and the check passes vacuously.  A NaN
+    margin is the worst one, so a NaN step fails the check.
     """
     _check_constants(tau=tau, mu=mu, a=a, kbar=kbar)
     phi = trace.phi_values()
@@ -331,28 +347,24 @@ def check_h4(trace: Trace, tau: float, mu: float, kbar: int, a: float) -> AuditR
     s = trace.column("step_norm")
     csum = np.concatenate([[0.0], np.cumsum(s)])  # csum[i] = sum s[:i]
     slack = _phi_slack(phi)
-    root_a = math.sqrt(a)
-    worst = -math.inf
-    worst_ki = (None, None)
-    checked = 0
-    K = len(trace) - 1
-    for k in range(kbar, K + 1):
-        peak = ell[k]
-        for i in range(ell[k - 1] + 1, peak):
-            gap = phi[peak] - phi[i] - slack
-            lhs = math.sqrt(gap) if gap > 0.0 else 0.0
-            rhs = tau * root_a * s[i] + mu * (csum[peak + 1] - csum[i + 1])
-            v = lhs - rhs
-            checked += 1
-            if v > worst:
-                worst, worst_ki = v, (int(k), int(i))
-    if checked == 0:
+    # the (k, i) pairs in row order: k from kbar up, i inside each window
+    ks = np.arange(kbar, len(trace))
+    counts = np.maximum(ell[ks] - ell[ks - 1] - 1, 0)
+    k = np.repeat(ks, counts)
+    first = np.cumsum(counts) - counts
+    i = ell[k - 1] + 1 + np.arange(k.size) - np.repeat(first, counts)
+    if k.size == 0:
         return AuditRecord("h4", True, 0.0,
                            {"checked": 0, "vacuous": True, "tau": tau, "mu": mu,
                             "kbar": kbar})
-    return AuditRecord("h4", bool(worst <= slack), max(float(worst), -slack),
-                       {"checked": checked, "vacuous": False, "slack": slack,
-                        "worst_k": worst_ki[0], "worst_i": worst_ki[1],
+    peak = ell[k]
+    gap = phi[peak] - phi[i] - slack
+    lhs = np.sqrt(gap, out=np.zeros_like(gap), where=gap > 0.0)
+    v = lhs - (tau * math.sqrt(a) * s[i] + mu * (csum[peak + 1] - csum[i + 1]))
+    w = int(np.argmax(v))
+    return AuditRecord("h4", bool(v[w] <= slack), max(float(v[w]), -slack),
+                       {"checked": int(k.size), "vacuous": False, "slack": slack,
+                        "worst_k": int(k[w]), "worst_i": int(i[w]),
                         "tau": tau, "mu": mu, "kbar": kbar})
 
 
@@ -379,36 +391,28 @@ def check_prop_bound(trace: Trace, tau: float, mu: float, a: float, m: int,
 
         sum of steps over rows (peak_{k-1}, peak_k]
             <= c * ( sum_{j=k-m-1}^{k-1} Gamma_j  +  Xi_k )
+
+    A NaN margin is the worst one, so a NaN step fails the check.
     """
-    if not isinstance(kbar, int) or kbar < m + 1:
+    _check_constants(m=m, kbar=kbar)
+    if kbar <= m:
         raise InvalidInputError(
             f"kbar must be an integer greater than m={m}, got {kbar!r}"
         )
     c = c_constant(mu, tau, a, m)
     xi, gamma = xi_gamma(trace)
     ell = trace.column("ell")
-    s = trace.column("step_norm")
-    phi = trace.phi_values()
-    csum = np.concatenate([[0.0], np.cumsum(s)])
+    csum = np.concatenate([[0.0], np.cumsum(trace.column("step_norm"))])
     gsum = np.concatenate([[0.0], np.cumsum(gamma)])
-    worst = -math.inf
-    worst_k = None
-    checked = 0
-    K = len(trace) - 1
-    for k in range(kbar, K + 1):
-        lhs = csum[ell[k] + 1] - csum[ell[k - 1] + 1]
-        rhs = c * ((gsum[k] - gsum[k - m - 1]) + xi[k])
-        v = lhs - rhs
-        checked += 1
-        if v > worst:
-            worst, worst_k = v, int(k)
-    if checked == 0:
+    k = np.arange(kbar, len(trace))
+    if k.size == 0:
         return AuditRecord("prop_bound", True, 0.0, {"checked": 0, "c": c})
-    slack = _phi_slack(phi)
-    return AuditRecord("prop_bound", bool(worst <= slack),
-                       max(float(worst), -slack),
-                       {"checked": checked, "slack": slack, "c": c,
-                        "worst_k": worst_k})
+    v = (csum[ell[k] + 1] - csum[ell[k - 1] + 1]) - c * ((gsum[k] - gsum[k - m - 1]) + xi[k])
+    w = int(np.argmax(v))
+    slack = _phi_slack(trace.phi_values())
+    return AuditRecord("prop_bound", bool(v[w] <= slack), max(float(v[w]), -slack),
+                       {"checked": int(k.size), "slack": slack, "c": c,
+                        "worst_k": int(k[w])})
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +486,9 @@ def fit_rate(trace: Trace) -> dict:
     usable = (ks >= start) & (s > _STEP_FLOOR)
     if not np.any(usable):
         return out
-    # last contiguous stretch of usable points
-    end = int(np.max(np.nonzero(usable)[0]))
-    begin = end
-    while begin > 0 and usable[begin - 1]:
-        begin -= 1
-    sel = slice(begin, end + 1)
-    ks_fit, s_fit = ks[sel], s[sel]
+    # last contiguous stretch of usable points: the last start and end of a run
+    begin, end = np.flatnonzero(np.diff(np.concatenate(([0], usable, [0]))))[-2:]
+    ks_fit, s_fit = ks[begin:end], s[begin:end]
     out["points"] = int(ks_fit.size)
     if ks_fit.size < 10:
         return out
@@ -556,6 +556,15 @@ def _clean(v):
         return v
     v = float(v)
     return v if math.isfinite(v) else None
+
+
+def _put(fields: dict, prefix: str, rec: AuditRecord, *keys: str) -> None:
+    """Write ``rec`` into ``fields`` under ``prefix``: its verdict as ``pass``
+    and each named key, ``max_violation`` or a detail (null when absent)."""
+    values = {"max_violation": rec.max_violation, **rec.details}
+    fields[f"{prefix}.pass"] = rec.passed
+    for key in keys:
+        fields[f"{prefix}.{key}"] = _clean(values.get(key))
 
 
 def derive_audit_inputs(trace: Trace, *, m: Optional[int] = None,
@@ -651,33 +660,20 @@ def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
     degenerate = (trace.algorithm != "npg_major"
                   and pgenls.degenerate_decrease(delta, beta_max))
     fields["h1.degenerate_a"] = bool(degenerate)
-
-    rec = check_h1(trace, a)
+    _put(fields, "h1", check_h1(trace, a), "max_violation")
     fields["h1.a"] = _clean(a)
-    fields["h1.max_violation"] = _clean(rec.max_violation)
-    fields["h1.pass"] = rec.passed
-
-    if alpha is not None and delta is not None:
-        rec = check_acceptance(trace, alpha, delta, c)
-        fields["acceptance.max_violation"] = _clean(rec.max_violation)
-        fields["acceptance.pass"] = rec.passed
-    else:
-        fields["acceptance.max_violation"] = None
-        fields["acceptance.pass"] = None
-
-    rec = recompute_ell(trace, m)
-    fields["ell.mismatches"] = int(rec.details["mismatches"])
-    fields["ell.pass"] = rec.passed
+    acceptance = (check_acceptance(trace, alpha, delta, c)
+                  if alpha is not None and delta is not None
+                  else AuditRecord("acceptance", None))
+    _put(fields, "acceptance", acceptance, "max_violation")
+    _put(fields, "ell", recompute_ell(trace, m), "mismatches")
 
     # In the degenerate proximity-free case the x-block step does not control
     # the extrapolation offset the residual was built from, so the ratio cap
     # is informational there rather than a gate.
     rec = check_h3(trace, lipschitz, gamma_star, enforce_cap=not degenerate,
                    delta=delta or 0.0)
-    fields["h3.left_max_violation"] = _clean(rec.details.get("left_max_violation"))
-    fields["h3.right_max_violation"] = _clean(rec.details.get("right_max_violation"))
-    fields["h3.sigma_max"] = _clean(rec.details.get("sigma_max"))
-    fields["h3.pass"] = rec.passed
+    _put(fields, "h3", rec, "left_max_violation", "right_max_violation", "sigma_max")
     fields["constants.b_hat"] = _clean(rec.details.get("b_hat"))
     fields["constants.b_cap"] = _clean(rec.details.get("b_cap"))
     fields["constants.b_cap_enforced"] = bool(rec.details.get("b_cap_enforced", False))
@@ -696,60 +692,33 @@ def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
 
     mu_eff = mu if mu is not None else math.sqrt(0.5 * bbar.value)
     kbar_eff = int(kbar) if kbar is not None else m + 2
-    fields["h4.tau"] = _clean(tau)
-    fields["h4.mu"] = _clean(mu_eff)
-    fields["h4.kbar"] = kbar_eff
+    _put(fields, "h4", check_h4(trace, tau, mu_eff, kbar_eff, a), "max_violation",
+         "vacuous", "worst_k", "worst_i", "tau", "mu", "kbar")
 
-    series_ok: Optional[bool] = None
     try:
         xi, gamma_series = xi_gamma(trace)
+    except FrameworkViolationError as exc:
+        fields["series.error"] = str(exc)
+        series = AuditRecord("series", False)
+        prop = AuditRecord("prop_bound", False)  # no peak-gap series to bound by
+    else:
         xi_sum, xi_tail = series_tails(xi)
         g_sum, g_tail = series_tails(gamma_series)
-        fields["series.xi_sum"] = _clean(xi_sum)
-        fields["series.gamma_sum"] = _clean(g_sum)
-        fields["series.xi_tail_fraction"] = _clean(xi_tail)
-        fields["series.gamma_tail_fraction"] = _clean(g_tail)
-        if trace.tolerance_terminated():
-            series_ok = xi_tail <= 0.01 and g_tail <= 0.01
-        fields["series.pass"] = series_ok
-        series_valid = True
-    except FrameworkViolationError as exc:
-        fields["series.xi_sum"] = None
-        fields["series.gamma_sum"] = None
-        fields["series.xi_tail_fraction"] = None
-        fields["series.gamma_tail_fraction"] = None
-        fields["series.pass"] = False
-        fields["series.error"] = str(exc)
-        series_valid = False
-
-    rec = check_h4(trace, tau, mu_eff, kbar_eff, a)
-    fields["h4.max_violation"] = _clean(rec.max_violation)
-    fields["h4.vacuous"] = bool(rec.details.get("vacuous", False))
-    fields["h4.worst_k"] = rec.details.get("worst_k")
-    fields["h4.worst_i"] = rec.details.get("worst_i")
-    fields["h4.pass"] = rec.passed
-
-    if series_valid and len(trace) - 1 >= kbar_eff:
-        rec = check_prop_bound(trace, tau, mu_eff, a, m, kbar_eff)
-        fields["prop_bound.c"] = _clean(rec.details.get("c"))
-        fields["prop_bound.max_violation"] = _clean(rec.max_violation)
-        fields["prop_bound.pass"] = rec.passed
-    elif series_valid:
-        fields["prop_bound.c"] = _clean(c_constant(mu_eff, tau, a, m))
-        fields["prop_bound.max_violation"] = None
-        fields["prop_bound.pass"] = None  # trace shorter than kbar
-    else:
-        fields["prop_bound.c"] = None
-        fields["prop_bound.max_violation"] = None
-        fields["prop_bound.pass"] = False
+        concentrated = xi_tail <= 0.01 and g_tail <= 0.01
+        series = AuditRecord("series", concentrated if trace.tolerance_terminated() else None,
+                             None, {"xi_sum": xi_sum, "gamma_sum": g_sum,
+                                    "xi_tail_fraction": xi_tail,
+                                    "gamma_tail_fraction": g_tail})
+        if len(trace) - 1 >= kbar_eff:
+            prop = check_prop_bound(trace, tau, mu_eff, a, m, kbar_eff)
+        else:  # trace shorter than kbar
+            prop = AuditRecord("prop_bound", None, None, {"c": c_constant(mu_eff, tau, a, m)})
+    _put(fields, "series", series, "xi_sum", "gamma_sum", "xi_tail_fraction",
+         "gamma_tail_fraction")
+    _put(fields, "prop_bound", prop, "c", "max_violation")
 
     rate = fit_rate(trace)
-    fields["rate.verdict"] = rate["verdict"]
-    fields["rate.rho"] = _clean(rate["rho"])
-    fields["rate.slope"] = _clean(rate["slope"])
-    fields["rate.theta"] = _clean(rate["theta"])
-    fields["rate.r2_lin"] = _clean(rate["r2_lin"])
-    fields["rate.r2_pow"] = _clean(rate["r2_pow"])
-    fields["rate.points"] = int(rate["points"])
+    for key in ("verdict", "rho", "slope", "theta", "r2_lin", "r2_pow", "points"):
+        fields[f"rate.{key}"] = _clean(rate[key])
 
     return DiagnosticsReport(fields)

@@ -188,9 +188,15 @@ def read_trace_csv(path: str | Path, algorithm: str = "", config: dict | None = 
             raise InvalidInputError(
                 f"{path}: line {lineno}: iteration index {row['k']} out of order"
             )
-        for name in ("F", "step_norm"):
-            if math.isinf(row[_ROW_SCHEMA[name][0]]):
-                raise InvalidInputError(f"{path}: line {lineno}: {name} is infinite")
+        for name in ("F", "merit", "step_norm"):
+            if not math.isfinite(row[_ROW_SCHEMA[name][0]]):
+                raise InvalidInputError(f"{path}: line {lineno}: {name} is not finite")
+        # a window argmax never moves back and never leaves rows 0..k
+        low = records[-1].ell if records else 0
+        if not low <= row["ell"] <= row["k"]:
+            raise InvalidInputError(
+                f"{path}: line {lineno}: ell {row['ell']} outside [{low}, {row['k']}]"
+            )
         records.append(IterateRecord(x=x, **row))
 
     if not n_inline:

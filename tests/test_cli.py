@@ -7,6 +7,7 @@ import pytest
 from kldescent.catalog import make_problem, problem_ids
 from kldescent.cli import main
 from kldescent.errors import InvalidInputError
+from kldescent.trace import CSV_COLUMNS
 from kldescent.cli import _apply_sweep_value, _parse_sweep_values, load_config
 
 
@@ -341,6 +342,25 @@ def test_verify_malformed_trace(tmp_path, capsys):
     trace_path.write_text("\n".join(lines) + "\n")
     assert main(args) == 1
     assert "line 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, value, message", [
+    ("step_norm", "nan", "step_norm is not finite"),
+    ("ell", "99", "ell 99 outside"),
+])
+def test_verify_rejects_impossible_cells(tmp_path, capsys, column, value, message):
+    out, args = run_and_verify_args(tmp_path)
+    trace_path = out / "trace.csv"
+    lines = trace_path.read_text().splitlines()
+    cells = lines[9].split(",")
+    cells[CSV_COLUMNS.index(column)] = value
+    lines[9] = ",".join(cells)
+    trace_path.write_text("\n".join(lines) + "\n")
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"kldescent: error: {trace_path}: line 10: {message}")
+    assert captured.err.count("\n") == 1
 
 
 def test_verify_needs_constants(tmp_path, capsys):

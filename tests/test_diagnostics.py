@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from kldescent.catalog import make_problem
 from kldescent.diagnostics import (
+    AuditRecord,
     BbarEstimate,
     DiagnosticsReport,
     build_report,
@@ -28,6 +30,8 @@ from kldescent.diagnostics import (
     theta_dc,
     verify_theta,
     xi_gamma,
+    _check_constants,
+    _phi_slack,
 )
 from kldescent.errors import (
     FrameworkViolationError,
@@ -398,6 +402,179 @@ def test_prop_bound_kbar_validation():
     trace = synth([1.0, 0.5], [0.0, 1.0])
     with pytest.raises(InvalidInputError, match="kbar"):
         check_prop_bound(trace, tau=0.5, mu=0.0, a=1.0, m=2, kbar=2)
+    # the same rule as check_h4: booleans are not window indices
+    with pytest.raises(InvalidInputError, match="kbar must be a positive integer"):
+        check_prop_bound(trace, tau=0.5, mu=0.0, a=1.0, m=0, kbar=True)
+
+
+# ---------------------------------------------------------------------------
+# column kernels against the row loops they replaced
+
+
+def ref_recompute_ell(trace: Trace, m: int) -> AuditRecord:
+    """Re-derive the window argmax column from merits and count mismatches."""
+    _check_constants(m=m)
+    phi = trace.phi_values()
+    ell = trace.column("ell")
+    mismatches = 0
+    for k in range(len(trace)):
+        lo = max(0, k - m)
+        best_val, best_idx = phi[lo], lo
+        for i in range(lo, k + 1):
+            if phi[i] >= best_val:
+                best_val, best_idx = phi[i], i
+        if best_idx != ell[k]:
+            mismatches += 1
+    return AuditRecord("ell", mismatches == 0, float(mismatches),
+                       {"mismatches": mismatches})
+
+
+def ref_check_h4(trace: Trace, tau: float, mu: float, kbar: int, a: float) -> AuditRecord:
+    _check_constants(tau=tau, mu=mu, a=a, kbar=kbar)
+    phi = trace.phi_values()
+    ell = trace.column("ell")
+    s = trace.column("step_norm")
+    csum = np.concatenate([[0.0], np.cumsum(s)])  # csum[i] = sum s[:i]
+    slack = _phi_slack(phi)
+    root_a = math.sqrt(a)
+    worst = -math.inf
+    worst_ki = (None, None)
+    checked = 0
+    K = len(trace) - 1
+    for k in range(kbar, K + 1):
+        peak = ell[k]
+        for i in range(ell[k - 1] + 1, peak):
+            gap = phi[peak] - phi[i] - slack
+            lhs = math.sqrt(gap) if gap > 0.0 else 0.0
+            rhs = tau * root_a * s[i] + mu * (csum[peak + 1] - csum[i + 1])
+            v = lhs - rhs
+            checked += 1
+            if v > worst:
+                worst, worst_ki = v, (int(k), int(i))
+    if checked == 0:
+        return AuditRecord("h4", True, 0.0,
+                           {"checked": 0, "vacuous": True, "tau": tau, "mu": mu,
+                            "kbar": kbar})
+    return AuditRecord("h4", bool(worst <= slack), max(float(worst), -slack),
+                       {"checked": checked, "vacuous": False, "slack": slack,
+                        "worst_k": worst_ki[0], "worst_i": worst_ki[1],
+                        "tau": tau, "mu": mu, "kbar": kbar})
+
+
+def ref_check_prop_bound(trace: Trace, tau: float, mu: float, a: float, m: int,
+                         kbar: int) -> AuditRecord:
+    if not isinstance(kbar, int) or kbar < m + 1:
+        raise InvalidInputError(
+            f"kbar must be an integer greater than m={m}, got {kbar!r}"
+        )
+    c = c_constant(mu, tau, a, m)
+    xi, gamma = xi_gamma(trace)
+    ell = trace.column("ell")
+    s = trace.column("step_norm")
+    phi = trace.phi_values()
+    csum = np.concatenate([[0.0], np.cumsum(s)])
+    gsum = np.concatenate([[0.0], np.cumsum(gamma)])
+    worst = -math.inf
+    worst_k = None
+    checked = 0
+    K = len(trace) - 1
+    for k in range(kbar, K + 1):
+        lhs = csum[ell[k] + 1] - csum[ell[k - 1] + 1]
+        rhs = c * ((gsum[k] - gsum[k - m - 1]) + xi[k])
+        v = lhs - rhs
+        checked += 1
+        if v > worst:
+            worst, worst_k = v, int(k)
+    if checked == 0:
+        return AuditRecord("prop_bound", True, 0.0, {"checked": 0, "c": c})
+    slack = _phi_slack(phi)
+    return AuditRecord("prop_bound", bool(worst <= slack),
+                       max(float(worst), -slack),
+                       {"checked": checked, "slack": slack, "c": c,
+                        "worst_k": worst_k})
+
+
+def random_window_trace(rng, m):
+    """A short trace with heavy merit ties.  Half are window runs, each merit
+    at most its window peak, so peak merits never rise; the rest draw merits
+    freely from four levels.  A quarter get a stored ``ell`` column that is
+    not the window argmax."""
+    rows = int(rng.integers(1, 60))
+    steps = np.round(rng.uniform(0.0, 2.0, rows), 1) * (rng.random(rows) < 0.8)
+    if rng.random() < 0.5:
+        phi = [float(rng.integers(8, 12))]
+        for _ in range(rows - 1):
+            phi.append(max(phi[-m - 1:]) - 0.25 * float(rng.integers(0, 4)))
+    else:
+        phi = [float(v) for v in rng.integers(0, 4, rows)]
+    trace = synth(phi, np.concatenate([[0.0], steps[1:]]), m=m)
+    if rng.random() < 0.25:
+        for rec in trace.records:
+            rec.ell = int(rng.integers(0, rec.k + 1))
+    return trace
+
+
+def same_record(new: AuditRecord, old: AuditRecord) -> bool:
+    """Same verdict, same bits of every float, same types of every field."""
+    return repr((new.name, new.passed, new.max_violation, new.details)) == \
+        repr((old.name, old.passed, old.max_violation, old.details))
+
+
+def test_column_kernels_match_the_row_loops():
+    rng = np.random.default_rng(20251018)
+    compared = 0
+    for _ in range(300):
+        m = int(rng.integers(0, 7))
+        trace = random_window_trace(rng, m)
+        for m_audit in {m, int(rng.integers(0, 7))}:
+            assert same_record(recompute_ell(trace, m_audit),
+                               ref_recompute_ell(trace, m_audit))
+            compared += 1
+        tau = float(rng.choice([0.1, 0.5, 0.9]))
+        mu = float(rng.choice([0.0, 0.3, 1.0]))
+        a = float(rng.choice([0.25, 1.0, 4.0]))
+        kbar = int(rng.integers(1, m + 4))
+        assert same_record(check_h4(trace, tau, mu, kbar, a),
+                           ref_check_h4(trace, tau, mu, kbar, a))
+        compared += 1
+        kbar = max(kbar, m + 1)
+        try:
+            old = ref_check_prop_bound(trace, tau, mu, a, m, kbar)
+        except FrameworkViolationError:
+            with pytest.raises(FrameworkViolationError):
+                check_prop_bound(trace, tau, mu, a, m, kbar)
+            continue
+        assert same_record(check_prop_bound(trace, tau, mu, a, m, kbar), old)
+        compared += 1
+    assert compared > 900
+
+
+def test_nan_step_fails_h4_and_prop_bound():
+    inst = make_problem("power4-1d", {"seed": 0})
+    trace = pgenls_solve(inst.problem, inst.x0, PgenlsConfig(m=5, max_outer=299))
+    assert len(trace) == 300
+    trace.records[150].step_norm = float("nan")
+    fields = build_report(trace, problem=inst.problem).fields
+    for check in ("h1", "h4", "prop_bound"):
+        assert fields[f"{check}.pass"] is False, check
+        assert fields[f"{check}.max_violation"] is None, check
+
+
+def test_recompute_ell_memory_does_not_grow_with_m():
+    K, m = 20000, 2000
+    records = [IterateRecord(k=k, x=np.zeros(0), f_value=float(k % 7), merit=float(k % 7),
+                             ell=k, gamma=2.0, beta=0.0, j_inner=0, step_norm=1.0,
+                             residual=0.0) for k in range(K)]
+    trace = Trace(algorithm="pgenls", records=records)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rec = recompute_ell(trace, m)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert rec.passed is False
+    assert peak < 16 * K * 8, peak
 
 
 # ---------------------------------------------------------------------------

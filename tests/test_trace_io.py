@@ -128,6 +128,39 @@ def test_wrong_cell_count_names_line_number(tmp_path):
         read_trace_csv(path)
 
 
+def rewrite_cell(path, row, column, value):
+    """Set one cell of data row ``row`` (0-based) of the CSV at ``path``."""
+    lines = path.read_text().splitlines()
+    cells = lines[row + 1].split(",")
+    cells[CSV_COLUMNS.index(column)] = value
+    lines[row + 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("column", ["F", "merit", "step_norm"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_cell_rejected(tmp_path, column, value):
+    path = tmp_path / "t.csv"
+    write_trace_csv(_toy_trace(n=2, rows=4), path)
+    rewrite_cell(path, 2, column, value)
+    with pytest.raises(InvalidInputError, match=f"line 4: {column} is not finite$"):
+        read_trace_csv(path)
+
+
+@pytest.mark.parametrize("row, ell, bounds", [
+    (0, "-1", "[0, 0]"),   # negative
+    (2, "3", "[0, 2]"),    # above its row's k
+    (3, "0", "[1, 3]"),    # below the previous row's ell
+])
+def test_impossible_ell_rejected(tmp_path, row, ell, bounds):
+    path = tmp_path / "t.csv"
+    write_trace_csv(_toy_trace(n=2, rows=4), path)  # ell = 0, 0, 1, 2
+    rewrite_cell(path, row, "ell", ell)
+    with pytest.raises(InvalidInputError,
+                       match=rf"line {row + 2}: ell {ell} outside \{bounds}$"):
+        read_trace_csv(path)
+
+
 def test_bad_header_rejected(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("k,F,merit\n0,1.0,1.0\n")
