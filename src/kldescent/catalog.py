@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -110,34 +111,26 @@ def _lam_from(params: dict, A: np.ndarray, b: np.ndarray, factor_default: float)
     return lam
 
 
-def _make_lasso(params: dict) -> ProblemInstance:
-    A, b = _sparse_regression_data(params, rows_default=50, cols_default=100)
-    lam = _lam_from(params, A, b, 0.1)
-    problem = CompositeProblem(
-        f=make_least_squares(A, b), g=l1_oracle(lam), h=None, dimension=A.shape[1]
-    )
-    return ProblemInstance("lasso", problem, np.zeros(A.shape[1]), dict(params, lam=lam))
+# the penalized least-squares problems ``0.5 ||Ax - b||^2 + g - h``:
+# id -> (default rows, default cols, oracle g of lam, oracle h of lam or None)
+_PENALIZED_LS = {
+    "lasso": (50, 100, l1_oracle, None),
+    "l0-ls": (20, 40, l0_oracle, None),
+    "l1-l2-dc": (20, 40, l1_oracle, l2_norm_oracle),
+}
 
 
-def _make_l0_ls(params: dict) -> ProblemInstance:
-    A, b = _sparse_regression_data(params, rows_default=20, cols_default=40)
-    lam = _lam_from(params, A, b, 0.1)
-    problem = CompositeProblem(
-        f=make_least_squares(A, b), g=l0_oracle(lam), h=None, dimension=A.shape[1]
-    )
-    return ProblemInstance("l0-ls", problem, np.zeros(A.shape[1]), dict(params, lam=lam))
-
-
-def _make_l1_l2_dc(params: dict) -> ProblemInstance:
-    A, b = _sparse_regression_data(params, rows_default=20, cols_default=40)
+def _make_penalized_ls(problem_id: str, params: dict) -> ProblemInstance:
+    rows, cols, g, h = _PENALIZED_LS[problem_id]
+    A, b = _sparse_regression_data(params, rows_default=rows, cols_default=cols)
     lam = _lam_from(params, A, b, 0.1)
     problem = CompositeProblem(
         f=make_least_squares(A, b),
-        g=l1_oracle(lam),
-        h=l2_norm_oracle(lam),
+        g=g(lam),
+        h=h(lam) if h is not None else None,
         dimension=A.shape[1],
     )
-    return ProblemInstance("l1-l2-dc", problem, np.zeros(A.shape[1]), dict(params, lam=lam))
+    return ProblemInstance(problem_id, problem, np.zeros(A.shape[1]), dict(params, lam=lam))
 
 
 def _make_power4_1d(params: dict) -> ProblemInstance:
@@ -165,9 +158,11 @@ def _make_quad_l1(params: dict) -> ProblemInstance:
 
 
 _REGISTRY = {
-    "lasso": (_make_lasso, "least squares + l1 penalty (convex)"),
-    "l0-ls": (_make_l0_ls, "least squares + l0 cardinality penalty (nonconvex prox term)"),
-    "l1-l2-dc": (_make_l1_l2_dc, "least squares + l1 minus l2 (difference of convex terms)"),
+    "lasso": (partial(_make_penalized_ls, "lasso"), "least squares + l1 penalty (convex)"),
+    "l0-ls": (partial(_make_penalized_ls, "l0-ls"),
+              "least squares + l0 cardinality penalty (nonconvex prox term)"),
+    "l1-l2-dc": (partial(_make_penalized_ls, "l1-l2-dc"),
+                 "least squares + l1 minus l2 (difference of convex terms)"),
     "power4-1d": (_make_power4_1d, "scalar x^4/4, flat minimizer at 0 (sublinear benchmark)"),
     "quad-l1": (_make_quad_l1, "strongly convex quadratic + l1 (linear-rate benchmark)"),
 }

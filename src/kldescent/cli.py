@@ -27,8 +27,12 @@ from .trace import Trace, read_trace_csv, write_trace_csv
 _ALGORITHMS = ("npg_major", "pgenls", "pgnls")
 _TOP_KEYS = {"problem", "params", "algorithm", "solver", "diagnostics", "output_dir"}
 _DIAG_KEYS = ("tau", "mu", "kbar")
-_AGGREGATE_COLUMNS = ("value", "exit", "iterations", "final_f", "verdict",
-                      "rho", "slope", "degenerate_a")
+# aggregate.csv columns after value and exit, each with its report key
+_AGGREGATE_FIELDS = (("iterations", "iterations"), ("final_f", "final_f"),
+                     ("verdict", "rate.verdict"), ("rho", "rate.rho"),
+                     ("slope", "rate.slope"), ("degenerate_a", "h1.degenerate_a"))
+# the verify flags that make up the trace's config snapshot
+_SNAPSHOT_FLAGS = ("m", "a", "alpha", "delta", "c", "beta_max")
 
 
 class _UsageError(Exception):
@@ -225,12 +229,8 @@ def _default_outdir(config_path: str) -> Path:
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        diag_overrides(cfg)  # fail fast on bad diagnostics fields
-    except InvalidInputError as exc:
-        _err(str(exc))
-        return 1
+    cfg = load_config(args.config)
+    diag_overrides(cfg)  # fail fast on bad diagnostics fields
     outdir = Path(cfg.get("output_dir") or _default_outdir(args.config))
     status, _ = execute(cfg, outdir)
     return status
@@ -293,14 +293,10 @@ def _csv_cell(v) -> str:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        diag_overrides(cfg)
-        values = _parse_sweep_values(args.values)
-        configs = [_apply_sweep_value(cfg, args.param, v) for v in values]
-    except InvalidInputError as exc:
-        _err(str(exc))
-        return 1
+    cfg = load_config(args.config)
+    diag_overrides(cfg)
+    values = _parse_sweep_values(args.values)
+    configs = [_apply_sweep_value(cfg, args.param, v) for v in values]
     root = Path(cfg.get("output_dir") or _default_outdir(args.config))
     try:
         root.mkdir(parents=True, exist_ok=True)
@@ -317,17 +313,10 @@ def cmd_sweep(args) -> int:
             _err(f"{subdir.name}: unexpected failure: {exc}")
             results.append((2, {}))
 
-    rows = [",".join(_AGGREGATE_COLUMNS)]
+    rows = [",".join(["value", "exit"] + [column for column, _ in _AGGREGATE_FIELDS])]
     for value, (status, fields) in zip(values, results):
-        rows.append(",".join([
-            _csv_cell(value), str(status),
-            _csv_cell(fields.get("iterations")),
-            _csv_cell(fields.get("final_f")),
-            _csv_cell(fields.get("rate.verdict")),
-            _csv_cell(fields.get("rate.rho")),
-            _csv_cell(fields.get("rate.slope")),
-            _csv_cell(fields.get("h1.degenerate_a")),
-        ]))
+        rows.append(",".join([_csv_cell(value), str(status)]
+                             + [_csv_cell(fields.get(key)) for _, key in _AGGREGATE_FIELDS]))
     (root / "aggregate.csv").write_text("\n".join(rows) + "\n")
     print(f"sweep over {args.param}: {len(values)} runs, aggregate in "
           f"{root / 'aggregate.csv'}")
@@ -335,15 +324,22 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Re-audit a trace CSV; the solver-constant flags given are its config
+    snapshot, the one source :func:`build_report` reads them from."""
+    snapshot = {name: getattr(args, name) for name in _SNAPSHOT_FLAGS
+                if getattr(args, name) is not None}
     try:
-        trace = read_trace_csv(args.trace, algorithm=args.algorithm)
+        trace = read_trace_csv(args.trace, algorithm=args.algorithm, config=snapshot)
         trace.problem_id = args.problem
         trace.terminated = args.terminated
-        report = build_report(
-            trace, m=args.m, a=args.a, alpha=args.alpha, delta=args.delta,
-            c=args.c, beta_max=args.beta_max, lipschitz=args.lf, tau=args.tau,
-            mu=args.mu, kbar=args.kbar,
-        )
+        missing = ("m and a" if args.m is None or args.a is None
+                   else "delta" if args.delta is None and args.algorithm != "npg_major"
+                   else None)
+        if missing:
+            raise InsufficientTraceError("audit constants unavailable: the trace has "
+                                         f"no config snapshot, so give {missing}")
+        report = build_report(trace, lipschitz=args.lf, tau=args.tau, mu=args.mu,
+                              kbar=args.kbar)
     except (InvalidInputError, InsufficientTraceError) as exc:
         _err(str(exc))
         return 1

@@ -15,8 +15,9 @@ Audited conditions, in the order they strengthen each other:
 * ``ell``  - the stored window argmax column is the one the merits give,
   ties going to the latest index.
 * ``h3``   - the solver's merit sandwich: objective <= merit <= window max
-  plus a curvature slack, and the residual/step ratio stays under an explicit
-  cap.
+  plus a curvature slack (for extrapolated traces the merit is the objective
+  plus the proximity term), and the residual/step ratio stays under an
+  explicit cap.
 * ``bbar_cap`` - the worst upward merit move per squared step stays under
   the Lipschitz bound (DC traces only).
 * ``h4``   - window gap control: merits inside a window stay within a
@@ -240,8 +241,9 @@ def check_h3(trace: Trace, lipschitz: Optional[float],
 
     For DC traces: ``F(x^{k+1}) <= merit^{k+1} <= F(peak_k) + (L/2) step^2``
     and ``b_hat <= 1 + L + gamma_star``.  For extrapolated traces the merit is
-    the audited objective itself, so the sandwich needs no curvature slack and
-    the cap is ``sqrt(2) * (L + gamma_star + 2 delta)``, with ``delta`` the
+    the audited objective itself, so the right side needs no curvature slack;
+    the left side is the merit's definition ``|merit - F - (delta/2) step^2|``
+    and the cap is ``sqrt(2) * (L + gamma_star + 2 delta)``, with ``delta`` the
     run's proximity weight (see :meth:`Trace.framework_steps`).  ``lipschitz``
     is taken as an upper bound; without it, or without ``gamma_star``, there
     is no cap.  Set ``enforce_cap`` to ``False`` in the degenerate
@@ -262,7 +264,10 @@ def check_h3(trace: Trace, lipschitz: Optional[float],
         return AuditRecord("h3", True, 0.0, {"checked": 0})
 
     is_dc = trace.algorithm == "npg_major"
-    left = phi[1:] - merit[1:] if is_dc else np.zeros(len(trace) - 1)  # phi is F
+    if is_dc:
+        left = phi[1:] - merit[1:]  # phi is F
+    else:
+        left = np.abs(merit[1:] - trace.column("F")[1:] - 0.5 * delta * s[1:] ** 2)
     if is_dc and lipschitz is not None:
         sigma = 0.5 * lipschitz * s[1:] ** 2
         right = merit[1:] - phi[ell[:-1]] - sigma
@@ -567,73 +572,63 @@ def _put(fields: dict, prefix: str, rec: AuditRecord, *keys: str) -> None:
         fields[f"{prefix}.{key}"] = _clean(values.get(key))
 
 
-def derive_audit_inputs(trace: Trace, *, m: Optional[int] = None,
-                        a: Optional[float] = None, alpha: Optional[float] = None,
-                        delta: Optional[float] = None, c: Optional[float] = None,
-                        beta_max: Optional[float] = None) -> dict:
-    """Resolve the audit constants of ``trace`` field by field.
+def derive_audit_inputs(trace: Trace) -> dict:
+    """Resolve the audit constants of ``trace`` from its config snapshot, the
+    only place they are read.
 
-    An argument given wins; otherwise the field comes from the trace's config
-    snapshot, the only place it is read.  ``a`` not given is the solver's
-    :func:`~kldescent.npg.decrease_constant` or
-    :func:`~kldescent.pgenls.decrease_constant` of the resolved ``alpha``,
-    ``delta`` and ``c`` and the snapshot's ``gamma_min``.  ``m`` and ``a``
-    must resolve, and ``delta`` too for traces not made by ``npg_major``;
-    ``alpha``, ``c`` and a DC trace's ``delta`` stay ``None`` when neither
-    source has them, and ``beta_max`` is then 0 (no extrapolation).
+    The snapshot's own ``a`` is used when it has one; otherwise ``a`` is the
+    solver's :func:`~kldescent.npg.decrease_constant` or
+    :func:`~kldescent.pgenls.decrease_constant` of the snapshot's ``alpha``,
+    ``delta``, ``gamma_min`` and (``npg_major``) ``c``.  ``m`` and ``a`` must
+    resolve, and ``delta`` too for traces not made by ``npg_major``;
+    ``alpha``, ``c`` and a DC trace's ``delta`` stay ``None`` when the
+    snapshot lacks them, and ``beta_max`` is then 0 (no extrapolation).  To
+    audit with other constants, give the trace another snapshot, e.g.
+    ``dataclasses.replace(trace, config=...)``.
     """
-    cfg = trace.config or {}
+    cfg = trace.config
+    if not cfg:
+        raise InsufficientTraceError(
+            "audit constants unavailable: the trace has no config snapshot")
 
-    def resolve(name, given=None):
-        if given is not None:
-            return given
+    def resolve(name):
         return float(cfg[name]) if name in cfg else None
 
-    def require(name, value, give="m and a"):
-        if value is not None:
-            return value
-        if cfg:
+    def require(name):
+        if name not in cfg:
             raise InsufficientTraceError(f"config snapshot is missing {name!r}")
-        raise InsufficientTraceError(
-            f"audit constants unavailable: the trace has no config snapshot, so give {give}"
-        )
+        return float(cfg[name])
 
-    alpha, delta, c = resolve("alpha", alpha), resolve("delta", delta), resolve("c", c)
+    a = resolve("a")
     if a is None:
-        known = (require("alpha", alpha), require("delta", delta),
-                 require("gamma_min", resolve("gamma_min")))
+        known = require("alpha"), require("delta"), require("gamma_min")
         if trace.algorithm == "npg_major":
-            a = npg.decrease_constant(*known, require("c", c))
+            a = npg.decrease_constant(*known, require("c"))
         else:
             a = pgenls.decrease_constant(*known)
-    m = int(require("m", resolve("m", m)))
-    if trace.algorithm != "npg_major":
-        require("delta", delta, give="delta")
-    return {"m": m, "a": a, "alpha": alpha, "delta": delta, "c": c,
-            "beta_max": resolve("beta_max", beta_max) or 0.0}
+    m = int(require("m"))
+    delta = resolve("delta") if trace.algorithm == "npg_major" else require("delta")
+    return {"m": m, "a": a, "alpha": resolve("alpha"), "delta": delta,
+            "c": resolve("c"), "beta_max": resolve("beta_max") or 0.0}
 
 
 def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
-                 m: Optional[int] = None, a: Optional[float] = None,
-                 alpha: Optional[float] = None, delta: Optional[float] = None,
-                 c: Optional[float] = None, beta_max: Optional[float] = None,
                  lipschitz: Optional[float] = None,
                  tau: float = 0.5, mu: Optional[float] = None,
                  kbar: Optional[int] = None) -> DiagnosticsReport:
     """Run every applicable audit on ``trace`` and assemble the flat report.
 
     The solver constants (``m``, ``a``, ``alpha``, ``delta``, ``c``,
-    ``beta_max``) come from :func:`derive_audit_inputs`: each one given here
-    overrides the trace's config snapshot in every check that uses it.  The
-    Lipschitz constant of the gradient of ``f`` is ``lipschitz`` if given,
-    else the problem's ``lipschitz_hint``; either is taken as an upper bound.
-    With neither, ``constants.l_f`` and ``constants.b_cap`` are null and the
-    checks that need them report ``pass = null``.  The ``h3`` ratio cap gates
-    except in the degenerate proximity-free case.  Checks that cannot be
-    evaluated get ``pass = null`` and do not gate the overall verdict.
+    ``beta_max``) come from the trace's config snapshot alone, through
+    :func:`derive_audit_inputs`.  The Lipschitz constant of the gradient of
+    ``f`` is ``lipschitz`` if given, else the problem's ``lipschitz_hint``;
+    either is taken as an upper bound.  With neither, ``constants.l_f`` and
+    ``constants.b_cap`` are null and the checks that need them report
+    ``pass = null``.  The ``h3`` ratio cap gates except in the degenerate
+    proximity-free case.  Checks that cannot be evaluated get ``pass = null``
+    and do not gate the overall verdict.
     """
-    inputs = derive_audit_inputs(trace, m=m, a=a, alpha=alpha, delta=delta, c=c,
-                                 beta_max=beta_max)
+    inputs = derive_audit_inputs(trace)
     m, a, alpha, delta, c, beta_max = (inputs[k] for k in
                                        ("m", "a", "alpha", "delta", "c", "beta_max"))
 

@@ -35,10 +35,6 @@ class MemoryWindow:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def latest_index(self) -> int | None:
-        return self._entries[-1][0] if self._entries else None
-
     def push(self, k: int, value: float) -> None:
         """Record merit ``value`` for iterate ``k``; ``k`` must follow the last index."""
         if self._entries and k != self._entries[-1][0] + 1:

@@ -70,10 +70,6 @@ class NpgConfig:
         if not self.c > 0.0:
             raise InvalidInputError(f"c must be positive, got {self.c!r}")
 
-    def h1_constant(self) -> float:
-        """Sufficient-decrease constant guaranteed for every accepted step."""
-        return decrease_constant(self.alpha, self.delta, self.gamma_min, self.c)
-
 
 def _residual(grad_next: Vector, grad: Vector, gamma: float, diff: Vector,
               step_norm: float) -> float:

@@ -113,19 +113,12 @@ class PgenlsConfig:
             raise InvalidInputError(
                 f"beta_init_rule must be 'constant' or 'nesterov', got {self.beta_init_rule!r}"
             )
-        if self.degenerate_a():
+        if degenerate_decrease(self.delta, self.beta_max):
             warnings.warn(
                 "delta=0 with beta_max>0: the paired-state decrease constant is "
                 "degenerate; audits fall back to the x-block only",
                 UserWarning, stacklevel=2,
             )
-
-    def degenerate_a(self) -> bool:
-        return degenerate_decrease(self.delta, self.beta_max)
-
-    def h1_constant(self) -> float:
-        """Audited sufficient-decrease constant; see :func:`decrease_constant`."""
-        return decrease_constant(self.alpha, self.delta, self.gamma_min)
 
 
 def f_delta(problem: CompositeProblem, x: Vector, u: Vector, delta: float) -> float:

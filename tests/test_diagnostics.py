@@ -8,7 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kldescent import npg, pgenls
 from kldescent.catalog import make_problem
+from kldescent.cli import main
 from kldescent.diagnostics import (
     AuditRecord,
     BbarEstimate,
@@ -60,6 +62,11 @@ def halving_trace():
                     gamma_init_rule="constant", tol_step=1e-12,
                     tol_resid=1e-12, max_outer=200)
     return npg_solve(quad_1d(), np.array([4.0]), cfg), cfg
+
+
+def npg_a(cfg: NpgConfig) -> float:
+    """The decrease constant the audit derives for an ``npg_major`` config."""
+    return npg.decrease_constant(cfg.alpha, cfg.delta, cfg.gamma_min, cfg.c)
 
 
 def synth(phi, steps, *, gammas=None, m=0, ell=None, algorithm="npg_major",
@@ -136,7 +143,7 @@ def test_series_tails():
 
 def test_check_h1_halving_exact():
     trace, cfg = halving_trace()
-    rec = check_h1(trace, cfg.h1_constant())
+    rec = check_h1(trace, npg_a(cfg))
     assert rec.passed is True
     K = len(trace) - 1
     # v_k = -4 * 4^-k exactly: worst at the last transition
@@ -301,7 +308,7 @@ def test_estimate_bbar_cases():
 
 def test_check_h4_vacuous_for_monotone_window():
     trace, cfg = halving_trace()
-    rec = check_h4(trace, tau=0.5, mu=0.5, kbar=2, a=cfg.h1_constant())
+    rec = check_h4(trace, tau=0.5, mu=0.5, kbar=2, a=npg_a(cfg))
     assert rec.passed is True
     assert rec.details["vacuous"] is True and rec.details["checked"] == 0
 
@@ -380,7 +387,7 @@ def test_prop_bound_trivial_pass():
 
 def test_prop_bound_halving():
     trace, cfg = halving_trace()
-    rec = check_prop_bound(trace, tau=0.5, mu=0.0, a=cfg.h1_constant(),
+    rec = check_prop_bound(trace, tau=0.5, mu=0.0, a=npg_a(cfg),
                            m=0, kbar=1)
     assert rec.passed is True
     assert rec.details["checked"] == len(trace) - 1
@@ -686,8 +693,15 @@ def test_estimate_lipschitz_quadratic():
 def test_derive_audit_inputs():
     trace, cfg = halving_trace()
     got = derive_audit_inputs(trace)
-    assert got["m"] == 0 and got["a"] == cfg.h1_constant()
+    assert got["m"] == 0 and got["a"] == npg_a(cfg)
     assert got["alpha"] == 1.0 and got["delta"] == 0.5 and got["c"] == 1.0
+    # a snapshot's own a wins over the solver's decrease constant, and then
+    # the constants that would derive it may be missing
+    got = derive_audit_inputs(replace(trace, config=dict(trace.config, a=0.125)))
+    assert got["a"] == 0.125 and got["c"] == 1.0
+    got = derive_audit_inputs(replace(trace, config={"m": 3, "a": 0.25}))
+    assert got == {"m": 3, "a": 0.25, "alpha": None, "delta": None, "c": None,
+                   "beta_max": 0.0}
 
     pg = pgenls_solve(quad_1d(), np.array([4.0]),
                       PgenlsConfig(m=2, delta=0.25, alpha=0.5, gamma_min=1.0,
@@ -758,9 +772,31 @@ def test_build_report_flags_corrupted_merits():
     assert report.fields.get("series.error")
 
 
+def test_build_report_flags_corrupted_objective_of_extrapolated_trace(tmp_path, capsys):
+    # F is not the audited merit of a pgenls trace; h3 holds it to the
+    # merit's definition F + (delta/2) step^2, in the API and in verify
+    inst = make_problem("lasso", {"seed": 0})
+    cfg = PgenlsConfig(m=5)
+    trace = pgenls_solve(inst.problem, inst.x0, cfg, problem_id="lasso", seed=0)
+    assert len(trace) == 44 and build_report(trace, problem=inst.problem).passed()
+    for k in (1, 22):
+        trace.records[k].f_value += 1000.0
+    report = build_report(trace, problem=inst.problem)
+    assert report.failures() == ["h3"]
+    assert report.fields["h3.left_max_violation"] == pytest.approx(1000.0)
+
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    a = pgenls.decrease_constant(cfg.alpha, cfg.delta, cfg.gamma_min)
+    assert main(["verify", str(tmp_path / "trace.csv"), "--algorithm", "pgenls",
+                 "--m", "5", "--a", repr(a), "--delta", repr(cfg.delta),
+                 "--beta-max", repr(cfg.beta_max)]) == 3
+    assert "h3" in capsys.readouterr().err.split("audit failure: ")[1]
+
+
 def test_build_report_explicit_constants_only():
-    trace = synth([4.0, 3.0, 2.0, 1.0], [0.0, 1.0, 1.0, 1.0])
-    report = build_report(trace, m=0, a=0.5, alpha=1.0, delta=0.5, c=1.0)
+    trace = synth([4.0, 3.0, 2.0, 1.0], [0.0, 1.0, 1.0, 1.0],
+                  config={"m": 0, "a": 0.5, "alpha": 1.0, "delta": 0.5, "c": 1.0})
+    report = build_report(trace)
     assert report.fields["h1.pass"] is True
     assert report.fields["constants.l_f"] is None
     # without any constants the audit cannot run
@@ -769,16 +805,20 @@ def test_build_report_explicit_constants_only():
 
 
 def test_build_report_explicit_constants_match_snapshot():
-    # every check takes the explicit constants, the proximity weight of the
-    # pgenls paired-state steps and h3 cap included
-    for pid, solve, cfg, own in (("lasso", pgenls_solve, PgenlsConfig(), "beta_max"),
-                                 ("l1-l2-dc", npg_solve, NpgConfig(), "c")):
+    # the full solver snapshot and the one verify builds from its flags (the
+    # decrease constant a given, gamma_min not) give the same report, the
+    # proximity weight of the pgenls paired-state steps and h3 cap included
+    pg, dc = PgenlsConfig(), NpgConfig()
+    for pid, solve, cfg, own, a in (
+            ("lasso", pgenls_solve, pg, "beta_max",
+             pgenls.decrease_constant(pg.alpha, pg.delta, pg.gamma_min)),
+            ("l1-l2-dc", npg_solve, dc, "c", npg_a(dc))):
         inst = make_problem(pid, {"seed": 0})
         trace = solve(inst.problem, inst.x0, cfg, problem_id=pid, seed=0)
         snapshot = build_report(trace, problem=inst.problem)
-        constants = {name: getattr(cfg, name) for name in ("m", "alpha", "delta", own)}
-        explicit = build_report(replace(trace, config={}), problem=inst.problem,
-                                a=cfg.h1_constant(), **constants)
+        flags = {name: getattr(cfg, name) for name in ("m", "alpha", "delta", own)}
+        explicit = build_report(replace(trace, config=dict(flags, a=a)),
+                                problem=inst.problem)
         assert snapshot.passed(), (pid, snapshot.failures())
         assert explicit.fields == snapshot.fields, pid
 

@@ -12,9 +12,11 @@ def test_capacity_and_eviction():
     for k, v in enumerate([10.0, 9.0, 8.0, 7.0]):
         w.push(k, v)
     assert len(w) == 3
-    assert w.latest_index == 3
     # 10.0 at k=0 was evicted
     assert w.window_max() == (9.0, 1)
+    # the latest index is 3: only 4 may follow it
+    with pytest.raises(LogicError, match="after 3"):
+        w.push(3, 6.0)
 
 
 def test_monotone_window_m_zero():

@@ -11,7 +11,7 @@ from kldescent.errors import (
     InvalidInputError,
     OracleInconsistencyError,
 )
-from kldescent.npg import NpgConfig, dc_residual, npg_solve
+from kldescent.npg import NpgConfig, dc_residual, decrease_constant, npg_solve
 from kldescent.oracles import (
     CompositeProblem,
     ProxOracle,
@@ -103,7 +103,7 @@ def test_alpha_zero_uses_free_constant():
                     c=3.0, gamma_init_rule="constant", max_outer=5)
     trace = npg_solve(quad_1d(), np.array([4.0]), cfg)
     assert trace.records[1].j_inner == 0 and trace.records[1].x[0] == 2.0
-    assert cfg.h1_constant() == 1.5
+    assert decrease_constant(cfg.alpha, cfg.delta, cfg.gamma_min, cfg.c) == 1.5
     # c = 3.5: decrement 7 rejects the first trial, gamma doubles to 4
     cfg = NpgConfig(m=0, gamma_min=2.0, gamma_max=4.0, delta=0.5, alpha=0.0,
                     c=3.5, gamma_init_rule="constant", max_outer=5)
@@ -113,8 +113,9 @@ def test_alpha_zero_uses_free_constant():
 
 
 def test_sufficient_decrease_constant():
-    assert HALVING.h1_constant() == pytest.approx(0.5)
-    assert NpgConfig(alpha=0.5, delta=0.5, gamma_min=1.0, c=2.0).h1_constant() \
+    assert decrease_constant(HALVING.alpha, HALVING.delta, HALVING.gamma_min,
+                             HALVING.c) == pytest.approx(0.5)
+    assert decrease_constant(alpha=0.5, delta=0.5, gamma_min=1.0, c=2.0) \
         == pytest.approx(0.5 * (0.5 * 0.5 * 1.0 + 0.5 * 2.0))
 
 

@@ -18,6 +18,8 @@ from kldescent.oracles import (
 )
 from kldescent.pgenls import (
     PgenlsConfig,
+    decrease_constant,
+    degenerate_decrease,
     f_delta,
     inner_schedule,
     pg_residual,
@@ -84,17 +86,16 @@ def test_nu_must_be_strictly_inside_the_stability_range():
 def test_degenerate_proximity_weight_warns():
     with pytest.warns(UserWarning, match="degenerate"):
         cfg = PgenlsConfig(delta=0.0, beta_max=0.5)
-    assert cfg.degenerate_a()
-    assert not PgenlsConfig(delta=0.0, beta_max=0.0).degenerate_a()
-    assert not PgenlsConfig(delta=1.0, beta_max=0.5).degenerate_a()
+    assert degenerate_decrease(cfg.delta, cfg.beta_max)
+    assert not degenerate_decrease(delta=0.0, beta_max=0.0)
+    assert not degenerate_decrease(delta=1.0, beta_max=0.5)
 
 
 def test_h1_constant_cases():
-    assert PgenlsConfig(alpha=0.5, gamma_min=2.0, delta=1.0).h1_constant() == 0.25
-    assert PgenlsConfig(alpha=0.5, gamma_min=0.5, delta=1.0).h1_constant() == 0.125
+    assert decrease_constant(alpha=0.5, gamma_min=2.0, delta=1.0) == 0.25
+    assert decrease_constant(alpha=0.5, gamma_min=0.5, delta=1.0) == 0.125
     # delta = 0: x-block fallback uses gamma_min
-    assert PgenlsConfig(alpha=0.5, gamma_min=2.0, delta=0.0,
-                        beta_max=0.0).h1_constant() == 0.5
+    assert decrease_constant(alpha=0.5, gamma_min=2.0, delta=0.0) == 0.5
 
 
 def test_dc_problem_rejected():
