@@ -40,24 +40,16 @@ class ProblemInstance:
     params: dict = field(default_factory=dict)
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _load_csv(path: str, what: str) -> np.ndarray:
+    """The ``what`` ("matrix" or "vector") in the headerless CSV at ``path``,
+    as a 2-D array; it must load and have finite entries."""
     try:
-        A = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+        data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
     except (OSError, ValueError) as exc:
-        raise InvalidInputError(f"could not load matrix from {path!r}: {exc}") from exc
-    if not np.all(np.isfinite(A)):
-        raise InvalidInputError(f"matrix loaded from {path!r} has non-finite entries")
-    return A
-
-
-def _load_vector(path: str) -> np.ndarray:
-    try:
-        b = np.loadtxt(path, delimiter=",", dtype=np.float64).reshape(-1)
-    except (OSError, ValueError) as exc:
-        raise InvalidInputError(f"could not load vector from {path!r}: {exc}") from exc
-    if not np.all(np.isfinite(b)):
-        raise InvalidInputError(f"vector loaded from {path!r} has non-finite entries")
-    return b
+        raise InvalidInputError(f"could not load {what} from {path!r}: {exc}") from exc
+    if not np.all(np.isfinite(data)):
+        raise InvalidInputError(f"{what} loaded from {path!r} has non-finite entries")
+    return data
 
 
 def _number(params: dict, name: str, kind: type, default=None):
@@ -76,8 +68,8 @@ def _sparse_regression_data(params: dict, rows_default: int, cols_default: int):
     if "A_csv" in params or "b_csv" in params:
         if not ("A_csv" in params and "b_csv" in params):
             raise InvalidInputError("A_csv and b_csv must be given together")
-        A = _load_matrix(params["A_csv"])
-        b = _load_vector(params["b_csv"])
+        A = _load_csv(params["A_csv"], "matrix")
+        b = _load_csv(params["b_csv"], "vector").reshape(-1)
         if b.shape[0] != A.shape[0]:
             raise InvalidInputError(
                 f"A has {A.shape[0]} rows but b has {b.shape[0]} entries"

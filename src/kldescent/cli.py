@@ -287,9 +287,7 @@ def _csv_cell(v) -> str:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return str(v)  # str of a float is its repr
 
 
 def cmd_sweep(args) -> int:
@@ -332,12 +330,11 @@ def cmd_verify(args) -> int:
         trace = read_trace_csv(args.trace, algorithm=args.algorithm, config=snapshot)
         trace.problem_id = args.problem
         trace.terminated = args.terminated
-        missing = ("m and a" if args.m is None or args.a is None
-                   else "delta" if args.delta is None and args.algorithm != "npg_major"
+        missing = ("--m and --a" if args.m is None or args.a is None
+                   else "--delta" if args.delta is None and args.algorithm != "npg_major"
                    else None)
         if missing:
-            raise InsufficientTraceError("audit constants unavailable: the trace has "
-                                         f"no config snapshot, so give {missing}")
+            raise InsufficientTraceError(f"audit constants unavailable: give {missing}")
         report = build_report(trace, lipschitz=args.lf, tau=args.tau, mu=args.mu,
                               kbar=args.kbar)
     except (InvalidInputError, InsufficientTraceError) as exc:

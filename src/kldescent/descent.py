@@ -33,7 +33,7 @@ from typing import Callable, Generator, Optional
 from .errors import BacktrackingFailureError, InvalidInputError, OracleInconsistencyError
 from .memory import MemoryWindow
 from .oracles import CompositeProblem, Vector, as_vector
-from .trace import IterateRecord, Trace
+from .trace import CSV_COLUMNS, Trace
 
 __all__ = ["Iterate", "check_common_config", "initial_gamma", "checked_penalty", "descend"]
 
@@ -147,14 +147,11 @@ def descend(problem: CompositeProblem, x0: Vector, config, trials: Trials, *,
     window = MemoryWindow(config.m)
     window.push(0, F0)  # every merit of the bootstrap pair equals F(x^0)
     _, ell = window.window_max()
-    trace = Trace(algorithm=algorithm, problem_id=problem_id, config=asdict(config),
-                  seed=seed)
-    trace.records.append(IterateRecord(
-        k=0, x=x0, f_value=F0, merit=F0, ell=ell, gamma=math.nan,
-        beta=math.nan, j_inner=-1, step_norm=0.0, residual=math.nan))
+    rows = [(0, F0, F0, math.nan, math.nan, -1, ell, 0.0, math.nan)]  # CSV order
+    xs = [x0]
 
     it = Iterate(k=0, x=x0, x_prev=x0, h=float(h0))
-    trace.terminated = "max_outer"
+    terminated = "max_outer"
     for k in range(config.max_outer):
         steps = trials(it, initial_gamma(config, it))
         for j in range(config.max_inner):
@@ -172,10 +169,8 @@ def descend(problem: CompositeProblem, x0: Vector, config, trials: Trials, *,
 
         window.push(k + 1, merit)
         _, ell = window.window_max()
-        trace.records.append(IterateRecord(
-            k=k + 1, x=cand, f_value=f_value, merit=row_merit, ell=ell,
-            gamma=gamma, beta=beta, j_inner=j, step_norm=step_norm,
-            residual=residual))
+        rows.append((k + 1, f_value, row_merit, gamma, beta, j, ell, step_norm, residual))
+        xs.append(cand)
 
         x_scale = 1.0 + math.sqrt(float(it.x @ it.x))
         it.k = k + 1
@@ -183,9 +178,11 @@ def descend(problem: CompositeProblem, x0: Vector, config, trials: Trials, *,
         it.grad_prev, it.grad = it.grad, grad_next
 
         if step_norm == 0.0:
-            trace.terminated = "stationary"
+            terminated = "stationary"
             break
         if step_norm <= config.tol_step * x_scale and residual <= config.tol_resid:
-            trace.terminated = "tolerance"
+            terminated = "tolerance"
             break
-    return trace
+    return Trace(algorithm=algorithm, columns=dict(zip(CSV_COLUMNS, zip(*rows))), xs=xs,
+                 problem_id=problem_id, config=asdict(config), seed=seed,
+                 terminated=terminated)

@@ -220,15 +220,15 @@ def verify_theta(trace: Trace, problem: CompositeProblem) -> AuditRecord:
     minus the subgradient of ``h`` at the previous iterate, as in the solver."""
     if trace.algorithm != "npg_major":
         raise InvalidInputError("theta verification applies to DC traces only")
-    for rec in trace.records:
-        if rec.x.size == 0:
-            raise InsufficientTraceError(f"row {rec.k} has no stored iterate")
+    for k, x in enumerate(trace.xs):
+        if x.size == 0:
+            raise InsufficientTraceError(f"row {k} has no stored iterate")
     worst = 0.0
-    for prev, curr in zip(trace.records[:-1], trace.records[1:]):
-        xi = (-problem.h.subgradient(prev.x) if problem.h is not None
-              else np.zeros_like(prev.x))
-        recomputed = theta_dc(problem, prev.x, curr.x, xi)
-        worst = max(worst, abs(recomputed - curr.merit))
+    for x_prev, x_curr, merit in zip(trace.xs, trace.xs[1:], trace.column("merit")[1:].tolist()):
+        xi = (-problem.h.subgradient(x_prev) if problem.h is not None
+              else np.zeros_like(x_prev))
+        recomputed = theta_dc(problem, x_prev, x_curr, xi)
+        worst = max(worst, abs(recomputed - merit))
     phi = trace.phi_values()
     slack = _phi_slack(phi)
     return AuditRecord("theta", worst <= slack, worst, {"slack": slack})
@@ -525,12 +525,12 @@ def estimate_lipschitz(problem: CompositeProblem, trace: Trace) -> Optional[floa
     best = 0.0
     seen = False
     grad_prev = None
-    for rec in trace.records:
-        if rec.x.size == 0:
+    for x, step in zip(trace.xs, trace.column("step_norm").tolist()):
+        if x.size == 0:
             return None
-        grad = problem.f.gradient(rec.x)
-        if grad_prev is not None and rec.step_norm > 0.0:
-            best = max(best, float(np.linalg.norm(grad - grad_prev)) / rec.step_norm)
+        grad = problem.f.gradient(x)
+        if grad_prev is not None and step > 0.0:
+            best = max(best, float(np.linalg.norm(grad - grad_prev)) / step)
             seen = True
         grad_prev = grad
     return best if seen else None
@@ -641,8 +641,8 @@ def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
         "problem": trace.problem_id,
         "iterations": len(trace) - 1,
         "terminated": trace.terminated,
-        "final_f": _clean(trace.records[-1].f_value) if len(trace) else None,
-        "final_residual": _clean(trace.records[-1].residual) if len(trace) else None,
+        "final_f": _clean(trace.column("F")[-1]) if len(trace) else None,
+        "final_residual": _clean(trace.column("residual")[-1]) if len(trace) else None,
     }
     gam = trace.column("gamma")
     gamma_star = float(np.nanmax(gam)) if np.any(np.isfinite(gam)) else None
@@ -657,8 +657,8 @@ def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
     fields["h1.degenerate_a"] = bool(degenerate)
     _put(fields, "h1", check_h1(trace, a), "max_violation")
     fields["h1.a"] = _clean(a)
-    acceptance = (check_acceptance(trace, alpha, delta, c)
-                  if alpha is not None and delta is not None
+    needs = (alpha, delta, c) if trace.algorithm == "npg_major" else (alpha, delta)
+    acceptance = (check_acceptance(trace, alpha, delta, c) if None not in needs
                   else AuditRecord("acceptance", None))
     _put(fields, "acceptance", acceptance, "max_violation")
     _put(fields, "ell", recompute_ell(trace, m), "mismatches")

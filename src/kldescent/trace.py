@@ -1,4 +1,5 @@
-"""Iteration traces: per-iterate records plus CSV / binary round-trip.
+"""Iteration traces: one typed, read-only array per CSV column plus the list
+of iterates, with CSV / binary round-trip.
 
 CSV layout (fixed header order)::
 
@@ -26,64 +27,77 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, LogicError
 from .oracles import Vector
 
 __all__ = ["IterateRecord", "Trace", "write_trace_csv", "read_trace_csv",
            "CSV_COLUMNS", "SIDECAR_MAGIC"]
 
-# CSV column -> (IterateRecord attribute, cell type), in file order
+# CSV column -> cell type, in file order; IterateRecord's fields follow it
 _ROW_SCHEMA = {
-    "k": ("k", int), "F": ("f_value", float), "merit": ("merit", float),
-    "gamma": ("gamma", float), "beta": ("beta", float), "j_inner": ("j_inner", int),
-    "ell": ("ell", int), "step_norm": ("step_norm", float),
-    "residual": ("residual", float),
+    "k": int, "F": float, "merit": float, "gamma": float, "beta": float,
+    "j_inner": int, "ell": int, "step_norm": float, "residual": float,
 }
 CSV_COLUMNS = tuple(_ROW_SCHEMA)
 SIDECAR_MAGIC = b"KLTRACE1"
 MAX_INLINE_DIM = 20
 
 
-@dataclass
+@dataclass(frozen=True)
 class IterateRecord:
     k: int
-    x: Vector
     f_value: float
     merit: float
-    ell: int
     gamma: float
     beta: float
     j_inner: int
+    ell: int
     step_norm: float
     residual: float
+    x: Vector
 
 
 @dataclass
 class Trace:
     algorithm: str
-    records: list[IterateRecord] = field(default_factory=list)
+    columns: Mapping[str, Sequence] = field(default_factory=dict)  # typed read-only at init
+    xs: list[Vector] = field(default_factory=list)  # iterates; row k at index k, as columns
     problem_id: str = ""
     config: dict = field(default_factory=dict)
     seed: Optional[int] = None
     terminated: str = ""  # "tolerance" | "stationary" | "max_outer" | ""
 
+    def __post_init__(self) -> None:
+        self.columns = MappingProxyType({name: np.array(self.columns.get(name, ()), dtype=kind)
+                                         for name, kind in _ROW_SCHEMA.items()})
+        for name, col in self.columns.items():
+            if col.shape != (len(self.xs),):
+                raise LogicError(f"column {name} has shape {col.shape} for {len(self.xs)} rows")
+            col.flags.writeable = False
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.xs)
 
     @property
     def dimension(self) -> int:
-        return int(self.records[0].x.shape[0]) if self.records else 0
+        return int(self.xs[0].shape[0]) if self.xs else 0
+
+    @property
+    def records(self) -> list[IterateRecord]:
+        """The rows as objects, built anew on each call."""
+        cols = [self.columns[name].tolist() for name in CSV_COLUMNS]
+        return [IterateRecord(*row) for row in zip(*cols, self.xs)]
 
     def column(self, name: str) -> np.ndarray:
-        attr, kind = _ROW_SCHEMA[name]
-        return np.array([getattr(r, attr) for r in self.records], dtype=kind)
+        return self.columns[name]
 
     def iterates(self) -> np.ndarray:
-        return np.array([r.x for r in self.records])
+        return np.array(self.xs, dtype=float)
 
     def phi_values(self) -> np.ndarray:
         """Merit audited by the descent framework: F for the DC solver,
@@ -116,22 +130,19 @@ def write_trace_csv(trace: Trace, path: str | Path) -> Path:
     n = trace.dimension
     inline = n <= MAX_INLINE_DIM
     header = list(CSV_COLUMNS) + ([f"x_{i}" for i in range(n)] if inline else [])
-    lines = [",".join(header)]
-    for r in trace.records:
-        cells = [repr(kind(getattr(r, attr))) for attr, kind in _ROW_SCHEMA.values()]
-        if inline:
-            cells.extend(repr(float(v)) for v in r.x)
-        lines.append(",".join(cells))
+    cells = [map(repr, trace.columns[name].tolist()) for name in CSV_COLUMNS]
+    if inline:
+        cells.extend(map(repr, col) for col in trace.iterates().T.tolist())
+    lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
     path.write_text("\n".join(lines) + "\n")
-    if not inline:
-        side = path.with_suffix(".bin")
-        X = trace.iterates().astype("<f8")
-        with open(side, "wb") as fh:
-            fh.write(SIDECAR_MAGIC)
-            fh.write(struct.pack("<II", n, len(trace)))
-            fh.write(X.tobytes(order="C"))
-        return side
-    return path
+    if inline:
+        return path
+    side = path.with_suffix(".bin")
+    with open(side, "wb") as fh:
+        fh.write(SIDECAR_MAGIC)
+        fh.write(struct.pack("<II", n, len(trace)))
+        trace.iterates().astype("<f8", copy=False).tofile(fh)
+    return side
 
 
 def _read_sidecar(path: Path) -> np.ndarray:
@@ -171,7 +182,9 @@ def read_trace_csv(path: str | Path, algorithm: str = "", config: dict | None = 
             raise InvalidInputError(f"{path}: line 1: unexpected column {name!r}")
     n_inline = len(x_cols)
 
-    records: list[IterateRecord] = []
+    rows: list[tuple] = []
+    xs: list[np.ndarray] = []
+    low = 0  # a window argmax never moves back and never leaves rows 0..k
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != len(header):
@@ -179,8 +192,8 @@ def read_trace_csv(path: str | Path, algorithm: str = "", config: dict | None = 
                 f"{path}: line {lineno}: expected {len(header)} cells, got {len(cells)}"
             )
         try:
-            row = {attr: kind(cell)
-                   for (attr, kind), cell in zip(_ROW_SCHEMA.values(), cells)}
+            row = {name: kind(cell)
+                   for (name, kind), cell in zip(_ROW_SCHEMA.items(), cells)}
             x = np.array([float(c) for c in cells[len(CSV_COLUMNS):]])
         except ValueError as exc:
             raise InvalidInputError(f"{path}: line {lineno}: {exc}") from exc
@@ -189,24 +202,24 @@ def read_trace_csv(path: str | Path, algorithm: str = "", config: dict | None = 
                 f"{path}: line {lineno}: iteration index {row['k']} out of order"
             )
         for name in ("F", "merit", "step_norm"):
-            if not math.isfinite(row[_ROW_SCHEMA[name][0]]):
+            if not math.isfinite(row[name]):
                 raise InvalidInputError(f"{path}: line {lineno}: {name} is not finite")
-        # a window argmax never moves back and never leaves rows 0..k
-        low = records[-1].ell if records else 0
         if not low <= row["ell"] <= row["k"]:
             raise InvalidInputError(
                 f"{path}: line {lineno}: ell {row['ell']} outside [{low}, {row['k']}]"
             )
-        records.append(IterateRecord(x=x, **row))
+        low = row["ell"]
+        rows.append(tuple(row.values()))
+        xs.append(x)
 
     if not n_inline:
         side = path.with_suffix(".bin")
         if side.exists():
             X = _read_sidecar(side)
-            if X.shape[0] != len(records):
+            if X.shape[0] != len(rows):
                 raise InvalidInputError(
-                    f"{side}: row count {X.shape[0]} does not match CSV ({len(records)})"
+                    f"{side}: row count {X.shape[0]} does not match CSV ({len(rows)})"
                 )
-            for r, xrow in zip(records, X):
-                r.x = xrow
-    return Trace(algorithm=algorithm, records=records, config=dict(config or {}))
+            xs = list(X)
+    return Trace(algorithm=algorithm, columns=dict(zip(CSV_COLUMNS, zip(*rows))), xs=xs,
+                 config=dict(config or {}))

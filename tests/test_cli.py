@@ -368,7 +368,8 @@ def test_verify_needs_constants(tmp_path, capsys):
     for given in ([], ["--delta", "1.0", "--beta-max", "0.9"]):
         assert main(["verify", str(out / "trace.csv"),
                      "--algorithm", "pgenls", *given]) == 1
-        assert "m and a" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("kldescent: error: audit constants "
+                                           "unavailable: give --m and --a\n")
 
 
 def test_verify_needs_delta_for_extrapolated_traces(tmp_path, capsys):
@@ -377,7 +378,25 @@ def test_verify_needs_delta_for_extrapolated_traces(tmp_path, capsys):
     i = args.index("--delta")
     assert main(args[:i] + args[i + 2:]) == 1
     assert capsys.readouterr().err == ("kldescent: error: audit constants unavailable: "
-                                       "the trace has no config snapshot, so give delta\n")
+                                       "give --delta\n")
+
+
+@pytest.mark.parametrize("flag", ["--c", "--alpha"])
+def test_verify_without_an_acceptance_constant_skips_only_acceptance(tmp_path, capsys, flag):
+    # acceptance needs alpha, delta and (for npg_major) c; without one of them
+    # it is not evaluated, and every other field stays as with all flags
+    out, args = run_and_verify_args(tmp_path, problem="quad-l1", algorithm="npg_major")
+    full = json.loads((out / "report.json").read_text())
+    assert full["acceptance.pass"] is True
+    i = args.index(flag)
+    assert main(args[:i] + args[i + 2:]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["acceptance.pass"] is None and report["acceptance.max_violation"] is None
+    assert report.keys() == full.keys()
+    assert {k: v for k, v in report.items() if not k.startswith("acceptance.")} == \
+        {k: v for k, v in full.items() if not k.startswith("acceptance.")}
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from kldescent.oracles import (
     zero_oracle,
 )
 from kldescent.pgenls import PgenlsConfig, pgenls_solve
-from kldescent.trace import IterateRecord, Trace, read_trace_csv, write_trace_csv
+from kldescent.trace import CSV_COLUMNS, Trace, read_trace_csv, write_trace_csv
 
 
 def quad_1d():
@@ -83,17 +83,25 @@ def synth(phi, steps, *, gammas=None, m=0, ell=None, algorithm="npg_major",
                 if phi[i] >= best_v:
                     best_v, best_i = phi[i], i
             ell.append(best_i)
-    records = []
-    for k in range(len(phi)):
-        records.append(IterateRecord(
-            k=k, x=np.array([0.0]), f_value=phi[k], merit=phi[k], ell=ell[k],
-            gamma=float("nan") if k == 0 else (gammas[k] if gammas else 2.0),
-            beta=float("nan") if k == 0 else 0.0,
-            j_inner=-1 if k == 0 else 0,
-            step_norm=steps[k],
-            residual=float("nan") if k == 0 else 0.0))
-    return Trace(algorithm=algorithm, records=records, terminated=terminated,
+    nan = float("nan")
+    rows = [(k, phi[k], phi[k], nan if k == 0 else (gammas[k] if gammas else 2.0),
+             nan if k == 0 else 0.0, -1 if k == 0 else 0, ell[k], steps[k],
+             nan if k == 0 else 0.0) for k in range(len(phi))]
+    return Trace(algorithm=algorithm, columns=dict(zip(CSV_COLUMNS, zip(*rows))),
+                 xs=[np.array([0.0])] * len(phi), terminated=terminated,
                  config=dict(config or {}))
+
+
+def with_column(trace: Trace, **columns) -> Trace:
+    """``trace`` with the named columns replaced by the given values."""
+    return replace(trace, columns=dict(trace.columns, **columns))
+
+
+def with_cells(trace: Trace, name: str, rows, change) -> Trace:
+    """``trace`` with ``change`` applied to rows ``rows`` of column ``name``."""
+    col = trace.column(name).copy()
+    col[rows] = change(col[rows])
+    return with_column(trace, **{name: col})
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +203,7 @@ def test_recompute_ell_tie_break():
     assert list(trace.column("ell")) == [0, 1, 2, 2]
     rec = recompute_ell(trace, 3)
     assert rec.passed is True and rec.details["mismatches"] == 0
-    trace.records[2].ell = 1  # smaller-index argmax is wrong under ties
+    trace = with_cells(trace, "ell", 2, lambda _: 1)  # smaller-index argmax is wrong under ties
     rec = recompute_ell(trace, 3)
     assert rec.passed is False and rec.details["mismatches"] == 1
     with pytest.raises(InvalidInputError):
@@ -516,8 +524,7 @@ def random_window_trace(rng, m):
         phi = [float(v) for v in rng.integers(0, 4, rows)]
     trace = synth(phi, np.concatenate([[0.0], steps[1:]]), m=m)
     if rng.random() < 0.25:
-        for rec in trace.records:
-            rec.ell = int(rng.integers(0, rec.k + 1))
+        trace = with_column(trace, ell=[int(rng.integers(0, k + 1)) for k in range(rows)])
     return trace
 
 
@@ -560,7 +567,7 @@ def test_nan_step_fails_h4_and_prop_bound():
     inst = make_problem("power4-1d", {"seed": 0})
     trace = pgenls_solve(inst.problem, inst.x0, PgenlsConfig(m=5, max_outer=299))
     assert len(trace) == 300
-    trace.records[150].step_norm = float("nan")
+    trace = with_cells(trace, "step_norm", 150, lambda _: float("nan"))
     fields = build_report(trace, problem=inst.problem).fields
     for check in ("h1", "h4", "prop_bound"):
         assert fields[f"{check}.pass"] is False, check
@@ -569,10 +576,9 @@ def test_nan_step_fails_h4_and_prop_bound():
 
 def test_recompute_ell_memory_does_not_grow_with_m():
     K, m = 20000, 2000
-    records = [IterateRecord(k=k, x=np.zeros(0), f_value=float(k % 7), merit=float(k % 7),
-                             ell=k, gamma=2.0, beta=0.0, j_inner=0, step_norm=1.0,
-                             residual=0.0) for k in range(K)]
-    trace = Trace(algorithm="pgenls", records=records)
+    rows = [(k, float(k % 7), float(k % 7), 2.0, 0.0, 0, k, 1.0, 0.0) for k in range(K)]
+    trace = Trace(algorithm="pgenls", columns=dict(zip(CSV_COLUMNS, zip(*rows))),
+                  xs=[np.zeros(0)] * K)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -681,8 +687,7 @@ def test_estimate_lipschitz_quadratic():
     assert est == pytest.approx(1.0, abs=1e-12)
     # no stored iterates: nothing to estimate from
     bare = synth([1.0, 0.5], [0.0, 1.0])
-    for r in bare.records:
-        r.x = np.empty(0)
+    bare = replace(bare, xs=[np.empty(0)] * len(bare))
     assert estimate_lipschitz(quad_1d(), bare) is None
 
 
@@ -764,7 +769,7 @@ def test_build_report_flags_corrupted_merits():
     trace = npg_solve(inst.problem, inst.x0, NpgConfig(m=5, max_outer=200))
     # inflate one mid-run objective so the recorded window peaks increase
     mid = len(trace) // 2
-    trace.records[mid].f_value += 10.0
+    trace = with_cells(trace, "F", mid, lambda f: f + 10.0)
     report = build_report(trace, problem=inst.problem)
     assert not report.passed()
     fails = report.failures()
@@ -779,8 +784,7 @@ def test_build_report_flags_corrupted_objective_of_extrapolated_trace(tmp_path, 
     cfg = PgenlsConfig(m=5)
     trace = pgenls_solve(inst.problem, inst.x0, cfg, problem_id="lasso", seed=0)
     assert len(trace) == 44 and build_report(trace, problem=inst.problem).passed()
-    for k in (1, 22):
-        trace.records[k].f_value += 1000.0
+    trace = with_cells(trace, "F", [1, 22], lambda f: f + 1000.0)
     report = build_report(trace, problem=inst.problem)
     assert report.failures() == ["h3"]
     assert report.fields["h3.left_max_violation"] == pytest.approx(1000.0)

@@ -248,8 +248,9 @@ def floored_starts(trace, problem, cfg):
     """:func:`spectral_starts`, raised to ``delta/2`` (at most ``gamma_max``)
     on each row whose previous row rejected its first trial."""
     starts = spectral_starts(trace, problem, cfg)
-    for i, r in enumerate(trace.records[2:], start=1):
-        if trace.records[r.k - 1].j_inner > 0:
+    rows = trace.records  # a view built on each call
+    for i, r in enumerate(rows[2:], start=1):
+        if rows[r.k - 1].j_inner > 0:
             starts[i] = min(max(starts[i], 0.5 * cfg.delta), cfg.gamma_max)
     return starts
 

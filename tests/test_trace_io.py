@@ -1,39 +1,161 @@
 """Trace CSV / sidecar round-trips and malformed-input reporting."""
 
+import dataclasses
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kldescent.errors import InvalidInputError
+from kldescent.errors import InvalidInputError, LogicError
 from kldescent.trace import (
     CSV_COLUMNS,
-    IterateRecord,
+    MAX_INLINE_DIM,
     SIDECAR_MAGIC,
     Trace,
     read_trace_csv,
     write_trace_csv,
 )
 
+NAN = float("nan")
+
+
+def _trace(rows, xs, algorithm="npg_major", **meta):
+    """A trace from row tuples in CSV order and their iterates."""
+    return Trace(algorithm=algorithm, columns=dict(zip(CSV_COLUMNS, zip(*rows))), xs=xs,
+                 **meta)
+
 
 def _toy_trace(n=3, rows=4, algorithm="npg_major"):
     rng = np.random.default_rng(42)
-    records = []
+    cells, xs = [], []
     for k in range(rows):
-        records.append(IterateRecord(
-            k=k,
-            x=rng.standard_normal(n),
-            f_value=float(10.0 / (k + 1) + 0.1 * rng.standard_normal()),
-            merit=float(10.0 / (k + 1)),
-            ell=max(0, k - 1),
-            gamma=float("nan") if k == 0 else 2.0 ** k / 3.0,
-            beta=float("nan") if k == 0 else 0.1 * k,
-            j_inner=-1 if k == 0 else k % 3,
-            step_norm=0.0 if k == 0 else float(abs(rng.standard_normal())),
-            residual=float("nan") if k == 0 else 1.0 / (k + 1) ** 2,
-        ))
-    return Trace(algorithm=algorithm, records=records,
-                 config={"delta": 0.5, "m": 2})
+        xs.append(rng.standard_normal(n))
+        f_value = float(10.0 / (k + 1) + 0.1 * rng.standard_normal())
+        step_norm = 0.0 if k == 0 else float(abs(rng.standard_normal()))
+        cells.append((k, f_value, float(10.0 / (k + 1)),
+                      NAN if k == 0 else 2.0 ** k / 3.0,  # gamma
+                      NAN if k == 0 else 0.1 * k,         # beta
+                      -1 if k == 0 else k % 3,            # j_inner
+                      max(0, k - 1),                      # ell
+                      step_norm,
+                      NAN if k == 0 else 1.0 / (k + 1) ** 2))  # residual
+    return _trace(cells, xs, algorithm, config={"delta": 0.5, "m": 2})
+
+
+# IterateRecord attribute and cell type of each CSV column, in file order
+_RECORD_SCHEMA = (("k", int), ("f_value", float), ("merit", float), ("gamma", float),
+                  ("beta", float), ("j_inner", int), ("ell", int), ("step_norm", float),
+                  ("residual", float))
+
+
+def reference_write(trace: Trace, path: Path) -> Path:
+    """The per-record writer that the columnar one replaced, kept as its spec."""
+    n = trace.dimension
+    inline = n <= MAX_INLINE_DIM
+    header = list(CSV_COLUMNS) + ([f"x_{i}" for i in range(n)] if inline else [])
+    lines = [",".join(header)]
+    for r in trace.records:
+        cells = [repr(kind(getattr(r, attr))) for attr, kind in _RECORD_SCHEMA]
+        if inline:
+            cells.extend(repr(float(v)) for v in r.x)
+        lines.append(",".join(cells))
+    path.write_text("\n".join(lines) + "\n")
+    if not inline:
+        side = path.with_suffix(".bin")
+        X = np.array([r.x for r in trace.records]).astype("<f8")
+        with open(side, "wb") as fh:
+            fh.write(SIDECAR_MAGIC)
+            fh.write(struct.pack("<II", n, len(trace)))
+            fh.write(X.tobytes(order="C"))
+        return side
+    return path
+
+
+def assert_same_bytes(trace: Trace, tmp_path: Path) -> None:
+    new, old = tmp_path / "new", tmp_path / "old"
+    new.mkdir(parents=True)
+    old.mkdir(parents=True)
+    got = write_trace_csv(trace, new / "trace.csv")
+    want = reference_write(trace, old / "trace.csv")
+    assert got.name == want.name
+    for name in ("trace.csv", "trace.bin"):
+        assert (new / name).exists() == (old / name).exists(), name
+        if (old / name).exists():
+            assert (new / name).read_bytes() == (old / name).read_bytes(), name
+
+
+def random_trace(rng, n: int, rows: int) -> Trace:
+    """Seeded rows with every kind of cell a solver writes: NaN gamma, beta
+    and residual, j_inner = -1, zero and subnormal steps, signed zeros."""
+    specials = [NAN, 0.0, -0.0, 5e-324, 1e300, -2.5]
+
+    def pick():
+        if rng.random() < 0.3:
+            return specials[rng.integers(len(specials))]
+        return float(rng.standard_normal() * 10.0 ** rng.integers(-12, 12))
+
+    cells, ell = [], 0
+    for k in range(rows):
+        ell = int(rng.integers(ell, k + 1))
+        cells.append((k, abs(pick()) if k else 1.0, pick(), pick(), pick(),
+                      int(rng.integers(-1, 5)), ell, abs(pick()), pick()))
+    xs = [rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8) for _ in range(rows)]
+    return _trace(cells, xs, str(rng.choice(["npg_major", "pgenls"])))
+
+
+def test_writer_matches_the_per_record_writer_on_random_traces(tmp_path):
+    rng = np.random.default_rng(20261018)
+    for case in range(40):
+        n = int(rng.integers(0, 2 * MAX_INLINE_DIM + 2))
+        trace = random_trace(rng, n, int(rng.integers(1, 30)))
+        assert_same_bytes(trace, tmp_path / str(case))
+    # both sides of the inline limit
+    for n in (MAX_INLINE_DIM, MAX_INLINE_DIM + 1):
+        assert_same_bytes(random_trace(rng, n, 7), tmp_path / f"n{n}")
+
+
+def test_writer_matches_the_per_record_writer_on_the_suite(suite, tmp_path):
+    sidecars = 0
+    for i, run in enumerate(suite.runs):
+        assert_same_bytes(run.trace, tmp_path / str(i))
+        sidecars += run.trace.dimension > MAX_INLINE_DIM
+    assert 0 < sidecars < len(suite.runs)
+
+
+def test_columns_are_stored_typed_and_read_only():
+    trace = _toy_trace()
+    for name in CSV_COLUMNS:
+        assert trace.column(name) is trace.column(name), name
+        with pytest.raises(ValueError, match="read-only"):
+            trace.column(name)[0] = 0
+    with pytest.raises(TypeError):
+        trace.columns["ell"] = np.zeros(len(trace), dtype=int)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trace.records[2].ell = 1
+    # a replaced column is typed again, so it is read-only too
+    ell = trace.column("ell").copy()
+    ell[2] = 0
+    swapped = dataclasses.replace(trace, columns=dict(trace.columns, ell=ell.tolist()))
+    assert swapped.column("ell").dtype == np.int64 and swapped.column("ell")[2] == 0
+    assert not swapped.column("ell").flags.writeable
+    assert trace.column("ell")[2] == 1
+
+
+def test_records_are_a_view_of_the_columns():
+    trace = _toy_trace(n=2, rows=3)
+    rows = trace.records
+    assert rows is not trace.records
+    assert [r.k for r in rows] == [0, 1, 2]
+    assert [r.j_inner for r in rows] == [-1, 1, 2]
+    np.testing.assert_array_equal([r.f_value for r in rows], trace.column("F"))
+    assert all(r.x is x for r, x in zip(rows, trace.xs))
+
+
+def test_columns_must_match_the_iterates():
+    with pytest.raises(LogicError, match="column k has shape"):
+        _trace([(0, 1.0, 1.0, NAN, NAN, -1, 0, 0.0, NAN)], [])
+    assert len(Trace(algorithm="pgenls")) == 0
 
 
 def test_round_trip_exact(tmp_path):
