@@ -20,7 +20,20 @@ per-iteration setup.  Each ``next()`` returns the next trial as
 ``(gamma, candidate, merit, decrement)``, where ``merit`` is the value the
 window tests and stores.  ``send(grad_next)``, with ``grad_next`` the gradient
 of ``f`` at the candidate, accepts the last trial and returns the rest of its
-trace row: ``(f_value, merit, beta, step_norm, residual)``.
+trace row, ``(f_value, merit, beta, step_norm, residual)``, followed by the
+accepted step ``candidate - x`` and its squared norm.
+
+What the driver carries across iterations, in the :class:`Iterate`, is what
+the next iteration would otherwise compute again: the gradients at ``x^k``
+and ``x^{k-1}``, and the accepted step with its squared norm, which the
+Barzilai-Borwein start and the inertia of ``pgenls`` read.  The step and its
+norm are the very array and float the accepted trial computed, from the
+operands a recomputation would use (``x^{k+1} - x^k`` is the trial's
+``candidate - x``), so carrying them changes no bit of any trace.  Nor does
+any other saving here: the stopping scale ``1 + ||x^k||`` is formed only
+once the residual passes its tolerance, a merit is screened for NaN once,
+before the window's test, and ``a.dot(b)`` reaches the same float64 dot
+kernel as ``a @ b``.
 """
 
 from __future__ import annotations
@@ -29,6 +42,8 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, Generator, Optional
+
+import numpy as np
 
 from .errors import BacktrackingFailureError, InvalidInputError, OracleInconsistencyError
 from .memory import MemoryWindow
@@ -42,15 +57,17 @@ __all__ = ["Iterate", "check_common_config", "initial_gamma", "checked_penalty",
 class Iterate:
     """The paired state ``(x^k, x^{k-1})`` an outer iteration starts from.
 
-    :func:`descend` rotates ``x`` and the gradients; the trial generator
-    computes ``grad`` where it first needs it and, for a concave term,
-    updates ``h`` when its candidate is accepted.
+    :func:`descend` rotates ``x``, the step and the gradients; the trial
+    generator computes ``grad`` where it first needs it and, for a concave
+    term, updates ``h`` when its candidate is accepted.
     """
 
     k: int
     x: Vector
     x_prev: Vector                       # x^{k-1}; x^0 itself at k = 0
     h: float                             # h(x); 0 without a concave term
+    step: Vector                         # x - x_prev; zeros at k = 0
+    step_sq: float                       # float(step @ step); 0.0 at k = 0
     grad: Optional[Vector] = None        # grad f(x), once computed
     grad_prev: Optional[Vector] = None   # grad f(x_prev), if it was computed
 
@@ -91,7 +108,9 @@ def check_common_config(config) -> None:
 
 def initial_gamma(config, it: Iterate) -> float:
     """First trial weight: the Barzilai-Borwein curvature estimate
-    ``<dx, dg> / <dx, dx>`` clamped to ``[gamma_min, gamma_max]``.
+    ``<dx, dg> / <dx, dx>`` clamped to ``[gamma_min, gamma_max]``, where
+    ``dx = x - x_prev`` is the carried step, ``<dx, dx>`` its carried squared
+    norm and ``dg = grad - grad_prev``.
 
     It needs the gradient at the previous iterate, so it falls back to
     ``gamma_min`` until one is known: ``npg_major`` knows it from ``k = 1``,
@@ -101,14 +120,9 @@ def initial_gamma(config, it: Iterate) -> float:
     start to ``delta/2`` after a rejected first trial; that floor lives in
     :mod:`kldescent.pgenls`, since ``npg_major`` shares this function.
     """
-    if config.gamma_init_rule == "constant" or it.grad_prev is None:
+    if config.gamma_init_rule == "constant" or it.grad_prev is None or it.step_sq == 0.0:
         return config.gamma_min
-    dx = it.x - it.x_prev
-    dg = it.grad - it.grad_prev
-    denom = float(dx @ dx)
-    if denom == 0.0:
-        return config.gamma_min
-    ratio = float(dx @ dg) / denom
+    ratio = float(it.step.dot(it.grad - it.grad_prev)) / it.step_sq
     if not math.isfinite(ratio):
         return config.gamma_min
     return float(min(max(ratio, config.gamma_min), config.gamma_max))
@@ -150,13 +164,14 @@ def descend(problem: CompositeProblem, x0: Vector, config, trials: Trials, *,
     rows = [(0, F0, F0, math.nan, math.nan, -1, ell, 0.0, math.nan)]  # CSV order
     xs = [x0]
 
-    it = Iterate(k=0, x=x0, x_prev=x0, h=float(h0))
+    it = Iterate(k=0, x=x0, x_prev=x0, h=float(h0), step=np.zeros_like(x0), step_sq=0.0)
+    gradient, accept = problem.f.gradient, window.accept
     terminated = "max_outer"
     for k in range(config.max_outer):
         steps = trials(it, initial_gamma(config, it))
         for j in range(config.max_inner):
             gamma, cand, merit, decrement = next(steps)
-            if not math.isnan(merit) and window.accept(merit, decrement):
+            if merit == merit and accept(merit, decrement):  # a NaN merit is rejected
                 break
         else:
             raise BacktrackingFailureError(
@@ -164,23 +179,24 @@ def descend(problem: CompositeProblem, x0: Vector, config, trials: Trials, *,
                 f"iteration {k} (last gamma {gamma:.6g})",
                 k=k, j=j, gamma=gamma,
             )
-        grad_next = problem.f.gradient(cand)
-        f_value, row_merit, beta, step_norm, residual = steps.send(grad_next)
+        grad_next = gradient(cand)
+        f_value, row_merit, beta, step_norm, residual, step, step_sq = steps.send(grad_next)
 
         window.push(k + 1, merit)
         _, ell = window.window_max()
         rows.append((k + 1, f_value, row_merit, gamma, beta, j, ell, step_norm, residual))
         xs.append(cand)
 
-        x_scale = 1.0 + math.sqrt(float(it.x @ it.x))
         it.k = k + 1
         it.x_prev, it.x = it.x, cand
+        it.step, it.step_sq = step, step_sq
         it.grad_prev, it.grad = it.grad, grad_next
 
         if step_norm == 0.0:
             terminated = "stationary"
             break
-        if step_norm <= config.tol_step * x_scale and residual <= config.tol_resid:
+        if residual <= config.tol_resid and step_norm <= config.tol_step * (
+                1.0 + math.sqrt(float(it.x_prev.dot(it.x_prev)))):
             terminated = "tolerance"
             break
     return Trace(algorithm=algorithm, columns=dict(zip(CSV_COLUMNS, zip(*rows))), xs=xs,

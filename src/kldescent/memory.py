@@ -28,7 +28,6 @@ class MemoryWindow:
     def __init__(self, m: int):
         if not isinstance(m, int) or m < 0:
             raise InvalidInputError(f"memory depth m must be a nonnegative integer, got {m!r}")
-        self.m = m
         self._entries: deque[tuple[int, float]] = deque(maxlen=m + 1)
         self._max: tuple[float, int] | None = None
 
@@ -57,11 +56,16 @@ class MemoryWindow:
         return self._max
 
     def accept(self, candidate: float, decrement: float) -> bool:
-        """Plain floating-point test ``candidate <= window max - decrement``."""
-        candidate = float(candidate)
-        decrement = float(decrement)
-        if math.isnan(candidate) or math.isnan(decrement):
-            raise InvalidInputError("accept called with NaN candidate or decrement")
+        """Plain floating-point test ``candidate <= window max - decrement``,
+        against the maximum stored at the last push.
+
+        A NaN argument fails the comparison, so it is looked for only then,
+        and raises ``InvalidInputError``.
+        """
+        if self._max is not None and candidate <= self._max[0] - decrement:
+            return True
         if self._max is None:
             raise LogicError("accept on an empty window")
-        return candidate <= self._max[0] - decrement
+        if math.isnan(candidate) or math.isnan(decrement):
+            raise InvalidInputError("accept called with NaN candidate or decrement")
+        return False

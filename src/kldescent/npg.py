@@ -74,7 +74,7 @@ class NpgConfig:
 def _residual(grad_next: Vector, grad: Vector, gamma: float, diff: Vector,
               step_norm: float) -> float:
     top = grad_next - grad - gamma * diff
-    return math.sqrt(float(top @ top) + step_norm**2)
+    return math.sqrt(float(top.dot(top)) + step_norm**2)
 
 
 def dc_residual(problem: CompositeProblem, x_curr: Vector, x_prev: Vector,
@@ -117,7 +117,7 @@ def npg_solve(problem: CompositeProblem, x0: Vector, config: NpgConfig | None = 
             h_cand = problem.h.value(cand) if problem.h is not None else 0.0
             F_cand = float(f_cand + g_cand - h_cand)
             diff = cand - x
-            step_sq = float(diff @ diff)
+            step_sq = float(diff.dot(diff))
             grad_next = yield (gamma, cand, F_cand,
                                decrement(config.alpha, config.delta, config.c, gamma, step_sq))
             if grad_next is not None:
@@ -125,7 +125,7 @@ def npg_solve(problem: CompositeProblem, x0: Vector, config: NpgConfig | None = 
                 it.h = float(h_cand)
                 step_norm = math.sqrt(step_sq)
                 yield (F_cand, theta, math.nan, step_norm,
-                       _residual(grad_next, it.grad, gamma, diff, step_norm))
+                       _residual(grad_next, it.grad, gamma, diff, step_norm), diff, step_sq)
 
     return descend(problem, x0, config, trials, algorithm="npg_major",
                    problem_id=problem_id, seed=seed)

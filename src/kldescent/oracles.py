@@ -5,10 +5,20 @@ the form ``F(x) = f(x) + g(x) - h(x)`` where ``f`` is smooth, ``g`` is proper
 lower-semicontinuous with a cheap prox map (possibly nonconvex, e.g. a
 cardinality penalty), and ``h`` is an optional continuous convex term accessed
 through one deterministic subgradient per point.
+
+Validation happens once per value.  The public maps (``prox_l1``,
+``prox_l0``, ``prox_box``, ``subgrad_l2_norm``) check every argument on every
+call: the point must be a finite vector and the weights positive.  The
+oracle builders (``l1_oracle`` and the rest) check their weights at the
+build and give the solvers closures over the unchecked kernels, so a trial
+pays for no check: the solvers pass float64 vectors and positive weights.
+A non-finite point reaches the kernel as it is, and its non-finite output
+is caught by the solver (see :func:`kldescent.descent.checked_penalty`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, TypeAlias
@@ -141,13 +151,33 @@ class CompositeProblem:
 # prox maps and subgradients
 
 
+def _soft_threshold(v: Vector, lam: float, gamma: float) -> Vector:
+    return np.sign(v) * np.maximum(np.abs(v) - lam / gamma, 0.0)
+
+
+def _hard_threshold(v: Vector, lam: float, gamma: float) -> Vector:
+    # written as "zero where small" so that a NaN entry stays NaN
+    return np.where(np.abs(v) <= math.sqrt(2.0 * lam / gamma), 0.0, v)
+
+
+def _box_bounds(lo: float, hi: float) -> tuple[float, float]:
+    lo, hi = float(lo), float(hi)
+    if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
+        raise InvalidInputError(f"box bounds must satisfy lo <= hi, got [{lo!r}, {hi!r}]")
+    return lo, hi
+
+
+def _scaled_direction(x: Vector, lam: float) -> Vector:
+    nrm = float(np.linalg.norm(x))
+    if nrm == 0.0:
+        return np.zeros_like(x)
+    return (lam / nrm) * x
+
+
 def prox_l1(v: Vector, lam: float, gamma: float) -> Vector:
     """Soft threshold: prox of ``lam * ||.||_1`` at ``v`` with weight ``gamma``."""
     v = as_vector(v, "v")
-    lam = _require_positive(lam, "lam")
-    gamma = _require_positive(gamma, "gamma")
-    t = lam / gamma
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    return _soft_threshold(v, _require_positive(lam, "lam"), _require_positive(gamma, "gamma"))
 
 
 def prox_l0(v: Vector, lam: float, gamma: float) -> Vector:
@@ -157,19 +187,13 @@ def prox_l0(v: Vector, lam: float, gamma: float) -> Vector:
     equality is broken toward 0 so the map is single-valued.
     """
     v = as_vector(v, "v")
-    lam = _require_positive(lam, "lam")
-    gamma = _require_positive(gamma, "gamma")
-    t = np.sqrt(2.0 * lam / gamma)
-    return np.where(np.abs(v) > t, v, 0.0)
+    return _hard_threshold(v, _require_positive(lam, "lam"), _require_positive(gamma, "gamma"))
 
 
 def prox_box(v: Vector, lo: float, hi: float, gamma: float) -> Vector:
     """Componentwise clamp onto ``[lo, hi]``; independent of ``gamma``."""
     v = as_vector(v, "v")
-    lo = float(lo)
-    hi = float(hi)
-    if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
-        raise InvalidInputError(f"box bounds must satisfy lo <= hi, got [{lo!r}, {hi!r}]")
+    lo, hi = _box_bounds(lo, hi)
     _require_positive(gamma, "gamma")
     return np.clip(v, lo, hi)
 
@@ -177,22 +201,18 @@ def prox_box(v: Vector, lo: float, hi: float, gamma: float) -> Vector:
 def subgrad_l2_norm(x: Vector, lam: float) -> Vector:
     """Deterministic subgradient of ``lam * ||.||_2``: ``lam*x/||x||``, or 0 at 0."""
     x = as_vector(x, "x")
-    lam = _require_positive(lam, "lam")
-    nrm = float(np.linalg.norm(x))
-    if nrm == 0.0:
-        return np.zeros_like(x)
-    return (lam / nrm) * x
+    return _scaled_direction(x, _require_positive(lam, "lam"))
 
 
 # ---------------------------------------------------------------------------
-# oracle builders
+# oracle builders: weights checked here, once; the closures call the kernels
 
 
 def l1_oracle(lam: float) -> ProxOracle:
     lam = _require_positive(lam, "lam")
     return ProxOracle(
         value=lambda x: lam * float(np.sum(np.abs(x))),
-        prox=lambda v, gamma: prox_l1(v, lam, gamma),
+        prox=lambda v, gamma: _soft_threshold(v, lam, gamma),
     )
 
 
@@ -200,21 +220,20 @@ def l0_oracle(lam: float) -> ProxOracle:
     lam = _require_positive(lam, "lam")
     return ProxOracle(
         value=lambda x: lam * float(np.count_nonzero(x)),
-        prox=lambda v, gamma: prox_l0(v, lam, gamma),
+        prox=lambda v, gamma: _hard_threshold(v, lam, gamma),
     )
 
 
 def box_oracle(lo: float, hi: float) -> ProxOracle:
-    """Indicator of the box ``[lo, hi]^n`` (value 0 inside, +inf outside)."""
-    lo_f, hi_f = float(lo), float(hi)
-    if lo_f > hi_f:
-        raise InvalidInputError(f"box bounds must satisfy lo <= hi, got [{lo!r}, {hi!r}]")
+    """Indicator of the box ``[lo, hi]^n`` (value 0 inside, +inf outside);
+    the bounds must be finite."""
+    lo_f, hi_f = _box_bounds(lo, hi)
 
     def value(x):
         inside = np.all(x >= lo_f) and np.all(x <= hi_f)
         return 0.0 if inside else float("inf")
 
-    return ProxOracle(value=value, prox=lambda v, gamma: prox_box(v, lo_f, hi_f, gamma))
+    return ProxOracle(value=value, prox=lambda v, gamma: np.clip(v, lo_f, hi_f))
 
 
 def zero_oracle() -> ProxOracle:
@@ -226,7 +245,7 @@ def l2_norm_oracle(lam: float) -> ConvexOracle:
     lam = _require_positive(lam, "lam")
     return ConvexOracle(
         value=lambda x: lam * float(np.linalg.norm(x)),
-        subgradient=lambda x: subgrad_l2_norm(x, lam),
+        subgradient=lambda x: _scaled_direction(x, lam),
     )
 
 

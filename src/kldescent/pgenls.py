@@ -139,7 +139,7 @@ def inner_schedule(gamma0: float, beta0: float, rho: float, nu: float, j: int):
 def _residual(grad_x: Vector, grad_y: Vector, gamma: float, x_minus_y: Vector,
               delta: float, dxp: Vector, step_norm: float) -> float:
     top = grad_x - grad_y - gamma * x_minus_y + delta * dxp
-    return math.sqrt(float(top @ top) + (delta * step_norm) ** 2)
+    return math.sqrt(float(top.dot(top)) + (delta * step_norm) ** 2)
 
 
 def _gradient_and_step(problem: CompositeProblem, it: Iterate,
@@ -201,15 +201,14 @@ def pgenls_solve(problem: CompositeProblem, x0: Vector,
     nesterov = config.beta_init_rule == "nesterov"
     t_prev = t_curr = 1.0  # Nesterov counters
     quadratic = problem.f.quadratic
+    gradient, value, prox = problem.f.gradient, problem.f.value, problem.g.prox
     rejected_start = False  # did the last iteration reject its first trial?
 
     def trials(it: Iterate, gamma0: float):
         nonlocal t_prev, t_curr, rejected_start
         if rejected_start:
             gamma0 = min(max(gamma0, 0.5 * delta), config.gamma_max)
-        x = it.x
-        inertia = x - it.x_prev
-        inertia_sq = float(inertia @ inertia)
+        x, inertia, inertia_sq = it.x, it.step, it.step_sq
         if nesterov:
             beta0 = float(min(max((t_prev - 1.0) / t_curr, 0.0), config.beta_max))
         else:
@@ -220,7 +219,7 @@ def pgenls_solve(problem: CompositeProblem, x0: Vector,
             if beta == 0.0:
                 y = x
                 if it.grad is None:
-                    it.grad = problem.f.gradient(x)
+                    it.grad = gradient(x)
                 grad_y = it.grad
             else:
                 y = x + beta * inertia
@@ -229,12 +228,12 @@ def pgenls_solve(problem: CompositeProblem, x0: Vector,
                         grad_x, grad_step = _gradient_and_step(problem, it, inertia)
                     grad_y = grad_x + beta * grad_step
                 else:
-                    grad_y = problem.f.gradient(y)
-            cand = problem.g.prox(y - grad_y / gamma, gamma)
+                    grad_y = gradient(y)
+            cand = prox(y - grad_y / gamma, gamma)
             g_cand = checked_penalty(problem, cand, it.k)
-            F_cand = float(problem.f.value(cand) + g_cand)
+            F_cand = float(value(cand) + g_cand)
             diff = cand - x
-            step_sq = float(diff @ diff)
+            step_sq = float(diff.dot(diff))
             merit = F_cand + 0.5 * delta * step_sq
             grad_next = yield (gamma, cand, merit,
                                decrement(alpha, delta, gamma, step_sq, inertia_sq))
@@ -244,8 +243,8 @@ def pgenls_solve(problem: CompositeProblem, x0: Vector,
                     t_prev, t_curr = t_curr, 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_curr**2))
                 step_norm = math.sqrt(step_sq)
                 yield (F_cand, merit, beta, step_norm,
-                       _residual(grad_next, grad_y, gamma, cand - y, delta, diff,
-                                 step_norm))
+                       _residual(grad_next, grad_y, gamma, cand - y, delta, diff, step_norm),
+                       diff, step_sq)
 
     return descend(problem, x0, config, trials, algorithm=algorithm_label,
                    problem_id=problem_id, seed=seed)

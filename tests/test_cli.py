@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from kldescent.catalog import make_problem, problem_ids
@@ -154,6 +155,29 @@ def test_exit_2_backtracking_exhaustion(tmp_path, capsys):
                 "gamma_init_rule": "constant"})
     assert main(["run", str(path)]) == 2
     assert "solver failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("problem, algorithm, message", [
+    ("lasso", "pgenls", "prox output has non-finite penalty value at outer iteration 0"),
+    ("quad-l1", "npg_major", "prox output has non-finite penalty value at outer iteration 0"),
+    ("l0-ls", "npg_major", "no acceptable step within 60 trials at outer iteration 0 "
+                           "(last gamma 5.76461e+15)"),
+])
+def test_exit_2_non_finite_prox_input(tmp_path, capsys, problem, algorithm, message):
+    # Data this large overflows the gradient at x^0, so the prox input is
+    # not finite.  The prox closures do not scan their input: an l1 output
+    # then has an infinite penalty, and an l0 output (NaN kept as NaN) an
+    # objective no trial can accept; both are solver failures naming the
+    # iteration.
+    np.savetxt(tmp_path / "A.csv", np.full((3, 4), 1e200), delimiter=",")
+    np.savetxt(tmp_path / "b.csv", np.full(3, 1e200), delimiter=",")
+    path, _ = write_config(
+        tmp_path, problem=problem, algorithm=algorithm, solver={},
+        params={"A_csv": str(tmp_path / "A.csv"), "b_csv": str(tmp_path / "b.csv"),
+                "lam": 1.0})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"kldescent: error: solver failure: {message}\n"
 
 
 def test_pgnls_forces_plain_mode(tmp_path):

@@ -19,6 +19,7 @@ from kldescent.npg import NpgConfig, npg_solve
 from kldescent.oracles import (
     CompositeProblem,
     box_oracle,
+    l0_oracle,
     l1_oracle,
     l2_norm_oracle,
     make_least_squares,
@@ -385,3 +386,24 @@ def test_oracle_builders_validate():
         make_least_squares(np.ones((2, 2)), np.ones(3))
     with pytest.raises(InvalidInputError):
         box_oracle(2.0, -2.0)
+    # the bounds are checked at the build, where prox_box checks them per call
+    for lo, hi in ((0.0, np.inf), (np.nan, 1.0)):
+        with pytest.raises(InvalidInputError, match="box bounds"):
+            box_oracle(lo, hi)
+
+
+def test_oracle_closures_match_the_checked_maps():
+    # The closures skip the per-call checks of the public maps and return
+    # the same bits on valid input, signed zeros and threshold ties included.
+    v = np.array([-3.0, -1.0, -0.5, -0.0, 0.0, 0.25, 1.0, 2.0, 7.5])
+    for gamma in (0.5, 2.0, 8.0):
+        pairs = ((l1_oracle(1.0).prox(v, gamma), prox_l1(v, 1.0, gamma)),
+                 (l0_oracle(1.0).prox(v, gamma), prox_l0(v, 1.0, gamma)),
+                 (box_oracle(-1.0, 1.0).prox(v, gamma), prox_box(v, -1.0, 1.0, gamma)))
+        for got, want in pairs:
+            assert got.tobytes() == want.tobytes()
+        keep_large = np.where(np.abs(v) > np.sqrt(2.0 / gamma), v, 0.0)
+        assert prox_l0(v, 1.0, gamma).tobytes() == keep_large.tobytes()
+    assert l2_norm_oracle(2.0).subgradient(v).tobytes() == subgrad_l2_norm(v, 2.0).tobytes()
+    # a NaN entry stays NaN, so the solver sees a non-finite candidate
+    assert np.isnan(l0_oracle(1.0).prox(np.array([np.nan, 3.0]), 1.0)[0])

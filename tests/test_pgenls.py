@@ -237,7 +237,9 @@ def spectral_starts(trace, problem, cfg):
     for r in rec[1:]:
         k = r.k - 1  # the outer iteration that made row r
         known = k >= 2 or (k == 1 and rec[1].beta == 0.0)
+        step = rec[k].x - rec[max(k - 1, 0)].x
         it = Iterate(k=k, x=rec[k].x, x_prev=rec[max(k - 1, 0)].x, h=0.0,
+                     step=step, step_sq=float(step @ step),
                      grad=problem.f.gradient(rec[k].x),
                      grad_prev=problem.f.gradient(rec[k - 1].x) if known else None)
         starts.append(initial_gamma(cfg, it))
