@@ -52,14 +52,16 @@ def _load_csv(path: str, what: str) -> np.ndarray:
     return data
 
 
-def _number(params: dict, name: str, kind: type, default=None):
+_NOUNS = {numbers.Integral: "an integer", numbers.Real: "a real number", str: "a string"}
+
+
+def _param(params: dict, name: str, kind: type, default=None):
     """``params[name]``, or ``default`` when absent; it must be an integer
-    (``kind`` is ``numbers.Integral``) or a real number (``numbers.Real``),
-    and booleans are neither."""
+    (``kind`` is ``numbers.Integral``), a real number (``numbers.Real``) or a
+    string (``str``), and booleans are none of these."""
     value = params.get(name, default)
     if isinstance(value, bool) or not isinstance(value, kind):
-        noun = "an integer" if kind is numbers.Integral else "a real number"
-        raise InvalidInputError(f"params.{name} must be {noun}, got {value!r}")
+        raise InvalidInputError(f"params.{name} must be {_NOUNS[kind]}, got {value!r}")
     return value
 
 
@@ -68,8 +70,8 @@ def _sparse_regression_data(params: dict, rows_default: int, cols_default: int):
     if "A_csv" in params or "b_csv" in params:
         if not ("A_csv" in params and "b_csv" in params):
             raise InvalidInputError("A_csv and b_csv must be given together")
-        A = _load_csv(params["A_csv"], "matrix")
-        b = _load_csv(params["b_csv"], "vector").reshape(-1)
+        A = _load_csv(_param(params, "A_csv", str), "matrix")
+        b = _load_csv(_param(params, "b_csv", str), "vector").reshape(-1)
         if b.shape[0] != A.shape[0]:
             raise InvalidInputError(
                 f"A has {A.shape[0]} rows but b has {b.shape[0]} entries"
@@ -77,9 +79,9 @@ def _sparse_regression_data(params: dict, rows_default: int, cols_default: int):
         return A, b
     if "seed" not in params:
         raise InvalidInputError("randomized problems require a 'seed' parameter")
-    seed = int(_number(params, "seed", numbers.Integral))
-    rows = int(_number(params, "rows", numbers.Integral, rows_default))
-    cols = int(_number(params, "cols", numbers.Integral, cols_default))
+    seed = int(_param(params, "seed", numbers.Integral))
+    rows = int(_param(params, "rows", numbers.Integral, rows_default))
+    cols = int(_param(params, "cols", numbers.Integral, cols_default))
     if rows <= 0 or cols <= 0:
         raise InvalidInputError(f"rows and cols must be positive, got {rows}x{cols}")
     rng = np.random.default_rng(seed)
@@ -93,9 +95,9 @@ def _sparse_regression_data(params: dict, rows_default: int, cols_default: int):
 
 def _lam_from(params: dict, A: np.ndarray, b: np.ndarray, factor_default: float) -> float:
     if "lam" in params:
-        lam = float(_number(params, "lam", numbers.Real))
+        lam = float(_param(params, "lam", numbers.Real))
     else:
-        lam = float(_number(params, "lam_factor", numbers.Real, factor_default)) * float(
+        lam = float(_param(params, "lam_factor", numbers.Real, factor_default)) * float(
             np.max(np.abs(A.T @ b))
         )
     if not np.isfinite(lam) or lam <= 0.0:
@@ -126,7 +128,7 @@ def _make_penalized_ls(problem_id: str, params: dict) -> ProblemInstance:
 
 
 def _make_power4_1d(params: dict) -> ProblemInstance:
-    x0 = float(_number(params, "x0", numbers.Real, 1.0))
+    x0 = float(_param(params, "x0", numbers.Real, 1.0))
     if not np.isfinite(x0):
         raise InvalidInputError("x0 must be finite")
     problem = CompositeProblem(f=make_power4_1d(), g=zero_oracle(), h=None, dimension=1)
@@ -135,7 +137,7 @@ def _make_power4_1d(params: dict) -> ProblemInstance:
 
 def _make_quad_l1(params: dict) -> ProblemInstance:
     """Strongly convex quadratic plus l1: least squares with a ridge block stacked on."""
-    mu = float(_number(params, "mu", numbers.Real, 1.0))
+    mu = float(_param(params, "mu", numbers.Real, 1.0))
     if not np.isfinite(mu) or mu <= 0.0:
         raise InvalidInputError(f"mu must be positive, got {mu!r}")
     A, b = _sparse_regression_data(params, rows_default=30, cols_default=30)
@@ -149,14 +151,21 @@ def _make_quad_l1(params: dict) -> ProblemInstance:
     return ProblemInstance("quad-l1", problem, np.zeros(n), dict(params, lam=lam, mu=mu))
 
 
+# the params fields of the least-squares problems; every problem takes a seed
+_LS_FIELDS = ("seed", "rows", "cols", "lam", "lam_factor", "A_csv", "b_csv")
+
+# id -> (builder taking the params, description, accepted params fields)
 _REGISTRY = {
-    "lasso": (partial(_make_penalized_ls, "lasso"), "least squares + l1 penalty (convex)"),
+    "lasso": (partial(_make_penalized_ls, "lasso"), "least squares + l1 penalty (convex)",
+              _LS_FIELDS),
     "l0-ls": (partial(_make_penalized_ls, "l0-ls"),
-              "least squares + l0 cardinality penalty (nonconvex prox term)"),
+              "least squares + l0 cardinality penalty (nonconvex prox term)", _LS_FIELDS),
     "l1-l2-dc": (partial(_make_penalized_ls, "l1-l2-dc"),
-                 "least squares + l1 minus l2 (difference of convex terms)"),
-    "power4-1d": (_make_power4_1d, "scalar x^4/4, flat minimizer at 0 (sublinear benchmark)"),
-    "quad-l1": (_make_quad_l1, "strongly convex quadratic + l1 (linear-rate benchmark)"),
+                 "least squares + l1 minus l2 (difference of convex terms)", _LS_FIELDS),
+    "power4-1d": (_make_power4_1d, "scalar x^4/4, flat minimizer at 0 (sublinear benchmark)",
+                  ("seed", "x0")),
+    "quad-l1": (_make_quad_l1, "strongly convex quadratic + l1 (linear-rate benchmark)",
+                _LS_FIELDS + ("mu",)),
 }
 
 
@@ -169,10 +178,17 @@ def describe_problems() -> list[tuple[str, str]]:
 
 
 def make_problem(problem_id: str, params: dict | None = None) -> ProblemInstance:
-    """Build a catalog problem; unknown identifiers raise ``InvalidInputError``."""
+    """Build a catalog problem; unknown identifiers and params fields the
+    problem does not take raise ``InvalidInputError``."""
     if problem_id not in _REGISTRY:
         raise InvalidInputError(
             f"unknown problem id {problem_id!r}; known ids: {', '.join(problem_ids())}"
         )
-    builder, _ = _REGISTRY[problem_id]
-    return builder(dict(params or {}))
+    builder, _, accepted = _REGISTRY[problem_id]
+    params = dict(params or {})
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise InvalidInputError(
+            f"unknown params field(s) for {problem_id}: {', '.join(unknown)}"
+        )
+    return builder(params)

@@ -1,9 +1,10 @@
 """Command-line front end: run / sweep / verify / list-problems.
 
-Exit codes: 0 success, 1 configuration error (bad JSON, bad field values,
-algorithm/problem mismatch, malformed trace file), 2 solver failure
-(backtracking exhaustion, oracle inconsistency), 3 audit failure (the run
-finished but at least one framework check failed).
+Exit codes, all assigned by :func:`_exit_status`: 0 success, 1 bad input
+(bad JSON or field values, algorithm/problem mismatch, malformed or unreadable
+trace file, usage errors) or unwritable outputs, 2 solver or diagnostics
+failure (backtracking exhaustion, oracle inconsistency), 3 audit failure (the
+run finished but at least one framework check failed).
 """
 
 from __future__ import annotations
@@ -35,19 +36,43 @@ _AGGREGATE_FIELDS = (("iterations", "iterations"), ("final_f", "final_f"),
 _SNAPSHOT_FLAGS = ("m", "a", "alpha", "delta", "c", "beta_max")
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage, which collides with the
     # solver-error code; funnel usage problems into exit 1 instead.
     def error(self, message):
-        raise _UsageError(message)
+        raise InvalidInputError(message)
 
 
-def _err(msg: str) -> None:
-    print(f"kldescent: error: {msg}", file=sys.stderr)
+class _AuditFailure(KlDescentError):
+    """The audits of ``report`` ran and at least one failed; the message
+    names them, followed by ``where``."""
+
+    def __init__(self, report: DiagnosticsReport, where: str = ""):
+        super().__init__(", ".join(report.failures()) + where)
+
+
+# the program's own failures, which every verb maps; any other exception is a bug
+_HANDLED = (KlDescentError, OSError)
+
+
+def _exit_status(exc: Exception, stage: Optional[str] = None) -> int:
+    """Print ``exc`` as the one ``kldescent: error:`` line and return its exit
+    status: 1 for bad input and for outputs that cannot be written, 2 for an
+    error the ``stage`` ("solver" or "diagnostics") raised, 3 for failed
+    audits.  A sweep run that raised an exception not the program's own
+    passes its name as ``stage``, and exits 2 too."""
+    if isinstance(exc, _AuditFailure):
+        status, text = 3, f"audit failure: {exc}"
+    elif isinstance(exc, (InvalidInputError, InsufficientTraceError)):
+        status, text = 1, str(exc)
+    elif isinstance(exc, OSError):
+        status, text = 1, f"cannot write outputs: {exc}"
+    elif isinstance(exc, KlDescentError):
+        status, text = 2, f"{stage} failure: {exc}" if stage else str(exc)
+    else:
+        status, text = 2, f"{stage}: unexpected failure: {exc}"
+    print(f"kldescent: error: {text}", file=sys.stderr)
+    return status
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +154,8 @@ def _build(cfg: dict):
     instance = make_problem(cfg["problem"], params)
     solver_cfg = _solver_config(cfg)
     diag = diag_overrides(cfg)
+    if diag["kbar"] is not None:  # the audit's kbar must exceed the run's m
+        _check_constants("diagnostics.", m=solver_cfg.m, kbar=diag["kbar"])
     if cfg["algorithm"] != "npg_major" and instance.problem.h is not None:
         raise InvalidInputError(
             f"algorithm {cfg['algorithm']!r} cannot handle problem "
@@ -185,38 +212,26 @@ def _summary_text(report: DiagnosticsReport) -> str:
 
 
 def execute(cfg: dict, outdir: Path) -> tuple[int, dict]:
-    """Run one experiment into ``outdir``; returns (exit status, report fields)."""
+    """Run one experiment into ``outdir``; returns (exit status, report
+    fields), the fields empty unless the report was written."""
+    stage, fields = None, {}
     try:
         instance, solver_cfg, diag = _build(cfg)
-    except (InvalidInputError, TypeError) as exc:
-        _err(str(exc))
-        return 1, {}
-    try:
+        stage = "solver"
         trace = _solve(cfg, instance, solver_cfg)
-    except InvalidInputError as exc:
-        _err(str(exc))
-        return 1, {}
-    except KlDescentError as exc:
-        _err(f"solver failure: {exc}")
-        return 2, {}
-    try:
+        stage = "diagnostics"
         outdir.mkdir(parents=True, exist_ok=True)
         write_trace_csv(trace, outdir / "trace.csv")
         report = build_report(trace, problem=instance.problem, tau=diag["tau"],
                               mu=diag["mu"], kbar=diag["kbar"])
         (outdir / "report.json").write_text(report.to_json())
         (outdir / "summary.txt").write_text(_summary_text(report))
-    except KlDescentError as exc:
-        _err(f"diagnostics failure: {exc}")
-        return 2, {}
-    except OSError as exc:
-        _err(f"cannot write outputs: {exc}")
-        return 1, {}
-    if not report.passed():
-        _err("audit failure: " + ", ".join(report.failures())
-             + f" (see {outdir / 'report.json'})")
-        return 3, report.fields
-    return 0, report.fields
+        fields = report.fields
+        if not report.passed():
+            raise _AuditFailure(report, f" (see {outdir / 'report.json'})")
+    except _HANDLED as exc:
+        return _exit_status(exc, stage), fields
+    return 0, fields
 
 
 def _default_outdir(config_path: str) -> Path:
@@ -263,7 +278,9 @@ def _apply_sweep_value(cfg: dict, param: str, value) -> dict:
 
     Dotted names address a block explicitly (``solver.m``, ``params.lam``,
     ``diagnostics.tau``); bare names try the solver block first, then the
-    problem parameters.
+    diagnostics block (``tau``, ``mu``, ``kbar``), then the problem
+    parameters.  So ``mu`` is the audit's mu, and ``quad-l1``'s own mu is
+    ``params.mu``.
     """
     out = copy.deepcopy(cfg)
     if "." in param:
@@ -296,11 +313,7 @@ def cmd_sweep(args) -> int:
     values = _parse_sweep_values(args.values)
     configs = [_apply_sweep_value(cfg, args.param, v) for v in values]
     root = Path(cfg.get("output_dir") or _default_outdir(args.config))
-    try:
-        root.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        _err(f"cannot create {root}: {exc}")
-        return 1
+    root.mkdir(parents=True, exist_ok=True)
 
     results = []
     for value, sub_cfg in zip(values, configs):
@@ -308,8 +321,7 @@ def cmd_sweep(args) -> int:
         try:
             results.append(execute(dict(sub_cfg, output_dir=str(subdir)), subdir))
         except Exception as exc:  # isolation: one bad run must not kill the sweep
-            _err(f"{subdir.name}: unexpected failure: {exc}")
-            results.append((2, {}))
+            results.append((_exit_status(exc, subdir.name), {}))
 
     rows = [",".join(["value", "exit"] + [column for column, _ in _AGGREGATE_FIELDS])]
     for value, (status, fields) in zip(values, results):
@@ -337,20 +349,15 @@ def cmd_verify(args) -> int:
             raise InsufficientTraceError(f"audit constants unavailable: give {missing}")
         report = build_report(trace, lipschitz=args.lf, tau=args.tau, mu=args.mu,
                               kbar=args.kbar)
-    except (InvalidInputError, InsufficientTraceError) as exc:
-        _err(str(exc))
-        return 1
-    except KlDescentError as exc:
-        _err(f"diagnostics failure: {exc}")
-        return 2
-    payload = report.to_json()
-    if args.report:
-        Path(args.report).write_text(payload)
-    else:
-        sys.stdout.write(payload)
-    if not report.passed():
-        _err("audit failure: " + ", ".join(report.failures()))
-        return 3
+        payload = report.to_json()
+        if args.report:
+            Path(args.report).write_text(payload)
+        else:
+            sys.stdout.write(payload)
+        if not report.passed():
+            raise _AuditFailure(report)
+    except _HANDLED as exc:
+        return _exit_status(exc, "diagnostics")
     return 0
 
 
@@ -419,17 +426,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        _err(str(exc))
-        return 1
-    try:
         return args.func(args)
-    except InvalidInputError as exc:
-        _err(str(exc))
-        return 1
-    except KlDescentError as exc:
-        _err(str(exc))
-        return 2
+    except _HANDLED as exc:
+        return _exit_status(exc)
 
 
 if __name__ == "__main__":

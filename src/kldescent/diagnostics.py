@@ -74,16 +74,29 @@ _CONSTANT_RULES = {
     "a": (lambda v: isinstance(v, numbers.Real) and v > 0.0, "must be positive"),
     "m": (lambda v: isinstance(v, int) and v >= 0, "must be a nonnegative integer"),
     "kbar": (lambda v: isinstance(v, int) and v >= 1, "must be a positive integer"),
+    "alpha": (lambda v: isinstance(v, numbers.Real) and 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    "delta": (lambda v: isinstance(v, numbers.Real) and v >= 0.0, "must be nonnegative"),
+    "c": (lambda v: isinstance(v, numbers.Real) and v > 0.0, "must be positive"),
+    "beta_max": (lambda v: isinstance(v, numbers.Real) and 0.0 <= v <= 1.0,
+                 "must lie in [0, 1]"),
+    "lipschitz": (lambda v: isinstance(v, numbers.Real) and v >= 0.0, "must be nonnegative"),
 }
 
 
 def _check_constants(prefix: str = "", **constants) -> None:
-    """Validate the audit constants given, in order; booleans are not
-    numbers here.  ``prefix`` leads the name in the message."""
+    """Validate the audit constants given, in order: each must meet its rule
+    and be finite, booleans are not numbers here, and ``kbar`` must exceed
+    ``m`` when both are given.  ``prefix`` leads the name in the message."""
     for name, value in constants.items():
         valid, rule = _CONSTANT_RULES[name]
         if isinstance(value, bool) or not valid(value):
             raise InvalidInputError(f"{prefix}{name} {rule}, got {value!r}")
+        if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+            raise InvalidInputError(f"{prefix}{name} must be finite, got {value!r}")
+    m, kbar = constants.get("m"), constants.get("kbar")
+    if m is not None and kbar is not None and kbar <= m:
+        raise InvalidInputError(
+            f"{prefix}kbar must be an integer greater than m={m}, got {kbar!r}")
 
 
 @dataclass
@@ -400,10 +413,6 @@ def check_prop_bound(trace: Trace, tau: float, mu: float, a: float, m: int,
     A NaN margin is the worst one, so a NaN step fails the check.
     """
     _check_constants(m=m, kbar=kbar)
-    if kbar <= m:
-        raise InvalidInputError(
-            f"kbar must be an integer greater than m={m}, got {kbar!r}"
-        )
     c = c_constant(mu, tau, a, m)
     xi, gamma = xi_gamma(trace)
     ell = trace.column("ell")
@@ -582,8 +591,9 @@ def derive_audit_inputs(trace: Trace) -> dict:
     ``delta``, ``gamma_min`` and (``npg_major``) ``c``.  ``m`` and ``a`` must
     resolve, and ``delta`` too for traces not made by ``npg_major``;
     ``alpha``, ``c`` and a DC trace's ``delta`` stay ``None`` when the
-    snapshot lacks them, and ``beta_max`` is then 0 (no extrapolation).  To
-    audit with other constants, give the trace another snapshot, e.g.
+    snapshot lacks them, and ``beta_max`` is then 0 (no extrapolation).  Each
+    resolved value must be finite and in its domain.  To audit with other
+    constants, give the trace another snapshot, e.g.
     ``dataclasses.replace(trace, config=...)``.
     """
     cfg = trace.config
@@ -608,8 +618,10 @@ def derive_audit_inputs(trace: Trace) -> dict:
             a = pgenls.decrease_constant(*known)
     m = int(require("m"))
     delta = resolve("delta") if trace.algorithm == "npg_major" else require("delta")
-    return {"m": m, "a": a, "alpha": resolve("alpha"), "delta": delta,
-            "c": resolve("c"), "beta_max": resolve("beta_max") or 0.0}
+    inputs = {"m": m, "a": a, "alpha": resolve("alpha"), "delta": delta,
+              "c": resolve("c"), "beta_max": resolve("beta_max") or 0.0}
+    _check_constants(**{name: v for name, v in inputs.items() if v is not None})
+    return inputs
 
 
 def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
@@ -626,14 +638,22 @@ def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
     ``constants.b_cap`` are null and the checks that need them report
     ``pass = null``.  The ``h3`` ratio cap gates except in the degenerate
     proximity-free case.  Checks that cannot be evaluated get ``pass = null``
-    and do not gate the overall verdict.
+    and do not gate the overall verdict.  An empty trace, or a constant
+    outside its domain (``kbar <= m`` included, whatever the trace length),
+    raises ``InvalidInputError`` before any check runs.
     """
+    if len(trace) == 0:
+        raise InvalidInputError("empty trace")
     inputs = derive_audit_inputs(trace)
     m, a, alpha, delta, c, beta_max = (inputs[k] for k in
                                        ("m", "a", "alpha", "delta", "c", "beta_max"))
 
     if lipschitz is None and problem is not None and problem.f.lipschitz_hint is not None:
         lipschitz = float(problem.f.lipschitz_hint)
+    kbar_eff = int(kbar) if kbar is not None else m + 2
+    optional = {"mu": mu, "lipschitz": lipschitz}
+    _check_constants(tau=tau, m=m, kbar=kbar_eff,
+                     **{name: v for name, v in optional.items() if v is not None})
 
     fields: dict = {
         "version": __version__,
@@ -641,8 +661,8 @@ def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
         "problem": trace.problem_id,
         "iterations": len(trace) - 1,
         "terminated": trace.terminated,
-        "final_f": _clean(trace.column("F")[-1]) if len(trace) else None,
-        "final_residual": _clean(trace.column("residual")[-1]) if len(trace) else None,
+        "final_f": _clean(trace.column("F")[-1]),
+        "final_residual": _clean(trace.column("residual")[-1]),
     }
     gam = trace.column("gamma")
     gamma_star = float(np.nanmax(gam)) if np.any(np.isfinite(gam)) else None
@@ -686,7 +706,6 @@ def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
         fields["bbar_cap.pass"] = None
 
     mu_eff = mu if mu is not None else math.sqrt(0.5 * bbar.value)
-    kbar_eff = int(kbar) if kbar is not None else m + 2
     _put(fields, "h4", check_h4(trace, tau, mu_eff, kbar_eff, a), "max_violation",
          "vacuous", "worst_k", "worst_i", "tau", "mu", "kbar")
 

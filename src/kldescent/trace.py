@@ -146,7 +146,10 @@ def write_trace_csv(trace: Trace, path: str | Path) -> Path:
 
 
 def _read_sidecar(path: Path) -> np.ndarray:
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
     if len(raw) < 16 or raw[:8] != SIDECAR_MAGIC:
         raise InvalidInputError(f"{path} is not a trace sidecar (bad magic)")
     n, rows = struct.unpack("<II", raw[8:16])
@@ -181,6 +184,8 @@ def read_trace_csv(path: str | Path, algorithm: str = "", config: dict | None = 
         if name != f"x_{i}":
             raise InvalidInputError(f"{path}: line 1: unexpected column {name!r}")
     n_inline = len(x_cols)
+    if len(lines) == 1:
+        raise InvalidInputError(f"{path}: line 2: no rows after the header")
 
     rows: list[tuple] = []
     xs: list[np.ndarray] = []

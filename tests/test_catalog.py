@@ -116,6 +116,8 @@ def test_lam_validation():
     ("quad-l1", {"seed": 0, "mu": "1"}, "params.mu must be a real number, got '1'"),
     ("power4-1d", {"x0": True}, "params.x0 must be a real number, got True"),
     ("power4-1d", {"x0": [1.0]}, "params.x0 must be a real number, got [1.0]"),
+    ("lasso", {"A_csv": [1], "b_csv": "b.csv"}, "params.A_csv must be a string, got [1]"),
+    ("quad-l1", {"A_csv": 2.5, "b_csv": "b.csv"}, "params.A_csv must be a string, got 2.5"),
 ])
 def test_numeric_params_are_type_checked(problem_id, params, message):
     with pytest.raises(InvalidInputError) as exc:
@@ -129,3 +131,22 @@ def test_numeric_params_accept_numpy_scalars():
                                    "cols": np.int64(12), "lam": np.float64(0.5)})
     assert plain.problem.f.value(np.ones(12)) == numpy.problem.f.value(np.ones(12))
     assert make_problem("power4-1d", {"x0": 2}).x0[0] == 2.0
+
+
+@pytest.mark.parametrize("problem_id, params, message", [
+    ("lasso", {"seed": 0, "lamda": 5.0}, "unknown params field(s) for lasso: lamda"),
+    ("lasso", {"seed": 0, "mu": 1.0}, "unknown params field(s) for lasso: mu"),
+    ("l1-l2-dc", {"seed": 0, "x0": 1.0, "zeta": 2},
+     "unknown params field(s) for l1-l2-dc: x0, zeta"),
+    ("power4-1d", {"rows": 3}, "unknown params field(s) for power4-1d: rows"),
+    ("quad-l1", {"seed": 0, "x0": 1.0}, "unknown params field(s) for quad-l1: x0"),
+])
+def test_unknown_params_fields_rejected(problem_id, params, message):
+    with pytest.raises(InvalidInputError) as exc:
+        make_problem(problem_id, params)
+    assert str(exc.value) == message
+
+
+def test_every_problem_takes_a_seed():
+    for problem_id in problem_ids():
+        assert make_problem(problem_id, {"seed": 0}).problem_id == problem_id

@@ -1,6 +1,8 @@
 """Command-line harness: exit codes, artifacts, sweep aggregation, verify."""
 
 import json
+import math
+import shutil
 
 import numpy as np
 import pytest
@@ -106,11 +108,23 @@ def test_exit_1_fractional_max_outer(tmp_path, capsys):
     ("lasso", {"seed": True}, "params.seed must be an integer, got True"),
     ("lasso", {"seed": 0, "lam": "x"}, "params.lam must be a real number, got 'x'"),
     ("power4-1d", {"x0": "2"}, "params.x0 must be a real number, got '2'"),
-], ids=["rows-str", "rows-float", "seed-float", "seed-bool", "lam-str", "x0-str"])
+    ("lasso", {"A_csv": [1], "b_csv": "b.csv"}, "params.A_csv must be a string, got [1]"),
+    ("lasso", {"A_csv": 5, "b_csv": "b.csv"}, "params.A_csv must be a string, got 5"),
+    ("lasso", {"seed": 0, "lamda": 5.0}, "unknown params field(s) for lasso: lamda"),
+], ids=["rows-str", "rows-float", "seed-float", "seed-bool", "lam-str", "x0-str",
+        "A_csv-list", "A_csv-int", "unknown"])
 def test_exit_1_bad_problem_params(tmp_path, capsys, problem, params, message):
     path, _ = write_config(tmp_path, problem=problem, params=params)
     assert main(["run", str(path)]) == 1
     assert capsys.readouterr().err == f"kldescent: error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_exit_1_kbar_not_above_m_before_the_solve(tmp_path, capsys):
+    path, _ = write_config(tmp_path, diagnostics={"kbar": 2})
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == ("kldescent: error: diagnostics.kbar must be "
+                                       "an integer greater than m=5, got 2\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -276,6 +290,11 @@ def test_sweep_helpers_direct():
     assert out["params"]["lam"] == 0.2
     out = _apply_sweep_value(cfg, "diagnostics.mu", 0.1)
     assert out["diagnostics"]["mu"] == 0.1
+    # a bare mu is the audit's; quad-l1's own mu is params.mu
+    out = _apply_sweep_value(dict(cfg, problem="quad-l1"), "mu", 0.3)
+    assert out["diagnostics"]["mu"] == 0.3 and "params" not in out
+    out = _apply_sweep_value(dict(cfg, problem="quad-l1"), "params.mu", 2.0)
+    assert out["params"]["mu"] == 2.0 and "diagnostics" not in out
 
 
 # ---------------------------------------------------------------------------
@@ -442,3 +461,193 @@ def test_load_config_validation(tmp_path):
                                 "solver": []}))
     with pytest.raises(InvalidInputError, match="solver"):
         load_config(path)
+
+
+# ---------------------------------------------------------------------------
+# error paths: each bad input exits with its documented status and one line
+
+
+@pytest.fixture(scope="module")
+def dc_run(tmp_path_factory):
+    """A lasso ``npg_major`` run at seed 0 and ``m = 5`` (dimension 100, so its
+    iterates are in ``trace.bin``) and the complete ``verify`` flags of it."""
+    tmp = tmp_path_factory.mktemp("dc_run")
+    path, _ = write_config(tmp, params={"seed": 0}, algorithm="npg_major", solver={"m": 5})
+    assert main(["run", str(path)]) == 0
+    report = json.loads((tmp / "out" / "report.json").read_text())
+    return tmp / "out", ["--algorithm", "npg_major", "--m", "5",
+                         "--a", repr(report["constants.a"]), "--alpha", "1.0",
+                         "--delta", "0.5", "--c", "1.0", "--lf", repr(report["constants.l_f"])]
+
+
+def _run(tmp, **overrides):
+    return ["run", str(write_config(tmp, **overrides)[0])]
+
+
+def _sweep(tmp, param, values, **overrides):
+    overrides = {"problem": "power4-1d", "params": {}, "solver": {"max_outer": 50},
+                 "output_dir": str(tmp / "sweep"), **overrides}
+    return ["sweep", str(write_config(tmp, **overrides)[0]), "--param", param,
+            "--values", values]
+
+
+def _verify(tmp, run, *flags, edit=None, sidecar=None):
+    """``verify`` with the complete flags and then ``flags``, on a copy of the
+    run's trace whose CSV lines went through ``edit`` and whose sidecar path
+    through ``sidecar``."""
+    out, full = run
+    copy = shutil.copytree(out, tmp / "copy")
+    if edit:
+        lines = edit((copy / "trace.csv").read_text().splitlines())
+        (copy / "trace.csv").write_text("".join(line + "\n" for line in lines))
+    if sidecar:
+        sidecar(copy / "trace.bin")
+    return ["verify", str(copy / "trace.csv"), *full, *flags]
+
+
+def _set_cells(row, **values):
+    """An ``edit`` for :func:`_verify` that sets cells of data row ``row``."""
+    def edit(lines):
+        cells = lines[row + 1].split(",")
+        for column, value in values.items():
+            cells[CSV_COLUMNS.index(column)] = value
+        return lines[:row + 1] + [",".join(cells)] + lines[row + 2:]
+    return edit
+
+
+def _file(path):
+    path.write_text("x")
+    return path
+
+
+def _directory(path):
+    path.mkdir(parents=True)
+    return path
+
+
+# (id, argv builder of tmp_path and dc_run, exit status, text in the error line)
+ERROR_PATHS = [
+    # run: the config
+    ("bad-json", lambda t, r: ["run", str(_file(t / "c.json"))], 1, "invalid JSON"),
+    ("missing-config", lambda t, r: ["run", str(t / "absent.json")], 1, "cannot read config"),
+    ("unknown-top-field", lambda t, r: _run(t, extra=1), 1, "unknown config field(s): extra"),
+    ("unknown-solver-field", lambda t, r: _run(t, solver={"momentum": 0.9}), 1,
+     "unknown solver field(s) for pgenls: momentum"),
+    ("unknown-diagnostics-field", lambda t, r: _run(t, diagnostics={"foo": 1}), 1,
+     "unknown diagnostics field(s): foo"),
+    ("unknown-params-field", lambda t, r: _run(t, params={"seed": 0, "lamda": 5.0}), 1,
+     "unknown params field(s) for lasso: lamda"),
+    ("params-bool", lambda t, r: _run(t, params={"seed": True}), 1,
+     "params.seed must be an integer, got True"),
+    ("A_csv-list", lambda t, r: _run(t, params={"A_csv": [1], "b_csv": "b.csv"}), 1,
+     "params.A_csv must be a string, got [1]"),
+    ("A_csv-int", lambda t, r: _run(t, params={"A_csv": 5, "b_csv": "b.csv"}), 1,
+     "params.A_csv must be a string, got 5"),
+    ("bad-tau", lambda t, r: _run(t, diagnostics={"tau": 1.5}), 1,
+     "diagnostics.tau must lie in (0, 1), got 1.5"),
+    ("diagnostics-bool", lambda t, r: _run(t, diagnostics={"mu": True}), 1,
+     "diagnostics.mu must be nonnegative, got True"),
+    ("diagnostics-mu-inf", lambda t, r: _run(t, diagnostics={"mu": math.inf}), 1,
+     "diagnostics.mu must be finite, got inf"),
+    ("kbar-not-above-m", lambda t, r: _run(t, diagnostics={"kbar": 2}), 1,
+     "diagnostics.kbar must be an integer greater than m=5, got 2"),
+    ("algorithm-problem-mismatch",
+     lambda t, r: _run(t, problem="l1-l2-dc", params={"seed": 0}), 1, "concave term"),
+    # run: the solve and the outputs
+    ("backtracking-exhaustion",
+     lambda t, r: _run(t, problem="quad-l1", params={"seed": 0}, algorithm="npg_major",
+                       solver={"max_inner": 1, "gamma_min": 0.01, "gamma_max": 0.01,
+                               "gamma_init_rule": "constant"}),
+     2, "solver failure: "),
+    ("run-output-dir-is-a-file",
+     lambda t, r: _run(t, output_dir=str(_file(t / "out"))), 1, "cannot write outputs: "),
+    ("run-trace-csv-is-a-directory",
+     lambda t, r: _run(t, output_dir=str(_directory(t / "out" / "trace.csv").parent)), 1,
+     "cannot write outputs: "),
+    # usage
+    ("usage-no-verb", lambda t, r: [], 1, "required"),
+    ("usage-unknown-verb", lambda t, r: ["frobnicate"], 1, "invalid choice"),
+    ("usage-sweep-flags", lambda t, r: ["sweep", "x.json"], 1, "required"),
+    ("usage-verify-m", lambda t, r: ["verify", "x.csv", "--m", "1.5"], 1, "invalid int value"),
+    # sweep
+    ("sweep-bad-values", lambda t, r: _sweep(t, "delta", "a,b"), 1, "is not a number"),
+    ("sweep-root-under-a-file",
+     lambda t, r: _sweep(t, "m", "1", output_dir=str(_file(t / "root") / "sub")), 1,
+     "cannot write outputs: "),
+    ("sweep-aggregate-is-a-directory",
+     lambda t, r: _sweep(t, "m", "1",
+                         output_dir=str(_directory(t / "sweep" / "aggregate.csv").parent)),
+     1, "cannot write outputs: "),
+    ("sweep-unknown-params-field",
+     lambda t, r: _sweep(t, "lamda", "0.1", problem="lasso", params={"seed": 0}), 1,
+     "unknown params field(s) for lasso: lamda"),
+    ("sweep-m-past-kbar", lambda t, r: _sweep(t, "m", "5", diagnostics={"kbar": 4}), 1,
+     "diagnostics.kbar must be an integer greater than m=5, got 4"),
+    # verify: missing flags
+    ("verify-no-m-a", lambda t, r: ["verify", str(r[0] / "trace.csv")], 1,
+     "audit constants unavailable: give --m and --a"),
+    ("verify-no-delta",
+     lambda t, r: ["verify", str(r[0] / "trace.csv"), "--algorithm", "pgenls",
+                   "--m", "5", "--a", "0.1"], 1,
+     "audit constants unavailable: give --delta"),
+    # verify: the trace
+    ("verify-missing-trace", lambda t, r: ["verify", str(t / "absent.csv"), *r[1]], 1,
+     "cannot read"),
+    ("verify-empty-file", lambda t, r: _verify(t, r, edit=lambda lines: []), 1,
+     "empty trace file (line 1)"),
+    ("verify-header-only", lambda t, r: _verify(t, r, edit=lambda lines: lines[:1]), 1,
+     "trace.csv: line 2: no rows after the header"),
+    ("verify-extra-cell",
+     lambda t, r: _verify(t, r, edit=lambda lines: lines[:4] + [lines[4] + ",x"] + lines[5:]),
+     1, "line 5: expected"),
+    ("verify-unparsable-cell", lambda t, r: _verify(t, r, edit=_set_cells(8, F="abc")), 1,
+     "line 10: could not convert"),
+    ("verify-nan-step", lambda t, r: _verify(t, r, edit=_set_cells(8, step_norm="nan")), 1,
+     "line 10: step_norm is not finite"),
+    ("verify-impossible-ell", lambda t, r: _verify(t, r, edit=_set_cells(8, ell="99")), 1,
+     "line 10: ell 99 outside"),
+    ("verify-sidecar-magic",
+     lambda t, r: _verify(t, r, sidecar=lambda p: p.write_bytes(b"NOTMAGIC" + p.read_bytes()[8:])),
+     1, "not a trace sidecar (bad magic)"),
+    ("verify-sidecar-length",
+     lambda t, r: _verify(t, r, sidecar=lambda p: p.write_bytes(p.read_bytes()[:-8])), 1,
+     "trace.bin: expected"),
+    ("verify-sidecar-is-a-directory",
+     lambda t, r: _verify(t, r, sidecar=lambda p: (p.unlink(), p.mkdir())), 1,
+     "trace.bin: [Errno"),
+    # verify: the outputs
+    ("verify-report-under-missing-dir",
+     lambda t, r: _verify(t, r, "--report", str(t / "missing" / "r.json")), 1,
+     "cannot write outputs: "),
+    ("verify-report-is-a-directory", lambda t, r: _verify(t, r, "--report", str(t)), 1,
+     "cannot write outputs: "),
+    # verify: constants that would give a wrong verdict
+    ("verify-lf-nan", lambda t, r: _verify(t, r, "--lf", "nan"), 1,
+     "lipschitz must be nonnegative, got nan"),
+    ("verify-lf-negative", lambda t, r: _verify(t, r, "--lf", "-1"), 1,
+     "lipschitz must be nonnegative, got -1.0"),
+    ("verify-a-inf", lambda t, r: _verify(t, r, "--a", "inf"), 1, "a must be finite, got inf"),
+    ("verify-alpha-nan", lambda t, r: _verify(t, r, "--alpha", "nan"), 1,
+     "alpha must lie in [0, 1], got nan"),
+    ("verify-delta-negative", lambda t, r: _verify(t, r, "--delta", "-3"), 1,
+     "delta must be nonnegative, got -3.0"),
+    ("verify-mu-inf", lambda t, r: _verify(t, r, "--mu", "inf"), 1, "mu must be finite, got inf"),
+    ("verify-kbar-not-above-m-one-row",
+     lambda t, r: _verify(t, r, "--kbar", "2", edit=lambda lines: lines[:2],
+                          sidecar=lambda p: p.unlink()), 1,
+     "kbar must be an integer greater than m=5, got 2"),
+    # verify: an audit that fails
+    ("verify-audit-failure",
+     lambda t, r: _verify(t, r, edit=_set_cells(12, F="1000000.0", merit="1000000.0")), 3,
+     "audit failure: "),
+]
+
+
+@pytest.mark.parametrize("build, status, fragment",
+                         [pytest.param(*case[1:], id=case[0]) for case in ERROR_PATHS])
+def test_error_paths_exit_with_one_line(tmp_path, capsys, dc_run, build, status, fragment):
+    argv = build(tmp_path, dc_run)
+    assert main(argv) == status
+    err = capsys.readouterr().err
+    assert err.startswith("kldescent: error: ") and err.count("\n") == 1, err
+    assert err.endswith("\n") and fragment in err, err

@@ -342,7 +342,8 @@ def test_check_h4_locates_spikes():
 
 @pytest.mark.parametrize("kwargs", [
     {"tau": 0.0}, {"tau": 1.0}, {"tau": 1.5}, {"mu": -0.1}, {"kbar": 0},
-    {"kbar": 1.5}, {"a": 0.0},
+    {"kbar": 1.5}, {"a": 0.0}, {"mu": math.inf}, {"mu": math.nan}, {"a": math.inf},
+    {"tau": math.nan},
 ])
 def test_check_h4_validation(kwargs):
     trace = synth([1.0, 0.5], [0.0, 1.0])
@@ -718,6 +719,37 @@ def test_derive_audit_inputs():
         derive_audit_inputs(Trace(algorithm="npg_major", config={"m": 1}))
     with pytest.raises(InsufficientTraceError, match="no config"):
         derive_audit_inputs(Trace(algorithm="npg_major"))
+
+
+@pytest.mark.parametrize("snapshot, kwargs, message", [
+    ({"a": math.inf}, {}, "a must be finite, got inf"),
+    ({"alpha": math.nan}, {}, "alpha must lie in [0, 1], got nan"),
+    ({"alpha": 1.5}, {}, "alpha must lie in [0, 1], got 1.5"),
+    ({"delta": -3.0}, {}, "delta must be nonnegative, got -3.0"),
+    ({"c": 0.0}, {}, "c must be positive, got 0.0"),
+    ({"beta_max": 2.0}, {}, "beta_max must lie in [0, 1], got 2.0"),
+    ({}, {"lipschitz": math.nan}, "lipschitz must be nonnegative, got nan"),
+    ({}, {"lipschitz": -1.0}, "lipschitz must be nonnegative, got -1.0"),
+    ({}, {"lipschitz": math.inf}, "lipschitz must be finite, got inf"),
+    ({}, {"mu": math.inf}, "mu must be finite, got inf"),
+    ({}, {"tau": math.nan}, "tau must lie in (0, 1), got nan"),
+    ({}, {"kbar": 3}, "kbar must be an integer greater than m=3, got 3"),
+], ids=["a-inf", "alpha-nan", "alpha-big", "delta-negative", "c-zero", "beta_max-big",
+        "lipschitz-nan", "lipschitz-negative", "lipschitz-inf", "mu-inf", "tau-nan",
+        "kbar-equals-m"])
+def test_build_report_rejects_constants_outside_their_domain(snapshot, kwargs, message):
+    # a constant that would give a wrong verdict fails before any check,
+    # whatever the trace length: this trace is shorter than kbar
+    config = {"m": 3, "a": 0.5, "alpha": 1.0, "delta": 0.5, "c": 1.0, **snapshot}
+    trace = synth([4.0, 3.0], [0.0, 1.0], config=config)
+    with pytest.raises(InvalidInputError) as exc:
+        build_report(trace, **kwargs)
+    assert str(exc.value) == message
+
+
+def test_build_report_rejects_an_empty_trace():
+    with pytest.raises(InvalidInputError, match="^empty trace$"):
+        build_report(Trace(algorithm="npg_major", config={"m": 0, "a": 1.0}))
 
 
 def test_build_report_clean_dc_run():

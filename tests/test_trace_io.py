@@ -1,6 +1,7 @@
 """Trace CSV / sidecar round-trips and malformed-input reporting."""
 
 import dataclasses
+import re
 import struct
 from pathlib import Path
 
@@ -226,6 +227,15 @@ def test_truncated_sidecar_payload(tmp_path):
         read_trace_csv(path)
 
 
+def test_unreadable_sidecar(tmp_path):
+    path = tmp_path / "big.csv"
+    side = write_trace_csv(_toy_trace(n=22, rows=2), path)
+    side.unlink()
+    side.mkdir()
+    with pytest.raises(InvalidInputError, match=f"^cannot read {re.escape(str(side))}: "):
+        read_trace_csv(path)
+
+
 def test_malformed_cell_names_line_number(tmp_path):
     trace = _toy_trace(n=2, rows=3)
     path = tmp_path / "t.csv"
@@ -305,6 +315,10 @@ def test_empty_file_rejected(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("")
     with pytest.raises(InvalidInputError, match="empty"):
+        read_trace_csv(path)
+    path.write_text(",".join(CSV_COLUMNS) + "\n")
+    with pytest.raises(InvalidInputError,
+                       match=f"^{re.escape(str(path))}: line 2: no rows after the header$"):
         read_trace_csv(path)
     with pytest.raises(InvalidInputError, match="cannot read"):
         read_trace_csv(tmp_path / "absent.csv")
