@@ -57,11 +57,16 @@ _NOUNS = {numbers.Integral: "an integer", numbers.Real: "a real number", str: "a
 
 def _param(params: dict, name: str, kind: type, default=None):
     """``params[name]``, or ``default`` when absent; it must be an integer
-    (``kind`` is ``numbers.Integral``), a real number (``numbers.Real``) or a
-    string (``str``), and booleans are none of these."""
+    (``kind`` is ``numbers.Integral``), a real number (``numbers.Real``, returned
+    as a float) or a string (``str``), and booleans are none of these."""
     value = params.get(name, default)
     if isinstance(value, bool) or not isinstance(value, kind):
         raise InvalidInputError(f"params.{name} must be {_NOUNS[kind]}, got {value!r}")
+    if kind is numbers.Real:
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            raise InvalidInputError(f"params.{name} must be finite, got {value!r}") from None
     return value
 
 
@@ -95,9 +100,9 @@ def _sparse_regression_data(params: dict, rows_default: int, cols_default: int):
 
 def _lam_from(params: dict, A: np.ndarray, b: np.ndarray, factor_default: float) -> float:
     if "lam" in params:
-        lam = float(_param(params, "lam", numbers.Real))
+        lam = _param(params, "lam", numbers.Real)
     else:
-        lam = float(_param(params, "lam_factor", numbers.Real, factor_default)) * float(
+        lam = _param(params, "lam_factor", numbers.Real, factor_default) * float(
             np.max(np.abs(A.T @ b))
         )
     if not np.isfinite(lam) or lam <= 0.0:
@@ -128,7 +133,7 @@ def _make_penalized_ls(problem_id: str, params: dict) -> ProblemInstance:
 
 
 def _make_power4_1d(params: dict) -> ProblemInstance:
-    x0 = float(_param(params, "x0", numbers.Real, 1.0))
+    x0 = _param(params, "x0", numbers.Real, 1.0)
     if not np.isfinite(x0):
         raise InvalidInputError("x0 must be finite")
     problem = CompositeProblem(f=make_power4_1d(), g=zero_oracle(), h=None, dimension=1)
@@ -137,7 +142,7 @@ def _make_power4_1d(params: dict) -> ProblemInstance:
 
 def _make_quad_l1(params: dict) -> ProblemInstance:
     """Strongly convex quadratic plus l1: least squares with a ridge block stacked on."""
-    mu = float(_param(params, "mu", numbers.Real, 1.0))
+    mu = _param(params, "mu", numbers.Real, 1.0)
     if not np.isfinite(mu) or mu <= 0.0:
         raise InvalidInputError(f"mu must be positive, got {mu!r}")
     A, b = _sparse_regression_data(params, rows_default=30, cols_default=30)

@@ -87,7 +87,7 @@ def load_config(path: str | Path) -> dict:
         raise InvalidInputError(f"cannot read config {path}: {exc}") from exc
     try:
         cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
         raise InvalidInputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InvalidInputError(f"{path}: top level must be a JSON object")
@@ -261,7 +261,7 @@ def _parse_sweep_values(raw: str) -> list:
             )
         try:
             values.append(json.loads(tok))
-        except json.JSONDecodeError:
+        except ValueError:  # JSONDecodeError, or an integer of over 4300 digits
             raise InvalidInputError(
                 f"--values entry {tok!r} is not a number"
             ) from None

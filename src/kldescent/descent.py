@@ -199,6 +199,6 @@ def descend(problem: CompositeProblem, x0: Vector, config, trials: Trials, *,
                 1.0 + math.sqrt(float(it.x_prev.dot(it.x_prev)))):
             terminated = "tolerance"
             break
-    return Trace(algorithm=algorithm, columns=dict(zip(CSV_COLUMNS, zip(*rows))), xs=xs,
+    return Trace(algorithm=algorithm, columns=dict(zip(CSV_COLUMNS, zip(*rows))), X=np.array(xs),
                  problem_id=problem_id, config=asdict(config), seed=seed,
                  terminated=terminated)

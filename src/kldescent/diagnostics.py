@@ -72,11 +72,12 @@ _CONSTANT_RULES = {
     "tau": (lambda v: isinstance(v, numbers.Real) and 0.0 < v < 1.0, "must lie in (0, 1)"),
     "mu": (lambda v: isinstance(v, numbers.Real) and v >= 0.0, "must be nonnegative"),
     "a": (lambda v: isinstance(v, numbers.Real) and v > 0.0, "must be positive"),
-    "m": (lambda v: isinstance(v, int) and v >= 0, "must be a nonnegative integer"),
-    "kbar": (lambda v: isinstance(v, int) and v >= 1, "must be a positive integer"),
+    "m": (lambda v: isinstance(v, numbers.Integral) and v >= 0, "must be a nonnegative integer"),
+    "kbar": (lambda v: isinstance(v, numbers.Integral) and v >= 1, "must be a positive integer"),
     "alpha": (lambda v: isinstance(v, numbers.Real) and 0.0 <= v <= 1.0, "must lie in [0, 1]"),
     "delta": (lambda v: isinstance(v, numbers.Real) and v >= 0.0, "must be nonnegative"),
     "c": (lambda v: isinstance(v, numbers.Real) and v > 0.0, "must be positive"),
+    "gamma_min": (lambda v: isinstance(v, numbers.Real) and v > 0.0, "must be positive"),
     "beta_max": (lambda v: isinstance(v, numbers.Real) and 0.0 <= v <= 1.0,
                  "must lie in [0, 1]"),
     "lipschitz": (lambda v: isinstance(v, numbers.Real) and v >= 0.0, "must be nonnegative"),
@@ -91,7 +92,11 @@ def _check_constants(prefix: str = "", **constants) -> None:
         valid, rule = _CONSTANT_RULES[name]
         if isinstance(value, bool) or not valid(value):
             raise InvalidInputError(f"{prefix}{name} {rule}, got {value!r}")
-        if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
             raise InvalidInputError(f"{prefix}{name} must be finite, got {value!r}")
     m, kbar = constants.get("m"), constants.get("kbar")
     if m is not None and kbar is not None and kbar <= m:
@@ -233,11 +238,10 @@ def verify_theta(trace: Trace, problem: CompositeProblem) -> AuditRecord:
     minus the subgradient of ``h`` at the previous iterate, as in the solver."""
     if trace.algorithm != "npg_major":
         raise InvalidInputError("theta verification applies to DC traces only")
-    for k, x in enumerate(trace.xs):
-        if x.size == 0:
-            raise InsufficientTraceError(f"row {k} has no stored iterate")
+    if trace.dimension == 0:
+        raise InsufficientTraceError("row 0 has no stored iterate")
     worst = 0.0
-    for x_prev, x_curr, merit in zip(trace.xs, trace.xs[1:], trace.column("merit")[1:].tolist()):
+    for x_prev, x_curr, merit in zip(trace.X, trace.X[1:], trace.column("merit")[1:].tolist()):
         xi = (-problem.h.subgradient(x_prev) if problem.h is not None
               else np.zeros_like(x_prev))
         recomputed = theta_dc(problem, x_prev, x_curr, xi)
@@ -531,12 +535,12 @@ def estimate_lipschitz(problem: CompositeProblem, trace: Trace) -> Optional[floa
     A lower bound on the Lipschitz constant of the gradient, not an upper
     one, so :func:`build_report` does not call it: no audit gates on it.
     """
+    if trace.dimension == 0:
+        return None
     best = 0.0
     seen = False
     grad_prev = None
-    for x, step in zip(trace.xs, trace.column("step_norm").tolist()):
-        if x.size == 0:
-            return None
+    for x, step in zip(trace.X, trace.column("step_norm").tolist()):
         grad = problem.f.gradient(x)
         if grad_prev is not None and step > 0.0:
             best = max(best, float(np.linalg.norm(grad - grad_prev)) / step)
@@ -592,7 +596,8 @@ def derive_audit_inputs(trace: Trace) -> dict:
     resolve, and ``delta`` too for traces not made by ``npg_major``;
     ``alpha``, ``c`` and a DC trace's ``delta`` stay ``None`` when the
     snapshot lacks them, and ``beta_max`` is then 0 (no extrapolation).  Each
-    resolved value must be finite and in its domain.  To audit with other
+    value must be finite and in its domain before it is converted (``m`` to
+    an int, the others to floats).  To audit with other
     constants, give the trace another snapshot, e.g.
     ``dataclasses.replace(trace, config=...)``.
     """
@@ -601,27 +606,24 @@ def derive_audit_inputs(trace: Trace) -> dict:
         raise InsufficientTraceError(
             "audit constants unavailable: the trace has no config snapshot")
 
-    def resolve(name):
-        return float(cfg[name]) if name in cfg else None
-
     def require(name):
-        if name not in cfg:
+        if cfg.get(name) is None:
             raise InsufficientTraceError(f"config snapshot is missing {name!r}")
-        return float(cfg[name])
+        return cfg[name]
 
-    a = resolve("a")
+    dc = trace.algorithm == "npg_major"
+    a = cfg.get("a")
     if a is None:
-        known = require("alpha"), require("delta"), require("gamma_min")
-        if trace.algorithm == "npg_major":
-            a = npg.decrease_constant(*known, require("c"))
-        else:
-            a = pgenls.decrease_constant(*known)
-    m = int(require("m"))
-    delta = resolve("delta") if trace.algorithm == "npg_major" else require("delta")
-    inputs = {"m": m, "a": a, "alpha": resolve("alpha"), "delta": delta,
-              "c": resolve("c"), "beta_max": resolve("beta_max") or 0.0}
-    _check_constants(**{name: v for name, v in inputs.items() if v is not None})
-    return inputs
+        names = ("alpha", "delta", "gamma_min") + (("c",) if dc else ())
+        known = {name: require(name) for name in names}
+        _check_constants(**known)
+        a = (npg if dc else pgenls).decrease_constant(*map(float, known.values()))
+    raw = {"m": require("m"), "a": a, "alpha": cfg.get("alpha"),
+           "delta": cfg.get("delta") if dc else require("delta"),
+           "c": cfg.get("c"), "beta_max": cfg.get("beta_max", 0.0)}
+    _check_constants(**{name: v for name, v in raw.items() if v is not None})
+    return {name: v if v is None else int(v) if name == "m" else float(v)
+            for name, v in raw.items()}
 
 
 def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
@@ -650,10 +652,11 @@ def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
 
     if lipschitz is None and problem is not None and problem.f.lipschitz_hint is not None:
         lipschitz = float(problem.f.lipschitz_hint)
-    kbar_eff = int(kbar) if kbar is not None else m + 2
+    kbar_eff = kbar if kbar is not None else m + 2
     optional = {"mu": mu, "lipschitz": lipschitz}
     _check_constants(tau=tau, m=m, kbar=kbar_eff,
                      **{name: v for name, v in optional.items() if v is not None})
+    kbar_eff = int(kbar_eff)
 
     fields: dict = {
         "version": __version__,

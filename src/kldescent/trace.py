@@ -1,5 +1,5 @@
-"""Iteration traces: one typed, read-only array per CSV column plus the list
-of iterates, with CSV / binary round-trip.
+"""Iteration traces: one typed, read-only array per CSV column plus the
+read-only iterate matrix ``X`` (row ``k`` is ``x^k``), with CSV / binary round-trip.
 
 CSV layout (fixed header order)::
 
@@ -66,38 +66,40 @@ class IterateRecord:
 class Trace:
     algorithm: str
     columns: Mapping[str, Sequence] = field(default_factory=dict)  # typed read-only at init
-    xs: list[Vector] = field(default_factory=list)  # iterates; row k at index k, as columns
+    X: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))  # row k is x^k
     problem_id: str = ""
     config: dict = field(default_factory=dict)
     seed: Optional[int] = None
     terminated: str = ""  # "tolerance" | "stationary" | "max_outer" | ""
 
     def __post_init__(self) -> None:
+        self.X = np.asarray(self.X, dtype=np.float64)  # no copy of a float64 matrix
+        self.X.flags.writeable = False
         self.columns = MappingProxyType({name: np.array(self.columns.get(name, ()), dtype=kind)
                                          for name, kind in _ROW_SCHEMA.items()})
         for name, col in self.columns.items():
-            if col.shape != (len(self.xs),):
-                raise LogicError(f"column {name} has shape {col.shape} for {len(self.xs)} rows")
+            if col.shape != (len(self),):
+                raise LogicError(f"column {name} has shape {col.shape} for {len(self)} rows")
             col.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.xs)
+        return self.X.shape[0]
 
     @property
     def dimension(self) -> int:
-        return int(self.xs[0].shape[0]) if self.xs else 0
+        return self.X.shape[1]
 
     @property
     def records(self) -> list[IterateRecord]:
         """The rows as objects, built anew on each call."""
         cols = [self.columns[name].tolist() for name in CSV_COLUMNS]
-        return [IterateRecord(*row) for row in zip(*cols, self.xs)]
+        return [IterateRecord(*row) for row in zip(*cols, self.X)]
 
     def column(self, name: str) -> np.ndarray:
         return self.columns[name]
 
     def iterates(self) -> np.ndarray:
-        return np.array(self.xs, dtype=float)
+        return self.X
 
     def phi_values(self) -> np.ndarray:
         """Merit audited by the descent framework: F for the DC solver,
@@ -132,7 +134,7 @@ def write_trace_csv(trace: Trace, path: str | Path) -> Path:
     header = list(CSV_COLUMNS) + ([f"x_{i}" for i in range(n)] if inline else [])
     cells = [map(repr, trace.columns[name].tolist()) for name in CSV_COLUMNS]
     if inline:
-        cells.extend(map(repr, col) for col in trace.iterates().T.tolist())
+        cells.extend(map(repr, col) for col in trace.X.T.tolist())
     lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
     path.write_text("\n".join(lines) + "\n")
     if inline:
@@ -141,7 +143,7 @@ def write_trace_csv(trace: Trace, path: str | Path) -> Path:
     with open(side, "wb") as fh:
         fh.write(SIDECAR_MAGIC)
         fh.write(struct.pack("<II", n, len(trace)))
-        trace.iterates().astype("<f8", copy=False).tofile(fh)
+        trace.X.astype("<f8", copy=False).tofile(fh)
     return side
 
 
@@ -158,7 +160,7 @@ def _read_sidecar(path: Path) -> np.ndarray:
         raise InvalidInputError(
             f"{path}: expected {expect} bytes for {rows}x{n} payload, got {len(raw)}"
         )
-    return np.frombuffer(raw[16:], dtype="<f8").reshape(rows, n).astype(np.float64)
+    return np.frombuffer(raw, dtype="<f8", offset=16).reshape(rows, n)
 
 
 def read_trace_csv(path: str | Path, algorithm: str = "", config: dict | None = None) -> Trace:
@@ -188,7 +190,7 @@ def read_trace_csv(path: str | Path, algorithm: str = "", config: dict | None = 
         raise InvalidInputError(f"{path}: line 2: no rows after the header")
 
     rows: list[tuple] = []
-    xs: list[np.ndarray] = []
+    xs: list[list[float]] = []
     low = 0  # a window argmax never moves back and never leaves rows 0..k
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
@@ -199,7 +201,7 @@ def read_trace_csv(path: str | Path, algorithm: str = "", config: dict | None = 
         try:
             row = {name: kind(cell)
                    for (name, kind), cell in zip(_ROW_SCHEMA.items(), cells)}
-            x = np.array([float(c) for c in cells[len(CSV_COLUMNS):]])
+            x = [float(c) for c in cells[len(CSV_COLUMNS):]]
         except ValueError as exc:
             raise InvalidInputError(f"{path}: line {lineno}: {exc}") from exc
         if row["k"] != lineno - 2:
@@ -217,14 +219,13 @@ def read_trace_csv(path: str | Path, algorithm: str = "", config: dict | None = 
         rows.append(tuple(row.values()))
         xs.append(x)
 
-    if not n_inline:
-        side = path.with_suffix(".bin")
-        if side.exists():
-            X = _read_sidecar(side)
-            if X.shape[0] != len(rows):
-                raise InvalidInputError(
-                    f"{side}: row count {X.shape[0]} does not match CSV ({len(rows)})"
-                )
-            xs = list(X)
-    return Trace(algorithm=algorithm, columns=dict(zip(CSV_COLUMNS, zip(*rows))), xs=xs,
+    X = np.array(xs)  # shape (rows, 0) for a wide trace
+    side = path.with_suffix(".bin")
+    if not n_inline and side.exists():
+        X = _read_sidecar(side)
+        if X.shape[0] != len(rows):
+            raise InvalidInputError(
+                f"{side}: row count {X.shape[0]} does not match CSV ({len(rows)})"
+            )
+    return Trace(algorithm=algorithm, columns=dict(zip(CSV_COLUMNS, zip(*rows))), X=X,
                  config=dict(config or {}))

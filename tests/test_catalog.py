@@ -118,6 +118,12 @@ def test_lam_validation():
     ("power4-1d", {"x0": [1.0]}, "params.x0 must be a real number, got [1.0]"),
     ("lasso", {"A_csv": [1], "b_csv": "b.csv"}, "params.A_csv must be a string, got [1]"),
     ("quad-l1", {"A_csv": 2.5, "b_csv": "b.csv"}, "params.A_csv must be a string, got 2.5"),
+    # integers beyond the float range
+    ("power4-1d", {"x0": 10**400}, f"params.x0 must be finite, got {10**400}"),
+    ("lasso", {"seed": 0, "lam": -10**400}, f"params.lam must be finite, got {-10**400}"),
+    ("lasso", {"seed": 0, "lam_factor": 10**309},
+     f"params.lam_factor must be finite, got {10**309}"),
+    ("quad-l1", {"seed": 0, "mu": 10**400}, f"params.mu must be finite, got {10**400}"),
 ])
 def test_numeric_params_are_type_checked(problem_id, params, message):
     with pytest.raises(InvalidInputError) as exc:

@@ -226,8 +226,7 @@ def test_version_flag(capsys):
 # sweep
 
 
-def test_sweep_aggregate(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("KLDESCENT_THREADS", "1")
+def test_sweep_aggregate(tmp_path, capsys):
     path, _ = write_config(tmp_path, output_dir=str(tmp_path / "sweep"))
     with pytest.warns(UserWarning):
         status = main(["sweep", str(path), "--param", "delta",
@@ -243,8 +242,7 @@ def test_sweep_aggregate(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "sweep" / "delta_0.5" / "report.json").exists()
 
 
-def test_sweep_reports_worst_status(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("KLDESCENT_THREADS", "1")
+def test_sweep_reports_worst_status(tmp_path, capsys):
     path, _ = write_config(tmp_path, output_dir=str(tmp_path / "sweep"))
     # m = -1 is rejected by the solver config; the sweep keeps going
     status = main(["sweep", str(path), "--param", "m", "--values", "2,-1"])
@@ -255,8 +253,7 @@ def test_sweep_reports_worst_status(tmp_path, monkeypatch, capsys):
     assert agg[2].split(",")[2] == ""  # no report fields for the failed run
 
 
-def test_sweep_dotted_param_targets_problem_params(tmp_path, monkeypatch):
-    monkeypatch.setenv("KLDESCENT_THREADS", "2")
+def test_sweep_dotted_param_targets_problem_params(tmp_path):
     path, _ = write_config(tmp_path, output_dir=str(tmp_path / "sweep"))
     status = main(["sweep", str(path), "--param", "params.lam_factor",
                    "--values", "0.1,0.2"])
@@ -515,8 +512,8 @@ def _set_cells(row, **values):
     return edit
 
 
-def _file(path):
-    path.write_text("x")
+def _file(path, text="x"):
+    path.write_text(text)
     return path
 
 
@@ -543,12 +540,21 @@ ERROR_PATHS = [
      "params.A_csv must be a string, got [1]"),
     ("A_csv-int", lambda t, r: _run(t, params={"A_csv": 5, "b_csv": "b.csv"}), 1,
      "params.A_csv must be a string, got 5"),
+    ("params-int-beyond-float",
+     lambda t, r: _run(t, problem="power4-1d", params={"x0": 10**400}), 1,
+     f"params.x0 must be finite, got {10**400}"),
+    ("config-int-over-4300-digits",
+     lambda t, r: ["run", str(_file(t / "c.json", '{"problem": "power4-1d", "params": '
+                                   '{"x0": 1' + "0" * 4300 + '}}'))], 1,
+     "c.json: invalid JSON: Exceeds the limit (4300 digits)"),
     ("bad-tau", lambda t, r: _run(t, diagnostics={"tau": 1.5}), 1,
      "diagnostics.tau must lie in (0, 1), got 1.5"),
     ("diagnostics-bool", lambda t, r: _run(t, diagnostics={"mu": True}), 1,
      "diagnostics.mu must be nonnegative, got True"),
     ("diagnostics-mu-inf", lambda t, r: _run(t, diagnostics={"mu": math.inf}), 1,
      "diagnostics.mu must be finite, got inf"),
+    ("diagnostics-int-beyond-float", lambda t, r: _run(t, diagnostics={"mu": 10**400}), 1,
+     f"diagnostics.mu must be finite, got {10**400}"),
     ("kbar-not-above-m", lambda t, r: _run(t, diagnostics={"kbar": 2}), 1,
      "diagnostics.kbar must be an integer greater than m=5, got 2"),
     ("algorithm-problem-mismatch",
@@ -571,6 +577,8 @@ ERROR_PATHS = [
     ("usage-verify-m", lambda t, r: ["verify", "x.csv", "--m", "1.5"], 1, "invalid int value"),
     # sweep
     ("sweep-bad-values", lambda t, r: _sweep(t, "delta", "a,b"), 1, "is not a number"),
+    ("sweep-value-over-4300-digits", lambda t, r: _sweep(t, "params.x0", "1" + "0" * 4300), 1,
+     "0' is not a number"),
     ("sweep-root-under-a-file",
      lambda t, r: _sweep(t, "m", "1", output_dir=str(_file(t / "root") / "sub")), 1,
      "cannot write outputs: "),

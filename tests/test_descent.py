@@ -108,7 +108,7 @@ def test_carried_step_is_the_recomputed_one(monkeypatch, problem_id, algorithm, 
         plain = {"delta": 0.0, "beta_max": 0.0} if algorithm == "pgnls" else {}
         config = PgenlsConfig(m=m, max_outer=400, **plain, **RULES[rule])
         trace = pgenls_solve(inst.problem, inst.x0, config)
-    xs = trace.xs
+    xs = trace.X
     assert [s[0] for s in seen] == list(range(len(xs) - 1))
     for k, step, step_sq, x, x_prev, grad, grad_prev, gamma0 in seen:
         d = xs[k] - xs[max(k - 1, 0)]

@@ -88,7 +88,7 @@ def synth(phi, steps, *, gammas=None, m=0, ell=None, algorithm="npg_major",
              nan if k == 0 else 0.0, -1 if k == 0 else 0, ell[k], steps[k],
              nan if k == 0 else 0.0) for k in range(len(phi))]
     return Trace(algorithm=algorithm, columns=dict(zip(CSV_COLUMNS, zip(*rows))),
-                 xs=[np.array([0.0])] * len(phi), terminated=terminated,
+                 X=np.zeros((len(phi), 1)), terminated=terminated,
                  config=dict(config or {}))
 
 
@@ -579,7 +579,7 @@ def test_recompute_ell_memory_does_not_grow_with_m():
     K, m = 20000, 2000
     rows = [(k, float(k % 7), float(k % 7), 2.0, 0.0, 0, k, 1.0, 0.0) for k in range(K)]
     trace = Trace(algorithm="pgenls", columns=dict(zip(CSV_COLUMNS, zip(*rows))),
-                  xs=[np.zeros(0)] * K)
+                  X=np.zeros((K, 0)))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -688,7 +688,7 @@ def test_estimate_lipschitz_quadratic():
     assert est == pytest.approx(1.0, abs=1e-12)
     # no stored iterates: nothing to estimate from
     bare = synth([1.0, 0.5], [0.0, 1.0])
-    bare = replace(bare, xs=[np.empty(0)] * len(bare))
+    bare = replace(bare, X=np.empty((len(bare), 0)))
     assert estimate_lipschitz(quad_1d(), bare) is None
 
 
@@ -715,6 +715,12 @@ def test_derive_audit_inputs():
     got = derive_audit_inputs(pg)
     assert got["a"] == 0.5 * 0.5 * 0.25 and got["c"] is None
 
+    # each value is checked as given, then converted
+    got = derive_audit_inputs(replace(trace, config={"m": np.int64(3), "a": 1}))
+    assert type(got["m"]) is int and type(got["a"]) is float
+    with pytest.raises(InvalidInputError, match=r"^gamma_min must be positive, got True$"):
+        derive_audit_inputs(replace(trace, config=dict(trace.config, gamma_min=True)))
+
     with pytest.raises(InsufficientTraceError, match="missing"):
         derive_audit_inputs(Trace(algorithm="npg_major", config={"m": 1}))
     with pytest.raises(InsufficientTraceError, match="no config"):
@@ -734,9 +740,16 @@ def test_derive_audit_inputs():
     ({}, {"mu": math.inf}, "mu must be finite, got inf"),
     ({}, {"tau": math.nan}, "tau must lie in (0, 1), got nan"),
     ({}, {"kbar": 3}, "kbar must be an integer greater than m=3, got 3"),
+    # checked before conversion: no truncation, no boolean read as 1
+    ({"m": 5.7}, {}, "m must be a nonnegative integer, got 5.7"),
+    ({}, {"kbar": 6.9}, "kbar must be a positive integer, got 6.9"),
+    ({}, {"kbar": True}, "kbar must be a positive integer, got True"),
+    ({"alpha": True}, {}, "alpha must lie in [0, 1], got True"),
+    ({"a": 10**400}, {}, f"a must be finite, got {10**400}"),
 ], ids=["a-inf", "alpha-nan", "alpha-big", "delta-negative", "c-zero", "beta_max-big",
         "lipschitz-nan", "lipschitz-negative", "lipschitz-inf", "mu-inf", "tau-nan",
-        "kbar-equals-m"])
+        "kbar-equals-m", "m-fraction", "kbar-fraction", "kbar-bool", "alpha-bool",
+        "a-int-beyond-float"])
 def test_build_report_rejects_constants_outside_their_domain(snapshot, kwargs, message):
     # a constant that would give a wrong verdict fails before any check,
     # whatever the trace length: this trace is shorter than kbar

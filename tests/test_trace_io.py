@@ -21,9 +21,9 @@ from kldescent.trace import (
 NAN = float("nan")
 
 
-def _trace(rows, xs, algorithm="npg_major", **meta):
+def _trace(rows, X, algorithm="npg_major", **meta):
     """A trace from row tuples in CSV order and their iterates."""
-    return Trace(algorithm=algorithm, columns=dict(zip(CSV_COLUMNS, zip(*rows))), xs=xs,
+    return Trace(algorithm=algorithm, columns=dict(zip(CSV_COLUMNS, zip(*rows))), X=X,
                  **meta)
 
 
@@ -132,6 +132,9 @@ def test_columns_are_stored_typed_and_read_only():
             trace.column(name)[0] = 0
     with pytest.raises(TypeError):
         trace.columns["ell"] = np.zeros(len(trace), dtype=int)
+    assert trace.X.dtype == np.float64 and trace.X.shape == (len(trace), 3)
+    with pytest.raises(ValueError, match="read-only"):
+        trace.X[0, 0] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         trace.records[2].ell = 1
     # a replaced column is typed again, so it is read-only too
@@ -150,12 +153,14 @@ def test_records_are_a_view_of_the_columns():
     assert [r.k for r in rows] == [0, 1, 2]
     assert [r.j_inner for r in rows] == [-1, 1, 2]
     np.testing.assert_array_equal([r.f_value for r in rows], trace.column("F"))
-    assert all(r.x is x for r, x in zip(rows, trace.xs))
+    assert all(np.shares_memory(r.x, trace.X[k]) for k, r in enumerate(rows))
 
 
 def test_columns_must_match_the_iterates():
     with pytest.raises(LogicError, match="column k has shape"):
-        _trace([(0, 1.0, 1.0, NAN, NAN, -1, 0, 0.0, NAN)], [])
+        _trace([(0, 1.0, 1.0, NAN, NAN, -1, 0, 0.0, NAN)], np.empty((0, 1)))
+    with pytest.raises(LogicError, match="column k has shape"):
+        _trace([(0, 1.0, 1.0, NAN, NAN, -1, 0, 0.0, NAN)], np.zeros((2, 3)))
     assert len(Trace(algorithm="pgenls")) == 0
 
 
@@ -197,6 +202,8 @@ def test_sidecar_written_for_large_dimension(tmp_path):
     back = read_trace_csv(path)
     assert back.dimension == 21
     np.testing.assert_array_equal(back.iterates(), trace.iterates())
+    # the matrix is a view of the sidecar's bytes, and iterates() returns it
+    assert back.iterates() is back.X and not back.X.flags.owndata
 
 
 def test_missing_sidecar_yields_empty_iterates(tmp_path):
@@ -207,6 +214,7 @@ def test_missing_sidecar_yields_empty_iterates(tmp_path):
     back = read_trace_csv(path)
     assert back.dimension == 0
     assert len(back) == 3
+    assert back.X.shape == (3, 0)
 
 
 def test_corrupt_sidecar_magic(tmp_path):

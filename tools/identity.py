@@ -1,0 +1,332 @@
+"""Byte-identity check of the ``kldescent`` command line between two checkouts.
+
+    PYTHONPATH=src python tools/identity.py write MANIFEST
+    PYTHONPATH=src python tools/identity.py diff A B
+
+``write`` runs a fixed matrix of calls in this process through
+``kldescent.cli.main``, each in its own directory under one temporary
+directory, and writes a JSON manifest.  Per call it records the argv, the
+exit code (or the exception that escaped ``main``), stdout, stderr, the
+warnings raised and the SHA-256 of each file in the call's directory; the
+temporary directory's path is replaced by ``<tmp>`` throughout.  ``diff``
+prints every difference between two manifests and exits 1 if there is any.
+
+Compare two checkouts on one machine.  Least-squares results depend on the
+BLAS build, so a manifest from another machine differs for that reason alone,
+and no manifest is committed.
+
+The matrix:
+
+* ``run``: every catalog problem under each algorithm, at seeds 0, 1 and 3
+  and window lengths 0 and 5 (``power4-1d`` capped at 1500 iterations); the
+  concave problem under ``pgenls``/``pgnls`` must exit 1;
+* ``verify`` of each run's trace with the complete flags, and with each
+  solver flag dropped in turn;
+* ``sweep``: one per problem, over the window length;
+* ``reader``: one malformed trace per reader message, plus a trace whose
+  sidecar is gone;
+* ``input``: numbers a config cannot hold (integers beyond the float range
+  or over 4300 digits) and non-finite ones.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import shutil
+import sys
+import tempfile
+import warnings
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, Optional
+
+import numpy
+
+import kldescent
+from kldescent.cli import main
+
+ALGORITHMS = ("npg_major", "pgenls", "pgnls")
+SEEDS = (0, 1, 3)
+WINDOWS = (0, 5)
+MAX_OUTER = {"power4-1d": 1500}
+# the algorithm each problem is swept under
+SWEEPS = {"lasso": "pgenls", "l0-ls": "npg_major", "l1-l2-dc": "npg_major",
+          "quad-l1": "npg_major", "power4-1d": "pgenls"}
+# the runs (problem, algorithm, seed, m) whose traces the reader cases
+# corrupt: one with a sidecar, one inline
+SIDECAR_RUN = ("lasso", "pgenls", 0, 5)
+INLINE_RUN = ("power4-1d", "pgenls", 0, 0)
+HUGE = 10**400
+DIGITS_4301 = "1" + "0" * 4300
+
+
+@dataclass(frozen=True)
+class Call:
+    """One ``main`` call.  ``argv`` gets the root and the call's own
+    directory and returns the arguments, or ``None`` to skip the call;
+    ``prepare`` fills the call's directory first."""
+
+    label: str  # also the call's directory under the root
+    argv: Callable[[Path, Path], Optional[list]]
+    prepare: Optional[Callable[[Path, Path], None]] = None
+
+
+# ---------------------------------------------------------------------------
+# the matrix
+
+
+def _config(problem: str, algorithm: str, seed: int, solver: dict, **extra) -> dict:
+    solver = dict(solver)
+    if problem in MAX_OUTER:
+        solver.setdefault("max_outer", MAX_OUTER[problem])
+    return {"problem": problem, "params": {"seed": seed}, "algorithm": algorithm,
+            "solver": solver, **extra}
+
+
+def _write(name: str, text: str) -> Callable[[Path, Path], None]:
+    def prepare(root: Path, here: Path) -> None:
+        (here / name).write_text(text)
+    return prepare
+
+
+def _run(label: str, cfg: dict) -> Call:
+    return Call(label, lambda root, here: ["run", str(here / "exp.json")],
+                _write("exp.json", json.dumps(cfg)))
+
+
+def _label(run: tuple) -> str:
+    problem, algorithm, seed, m = run
+    return f"run/{problem}/{algorithm}/s{seed}/m{m}"
+
+
+def _verify_flags(root: Path, run: tuple) -> Optional[dict]:
+    """The complete ``verify`` flags of a run, or ``None`` if it wrote no report."""
+    report_path = root / _label(run) / "exp_out" / "report.json"
+    if not report_path.exists():
+        return None
+    report = json.loads(report_path.read_text())
+    _, algorithm, _, m = run
+    if algorithm == "npg_major":
+        cfg = kldescent.NpgConfig(m=m)
+        solver = {"c": cfg.c}
+    else:
+        cfg = kldescent.PgenlsConfig(m=m, **({"delta": 0.0, "beta_max": 0.0}
+                                            if algorithm == "pgnls" else {}))
+        solver = {"beta-max": cfg.beta_max}
+    flags = {"algorithm": algorithm, "m": m, "a": report["constants.a"],
+             "alpha": cfg.alpha, "delta": cfg.delta, **solver,
+             "lf": report["constants.l_f"], "problem": report["problem"],
+             "terminated": report["terminated"]}
+    return {name: value for name, value in flags.items() if value is not None}
+
+
+def _argv_flags(flags: dict) -> list:
+    return [part for name, value in flags.items()
+            for part in (f"--{name}", value if isinstance(value, str) else repr(value))]
+
+
+def _verify(run: tuple, drop: Optional[str]) -> Call:
+    def argv(root: Path, here: Path) -> Optional[list]:
+        flags = _verify_flags(root, run)
+        if flags is None:
+            return None
+        flags.pop(drop, None)
+        return ["verify", str(root / _label(run) / "exp_out" / "trace.csv"),
+                *_argv_flags(flags)]
+    label = _label(run).replace("run/", "verify/", 1) + "/" + (f"no-{drop}" if drop else "full")
+    return Call(label, argv)
+
+
+def _set_cell(row: int, column: str, value: str) -> Callable[[list], list]:
+    def edit(lines: list) -> list:
+        header = lines[0].split(",")
+        cells = lines[row + 1].split(",")
+        cells[header.index(column)] = value
+        return lines[:row + 1] + [",".join(cells)] + lines[row + 2:]
+    return edit
+
+
+def _reader(name: str, run: tuple, edit_csv=None, edit_sidecar=None) -> Call:
+    """``verify`` with complete flags of a copy of ``run``'s trace whose CSV
+    lines went through ``edit_csv`` and whose sidecar bytes (``None``:
+    deleted) through ``edit_sidecar``."""
+    def prepare(root: Path, here: Path) -> None:
+        source = root / _label(run) / "exp_out"
+        lines = (source / "trace.csv").read_text().splitlines()
+        if edit_csv:
+            lines = edit_csv(lines)
+        (here / "trace.csv").write_text("".join(line + "\n" for line in lines))
+        if (source / "trace.bin").exists():
+            raw = (source / "trace.bin").read_bytes()
+            raw = edit_sidecar(raw) if edit_sidecar else raw
+            if raw is not None:
+                (here / "trace.bin").write_bytes(raw)
+
+    def argv(root: Path, here: Path) -> Optional[list]:
+        flags = _verify_flags(root, run)
+        return None if flags is None else ["verify", str(here / "trace.csv"),
+                                           *_argv_flags(flags)]
+    return Call(f"reader/{name}", argv, prepare)
+
+
+def _input(name: str, problem: str, algorithm: str, **fields) -> Call:
+    return _run(f"input/{name}", _config(problem, algorithm, 0, {"max_outer": 50}, **fields))
+
+
+def matrix() -> list[Call]:
+    calls = []
+    runs = [(problem, algorithm, seed, m) for problem in kldescent.problem_ids()
+            for algorithm in ALGORITHMS for seed in SEEDS for m in WINDOWS]
+    for run in runs:
+        problem, algorithm, seed, m = run
+        calls.append(_run(_label(run), _config(problem, algorithm, seed, {"m": m})))
+    for run in runs:
+        last = "c" if run[1] == "npg_major" else "beta-max"
+        for drop in (None, "m", "a", "alpha", "delta", last):
+            calls.append(_verify(run, drop))
+    for problem, algorithm in SWEEPS.items():
+        cfg = json.dumps(_config(problem, algorithm, 0, {}))
+        calls.append(Call(f"sweep/{problem}",
+                          lambda root, here: ["sweep", str(here / "exp.json"),
+                                              "--param", "m", "--values", "0,5"],
+                          _write("exp.json", cfg)))
+
+    calls += [
+        _reader("empty-file", SIDECAR_RUN, lambda lines: []),
+        _reader("header-only", SIDECAR_RUN, lambda lines: lines[:1]),
+        _reader("bad-header", SIDECAR_RUN, lambda lines: ["K" + lines[0][1:]] + lines[1:]),
+        _reader("bad-x-column", INLINE_RUN,
+                lambda lines: [lines[0].replace("x_0", "y_0")] + lines[1:]),
+        _reader("bad-cell", SIDECAR_RUN, _set_cell(8, "F", "abc")),
+        _reader("bad-int-cell", SIDECAR_RUN, _set_cell(8, "j_inner", "1.5")),
+        _reader("bad-x-cell", INLINE_RUN, _set_cell(8, "x_0", "abc")),
+        _reader("k-over-4300-digits", SIDECAR_RUN, _set_cell(8, "k", DIGITS_4301)),
+        _reader("extra-cell", SIDECAR_RUN,
+                lambda lines: lines[:4] + [lines[4] + ",x"] + lines[5:]),
+        _reader("missing-cell", INLINE_RUN,
+                lambda lines: lines[:4] + [lines[4].rsplit(",", 1)[0]] + lines[5:]),
+        _reader("k-out-of-order", SIDECAR_RUN, _set_cell(3, "k", "7")),
+        _reader("nan-F", SIDECAR_RUN, _set_cell(8, "F", "nan")),
+        _reader("inf-merit", SIDECAR_RUN, _set_cell(8, "merit", "inf")),
+        _reader("nan-step", SIDECAR_RUN, _set_cell(8, "step_norm", "nan")),
+        _reader("impossible-ell", SIDECAR_RUN, _set_cell(8, "ell", "99")),
+        _reader("ell-moves-back", SIDECAR_RUN, _set_cell(9, "ell", "0")),
+        _reader("sidecar-magic", SIDECAR_RUN, edit_sidecar=lambda raw: b"NOTMAGIC" + raw[8:]),
+        _reader("sidecar-truncated", SIDECAR_RUN, edit_sidecar=lambda raw: raw[:-8]),
+        _reader("sidecar-row-count", SIDECAR_RUN, lambda lines: lines[:-1]),
+        _reader("sidecar-missing", SIDECAR_RUN, edit_sidecar=lambda raw: None),
+        _reader("inline-intact", INLINE_RUN),
+    ]
+
+    calls += [
+        _input("x0-beyond-float", "power4-1d", "pgenls", params={"x0": HUGE}),
+        _input("lam-beyond-float", "lasso", "pgenls", params={"seed": 0, "lam": HUGE}),
+        _input("lam_factor-beyond-float", "lasso", "pgenls",
+               params={"seed": 0, "lam_factor": HUGE}),
+        _input("mu-beyond-float", "quad-l1", "npg_major", params={"seed": 0, "mu": HUGE}),
+        _input("diagnostics-mu-beyond-float", "lasso", "pgenls", diagnostics={"mu": HUGE}),
+        _input("x0-inf", "power4-1d", "pgenls", params={"x0": float("inf")}),
+        _input("lam-inf", "lasso", "pgenls", params={"seed": 0, "lam": float("inf")}),
+        _input("mu-nan", "quad-l1", "npg_major", params={"seed": 0, "mu": float("nan")}),
+        Call("input/config-int-over-4300-digits",
+             lambda root, here: ["run", str(here / "exp.json")],
+             _write("exp.json", '{"problem": "power4-1d", "algorithm": "pgenls", '
+                                '"params": {"x0": ' + DIGITS_4301 + "}}")),
+        Call("input/sweep-value-over-4300-digits",
+             lambda root, here: ["sweep", str(here / "exp.json"), "--param", "params.x0",
+                                 "--values", DIGITS_4301],
+             _write("exp.json", json.dumps(_config("power4-1d", "pgenls", 0, {})))),
+    ]
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# running and comparing
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _call(call: Call, root: Path) -> dict:
+    here = root / call.label
+    here.mkdir(parents=True)
+    if call.prepare:
+        call.prepare(root, here)
+    argv = call.argv(root, here)
+    if argv is None:
+        return {"label": call.label, "skipped": True}
+    out, err = io.StringIO(), io.StringIO()
+    exit_code, exception = None, None
+    with (warnings.catch_warnings(record=True) as caught,
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        warnings.simplefilter("always")  # each call sees its warnings, not just the first
+        try:
+            exit_code = main(argv)
+        except Exception as exc:  # noqa: BLE001 - an escaped exception is an outcome
+            exception = f"{type(exc).__name__}: {exc}"
+    files = {str(p.relative_to(here)): _sha256(p)
+             for p in sorted(here.rglob("*")) if p.is_file()}
+    record = {"label": call.label, "argv": argv, "exit": exit_code,
+              "exception": exception, "stdout": out.getvalue(), "stderr": err.getvalue(),
+              "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
+              "files": files}
+    return json.loads(json.dumps(record).replace(json.dumps(str(root))[1:-1], "<tmp>"))
+
+
+def manifest(calls: list[Call]) -> dict:
+    """Run ``calls`` in order in a fresh temporary directory."""
+    root = Path(tempfile.mkdtemp(prefix="kldescent-identity-")).resolve()
+    try:
+        records = [_call(call, root) for call in calls]
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+    return {"python": sys.version.split()[0], "numpy": numpy.__version__,
+            "kldescent": kldescent.__version__, "calls": records}
+
+
+def diff(a: dict, b: dict) -> list[str]:
+    """Every difference between two manifests, one line each."""
+    lines = [f"{key}: {a.get(key)!r} != {b.get(key)!r}"
+             for key in ("python", "numpy", "kldescent") if a.get(key) != b.get(key)]
+    calls_a = {c["label"]: c for c in a["calls"]}
+    calls_b = {c["label"]: c for c in b["calls"]}
+    lines += [f"{label}: only in A" for label in calls_a if label not in calls_b]
+    lines += [f"{label}: only in B" for label in calls_b if label not in calls_a]
+    for label, ca in calls_a.items():
+        cb = calls_b.get(label)
+        if cb is None:
+            continue
+        for key in sorted((set(ca) | set(cb)) - {"label", "files"}):
+            if ca.get(key) != cb.get(key):
+                lines.append(f"{label}: {key}: {ca.get(key)!r} != {cb.get(key)!r}")
+        files_a, files_b = ca.get("files", {}), cb.get("files", {})
+        for name in sorted(set(files_a) | set(files_b)):
+            if files_a.get(name) != files_b.get(name):
+                lines.append(f"{label}: file {name}: {files_a.get(name)} != {files_b.get(name)}")
+    return lines
+
+
+def _main(argv: Optional[list] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_write = sub.add_parser("write", help="run the matrix and write its manifest")
+    p_write.add_argument("manifest")
+    p_diff = sub.add_parser("diff", help="print every difference between two manifests")
+    p_diff.add_argument("a")
+    p_diff.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "write":
+        Path(args.manifest).write_text(json.dumps(manifest(matrix()), indent=1) + "\n")
+        return 0
+    lines = diff(json.loads(Path(args.a).read_text()), json.loads(Path(args.b).read_text()))
+    print("\n".join(lines) if lines else "no differences")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(_main())
