@@ -9,12 +9,12 @@ right-hand sides can instead be loaded from headerless CSV files via the
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
+from .domains import check
 from .errors import InvalidInputError
 from .oracles import (
     CompositeProblem,
@@ -52,31 +52,13 @@ def _load_csv(path: str, what: str) -> np.ndarray:
     return data
 
 
-_NOUNS = {numbers.Integral: "an integer", numbers.Real: "a real number", str: "a string"}
-
-
-def _param(params: dict, name: str, kind: type, default=None):
-    """``params[name]``, or ``default`` when absent; it must be an integer
-    (``kind`` is ``numbers.Integral``), a real number (``numbers.Real``, returned
-    as a float) or a string (``str``), and booleans are none of these."""
-    value = params.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise InvalidInputError(f"params.{name} must be {_NOUNS[kind]}, got {value!r}")
-    if kind is numbers.Real:
-        try:
-            return float(value)
-        except OverflowError:  # an integer beyond the float range
-            raise InvalidInputError(f"params.{name} must be finite, got {value!r}") from None
-    return value
-
-
 def _sparse_regression_data(params: dict, rows_default: int, cols_default: int):
     """Shared data generator: A (scaled Gaussian), b = A x_true + small noise."""
     if "A_csv" in params or "b_csv" in params:
         if not ("A_csv" in params and "b_csv" in params):
             raise InvalidInputError("A_csv and b_csv must be given together")
-        A = _load_csv(_param(params, "A_csv", str), "matrix")
-        b = _load_csv(_param(params, "b_csv", str), "vector").reshape(-1)
+        A = _load_csv(params["A_csv"], "matrix")
+        b = _load_csv(params["b_csv"], "vector").reshape(-1)
         if b.shape[0] != A.shape[0]:
             raise InvalidInputError(
                 f"A has {A.shape[0]} rows but b has {b.shape[0]} entries"
@@ -84,12 +66,9 @@ def _sparse_regression_data(params: dict, rows_default: int, cols_default: int):
         return A, b
     if "seed" not in params:
         raise InvalidInputError("randomized problems require a 'seed' parameter")
-    seed = int(_param(params, "seed", numbers.Integral))
-    rows = int(_param(params, "rows", numbers.Integral, rows_default))
-    cols = int(_param(params, "cols", numbers.Integral, cols_default))
-    if rows <= 0 or cols <= 0:
-        raise InvalidInputError(f"rows and cols must be positive, got {rows}x{cols}")
-    rng = np.random.default_rng(seed)
+    rows = int(params.get("rows", rows_default))
+    cols = int(params.get("cols", cols_default))
+    rng = np.random.default_rng(int(params["seed"]))
     A = rng.standard_normal((rows, cols)) / np.sqrt(rows)
     x_true = np.zeros(cols)
     support = rng.choice(cols, size=max(1, cols // 10), replace=False)
@@ -100,14 +79,8 @@ def _sparse_regression_data(params: dict, rows_default: int, cols_default: int):
 
 def _lam_from(params: dict, A: np.ndarray, b: np.ndarray, factor_default: float) -> float:
     if "lam" in params:
-        lam = _param(params, "lam", numbers.Real)
-    else:
-        lam = _param(params, "lam_factor", numbers.Real, factor_default) * float(
-            np.max(np.abs(A.T @ b))
-        )
-    if not np.isfinite(lam) or lam <= 0.0:
-        raise InvalidInputError(f"penalty weight must be positive, got {lam!r}")
-    return lam
+        return float(params["lam"])
+    return float(params.get("lam_factor", factor_default)) * float(np.max(np.abs(A.T @ b)))
 
 
 # the penalized least-squares problems ``0.5 ||Ax - b||^2 + g - h``:
@@ -133,18 +106,14 @@ def _make_penalized_ls(problem_id: str, params: dict) -> ProblemInstance:
 
 
 def _make_power4_1d(params: dict) -> ProblemInstance:
-    x0 = _param(params, "x0", numbers.Real, 1.0)
-    if not np.isfinite(x0):
-        raise InvalidInputError("x0 must be finite")
+    x0 = float(params.get("x0", 1.0))
     problem = CompositeProblem(f=make_power4_1d(), g=zero_oracle(), h=None, dimension=1)
     return ProblemInstance("power4-1d", problem, np.array([x0]), dict(params))
 
 
 def _make_quad_l1(params: dict) -> ProblemInstance:
     """Strongly convex quadratic plus l1: least squares with a ridge block stacked on."""
-    mu = _param(params, "mu", numbers.Real, 1.0)
-    if not np.isfinite(mu) or mu <= 0.0:
-        raise InvalidInputError(f"mu must be positive, got {mu!r}")
+    mu = float(params.get("mu", 1.0))
     A, b = _sparse_regression_data(params, rows_default=30, cols_default=30)
     n = A.shape[1]
     A_full = np.vstack([A, np.sqrt(mu) * np.eye(n)])
@@ -183,8 +152,9 @@ def describe_problems() -> list[tuple[str, str]]:
 
 
 def make_problem(problem_id: str, params: dict | None = None) -> ProblemInstance:
-    """Build a catalog problem; unknown identifiers and params fields the
-    problem does not take raise ``InvalidInputError``."""
+    """Build a catalog problem; unknown identifiers, params fields the
+    problem does not take and values outside their field's domain raise
+    ``InvalidInputError``."""
     if problem_id not in _REGISTRY:
         raise InvalidInputError(
             f"unknown problem id {problem_id!r}; known ids: {', '.join(problem_ids())}"
@@ -196,4 +166,5 @@ def make_problem(problem_id: str, params: dict | None = None) -> ProblemInstance
         raise InvalidInputError(
             f"unknown params field(s) for {problem_id}: {', '.join(unknown)}"
         )
+    check("params", "params.", **params)
     return builder(params)

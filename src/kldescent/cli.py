@@ -19,7 +19,8 @@ from typing import Optional
 
 from ._version import __version__
 from .catalog import describe_problems, make_problem
-from .diagnostics import DiagnosticsReport, _check_constants, build_report
+from .diagnostics import DiagnosticsReport, build_report
+from .domains import check
 from .errors import InsufficientTraceError, InvalidInputError, KlDescentError
 from .npg import NpgConfig, npg_solve
 from .pgenls import PgenlsConfig, pgenls_solve
@@ -118,8 +119,7 @@ def diag_overrides(cfg: dict) -> dict:
         raise InvalidInputError(
             f"unknown diagnostics field(s): {', '.join(unknown)}"
         )
-    _check_constants("diagnostics.", **{name: diag[name] for name in _DIAG_KEYS
-                                        if name in diag})
+    check("audit", "diagnostics.", **{name: diag[name] for name in _DIAG_KEYS if name in diag})
     return {"tau": float(diag.get("tau", 0.5)),
             "mu": float(diag["mu"]) if "mu" in diag else None,
             "kbar": diag.get("kbar")}
@@ -149,13 +149,13 @@ def _solver_config(cfg: dict):
 
 
 def _build(cfg: dict):
-    """Config dict -> (problem instance, solver config, diagnostics overrides)."""
-    params = dict(cfg.get("params", {}))
-    instance = make_problem(cfg["problem"], params)
-    solver_cfg = _solver_config(cfg)
+    """Config dict -> (problem instance, solver config, diagnostics overrides),
+    checking the diagnostics block, then the params, then the solver block."""
     diag = diag_overrides(cfg)
+    instance = make_problem(cfg["problem"], cfg.get("params", {}))
+    solver_cfg = _solver_config(cfg)
     if diag["kbar"] is not None:  # the audit's kbar must exceed the run's m
-        _check_constants("diagnostics.", m=solver_cfg.m, kbar=diag["kbar"])
+        check("audit", "diagnostics.", m=solver_cfg.m, kbar=diag["kbar"])
     if cfg["algorithm"] != "npg_major" and instance.problem.h is not None:
         raise InvalidInputError(
             f"algorithm {cfg['algorithm']!r} cannot handle problem "
@@ -245,7 +245,6 @@ def _default_outdir(config_path: str) -> Path:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    diag_overrides(cfg)  # fail fast on bad diagnostics fields
     outdir = Path(cfg.get("output_dir") or _default_outdir(args.config))
     status, _ = execute(cfg, outdir)
     return status

@@ -5,7 +5,6 @@ they try stepsize weights ``gamma0 * rho**j`` for ``j = 0, 1, ...`` and accept
 the first candidate whose merit sits below the maximum of the last ``m + 1``
 merits minus a forcing decrement.  This module owns what the two share:
 
-- the config fields both solvers validate alike (:func:`check_common_config`);
 - the Barzilai-Borwein start ``gamma0`` of each trial loop
   (:func:`initial_gamma`);
 - the penalty check on each prox output (:func:`checked_penalty`);
@@ -39,8 +38,7 @@ kernel as ``a @ b``.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Callable, Generator, Optional
 
 import numpy as np
@@ -50,7 +48,7 @@ from .memory import MemoryWindow
 from .oracles import CompositeProblem, Vector, as_vector
 from .trace import CSV_COLUMNS, Trace
 
-__all__ = ["Iterate", "check_common_config", "initial_gamma", "checked_penalty", "descend"]
+__all__ = ["Iterate", "initial_gamma", "checked_penalty", "descend"]
 
 
 @dataclass(slots=True)
@@ -73,37 +71,6 @@ class Iterate:
 
 
 Trials = Callable[[Iterate, float], Generator[tuple, Optional[Vector], None]]
-
-
-def check_common_config(config) -> None:
-    """Validate the type of each int or float field (booleans are not numbers
-    here), then the fields every solver config has (``m``, the gamma bounds,
-    ``rho``, the two iteration caps, the tolerances and ``gamma_init_rule``)."""
-    for f in fields(config):  # annotations are strings under postponed evaluation
-        kind = {"int": int, "float": numbers.Real}.get(f.type)
-        value = getattr(config, f.name)
-        if kind and (isinstance(value, bool) or not isinstance(value, kind)):
-            noun = "an integer" if kind is int else "a real number"
-            raise InvalidInputError(f"{f.name} must be {noun}, got {value!r}")
-    if config.m < 0:
-        raise InvalidInputError(f"m must be a nonnegative integer, got {config.m!r}")
-    if not 0.0 < config.gamma_min <= config.gamma_max:
-        raise InvalidInputError(
-            f"gamma bounds must satisfy 0 < gamma_min <= gamma_max, "
-            f"got [{config.gamma_min!r}, {config.gamma_max!r}]"
-        )
-    if not config.rho > 1.0:
-        raise InvalidInputError(f"rho must exceed 1, got {config.rho!r}")
-    if config.max_outer < 1:
-        raise InvalidInputError(f"max_outer must be at least 1, got {config.max_outer!r}")
-    if config.max_inner < 1:
-        raise InvalidInputError(f"max_inner must be at least 1, got {config.max_inner!r}")
-    if not config.tol_step > 0.0 or not config.tol_resid > 0.0:
-        raise InvalidInputError("tolerances must be positive")
-    if config.gamma_init_rule not in ("constant", "spectral"):
-        raise InvalidInputError(
-            f"gamma_init_rule must be 'constant' or 'spectral', got {config.gamma_init_rule!r}"
-        )
 
 
 def initial_gamma(config, it: Iterate) -> float:

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -45,6 +44,7 @@ import numpy as np
 
 from . import npg, pgenls
 from ._version import __version__
+from .domains import check
 from .errors import (
     FrameworkViolationError,
     InsufficientTraceError,
@@ -66,42 +66,6 @@ _RADICAND_FLOOR = -1e-12
 
 def _phi_slack(phi: np.ndarray) -> float:
     return 1e-10 * (1.0 + float(np.max(np.abs(phi))))
-
-
-_CONSTANT_RULES = {
-    "tau": (lambda v: isinstance(v, numbers.Real) and 0.0 < v < 1.0, "must lie in (0, 1)"),
-    "mu": (lambda v: isinstance(v, numbers.Real) and v >= 0.0, "must be nonnegative"),
-    "a": (lambda v: isinstance(v, numbers.Real) and v > 0.0, "must be positive"),
-    "m": (lambda v: isinstance(v, numbers.Integral) and v >= 0, "must be a nonnegative integer"),
-    "kbar": (lambda v: isinstance(v, numbers.Integral) and v >= 1, "must be a positive integer"),
-    "alpha": (lambda v: isinstance(v, numbers.Real) and 0.0 <= v <= 1.0, "must lie in [0, 1]"),
-    "delta": (lambda v: isinstance(v, numbers.Real) and v >= 0.0, "must be nonnegative"),
-    "c": (lambda v: isinstance(v, numbers.Real) and v > 0.0, "must be positive"),
-    "gamma_min": (lambda v: isinstance(v, numbers.Real) and v > 0.0, "must be positive"),
-    "beta_max": (lambda v: isinstance(v, numbers.Real) and 0.0 <= v <= 1.0,
-                 "must lie in [0, 1]"),
-    "lipschitz": (lambda v: isinstance(v, numbers.Real) and v >= 0.0, "must be nonnegative"),
-}
-
-
-def _check_constants(prefix: str = "", **constants) -> None:
-    """Validate the audit constants given, in order: each must meet its rule
-    and be finite, booleans are not numbers here, and ``kbar`` must exceed
-    ``m`` when both are given.  ``prefix`` leads the name in the message."""
-    for name, value in constants.items():
-        valid, rule = _CONSTANT_RULES[name]
-        if isinstance(value, bool) or not valid(value):
-            raise InvalidInputError(f"{prefix}{name} {rule}, got {value!r}")
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an integer beyond the float range
-            finite = False
-        if not finite:
-            raise InvalidInputError(f"{prefix}{name} must be finite, got {value!r}")
-    m, kbar = constants.get("m"), constants.get("kbar")
-    if m is not None and kbar is not None and kbar <= m:
-        raise InvalidInputError(
-            f"{prefix}kbar must be an integer greater than m={m}, got {kbar!r}")
 
 
 @dataclass
@@ -177,7 +141,7 @@ def _window_decrease(trace: Trace, name: str, decrement) -> AuditRecord:
 
 def check_h1(trace: Trace, a: float) -> AuditRecord:
     """Window sufficient decrease with the guaranteed constant ``a``."""
-    _check_constants(a=a)
+    check("audit", a=a)
     return _window_decrease(trace, "h1", lambda s: a * s[1:] ** 2)
 
 
@@ -201,7 +165,7 @@ def recompute_ell(trace: Trace, m: int) -> AuditRecord:
     latest index; every pass is one column wide, so memory does not grow
     with ``m``.
     """
-    _check_constants(m=m)
+    check("audit", m=m)
     phi = trace.phi_values()
     n = len(phi)
     pos = np.arange(n)
@@ -363,7 +327,7 @@ def check_h4(trace: Trace, tau: float, mu: float, kbar: int, a: float) -> AuditR
     every interior range is empty and the check passes vacuously.  A NaN
     margin is the worst one, so a NaN step fails the check.
     """
-    _check_constants(tau=tau, mu=mu, a=a, kbar=kbar)
+    check("audit", tau=tau, mu=mu, a=a, kbar=kbar)
     phi = trace.phi_values()
     ell = trace.column("ell")
     s = trace.column("step_norm")
@@ -397,12 +361,17 @@ def c_constant(mu: float, tau: float, a: float, m: int) -> float:
 
         c = (m+1) (1+mu_bar)^(m-1)
             * max( 1 / (sqrt(a) (1 - tau)),  (1+mu_bar)^(1-m) + mu_bar )
+
+    ``inf`` when ``c`` is beyond the float range, as long windows make it.
     """
-    _check_constants(tau=tau, mu=mu, a=a, m=m)
+    check("audit", tau=tau, mu=mu, a=a, m=m)
     denom = math.sqrt(a) * (1.0 - tau)
     mu_bar = mu / denom
-    grow = (1.0 + mu_bar) ** (m - 1)
-    return (m + 1) * grow * max(1.0 / denom, 1.0 / grow + mu_bar)
+    try:
+        grow = (1.0 + mu_bar) ** (m - 1)
+        return (m + 1) * grow * max(1.0 / denom, 1.0 / grow + mu_bar)
+    except (OverflowError, ZeroDivisionError):  # grow beyond the float range, or 0
+        return math.inf
 
 
 def check_prop_bound(trace: Trace, tau: float, mu: float, a: float, m: int,
@@ -414,10 +383,13 @@ def check_prop_bound(trace: Trace, tau: float, mu: float, a: float, m: int,
         sum of steps over rows (peak_{k-1}, peak_k]
             <= c * ( sum_{j=k-m-1}^{k-1} Gamma_j  +  Xi_k )
 
-    A NaN margin is the worst one, so a NaN step fails the check.
+    A NaN margin is the worst one, so a NaN step fails the check.  A ``c``
+    beyond the float range bounds nothing, and the check is not evaluated.
     """
-    _check_constants(m=m, kbar=kbar)
+    check("audit", m=m, kbar=kbar)
     c = c_constant(mu, tau, a, m)
+    if not math.isfinite(c):
+        return AuditRecord("prop_bound", None, None, {"c": c})
     xi, gamma = xi_gamma(trace)
     ell = trace.column("ell")
     csum = np.concatenate([[0.0], np.cumsum(trace.column("step_norm"))])
@@ -616,12 +588,12 @@ def derive_audit_inputs(trace: Trace) -> dict:
     if a is None:
         names = ("alpha", "delta", "gamma_min") + (("c",) if dc else ())
         known = {name: require(name) for name in names}
-        _check_constants(**known)
+        check("audit", **known)
         a = (npg if dc else pgenls).decrease_constant(*map(float, known.values()))
     raw = {"m": require("m"), "a": a, "alpha": cfg.get("alpha"),
            "delta": cfg.get("delta") if dc else require("delta"),
            "c": cfg.get("c"), "beta_max": cfg.get("beta_max", 0.0)}
-    _check_constants(**{name: v for name, v in raw.items() if v is not None})
+    check("audit", **{name: v for name, v in raw.items() if v is not None})
     return {name: v if v is None else int(v) if name == "m" else float(v)
             for name, v in raw.items()}
 
@@ -654,8 +626,8 @@ def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
         lipschitz = float(problem.f.lipschitz_hint)
     kbar_eff = kbar if kbar is not None else m + 2
     optional = {"mu": mu, "lipschitz": lipschitz}
-    _check_constants(tau=tau, m=m, kbar=kbar_eff,
-                     **{name: v for name, v in optional.items() if v is not None})
+    check("audit", tau=tau, m=m, kbar=kbar_eff,
+          **{name: v for name, v in optional.items() if v is not None})
     kbar_eff = int(kbar_eff)
 
     fields: dict = {

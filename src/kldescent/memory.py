@@ -9,8 +9,10 @@ iteration index so it is a single-valued function of the history.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 
+from .domains import check
 from .errors import InvalidInputError, LogicError
 
 __all__ = ["MemoryWindow"]
@@ -26,9 +28,9 @@ class MemoryWindow:
     """
 
     def __init__(self, m: int):
-        if not isinstance(m, int) or m < 0:
-            raise InvalidInputError(f"memory depth m must be a nonnegative integer, got {m!r}")
-        self._entries: deque[tuple[int, float]] = deque(maxlen=m + 1)
+        check("audit", m=m)
+        # a deque's length is a C ssize_t, and no run fills sys.maxsize entries
+        self._entries: deque[tuple[int, float]] = deque(maxlen=min(int(m), sys.maxsize - 1) + 1)
         self._max: tuple[float, int] | None = None
 
     def __len__(self) -> int:

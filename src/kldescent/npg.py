@@ -26,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .descent import Iterate, check_common_config, checked_penalty, descend
-from .errors import InvalidInputError
+from .descent import Iterate, checked_penalty, descend
+from .domains import check
 from .oracles import CompositeProblem, Vector, as_vector
 from .trace import Trace
 
@@ -62,13 +62,7 @@ class NpgConfig:
     gamma_init_rule: str = "spectral"
 
     def __post_init__(self):
-        check_common_config(self)
-        if not 0.0 < self.delta < 1.0:
-            raise InvalidInputError(f"delta must lie in (0, 1), got {self.delta!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise InvalidInputError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-        if not self.c > 0.0:
-            raise InvalidInputError(f"c must be positive, got {self.c!r}")
+        check("npg_major", **vars(self))
 
 
 def _residual(grad_next: Vector, grad: Vector, gamma: float, diff: Vector,
@@ -87,8 +81,7 @@ def dc_residual(problem: CompositeProblem, x_curr: Vector, x_prev: Vector,
     """
     x_curr = as_vector(x_curr, "x_curr")
     x_prev = as_vector(x_prev, "x_prev")
-    if not (math.isfinite(gamma_prev) and gamma_prev > 0.0):
-        raise InvalidInputError(f"gamma_prev must be positive, got {gamma_prev!r}")
+    check("residual", gamma_prev=gamma_prev)
     diff = x_curr - x_prev
     return _residual(problem.f.gradient(x_curr), problem.f.gradient(x_prev),
                      gamma_prev, diff, math.sqrt(float(diff @ diff)))

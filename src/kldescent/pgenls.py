@@ -47,7 +47,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .descent import Iterate, check_common_config, checked_penalty, descend
+from .descent import Iterate, checked_penalty, descend
+from .domains import check
 from .errors import InvalidInputError
 from .oracles import CompositeProblem, Vector, as_vector
 from .trace import Trace
@@ -98,21 +99,7 @@ class PgenlsConfig:
     beta_init_rule: str = "constant"
 
     def __post_init__(self):
-        check_common_config(self)
-        if not self.delta >= 0.0:
-            raise InvalidInputError(f"delta must be nonnegative, got {self.delta!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidInputError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if not 0.0 <= self.beta_max <= 1.0:
-            raise InvalidInputError(f"beta_max must lie in [0, 1], got {self.beta_max!r}")
-        if not 0.0 < self.nu < 1.0 / self.rho:
-            raise InvalidInputError(
-                f"nu must lie strictly in (0, 1/rho) = (0, {1.0 / self.rho!r}), got {self.nu!r}"
-            )
-        if self.beta_init_rule not in ("constant", "nesterov"):
-            raise InvalidInputError(
-                f"beta_init_rule must be 'constant' or 'nesterov', got {self.beta_init_rule!r}"
-            )
+        check("pgenls", **vars(self))
         if degenerate_decrease(self.delta, self.beta_max):
             warnings.warn(
                 "delta=0 with beta_max>0: the paired-state decrease constant is "
@@ -125,8 +112,7 @@ def f_delta(problem: CompositeProblem, x: Vector, u: Vector, delta: float) -> fl
     """Proximity-augmented objective ``F(x) + (delta/2) ||x - u||^2``."""
     x = as_vector(x, "x")
     u = as_vector(u, "u")
-    if not delta >= 0.0:
-        raise InvalidInputError(f"delta must be nonnegative, got {delta!r}")
+    check("residual", delta=delta)
     d = x - u
     return problem.objective(x) + 0.5 * float(delta) * float(d @ d)
 
@@ -171,10 +157,7 @@ def pg_residual(problem: CompositeProblem, x_curr: Vector, y_curr: Vector,
     x_curr = as_vector(x_curr, "x_curr")
     y_curr = as_vector(y_curr, "y_curr")
     x_prev = as_vector(x_prev, "x_prev")
-    if not (math.isfinite(gamma_prev) and gamma_prev > 0.0):
-        raise InvalidInputError(f"gamma_prev must be positive, got {gamma_prev!r}")
-    if not delta >= 0.0:
-        raise InvalidInputError(f"delta must be nonnegative, got {delta!r}")
+    check("residual", gamma_prev=gamma_prev, delta=delta)
     dxp = x_curr - x_prev
     return _residual(problem.f.gradient(x_curr), problem.f.gradient(y_curr), gamma_prev,
                      x_curr - y_curr, delta, dxp, math.sqrt(float(dxp @ dxp)))

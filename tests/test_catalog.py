@@ -124,6 +124,17 @@ def test_lam_validation():
     ("lasso", {"seed": 0, "lam_factor": 10**309},
      f"params.lam_factor must be finite, got {10**309}"),
     ("quad-l1", {"seed": 0, "mu": 10**400}, f"params.mu must be finite, got {10**400}"),
+    # integers beyond int64, and values outside their field's domain
+    ("lasso", {"seed": 0, "rows": 10**30}, f"params.rows must fit in int64, got {10**30}"),
+    ("l0-ls", {"seed": 0, "cols": 10**400}, f"params.cols must fit in int64, got {10**400}"),
+    ("power4-1d", {"seed": 10**400}, f"params.seed must fit in int64, got {10**400}"),
+    ("lasso", {"seed": -1}, "params.seed must be a nonnegative integer, got -1"),
+    ("lasso", {"seed": 0, "rows": 0}, "params.rows must be a positive integer, got 0"),
+    ("lasso", {"seed": 0, "lam": -1.0}, "params.lam must be positive, got -1.0"),
+    ("lasso", {"seed": 0, "lam_factor": 0.0}, "params.lam_factor must be positive, got 0.0"),
+    ("lasso", {"seed": 0, "lam": float("inf")}, "params.lam must be finite, got inf"),
+    ("quad-l1", {"seed": 0, "mu": float("nan")}, "params.mu must be positive, got nan"),
+    ("power4-1d", {"x0": float("inf")}, "params.x0 must be finite, got inf"),
 ])
 def test_numeric_params_are_type_checked(problem_id, params, message):
     with pytest.raises(InvalidInputError) as exc:

@@ -82,8 +82,8 @@ def test_exit_1_bad_tau(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name, rule", [
-    ("tau", "must lie in (0, 1)"), ("mu", "must be nonnegative"),
-    ("kbar", "must be a positive integer"),
+    ("tau", "must be a real number"), ("mu", "must be a real number"),
+    ("kbar", "must be an integer"),
 ], ids=["tau", "mu", "kbar"])
 def test_exit_1_boolean_diagnostics(tmp_path, capsys, name, rule):
     path, _ = write_config(tmp_path, diagnostics={name: True})
@@ -307,17 +307,17 @@ VERIFY_CONSTANTS = {
 
 
 def run_and_verify_args(tmp_path, problem="lasso", algorithm="pgenls", seed=1,
-                        max_outer=2000):
+                        max_outer=2000, m=5):
     """Run one config, then give the ``verify`` call that re-audits its trace:
     the solver constants from the config, the rest from ``report.json``."""
     constants = VERIFY_CONSTANTS[algorithm]
-    solver = {"m": 5, "max_outer": max_outer, "tol_resid": 1e-6, **constants}
+    solver = {"m": m, "max_outer": max_outer, "tol_resid": 1e-6, **constants}
     path, cfg = write_config(tmp_path, problem=problem, params={"seed": seed},
                              algorithm=algorithm, solver=solver)
     assert main(["run", str(path)]) == 0
     out = tmp_path / "out"
     report = json.loads((out / "report.json").read_text())
-    args = ["verify", str(out / "trace.csv"), "--algorithm", algorithm, "--m", "5",
+    args = ["verify", str(out / "trace.csv"), "--algorithm", algorithm, "--m", str(m),
             "--a", repr(report["constants.a"]),
             "--problem", problem, "--terminated", report["terminated"]]
     for name, value in constants.items():
@@ -349,6 +349,21 @@ def test_verify_reproduces_run_report_across_catalog(tmp_path, problem, algorith
     target = tmp_path / "reverify.json"
     assert main(args + ["--report", str(target)]) == 0
     assert target.read_bytes() == (out / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("algorithm", ["npg_major", "pgenls"])
+def test_a_window_past_the_float_range_of_c_runs_and_verifies(tmp_path, algorithm):
+    # c(mu, tau, a, m) grows like (1 + mu_bar)^(m - 1), beyond the float range
+    # at m = 1000: the path-length bound says nothing, so it neither passes nor
+    # fails, in run and in verify, at this m and at a longer one
+    out, args = run_and_verify_args(tmp_path, algorithm=algorithm, seed=0, m=1000)
+    report = json.loads((out / "report.json").read_text())
+    assert report["prop_bound.c"] is None and report["prop_bound.pass"] is None
+    target = tmp_path / "reverify.json"
+    assert main(args + ["--report", str(target)]) == 0
+    assert target.read_bytes() == (out / "report.json").read_bytes()
+    assert main(args + ["--m", "2000", "--report", str(target)]) == 0
+    assert json.loads(target.read_text())["prop_bound.c"] is None
 
 
 def test_verify_writes_stdout_by_default(tmp_path, capsys):
@@ -550,13 +565,43 @@ ERROR_PATHS = [
     ("bad-tau", lambda t, r: _run(t, diagnostics={"tau": 1.5}), 1,
      "diagnostics.tau must lie in (0, 1), got 1.5"),
     ("diagnostics-bool", lambda t, r: _run(t, diagnostics={"mu": True}), 1,
-     "diagnostics.mu must be nonnegative, got True"),
+     "diagnostics.mu must be a real number, got True"),
     ("diagnostics-mu-inf", lambda t, r: _run(t, diagnostics={"mu": math.inf}), 1,
      "diagnostics.mu must be finite, got inf"),
     ("diagnostics-int-beyond-float", lambda t, r: _run(t, diagnostics={"mu": 10**400}), 1,
      f"diagnostics.mu must be finite, got {10**400}"),
     ("kbar-not-above-m", lambda t, r: _run(t, diagnostics={"kbar": 2}), 1,
      "diagnostics.kbar must be an integer greater than m=5, got 2"),
+    ("diagnostics-kbar-beyond-int64", lambda t, r: _run(t, diagnostics={"kbar": 10**30}), 1,
+     f"diagnostics.kbar must fit in int64, got {10**30}"),
+    ("params-rows-beyond-int64", lambda t, r: _run(t, params={"seed": 0, "rows": 10**30}), 1,
+     f"params.rows must fit in int64, got {10**30}"),
+    ("params-cols-beyond-int64", lambda t, r: _run(t, params={"seed": 0, "cols": 10**400}), 1,
+     f"params.cols must fit in int64, got {10**400}"),
+    ("params-seed-beyond-int64", lambda t, r: _run(t, params={"seed": 10**400}), 1,
+     f"params.seed must fit in int64, got {10**400}"),
+    ("params-seed-negative", lambda t, r: _run(t, params={"seed": -1}), 1,
+     "params.seed must be a nonnegative integer, got -1"),
+    # run: solver fields past the float or int64 range (JSON's 1e400 is inf)
+    ("solver-c-inf", lambda t, r: _run(t, algorithm="npg_major", solver={"c": math.inf}), 1,
+     "c must be finite, got inf"),
+    ("solver-rho-inf", lambda t, r: _run(t, solver={"rho": math.inf}), 1,
+     "rho must be finite, got inf"),
+    ("solver-gamma-bounds-inf",
+     lambda t, r: _run(t, solver={"gamma_min": math.inf, "gamma_max": math.inf}), 1,
+     "gamma_min must be finite, got inf"),
+    ("solver-gamma_max-inf", lambda t, r: _run(t, solver={"gamma_max": math.inf}), 1,
+     "gamma_max must be finite, got inf"),
+    ("solver-delta-inf", lambda t, r: _run(t, solver={"delta": math.inf}), 1,
+     "delta must be finite, got inf"),
+    ("solver-tol_step-inf", lambda t, r: _run(t, solver={"tol_step": math.inf}), 1,
+     "tol_step must be finite, got inf"),
+    ("solver-m-beyond-int64", lambda t, r: _run(t, solver={"m": 10**400}), 1,
+     f"m must fit in int64, got {10**400}"),
+    ("solver-max_outer-beyond-int64", lambda t, r: _run(t, solver={"max_outer": 10**400}), 1,
+     f"max_outer must fit in int64, got {10**400}"),
+    ("solver-max_inner-beyond-int64", lambda t, r: _run(t, solver={"max_inner": 10**400}), 1,
+     f"max_inner must fit in int64, got {10**400}"),
     ("algorithm-problem-mismatch",
      lambda t, r: _run(t, problem="l1-l2-dc", params={"seed": 0}), 1, "concave term"),
     # run: the solve and the outputs
@@ -640,6 +685,8 @@ ERROR_PATHS = [
     ("verify-delta-negative", lambda t, r: _verify(t, r, "--delta", "-3"), 1,
      "delta must be nonnegative, got -3.0"),
     ("verify-mu-inf", lambda t, r: _verify(t, r, "--mu", "inf"), 1, "mu must be finite, got inf"),
+    ("verify-m-beyond-int64", lambda t, r: _verify(t, r, "--m", str(10**30)), 1,
+     f"m must fit in int64, got {10**30}"),
     ("verify-kbar-not-above-m-one-row",
      lambda t, r: _verify(t, r, "--kbar", "2", edit=lambda lines: lines[:2],
                           sidecar=lambda p: p.unlink()), 1,

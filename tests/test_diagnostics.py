@@ -32,9 +32,9 @@ from kldescent.diagnostics import (
     theta_dc,
     verify_theta,
     xi_gamma,
-    _check_constants,
     _phi_slack,
 )
+from kldescent.domains import check
 from kldescent.errors import (
     FrameworkViolationError,
     InsufficientTraceError,
@@ -385,6 +385,19 @@ def test_c_constant_validation():
         c_constant(0.5, 0.5, 1.0, -2)
 
 
+def test_a_path_length_constant_past_the_float_range_bounds_nothing():
+    # mu_bar = 2 at m = 1000, and 2e100 at m = 5: (1 + mu_bar)^(m - 1) overflows
+    assert c_constant(1.0, 0.5, 1.0, 1000) == math.inf
+    assert c_constant(1e100, 0.5, 1.0, 5) == math.inf
+    # no gaps and no steps: inf * 0 is NaN, which must not fail the bound
+    trace = synth([1.0] * 8, [0.0] * 8, m=5)
+    rec = check_prop_bound(trace, tau=0.5, mu=1e100, a=1.0, m=5, kbar=6)
+    assert rec.passed is None and rec.details["c"] == math.inf
+    report = build_report(replace(trace, config={"m": 5, "a": 1.0}), mu=1e100, kbar=6)
+    assert report.fields["prop_bound.pass"] is None
+    assert report.fields["prop_bound.c"] is None
+
+
 def test_prop_bound_trivial_pass():
     trace = synth([4.0, 3.0, 2.0, 1.0], [0.0, 1.0, 1.0, 1.0])
     rec = check_prop_bound(trace, tau=0.5, mu=0.0, a=1.0, m=0, kbar=1)
@@ -419,7 +432,7 @@ def test_prop_bound_kbar_validation():
     with pytest.raises(InvalidInputError, match="kbar"):
         check_prop_bound(trace, tau=0.5, mu=0.0, a=1.0, m=2, kbar=2)
     # the same rule as check_h4: booleans are not window indices
-    with pytest.raises(InvalidInputError, match="kbar must be a positive integer"):
+    with pytest.raises(InvalidInputError, match="kbar must be an integer, got True"):
         check_prop_bound(trace, tau=0.5, mu=0.0, a=1.0, m=0, kbar=True)
 
 
@@ -429,7 +442,7 @@ def test_prop_bound_kbar_validation():
 
 def ref_recompute_ell(trace: Trace, m: int) -> AuditRecord:
     """Re-derive the window argmax column from merits and count mismatches."""
-    _check_constants(m=m)
+    check("audit", m=m)
     phi = trace.phi_values()
     ell = trace.column("ell")
     mismatches = 0
@@ -446,7 +459,7 @@ def ref_recompute_ell(trace: Trace, m: int) -> AuditRecord:
 
 
 def ref_check_h4(trace: Trace, tau: float, mu: float, kbar: int, a: float) -> AuditRecord:
-    _check_constants(tau=tau, mu=mu, a=a, kbar=kbar)
+    check("audit", tau=tau, mu=mu, a=a, kbar=kbar)
     phi = trace.phi_values()
     ell = trace.column("ell")
     s = trace.column("step_norm")
@@ -718,7 +731,7 @@ def test_derive_audit_inputs():
     # each value is checked as given, then converted
     got = derive_audit_inputs(replace(trace, config={"m": np.int64(3), "a": 1}))
     assert type(got["m"]) is int and type(got["a"]) is float
-    with pytest.raises(InvalidInputError, match=r"^gamma_min must be positive, got True$"):
+    with pytest.raises(InvalidInputError, match=r"^gamma_min must be a real number, got True$"):
         derive_audit_inputs(replace(trace, config=dict(trace.config, gamma_min=True)))
 
     with pytest.raises(InsufficientTraceError, match="missing"):
@@ -741,15 +754,17 @@ def test_derive_audit_inputs():
     ({}, {"tau": math.nan}, "tau must lie in (0, 1), got nan"),
     ({}, {"kbar": 3}, "kbar must be an integer greater than m=3, got 3"),
     # checked before conversion: no truncation, no boolean read as 1
-    ({"m": 5.7}, {}, "m must be a nonnegative integer, got 5.7"),
-    ({}, {"kbar": 6.9}, "kbar must be a positive integer, got 6.9"),
-    ({}, {"kbar": True}, "kbar must be a positive integer, got True"),
-    ({"alpha": True}, {}, "alpha must lie in [0, 1], got True"),
+    ({"m": 5.7}, {}, "m must be an integer, got 5.7"),
+    ({}, {"kbar": 6.9}, "kbar must be an integer, got 6.9"),
+    ({}, {"kbar": True}, "kbar must be an integer, got True"),
+    ({"alpha": True}, {}, "alpha must be a real number, got True"),
     ({"a": 10**400}, {}, f"a must be finite, got {10**400}"),
+    ({"m": 10**30}, {}, f"m must fit in int64, got {10**30}"),
+    ({}, {"kbar": 10**30}, f"kbar must fit in int64, got {10**30}"),
 ], ids=["a-inf", "alpha-nan", "alpha-big", "delta-negative", "c-zero", "beta_max-big",
         "lipschitz-nan", "lipschitz-negative", "lipschitz-inf", "mu-inf", "tau-nan",
         "kbar-equals-m", "m-fraction", "kbar-fraction", "kbar-bool", "alpha-bool",
-        "a-int-beyond-float"])
+        "a-int-beyond-float", "m-beyond-int64", "kbar-beyond-int64"])
 def test_build_report_rejects_constants_outside_their_domain(snapshot, kwargs, message):
     # a constant that would give a wrong verdict fails before any check,
     # whatever the trace length: this trace is shorter than kbar

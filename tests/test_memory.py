@@ -103,6 +103,16 @@ def test_invalid_depth():
         MemoryWindow(1.5)  # type: ignore[arg-type]
 
 
+@pytest.mark.parametrize("m, peak", [(np.int64(3), (4.0, 1)), (2**63 - 1, (5.0, 0))],
+                         ids=["numpy", "int64-max"])
+def test_any_int64_depth_makes_a_window(m, peak):
+    # a deque's length is a C ssize_t, and m + 1 is not one at int64's maximum
+    window = MemoryWindow(m)
+    for k in range(5):
+        window.push(k, 5.0 - k)
+    assert window.window_max() == peak
+
+
 def test_window_max_on_empty_window():
     with pytest.raises(LogicError, match="empty"):
         MemoryWindow(0).window_max()

@@ -25,8 +25,11 @@ The matrix:
 * ``sweep``: one per problem, over the window length;
 * ``reader``: one malformed trace per reader message, plus a trace whose
   sidecar is gone;
-* ``input``: numbers a config cannot hold (integers beyond the float range
-  or over 4300 digits) and non-finite ones.
+* ``input``: numbers a config cannot hold (integers beyond the float or
+  int64 range or over 4300 digits), non-finite ones and ones outside their
+  field's domain, in each block and in ``verify``'s flags; and ``run`` at
+  ``m = 1000``, where the path-length constant is beyond the float range,
+  with ``verify`` of its trace.
 """
 
 from __future__ import annotations
@@ -36,11 +39,12 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import shutil
 import sys
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -48,6 +52,7 @@ import numpy
 
 import kldescent
 from kldescent.cli import main
+from kldescent.diagnostics import derive_audit_inputs
 
 ALGORITHMS = ("npg_major", "pgenls", "pgnls")
 SEEDS = (0, 1, 3)
@@ -173,8 +178,36 @@ def _reader(name: str, run: tuple, edit_csv=None, edit_sidecar=None) -> Call:
     return Call(f"reader/{name}", argv, prepare)
 
 
-def _input(name: str, problem: str, algorithm: str, **fields) -> Call:
-    return _run(f"input/{name}", _config(problem, algorithm, 0, {"max_outer": 50}, **fields))
+def _input(name: str, problem: str, algorithm: str, solver: Optional[dict] = None,
+           **fields) -> Call:
+    return _run(f"input/{name}",
+                _config(problem, algorithm, 0, {"max_outer": 50, **(solver or {})}, **fields))
+
+
+def _verify_input(name: str, run: tuple, **changes) -> Call:
+    """``verify`` of ``run``'s trace with its complete flags, ``changes`` applied."""
+    def argv(root: Path, here: Path) -> Optional[list]:
+        flags = _verify_flags(root, run)
+        return None if flags is None else [
+            "verify", str(root / _label(run) / "exp_out" / "trace.csv"),
+            *_argv_flags({**flags, **changes})]
+    return Call(f"input/{name}", argv)
+
+
+def _long_window(algorithm: str) -> list[Call]:
+    """``run`` of lasso at seed 0 and ``m = 1000``, where the path-length
+    constant ``c`` is beyond the float range, and ``verify`` of its trace with
+    the flags of its config (a run that fails writes no report to read)."""
+    label = f"input/lasso-m1000-{algorithm}"
+    config = kldescent.NpgConfig if algorithm == "npg_major" else kldescent.PgenlsConfig
+    cfg = config(m=1000)
+    a = derive_audit_inputs(kldescent.Trace(algorithm=algorithm, config=asdict(cfg)))["a"]
+    solver = {"c": cfg.c} if algorithm == "npg_major" else {"beta-max": cfg.beta_max}
+    flags = {"algorithm": algorithm, "m": 1000, "a": a, "alpha": cfg.alpha,
+             "delta": cfg.delta, **solver}
+    return [_run(label, _config("lasso", algorithm, 0, {"m": 1000})),
+            Call(label + "-verify", lambda root, here: [
+                "verify", str(root / label / "exp_out" / "trace.csv"), *_argv_flags(flags)])]
 
 
 def matrix() -> list[Call]:
@@ -236,6 +269,25 @@ def matrix() -> list[Call]:
              lambda root, here: ["run", str(here / "exp.json")],
              _write("exp.json", '{"problem": "power4-1d", "algorithm": "pgenls", '
                                 '"params": {"x0": ' + DIGITS_4301 + "}}")),
+        _input("c-inf", "lasso", "npg_major", {"c": math.inf}),
+        _input("rho-inf", "lasso", "pgenls", {"rho": math.inf}),
+        _input("gamma-bounds-inf", "lasso", "pgenls", {"gamma_min": math.inf,
+                                                       "gamma_max": math.inf}),
+        _input("gamma_max-inf", "lasso", "pgenls", {"gamma_max": math.inf}),
+        _input("delta-inf", "lasso", "pgenls", {"delta": math.inf}),
+        _input("tol_step-inf", "lasso", "pgenls", {"tol_step": math.inf}),
+        _input("m-beyond-int64", "lasso", "pgenls", {"m": HUGE}),
+        _input("max_outer-beyond-int64", "lasso", "pgenls", {"max_outer": HUGE}),
+        _input("max_inner-beyond-int64", "lasso", "pgenls", {"max_inner": HUGE}),
+        _input("rows-beyond-int64", "lasso", "pgenls", params={"seed": 0, "rows": 10**30}),
+        _input("cols-beyond-int64", "lasso", "pgenls", params={"seed": 0, "cols": HUGE}),
+        _input("seed-beyond-int64", "lasso", "pgenls", params={"seed": HUGE}),
+        _input("seed-negative", "lasso", "pgenls", params={"seed": -1}),
+        _input("diagnostics-kbar-beyond-int64", "lasso", "pgenls",
+               diagnostics={"kbar": 10**30}),
+        _verify_input("verify-m-beyond-int64", SIDECAR_RUN, m=10**30),
+        *_long_window("npg_major"),
+        *_long_window("pgenls"),
         Call("input/sweep-value-over-4300-digits",
              lambda root, here: ["sweep", str(here / "exp.json"), "--param", "params.x0",
                                  "--values", DIGITS_4301],
