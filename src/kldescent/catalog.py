@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .domains import check
+from .domains import check, check_known
 from .errors import InvalidInputError
 from .oracles import (
     CompositeProblem,
@@ -66,8 +66,9 @@ def _sparse_regression_data(params: dict, rows_default: int, cols_default: int):
         return A, b
     if "seed" not in params:
         raise InvalidInputError("randomized problems require a 'seed' parameter")
-    rows = int(params.get("rows", rows_default))
-    cols = int(params.get("cols", cols_default))
+    rows, cols = int(params.get("rows", rows_default)), int(params.get("cols", cols_default))
+    if "rows" in params or "cols" in params:  # A must fit in numpy, as the defaults do
+        check("params", "params.", rows=rows, cols=cols)
     rng = np.random.default_rng(int(params["seed"]))
     A = rng.standard_normal((rows, cols)) / np.sqrt(rows)
     x_true = np.zeros(cols)
@@ -161,10 +162,6 @@ def make_problem(problem_id: str, params: dict | None = None) -> ProblemInstance
         )
     builder, _, accepted = _REGISTRY[problem_id]
     params = dict(params or {})
-    unknown = sorted(set(params) - set(accepted))
-    if unknown:
-        raise InvalidInputError(
-            f"unknown params field(s) for {problem_id}: {', '.join(unknown)}"
-        )
+    check_known(params, accepted, f"unknown params field(s) for {problem_id}")
     check("params", "params.", **params)
     return builder(params)

@@ -13,22 +13,18 @@ import argparse
 import copy
 import json
 import sys
-from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from typing import Optional
 
 from ._version import __version__
 from .catalog import describe_problems, make_problem
 from .diagnostics import DiagnosticsReport, build_report
-from .domains import check
+from .domains import ALGORITHMS, RULES, check, check_known, shown
 from .errors import InsufficientTraceError, InvalidInputError, KlDescentError
 from .npg import NpgConfig, npg_solve
 from .pgenls import PgenlsConfig, pgenls_solve
 from .trace import Trace, read_trace_csv, write_trace_csv
 
-_ALGORITHMS = ("npg_major", "pgenls", "pgnls")
-_TOP_KEYS = {"problem", "params", "algorithm", "solver", "diagnostics", "output_dir"}
-_DIAG_KEYS = ("tau", "mu", "kbar")
 # aggregate.csv columns after value and exit, each with its report key
 _AGGREGATE_FIELDS = (("iterations", "iterations"), ("final_f", "final_f"),
                      ("verdict", "rate.verdict"), ("rho", "rate.rho"),
@@ -92,60 +88,36 @@ def load_config(path: str | Path) -> dict:
         raise InvalidInputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InvalidInputError(f"{path}: top level must be a JSON object")
-    unknown = sorted(set(cfg) - _TOP_KEYS)
-    if unknown:
-        raise InvalidInputError(
-            f"{path}: unknown config field(s): {', '.join(unknown)}"
-        )
+    check_known(cfg, RULES["config"], f"{path}: unknown config field(s)")
     if "problem" not in cfg or not isinstance(cfg["problem"], str):
         raise InvalidInputError(f"{path}: field 'problem' (string) is required")
-    if cfg.get("algorithm") not in _ALGORITHMS:
+    if cfg.get("algorithm") not in ALGORITHMS:
         raise InvalidInputError(
-            f"{path}: field 'algorithm' must be one of {', '.join(_ALGORITHMS)}, "
+            f"{path}: field 'algorithm' must be one of {', '.join(ALGORITHMS)}, "
             f"got {cfg.get('algorithm')!r}"
         )
-    for key, typ in (("params", dict), ("solver", dict), ("diagnostics", dict)):
-        if key in cfg and not isinstance(cfg[key], typ):
-            raise InvalidInputError(f"{path}: field {key!r} must be an object")
-    if "output_dir" in cfg and not isinstance(cfg["output_dir"], str):
-        raise InvalidInputError(f"{path}: field 'output_dir' must be a string")
+    for key, (kind, _, _) in RULES["config"].items():  # problem and algorithm hold by now
+        if key in cfg and not isinstance(cfg[key], kind):
+            noun = "an object" if kind is dict else "a string"
+            raise InvalidInputError(f"{path}: field {key!r} must be {noun}")
     return cfg
 
 
 def diag_overrides(cfg: dict) -> dict:
-    diag = cfg.get("diagnostics", {})
-    unknown = sorted(set(diag) - set(_DIAG_KEYS))
-    if unknown:
-        raise InvalidInputError(
-            f"unknown diagnostics field(s): {', '.join(unknown)}"
-        )
-    check("audit", "diagnostics.", **{name: diag[name] for name in _DIAG_KEYS if name in diag})
-    return {"tau": float(diag.get("tau", 0.5)),
-            "mu": float(diag["mu"]) if "mu" in diag else None,
-            "kbar": diag.get("kbar")}
+    """The fields the diagnostics block gives, checked, as build_report keywords."""
+    return check("diagnostics", "diagnostics.", **cfg.get("diagnostics", {}))
 
 
 def _solver_config(cfg: dict):
     """Validate the solver block and build the algorithm's config object."""
     algorithm = cfg["algorithm"]
-    solver = dict(cfg.get("solver", {}))
-    cls = NpgConfig if algorithm == "npg_major" else PgenlsConfig
-    known = {f.name for f in dataclass_fields(cls)}
-    unknown = sorted(set(solver) - known)
-    if unknown:
-        raise InvalidInputError(
-            f"unknown solver field(s) for {algorithm}: {', '.join(unknown)}"
-        )
+    solver = cfg.get("solver", {})
+    check_known(solver, RULES[algorithm], f"unknown solver field(s) for {algorithm}")
     if algorithm == "pgnls":
-        # plain nonmonotone proximal gradient: no proximity term, no
-        # extrapolation; forcing both here keeps configs honest.
-        for name in ("delta", "beta_max"):
-            if solver.get(name, 0.0) != 0.0:
-                raise InvalidInputError(
-                    f"solver.{name} must be 0 for algorithm 'pgnls'"
-                )
-            solver[name] = 0.0
-    return cls(**solver)
+        zeros = {"delta": 0.0, "beta_max": 0.0}
+        check("pgnls", "solver.", **{name: solver[name] for name in zeros if name in solver})
+        solver = {**solver, **zeros}
+    return (NpgConfig if algorithm == "npg_major" else PgenlsConfig)(**solver)
 
 
 def _build(cfg: dict):
@@ -154,7 +126,7 @@ def _build(cfg: dict):
     diag = diag_overrides(cfg)
     instance = make_problem(cfg["problem"], cfg.get("params", {}))
     solver_cfg = _solver_config(cfg)
-    if diag["kbar"] is not None:  # the audit's kbar must exceed the run's m
+    if "kbar" in diag:  # the audit's kbar must exceed the run's m
         check("audit", "diagnostics.", m=solver_cfg.m, kbar=diag["kbar"])
     if cfg["algorithm"] != "npg_major" and instance.problem.h is not None:
         raise InvalidInputError(
@@ -222,8 +194,7 @@ def execute(cfg: dict, outdir: Path) -> tuple[int, dict]:
         stage = "diagnostics"
         outdir.mkdir(parents=True, exist_ok=True)
         write_trace_csv(trace, outdir / "trace.csv")
-        report = build_report(trace, problem=instance.problem, tau=diag["tau"],
-                              mu=diag["mu"], kbar=diag["kbar"])
+        report = build_report(trace, problem=instance.problem, **diag)
         (outdir / "report.json").write_text(report.to_json())
         (outdir / "summary.txt").write_text(_summary_text(report))
         fields = report.fields
@@ -262,13 +233,13 @@ def _parse_sweep_values(raw: str) -> list:
             values.append(json.loads(tok))
         except ValueError:  # JSONDecodeError, or an integer of over 4300 digits
             raise InvalidInputError(
-                f"--values entry {tok!r} is not a number"
+                f"--values entry {shown(tok)} is not a number"
             ) from None
     if not values:
         raise InvalidInputError("--values must name at least one value")
     for v in values:
         if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise InvalidInputError(f"--values entry {v!r} is not a number")
+            raise InvalidInputError(f"--values entry {shown(v)} is not a number")
     return values
 
 
@@ -288,10 +259,9 @@ def _apply_sweep_value(cfg: dict, param: str, value) -> dict:
             raise InvalidInputError(f"--param {param!r} does not name a config field")
         out.setdefault(block, {})[name] = value
         return out
-    cls = NpgConfig if cfg["algorithm"] == "npg_major" else PgenlsConfig
-    if param in {f.name for f in dataclass_fields(cls)}:
+    if param in RULES[cfg["algorithm"]]:
         out.setdefault("solver", {})[param] = value
-    elif param in _DIAG_KEYS:
+    elif param in RULES["diagnostics"]:
         out.setdefault("diagnostics", {})[param] = value
     else:
         out.setdefault("params", {})[param] = value
@@ -346,8 +316,9 @@ def cmd_verify(args) -> int:
                    else None)
         if missing:
             raise InsufficientTraceError(f"audit constants unavailable: give {missing}")
-        report = build_report(trace, lipschitz=args.lf, tau=args.tau, mu=args.mu,
-                              kbar=args.kbar)
+        report = build_report(trace, lipschitz=args.lf, **{
+            name: getattr(args, name) for name in RULES["diagnostics"]
+            if getattr(args, name) is not None})
         payload = report.to_json()
         if args.report:
             Path(args.report).write_text(payload)
@@ -393,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("trace", help="trace CSV produced by run (or compatible)")
     p_ver.add_argument("--report", default=None,
                        help="write the report JSON here (default: stdout)")
-    p_ver.add_argument("--algorithm", default="npg_major", choices=_ALGORITHMS)
+    p_ver.add_argument("--algorithm", default="npg_major", choices=ALGORITHMS)
     p_ver.add_argument("--m", type=int, default=None, help="window length")
     p_ver.add_argument("--a", type=float, default=None,
                        help="sufficient-decrease constant")
@@ -407,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="upper bound on the Lipschitz constant of the "
                             "gradient of f (without it the checks that need "
                             "one report n/a)")
-    p_ver.add_argument("--tau", type=float, default=0.5)
+    p_ver.add_argument("--tau", type=float, default=None)
     p_ver.add_argument("--mu", type=float, default=None)
     p_ver.add_argument("--kbar", type=int, default=None)
     p_ver.add_argument("--problem", default="", help="problem id for the report")

@@ -587,15 +587,12 @@ def derive_audit_inputs(trace: Trace) -> dict:
     a = cfg.get("a")
     if a is None:
         names = ("alpha", "delta", "gamma_min") + (("c",) if dc else ())
-        known = {name: require(name) for name in names}
-        check("audit", **known)
-        a = (npg if dc else pgenls).decrease_constant(*map(float, known.values()))
+        known = check("audit", **{name: require(name) for name in names})
+        a = (npg if dc else pgenls).decrease_constant(*known.values())
     raw = {"m": require("m"), "a": a, "alpha": cfg.get("alpha"),
            "delta": cfg.get("delta") if dc else require("delta"),
            "c": cfg.get("c"), "beta_max": cfg.get("beta_max", 0.0)}
-    check("audit", **{name: v for name, v in raw.items() if v is not None})
-    return {name: v if v is None else int(v) if name == "m" else float(v)
-            for name, v in raw.items()}
+    return {**raw, **check("audit", **{name: v for name, v in raw.items() if v is not None})}
 
 
 def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
@@ -624,11 +621,12 @@ def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
 
     if lipschitz is None and problem is not None and problem.f.lipschitz_hint is not None:
         lipschitz = float(problem.f.lipschitz_hint)
-    kbar_eff = kbar if kbar is not None else m + 2
+    if kbar is None:
+        kbar = m + 2
+        check("audit", "the default m + 2 for ", kbar=kbar)  # names m + 2 if past int64
     optional = {"mu": mu, "lipschitz": lipschitz}
-    check("audit", tau=tau, m=m, kbar=kbar_eff,
-          **{name: v for name, v in optional.items() if v is not None})
-    kbar_eff = int(kbar_eff)
+    kbar_eff = check("audit", tau=tau, m=m, kbar=kbar,
+                     **{name: v for name, v in optional.items() if v is not None})["kbar"]
 
     fields: dict = {
         "version": __version__,

@@ -8,12 +8,14 @@ through one deterministic subgradient per point.
 
 Validation happens once per value.  The public maps (``prox_l1``,
 ``prox_l0``, ``prox_box``, ``subgrad_l2_norm``) check every argument on every
-call: the point must be a finite vector and the weights positive.  The
-oracle builders (``l1_oracle`` and the rest) check their weights at the
-build and give the solvers closures over the unchecked kernels, so a trial
-pays for no check: the solvers pass float64 vectors and positive weights.
-A non-finite point reaches the kernel as it is, and its non-finite output
-is caught by the solver (see :func:`kldescent.descent.checked_penalty`).
+call: the point must be a finite vector and the weights in the ``oracle``
+context of :mod:`kldescent.domains` (positive ``lam`` and ``gamma``, finite
+box bounds with ``lo <= hi``).  The oracle builders (``l1_oracle`` and the
+rest) check their weights at the build and give the solvers closures over
+the unchecked kernels, so a trial pays for no check: the solvers pass
+float64 vectors and positive weights.  A non-finite point reaches the kernel
+as it is, and its non-finite output is caught by the solver (see
+:func:`kldescent.descent.checked_penalty`).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Callable, Optional, TypeAlias
 import numpy as np
 from numpy.typing import NDArray
 
+from .domains import check
 from .errors import InvalidInputError
 
 Vector: TypeAlias = NDArray[np.float64]
@@ -62,13 +65,6 @@ def as_vector(x, name: str = "x") -> Vector:
     if not np.all(np.isfinite(v)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return v
-
-
-def _require_positive(value: float, name: str) -> float:
-    value = float(value)
-    if not np.isfinite(value) or value <= 0.0:
-        raise InvalidInputError(f"{name} must be a positive finite real, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -160,13 +156,6 @@ def _hard_threshold(v: Vector, lam: float, gamma: float) -> Vector:
     return np.where(np.abs(v) <= math.sqrt(2.0 * lam / gamma), 0.0, v)
 
 
-def _box_bounds(lo: float, hi: float) -> tuple[float, float]:
-    lo, hi = float(lo), float(hi)
-    if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
-        raise InvalidInputError(f"box bounds must satisfy lo <= hi, got [{lo!r}, {hi!r}]")
-    return lo, hi
-
-
 def _scaled_direction(x: Vector, lam: float) -> Vector:
     nrm = float(np.linalg.norm(x))
     if nrm == 0.0:
@@ -177,7 +166,7 @@ def _scaled_direction(x: Vector, lam: float) -> Vector:
 def prox_l1(v: Vector, lam: float, gamma: float) -> Vector:
     """Soft threshold: prox of ``lam * ||.||_1`` at ``v`` with weight ``gamma``."""
     v = as_vector(v, "v")
-    return _soft_threshold(v, _require_positive(lam, "lam"), _require_positive(gamma, "gamma"))
+    return _soft_threshold(v, *check("oracle", lam=lam, gamma=gamma).values())
 
 
 def prox_l0(v: Vector, lam: float, gamma: float) -> Vector:
@@ -187,21 +176,20 @@ def prox_l0(v: Vector, lam: float, gamma: float) -> Vector:
     equality is broken toward 0 so the map is single-valued.
     """
     v = as_vector(v, "v")
-    return _hard_threshold(v, _require_positive(lam, "lam"), _require_positive(gamma, "gamma"))
+    return _hard_threshold(v, *check("oracle", lam=lam, gamma=gamma).values())
 
 
 def prox_box(v: Vector, lo: float, hi: float, gamma: float) -> Vector:
     """Componentwise clamp onto ``[lo, hi]``; independent of ``gamma``."""
     v = as_vector(v, "v")
-    lo, hi = _box_bounds(lo, hi)
-    _require_positive(gamma, "gamma")
+    lo, hi, _ = check("oracle", lo=lo, hi=hi, gamma=gamma).values()
     return np.clip(v, lo, hi)
 
 
 def subgrad_l2_norm(x: Vector, lam: float) -> Vector:
     """Deterministic subgradient of ``lam * ||.||_2``: ``lam*x/||x||``, or 0 at 0."""
     x = as_vector(x, "x")
-    return _scaled_direction(x, _require_positive(lam, "lam"))
+    return _scaled_direction(x, check("oracle", lam=lam)["lam"])
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +197,7 @@ def subgrad_l2_norm(x: Vector, lam: float) -> Vector:
 
 
 def l1_oracle(lam: float) -> ProxOracle:
-    lam = _require_positive(lam, "lam")
+    lam = check("oracle", lam=lam)["lam"]
     return ProxOracle(
         value=lambda x: lam * float(np.sum(np.abs(x))),
         prox=lambda v, gamma: _soft_threshold(v, lam, gamma),
@@ -217,7 +205,7 @@ def l1_oracle(lam: float) -> ProxOracle:
 
 
 def l0_oracle(lam: float) -> ProxOracle:
-    lam = _require_positive(lam, "lam")
+    lam = check("oracle", lam=lam)["lam"]
     return ProxOracle(
         value=lambda x: lam * float(np.count_nonzero(x)),
         prox=lambda v, gamma: _hard_threshold(v, lam, gamma),
@@ -227,7 +215,7 @@ def l0_oracle(lam: float) -> ProxOracle:
 def box_oracle(lo: float, hi: float) -> ProxOracle:
     """Indicator of the box ``[lo, hi]^n`` (value 0 inside, +inf outside);
     the bounds must be finite."""
-    lo_f, hi_f = _box_bounds(lo, hi)
+    lo_f, hi_f = check("oracle", lo=lo, hi=hi).values()
 
     def value(x):
         inside = np.all(x >= lo_f) and np.all(x <= hi_f)
@@ -242,7 +230,7 @@ def zero_oracle() -> ProxOracle:
 
 
 def l2_norm_oracle(lam: float) -> ConvexOracle:
-    lam = _require_positive(lam, "lam")
+    lam = check("oracle", lam=lam)["lam"]
     return ConvexOracle(
         value=lambda x: lam * float(np.linalg.norm(x)),
         subgradient=lambda x: _scaled_direction(x, lam),

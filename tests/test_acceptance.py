@@ -175,10 +175,10 @@ def test_criterion_08_dc_run_reaches_certified_stationarity():
                       seed=7)
     assert trace.tolerance_terminated()
     assert len(trace) - 1 <= 5000
-    assert trace.records[-1].residual <= 1e-6
+    assert trace.column("residual")[-1] <= 1e-6
 
-    x_star = trace.records[-1].x
-    gamma_last = trace.records[-1].gamma
+    x_star = trace.X[-1]
+    gamma_last = trace.column("gamma")[-1]
     p = inst.problem
     xi = -p.h.subgradient(x_star)
     cand = p.g.prox(x_star - (p.f.gradient(x_star) + xi) / gamma_last,
@@ -256,11 +256,12 @@ def test_criterion_11_stepsize_schedule_is_sound(suite):
     cfg = run.trace.config
     rho, nu = cfg["rho"], cfg["nu"]
     rows = 0
-    for rec in run.trace.records[1:]:
-        gamma0 = rec.gamma * rho ** -rec.j_inner
-        beta0 = rec.beta * nu ** -rec.j_inner if rec.beta > 0.0 else 0.0
+    columns = (run.trace.column(name)[1:].tolist() for name in ("k", "gamma", "beta", "j_inner"))
+    for k, gamma, beta, j in zip(*columns):
+        gamma0 = gamma * rho ** -j
+        beta0 = beta * nu ** -j if beta > 0.0 else 0.0
         if beta0 > 0.0:
-            expect = gamma0 * beta0 * (nu * rho) ** rec.j_inner
-            assert rec.gamma * rec.beta == expect, rec.k
+            expect = gamma0 * beta0 * (nu * rho) ** j
+            assert gamma * beta == expect, k
             rows += 1
     assert rows > 0

@@ -6,6 +6,9 @@ import pytest
 from kldescent.catalog import describe_problems, make_problem, problem_ids
 from kldescent.errors import InvalidInputError
 
+# 10**400 as an error message shows it: its first 20 characters and its length
+HUGE_SHOWN = "10000000000000000000... (401 characters)"
+
 
 def test_problem_ids_sorted_and_described():
     ids = problem_ids()
@@ -118,16 +121,17 @@ def test_lam_validation():
     ("power4-1d", {"x0": [1.0]}, "params.x0 must be a real number, got [1.0]"),
     ("lasso", {"A_csv": [1], "b_csv": "b.csv"}, "params.A_csv must be a string, got [1]"),
     ("quad-l1", {"A_csv": 2.5, "b_csv": "b.csv"}, "params.A_csv must be a string, got 2.5"),
-    # integers beyond the float range
-    ("power4-1d", {"x0": 10**400}, f"params.x0 must be finite, got {10**400}"),
-    ("lasso", {"seed": 0, "lam": -10**400}, f"params.lam must be finite, got {-10**400}"),
+    # integers beyond the float range, shown as their first 20 characters and length
+    ("power4-1d", {"x0": 10**400}, "params.x0 must be finite, got " + HUGE_SHOWN),
+    ("lasso", {"seed": 0, "lam": -10**400},
+     "params.lam must be finite, got -1000000000000000000... (402 characters)"),
     ("lasso", {"seed": 0, "lam_factor": 10**309},
-     f"params.lam_factor must be finite, got {10**309}"),
-    ("quad-l1", {"seed": 0, "mu": 10**400}, f"params.mu must be finite, got {10**400}"),
+     "params.lam_factor must be finite, got 10000000000000000000... (310 characters)"),
+    ("quad-l1", {"seed": 0, "mu": 10**400}, "params.mu must be finite, got " + HUGE_SHOWN),
     # integers beyond int64, and values outside their field's domain
     ("lasso", {"seed": 0, "rows": 10**30}, f"params.rows must fit in int64, got {10**30}"),
-    ("l0-ls", {"seed": 0, "cols": 10**400}, f"params.cols must fit in int64, got {10**400}"),
-    ("power4-1d", {"seed": 10**400}, f"params.seed must fit in int64, got {10**400}"),
+    ("l0-ls", {"seed": 0, "cols": 10**400}, "params.cols must fit in int64, got " + HUGE_SHOWN),
+    ("power4-1d", {"seed": 10**400}, "params.seed must fit in int64, got " + HUGE_SHOWN),
     ("lasso", {"seed": -1}, "params.seed must be a nonnegative integer, got -1"),
     ("lasso", {"seed": 0, "rows": 0}, "params.rows must be a positive integer, got 0"),
     ("lasso", {"seed": 0, "lam": -1.0}, "params.lam must be positive, got -1.0"),

@@ -11,7 +11,10 @@ from kldescent.catalog import make_problem, problem_ids
 from kldescent.cli import main
 from kldescent.errors import InvalidInputError
 from kldescent.trace import CSV_COLUMNS
-from kldescent.cli import _apply_sweep_value, _parse_sweep_values, load_config
+from kldescent.cli import _apply_sweep_value, _parse_sweep_values, diag_overrides, load_config
+
+# 10**400 as an error message shows it: its first 20 characters and its length
+HUGE_SHOWN = "10000000000000000000... (401 characters)"
 
 
 def write_config(tmp_path, name="exp.json", **overrides):
@@ -73,6 +76,18 @@ def test_dc_problem_through_dc_solver(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["algorithm"] == "npg_major"
     assert report["final_residual"] <= 1e-6
+
+
+def test_only_build_report_defaults_tau(dc_run, capsys):
+    # the config and verify pass only what they are given
+    assert diag_overrides({"diagnostics": {}}) == {}
+    assert diag_overrides({"diagnostics": {"kbar": 9, "tau": 0.25}}) == {"kbar": 9, "tau": 0.25}
+    out, full = dc_run
+    reports = []
+    for flags in ([], ["--tau", "0.5"]):
+        assert main(["verify", str(out / "trace.csv"), *full, *flags]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] and json.loads(reports[0])["h4.tau"] == 0.5
 
 
 def test_exit_1_bad_tau(tmp_path, capsys):
@@ -557,7 +572,7 @@ ERROR_PATHS = [
      "params.A_csv must be a string, got 5"),
     ("params-int-beyond-float",
      lambda t, r: _run(t, problem="power4-1d", params={"x0": 10**400}), 1,
-     f"params.x0 must be finite, got {10**400}"),
+     "params.x0 must be finite, got " + HUGE_SHOWN),
     ("config-int-over-4300-digits",
      lambda t, r: ["run", str(_file(t / "c.json", '{"problem": "power4-1d", "params": '
                                    '{"x0": 1' + "0" * 4300 + '}}'))], 1,
@@ -569,7 +584,7 @@ ERROR_PATHS = [
     ("diagnostics-mu-inf", lambda t, r: _run(t, diagnostics={"mu": math.inf}), 1,
      "diagnostics.mu must be finite, got inf"),
     ("diagnostics-int-beyond-float", lambda t, r: _run(t, diagnostics={"mu": 10**400}), 1,
-     f"diagnostics.mu must be finite, got {10**400}"),
+     "diagnostics.mu must be finite, got " + HUGE_SHOWN),
     ("kbar-not-above-m", lambda t, r: _run(t, diagnostics={"kbar": 2}), 1,
      "diagnostics.kbar must be an integer greater than m=5, got 2"),
     ("diagnostics-kbar-beyond-int64", lambda t, r: _run(t, diagnostics={"kbar": 10**30}), 1,
@@ -577,11 +592,21 @@ ERROR_PATHS = [
     ("params-rows-beyond-int64", lambda t, r: _run(t, params={"seed": 0, "rows": 10**30}), 1,
      f"params.rows must fit in int64, got {10**30}"),
     ("params-cols-beyond-int64", lambda t, r: _run(t, params={"seed": 0, "cols": 10**400}), 1,
-     f"params.cols must fit in int64, got {10**400}"),
+     "params.cols must fit in int64, got " + HUGE_SHOWN),
     ("params-seed-beyond-int64", lambda t, r: _run(t, params={"seed": 10**400}), 1,
-     f"params.seed must fit in int64, got {10**400}"),
+     "params.seed must fit in int64, got " + HUGE_SHOWN),
     ("params-seed-negative", lambda t, r: _run(t, params={"seed": -1}), 1,
      "params.seed must be a nonnegative integer, got -1"),
+    ("params-rows-times-cols-too-big",
+     lambda t, r: _run(t, params={"seed": 0, "rows": 2**40, "cols": 2**40}), 1,
+     "params.rows * params.cols must be at most 1152921504606846975 entries, "
+     "got 1099511627776 * 1099511627776"),
+    ("quad-l1-rows-times-default-cols-too-big",
+     lambda t, r: _run(t, problem="quad-l1", params={"seed": 0, "rows": 2**62}), 1,
+     "params.rows * params.cols must be at most 1152921504606846975 entries, "
+     "got 4611686018427387904 * 30"),
+    ("diagnostics-tau-beyond-float", lambda t, r: _run(t, diagnostics={"tau": 10**400}), 1,
+     "diagnostics.tau must be finite, got " + HUGE_SHOWN),
     # run: solver fields past the float or int64 range (JSON's 1e400 is inf)
     ("solver-c-inf", lambda t, r: _run(t, algorithm="npg_major", solver={"c": math.inf}), 1,
      "c must be finite, got inf"),
@@ -597,11 +622,19 @@ ERROR_PATHS = [
     ("solver-tol_step-inf", lambda t, r: _run(t, solver={"tol_step": math.inf}), 1,
      "tol_step must be finite, got inf"),
     ("solver-m-beyond-int64", lambda t, r: _run(t, solver={"m": 10**400}), 1,
-     f"m must fit in int64, got {10**400}"),
+     "m must fit in int64, got " + HUGE_SHOWN),
     ("solver-max_outer-beyond-int64", lambda t, r: _run(t, solver={"max_outer": 10**400}), 1,
-     f"max_outer must fit in int64, got {10**400}"),
+     "max_outer must fit in int64, got " + HUGE_SHOWN),
     ("solver-max_inner-beyond-int64", lambda t, r: _run(t, solver={"max_inner": 10**400}), 1,
-     f"max_inner must fit in int64, got {10**400}"),
+     "max_inner must fit in int64, got " + HUGE_SHOWN),
+    # run: pgnls holds delta and beta_max at 0
+    ("pgnls-delta-nonzero", lambda t, r: _run(t, algorithm="pgnls", solver={"delta": 0.5}), 1,
+     "solver.delta must be 0 for algorithm 'pgnls', got 0.5"),
+    ("pgnls-delta-string", lambda t, r: _run(t, algorithm="pgnls", solver={"delta": "abc"}), 1,
+     "solver.delta must be a real number, got 'abc'"),
+    ("pgnls-unknown-solver-field",
+     lambda t, r: _run(t, algorithm="pgnls", solver={"momentum": 0.9}), 1,
+     "unknown solver field(s) for pgnls: momentum"),
     ("algorithm-problem-mismatch",
      lambda t, r: _run(t, problem="l1-l2-dc", params={"seed": 0}), 1, "concave term"),
     # run: the solve and the outputs
@@ -623,7 +656,7 @@ ERROR_PATHS = [
     # sweep
     ("sweep-bad-values", lambda t, r: _sweep(t, "delta", "a,b"), 1, "is not a number"),
     ("sweep-value-over-4300-digits", lambda t, r: _sweep(t, "params.x0", "1" + "0" * 4300), 1,
-     "0' is not a number"),
+     "--values entry '1000000000000000000... (4303 characters) is not a number"),
     ("sweep-root-under-a-file",
      lambda t, r: _sweep(t, "m", "1", output_dir=str(_file(t / "root") / "sub")), 1,
      "cannot write outputs: "),
@@ -687,6 +720,8 @@ ERROR_PATHS = [
     ("verify-mu-inf", lambda t, r: _verify(t, r, "--mu", "inf"), 1, "mu must be finite, got inf"),
     ("verify-m-beyond-int64", lambda t, r: _verify(t, r, "--m", str(10**30)), 1,
      f"m must fit in int64, got {10**30}"),
+    ("verify-m-leaves-no-default-kbar", lambda t, r: _verify(t, r, "--m", str(2**63 - 2)), 1,
+     "the default m + 2 for kbar must fit in int64, got 9223372036854775808"),
     ("verify-kbar-not-above-m-one-row",
      lambda t, r: _verify(t, r, "--kbar", "2", edit=lambda lines: lines[:2],
                           sidecar=lambda p: p.unlink()), 1,

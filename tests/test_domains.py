@@ -1,6 +1,7 @@
 """The one rule table of ``kldescent.domains``: every field of each context
-has its entry, and a value outside its field's domain is rejected, before
-any conversion, with one message naming the field."""
+has its entry, a name outside its context is rejected, and a value outside
+its field's domain is rejected, before any conversion, with one message
+naming the field."""
 
 import inspect
 import math
@@ -9,14 +10,21 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from kldescent import catalog
+from kldescent import catalog, oracles
 from kldescent.diagnostics import build_report, derive_audit_inputs
-from kldescent.domains import RULES
+from kldescent.domains import RULES, check, shown
 from kldescent.errors import InvalidInputError
 from kldescent.npg import NpgConfig, npg_solve
 from kldescent.oracles import CompositeProblem, make_power4_1d, zero_oracle
 from kldescent.pgenls import PgenlsConfig
-from kldescent.trace import Trace
+from kldescent.trace import CSV_COLUMNS, Trace
+
+# 10**400 as an error message shows it: its first 20 characters and its length
+HUGE_SHOWN = "10000000000000000000... (401 characters)"
+# a one-row trace whose window m leaves its default kbar = m + 2 past int64
+DEFAULT_KBAR_PAST_INT64 = Trace(algorithm="npg_major", X=np.zeros((1, 1)),
+                                columns=dict.fromkeys(CSV_COLUMNS, [0]),
+                                config={"m": 2**63 - 2, "a": 1.0})
 
 
 def test_every_field_of_every_context_has_one_rule():
@@ -30,6 +38,20 @@ def test_every_field_of_every_context_has_one_rule():
     assert set(RULES["audit"]) == set(resolved) | {"gamma_min"} | keywords
     accepted = {name for _, _, names in catalog._REGISTRY.values() for name in names}
     assert set(RULES["params"]) == accepted
+    assert set(RULES["pgnls"]) == set(RULES["pgenls"])
+    assert set(RULES["diagnostics"]) == keywords - {"lipschitz"}
+    weighted = (oracles.prox_l1, oracles.prox_l0, oracles.prox_box, oracles.subgrad_l2_norm,
+                oracles.l1_oracle, oracles.l0_oracle, oracles.box_oracle,
+                oracles.l2_norm_oracle)
+    weights = {name for fn in weighted for name in inspect.signature(fn).parameters}
+    assert set(RULES["oracle"]) == weights - {"v", "x"}
+
+
+@pytest.mark.parametrize("context", sorted(RULES))
+def test_a_name_outside_its_context_is_rejected(context):
+    with pytest.raises(InvalidInputError) as exc:
+        check(context, "prefix.", bogus=1.0, zzz=2)
+    assert str(exc.value) == f"unknown {context} field(s): bogus, zzz"
 
 
 @pytest.mark.parametrize("build, message", [
@@ -40,14 +62,15 @@ def test_every_field_of_every_context_has_one_rule():
     (lambda: NpgConfig(gamma_max=math.inf), "gamma_max must be finite, got inf"),
     (lambda: NpgConfig(tol_step=math.inf), "tol_step must be finite, got inf"),
     (lambda: NpgConfig(tol_step=0.0), "tol_step must be positive, got 0.0"),
-    (lambda: NpgConfig(m=10**400), f"m must fit in int64, got {10**400}"),
+    (lambda: NpgConfig(m=10**400), "m must fit in int64, got " + HUGE_SHOWN),
     (lambda: NpgConfig(max_inner=2**63), f"max_inner must fit in int64, got {2**63}"),
     (lambda: NpgConfig(max_outer=0), "max_outer must be a positive integer, got 0"),
     (lambda: NpgConfig(gamma_min=0.0), "gamma bounds must satisfy 0 < gamma_min <= gamma_max, "
                                        "got [0.0, 10000000000.0]"),
     (lambda: PgenlsConfig(delta=math.inf), "delta must be finite, got inf"),
     (lambda: PgenlsConfig(tol_resid=math.inf), "tol_resid must be finite, got inf"),
-    (lambda: PgenlsConfig(max_outer=10**400), f"max_outer must fit in int64, got {10**400}"),
+    (lambda: PgenlsConfig(max_outer=10**400),
+     "max_outer must fit in int64, got " + HUGE_SHOWN),
     (lambda: PgenlsConfig(gamma_init_rule=5), "gamma_init_rule must be a string, got 5"),
     (lambda: PgenlsConfig(beta_init_rule="y"),
      "beta_init_rule must be 'constant' or 'nesterov', got 'y'"),
@@ -63,12 +86,25 @@ def test_every_field_of_every_context_has_one_rule():
      f"params.rows must fit in int64, got {10**30}"),
     (lambda: catalog.make_problem("lasso", {"seed": -1}),
      "params.seed must be a nonnegative integer, got -1"),
+    (lambda: catalog.make_problem("lasso", {"seed": 0, "rows": 2**40, "cols": 2**40}),
+     "params.rows * params.cols must be at most 1152921504606846975 entries, "
+     "got 1099511627776 * 1099511627776"),
+    (lambda: oracles.l1_oracle(-1.0), "lam must be positive, got -1.0"),
+    (lambda: oracles.l2_norm_oracle(True), "lam must be a real number, got True"),
+    (lambda: oracles.prox_l0(np.ones(2), 1.0, 0.0), "gamma must be positive, got 0.0"),
+    (lambda: oracles.box_oracle(0.0, math.inf), "hi must be finite, got inf"),
+    (lambda: oracles.box_oracle(2, -2), "box bounds must satisfy lo <= hi, got [2, -2]"),
+    (lambda: oracles.prox_box(np.ones(2), -1.0, 1.0, math.nan), "gamma must be positive, got nan"),
+    (lambda: build_report(DEFAULT_KBAR_PAST_INT64),
+     "the default m + 2 for kbar must fit in int64, got 9223372036854775808"),
 ], ids=["c-inf", "rho-inf", "gamma-bounds-inf", "gamma_max-inf", "tol_step-inf",
         "tol_step-zero", "m-beyond-int64", "max_inner-2**63", "max_outer-zero",
         "gamma_min-zero", "pgenls-delta-inf", "pgenls-tol_resid-inf",
         "pgenls-max_outer-beyond-int64", "gamma_init_rule-int", "beta_init_rule-bogus",
         "nu-past-1/rho", "audit-m-beyond-int64", "audit-delta-inf", "params-rows-beyond-int64",
-        "params-seed-negative"])
+        "params-seed-negative", "params-rows-times-cols", "oracle-lam-negative",
+        "oracle-lam-bool", "oracle-gamma-zero", "oracle-hi-inf", "oracle-lo-above-hi",
+        "oracle-gamma-nan", "audit-default-kbar-past-int64"])
 def test_a_value_outside_its_domain_is_rejected_by_name(build, message):
     with pytest.raises(InvalidInputError) as exc:
         build()
@@ -80,3 +116,9 @@ def test_numpy_integers_are_integers_for_a_solver_config():
     cfg = NpgConfig(m=np.int64(2), max_outer=np.int64(4), max_inner=np.int32(60))
     trace = npg_solve(problem, np.array([1.0]), cfg)
     assert len(trace) == 5
+
+
+def test_a_long_value_is_shortened_in_messages():
+    assert shown(10**30) == repr(10**30)  # 31 characters: shown whole
+    assert shown(10**400) == HUGE_SHOWN
+    assert shown("1" + "0" * 4300) == "'1000000000000000000... (4303 characters)"

@@ -39,15 +39,16 @@ HALVING = NpgConfig(m=0, gamma_min=2.0, gamma_max=2.0, rho=2.0, delta=0.5,
 def test_worked_halving_step():
     # x=4, gamma=2: cand = 4 - 4/2 = 2, accepted at j=0.
     trace = npg_solve(quad_1d(), np.array([4.0]), HALVING)
-    r0, r1 = trace.records[0], trace.records[1]
-    assert r0.f_value == 8.0 and r0.step_norm == 0.0
-    assert math.isnan(r0.gamma) and r0.j_inner == -1 and math.isnan(r0.residual)
-    assert r1.x[0] == 2.0
-    assert r1.f_value == 2.0
-    assert r1.gamma == 2.0 and r1.j_inner == 0
-    assert r1.step_norm == 2.0
+    F, gamma, j, step, resid = map(trace.column, ("F", "gamma", "j_inner", "step_norm",
+                                                  "residual"))
+    assert F[0] == 8.0 and step[0] == 0.0
+    assert math.isnan(gamma[0]) and j[0] == -1 and math.isnan(resid[0])
+    assert trace.X[1, 0] == 2.0
+    assert F[1] == 2.0
+    assert gamma[1] == 2.0 and j[1] == 0
+    assert step[1] == 2.0
     # residual top block is -(x' - x) for this quadratic at gamma 2
-    assert r1.residual == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-15)
+    assert resid[1] == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-15)
 
 
 def test_halving_iterates_exact():
@@ -73,11 +74,10 @@ def test_worked_dc_step_with_linear_h_region():
     p = CompositeProblem(f=quad_1d().f, g=zero_oracle(), h=l2_norm_oracle(1.0),
                         dimension=1)
     trace = npg_solve(p, np.array([4.0]), HALVING)
-    r1 = trace.records[1]
     # cand = 4 - (4 - 1)/2 = 2.5
-    assert r1.x[0] == 2.5
-    assert r1.f_value == pytest.approx(0.625, abs=1e-15)
-    assert r1.merit == pytest.approx(0.625, abs=1e-15)
+    assert trace.X[1, 0] == 2.5
+    assert trace.column("F")[1] == pytest.approx(0.625, abs=1e-15)
+    assert trace.column("merit")[1] == pytest.approx(0.625, abs=1e-15)
 
 
 def test_surrogate_merit_dominates_objective():
@@ -102,14 +102,14 @@ def test_alpha_zero_uses_free_constant():
     cfg = NpgConfig(m=0, gamma_min=2.0, gamma_max=2.0, delta=0.5, alpha=0.0,
                     c=3.0, gamma_init_rule="constant", max_outer=5)
     trace = npg_solve(quad_1d(), np.array([4.0]), cfg)
-    assert trace.records[1].j_inner == 0 and trace.records[1].x[0] == 2.0
+    assert trace.column("j_inner")[1] == 0 and trace.X[1, 0] == 2.0
     assert decrease_constant(cfg.alpha, cfg.delta, cfg.gamma_min, cfg.c) == 1.5
     # c = 3.5: decrement 7 rejects the first trial, gamma doubles to 4
     cfg = NpgConfig(m=0, gamma_min=2.0, gamma_max=4.0, delta=0.5, alpha=0.0,
                     c=3.5, gamma_init_rule="constant", max_outer=5)
     trace = npg_solve(quad_1d(), np.array([4.0]), cfg)
-    r1 = trace.records[1]
-    assert r1.j_inner == 1 and r1.gamma == 4.0 and r1.x[0] == 3.0
+    assert trace.column("j_inner")[1] == 1 and trace.column("gamma")[1] == 4.0
+    assert trace.X[1, 0] == 3.0
 
 
 def test_sufficient_decrease_constant():
@@ -124,24 +124,25 @@ def test_spectral_restart_matches_quadratic_curvature():
                     tol_resid=1e-10, max_outer=50)
     trace = npg_solve(quad_1d(), np.array([4.0]), cfg)
     # the curvature estimate for f = x^2/2 is exactly 1 from iteration 2 on
-    for r in trace.records[2:]:
-        assert r.gamma == pytest.approx(cfg.rho**r.j_inner)
+    for gamma, j in zip(trace.column("gamma")[2:].tolist(), trace.column("j_inner")[2:].tolist()):
+        assert gamma == pytest.approx(cfg.rho**j)
 
 
 def test_spectral_start_applies_from_the_first_step():
     # grad f(x^0) is known after step 0, so step 1 (row 2) already starts from
     # the Barzilai-Borwein estimate, exactly 1 for f = x^2/2.
     cfg = NpgConfig(m=0, gamma_min=1e-2, max_outer=3)
-    r1, r2 = npg_solve(quad_1d(), np.array([4.0]), cfg).records[1:3]
-    assert r1.gamma == cfg.gamma_min * cfg.rho**r1.j_inner
-    assert r2.gamma == cfg.rho**r2.j_inner
+    trace = npg_solve(quad_1d(), np.array([4.0]), cfg)
+    (_, g1, g2), (_, j1, j2) = (trace.column(name)[:3].tolist() for name in ("gamma", "j_inner"))
+    assert g1 == cfg.gamma_min * cfg.rho**j1
+    assert g2 == cfg.rho**j2
 
 
 def test_stationary_exit_at_fixed_point():
     trace = npg_solve(quad_1d(), np.array([0.0]), HALVING)
     assert trace.terminated == "stationary"
     assert len(trace) == 2
-    assert trace.records[1].step_norm == 0.0
+    assert trace.column("step_norm")[1] == 0.0
 
 
 def test_backtracking_failure_carries_location():
@@ -212,9 +213,9 @@ def test_l1_dc_run_reaches_stationarity():
     cfg = NpgConfig(m=5, max_outer=3000, tol_step=1e-10, tol_resid=1e-6)
     trace = npg_solve(inst.problem, inst.x0, cfg, problem_id="l1-l2-dc", seed=7)
     assert trace.tolerance_terminated()
-    assert trace.records[-1].residual <= 1e-6
+    assert trace.column("residual")[-1] <= 1e-6
     # the sparsity pattern at the end is genuinely sparse
-    nnz = int(np.count_nonzero(trace.records[-1].x))
+    nnz = int(np.count_nonzero(trace.X[-1]))
     assert 0 < nnz < inst.problem.dimension
 
 

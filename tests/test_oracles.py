@@ -388,7 +388,7 @@ def test_oracle_builders_validate():
         box_oracle(2.0, -2.0)
     # the bounds are checked at the build, where prox_box checks them per call
     for lo, hi in ((0.0, np.inf), (np.nan, 1.0)):
-        with pytest.raises(InvalidInputError, match="box bounds"):
+        with pytest.raises(InvalidInputError, match="must be finite"):
             box_oracle(lo, hi)
 
 

@@ -40,19 +40,20 @@ WORKED = PgenlsConfig(m=0, delta=1.0, alpha=0.5, gamma_min=2.0, gamma_max=2.0,
 
 def test_worked_two_steps():
     trace = pgenls_solve(quad_1d(), np.array([4.0]), WORKED)
-    r0, r1, r2 = trace.records[:3]
+    F, merit, resid = map(trace.column, ("F", "merit", "residual"))
     # bootstrap pair (4, 4): proximity term vanishes, merit = F
-    assert r0.f_value == 8.0 and r0.merit == 8.0
+    assert F[0] == 8.0 and merit[0] == 8.0
     # step 1: inertia 0, cand = 4 - 4/2 = 2, merit = 2 + 0.5*4 = 4
-    assert r1.x[0] == 2.0
-    assert r1.f_value == 2.0 and r1.merit == 4.0
-    assert r1.gamma == 2.0 and r1.beta == 0.5 and r1.j_inner == 0
-    assert r1.residual == pytest.approx(2.0, abs=1e-15)
+    assert trace.X[1, 0] == 2.0
+    assert F[1] == 2.0 and merit[1] == 4.0
+    assert (trace.column("gamma")[1] == 2.0 and trace.column("beta")[1] == 0.5
+            and trace.column("j_inner")[1] == 0)
+    assert resid[1] == pytest.approx(2.0, abs=1e-15)
     # step 2: y = 2 + 0.5*(2-4) = 1, cand = 1 - 1/2 = 0.5
-    assert r2.x[0] == 0.5
-    assert r2.f_value == 0.125 and r2.merit == pytest.approx(1.25, abs=1e-15)
-    assert r2.step_norm == 1.5
-    assert r2.residual == pytest.approx(math.sqrt(3.25), abs=1e-14)
+    assert trace.X[2, 0] == 0.5
+    assert F[2] == 0.125 and merit[2] == pytest.approx(1.25, abs=1e-15)
+    assert trace.column("step_norm")[2] == 1.5
+    assert resid[2] == pytest.approx(math.sqrt(3.25), abs=1e-14)
 
 
 def test_f_delta_value():
@@ -172,7 +173,7 @@ def test_tolerance_termination_on_sparse_regression():
     cfg = PgenlsConfig(m=5, max_outer=2000, tol_step=1e-8, tol_resid=1e-6)
     trace = pgenls_solve(inst.problem, inst.x0, cfg, problem_id="lasso", seed=1)
     assert trace.tolerance_terminated()
-    assert trace.records[-1].residual <= 1e-6
+    assert trace.column("residual")[-1] <= 1e-6
 
 
 def test_dimension_and_domain_guards():
@@ -220,28 +221,28 @@ def test_spectral_start_needs_a_known_previous_gradient(beta_max, starts):
     cfg = PgenlsConfig(m=0, beta_max=beta_max, gamma_min=1e-2, max_outer=6,
                        tol_step=1e-300, tol_resid=1e-300)
     trace = pgenls_solve(quad_1d(), np.array([4.0]), cfg)
-    assert trace.records[1].j_inner > 0
-    rows = trace.records[1:]
-    assert len(rows) >= len(starts)
-    for r in rows:
-        gamma0 = starts[min(r.k, len(starts)) - 1]
-        assert r.gamma == gamma0 * cfg.rho**r.j_inner, r.k
+    ks, gammas, js = (trace.column(name)[1:].tolist() for name in ("k", "gamma", "j_inner"))
+    assert js[0] > 0
+    assert len(ks) >= len(starts)
+    for k, gamma, j in zip(ks, gammas, js):
+        gamma0 = starts[min(k, len(starts)) - 1]
+        assert gamma == gamma0 * cfg.rho**j, k
 
 
 def spectral_starts(trace, problem, cfg):
     """The Barzilai-Borwein start :func:`initial_gamma` gives each row after
     row 0, rebuilt from the stored iterates: ``grad f(x^{k-1})`` is known from
     ``k = 2``, and at ``k = 1`` only when the first step did not extrapolate."""
-    rec = trace.records
+    X = trace.X
     starts = []
-    for r in rec[1:]:
-        k = r.k - 1  # the outer iteration that made row r
-        known = k >= 2 or (k == 1 and rec[1].beta == 0.0)
-        step = rec[k].x - rec[max(k - 1, 0)].x
-        it = Iterate(k=k, x=rec[k].x, x_prev=rec[max(k - 1, 0)].x, h=0.0,
+    for row in trace.column("k")[1:].tolist():
+        k = row - 1  # the outer iteration that made the row
+        known = k >= 2 or (k == 1 and trace.column("beta")[1] == 0.0)
+        step = X[k] - X[max(k - 1, 0)]
+        it = Iterate(k=k, x=X[k], x_prev=X[max(k - 1, 0)], h=0.0,
                      step=step, step_sq=float(step @ step),
-                     grad=problem.f.gradient(rec[k].x),
-                     grad_prev=problem.f.gradient(rec[k - 1].x) if known else None)
+                     grad=problem.f.gradient(X[k]),
+                     grad_prev=problem.f.gradient(X[k - 1]) if known else None)
         starts.append(initial_gamma(cfg, it))
     return starts
 
@@ -250,16 +251,17 @@ def floored_starts(trace, problem, cfg):
     """:func:`spectral_starts`, raised to ``delta/2`` (at most ``gamma_max``)
     on each row whose previous row rejected its first trial."""
     starts = spectral_starts(trace, problem, cfg)
-    rows = trace.records  # a view built on each call
-    for i, r in enumerate(rows[2:], start=1):
-        if rows[r.k - 1].j_inner > 0:
+    js = trace.column("j_inner")
+    for i, k in enumerate(trace.column("k")[2:].tolist(), start=1):
+        if js[k - 1] > 0:
             starts[i] = min(max(starts[i], 0.5 * cfg.delta), cfg.gamma_max)
     return starts
 
 
 def assert_starts(trace, starts, cfg):
-    for r, gamma0 in zip(trace.records[1:], starts, strict=True):
-        assert r.gamma == gamma0 * cfg.rho**r.j_inner, r.k
+    rows = zip(*(trace.column(name)[1:].tolist() for name in ("k", "gamma", "j_inner")))
+    for (k, gamma, j), gamma0 in zip(rows, starts, strict=True):
+        assert gamma == gamma0 * cfg.rho**j, k
 
 
 def test_start_is_floored_only_after_a_rejected_start():
@@ -271,7 +273,7 @@ def test_start_is_floored_only_after_a_rejected_start():
     trace = pgenls_solve(inst.problem, inst.x0, cfg)
     starts = floored_starts(trace, inst.problem, cfg)
     assert_starts(trace, starts, cfg)
-    previous_j = [r.j_inner for r in trace.records[1:-1]]
+    previous_j = trace.column("j_inner")[1:-1].tolist()
     after_accept = [s for j, s in zip(previous_j, starts[1:]) if j == 0]
     after_reject = [s for j, s in zip(previous_j, starts[1:]) if j > 0]
     assert min(after_accept) < 0.5 * cfg.delta
@@ -288,7 +290,7 @@ def test_plain_mode_starts_are_spectral(problem_id, seed, m):
     inst = make_problem(problem_id, {} if seed is None else {"seed": seed})
     cfg = PgenlsConfig(m=m, delta=0.0, beta_max=0.0, max_outer=3000)
     trace = pgenls_solve(inst.problem, inst.x0, cfg)
-    assert any(r.j_inner > 0 for r in trace.records[1:-1])
+    assert np.any(trace.column("j_inner")[1:-1] > 0)
     assert_starts(trace, spectral_starts(trace, inst.problem, cfg), cfg)
 
 
@@ -298,9 +300,9 @@ def test_floored_start_is_clamped_to_gamma_max():
     cfg = PgenlsConfig(m=0, beta_max=0.9, gamma_min=1e-2, gamma_max=0.2, max_outer=4,
                        tol_step=1e-300, tol_resid=1e-300)
     trace = pgenls_solve(quad_1d(), np.array([4.0]), cfg)
-    r1, r2 = trace.records[1:3]
-    assert r1.j_inner > 0 and r1.gamma == cfg.gamma_min * cfg.rho**r1.j_inner
-    assert r2.gamma == cfg.gamma_max * cfg.rho**r2.j_inner
+    (_, g1, g2), (_, j1, j2) = (trace.column(name)[:3].tolist() for name in ("gamma", "j_inner"))
+    assert j1 > 0 and g1 == cfg.gamma_min * cfg.rho**j1
+    assert g2 == cfg.gamma_max * cfg.rho**j2
 
 
 def test_power4_monotone_run_rejects_few_trials():
@@ -309,9 +311,9 @@ def test_power4_monotone_run_rejects_few_trials():
     # needs one.
     inst = make_problem("power4-1d")
     trace = pgenls_solve(inst.problem, inst.x0, PgenlsConfig(m=0, max_outer=3000))
-    rows = trace.records[1:]
-    assert len(rows) == 3000
-    assert sum(r.j_inner + 1 for r in rows) / len(rows) <= 2.1
+    js = trace.column("j_inner")[1:].tolist()
+    assert len(js) == 3000
+    assert sum(j + 1 for j in js) / len(js) <= 2.1
 
 
 def test_extrapolated_trials_call_the_gradient_at_most_twice(counted):
@@ -335,7 +337,7 @@ def test_extrapolated_gradient_agrees_with_the_computed_one(seed, m):
     traces = [pgenls_solve(problem, inst.x0, PgenlsConfig(m=m))
               for problem in (computed, inst.problem)]
     assert traces[0].terminated == traces[1].terminated
-    F_computed, F_extrapolated = (t.records[-1].f_value for t in traces)
+    F_computed, F_extrapolated = (t.column("F")[-1] for t in traces)
     assert F_extrapolated == pytest.approx(F_computed, rel=1e-10, abs=0.0)
     for trace in traces:
         report = build_report(trace, problem=inst.problem)

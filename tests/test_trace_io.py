@@ -44,27 +44,27 @@ def _toy_trace(n=3, rows=4, algorithm="npg_major"):
     return _trace(cells, xs, algorithm, config={"delta": 0.5, "m": 2})
 
 
-# IterateRecord attribute and cell type of each CSV column, in file order
-_RECORD_SCHEMA = (("k", int), ("f_value", float), ("merit", float), ("gamma", float),
-                  ("beta", float), ("j_inner", int), ("ell", int), ("step_norm", float),
-                  ("residual", float))
+# the cell type of each CSV column, in file order
+_CELL_TYPES = (("k", int), ("F", float), ("merit", float), ("gamma", float),
+               ("beta", float), ("j_inner", int), ("ell", int), ("step_norm", float),
+               ("residual", float))
 
 
 def reference_write(trace: Trace, path: Path) -> Path:
-    """The per-record writer that the columnar one replaced, kept as its spec."""
+    """The per-row writer that the columnar one replaced, kept as its spec."""
     n = trace.dimension
     inline = n <= MAX_INLINE_DIM
     header = list(CSV_COLUMNS) + ([f"x_{i}" for i in range(n)] if inline else [])
     lines = [",".join(header)]
-    for r in trace.records:
-        cells = [repr(kind(getattr(r, attr))) for attr, kind in _RECORD_SCHEMA]
+    for k, x in enumerate(trace.X):
+        cells = [repr(kind(trace.column(name)[k])) for name, kind in _CELL_TYPES]
         if inline:
-            cells.extend(repr(float(v)) for v in r.x)
+            cells.extend(repr(float(v)) for v in x)
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n")
     if not inline:
         side = path.with_suffix(".bin")
-        X = np.array([r.x for r in trace.records]).astype("<f8")
+        X = np.array(trace.X).astype("<f8")
         with open(side, "wb") as fh:
             fh.write(SIDECAR_MAGIC)
             fh.write(struct.pack("<II", n, len(trace)))
@@ -135,8 +135,6 @@ def test_columns_are_stored_typed_and_read_only():
     assert trace.X.dtype == np.float64 and trace.X.shape == (len(trace), 3)
     with pytest.raises(ValueError, match="read-only"):
         trace.X[0, 0] = 0.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        trace.records[2].ell = 1
     # a replaced column is typed again, so it is read-only too
     ell = trace.column("ell").copy()
     ell[2] = 0
@@ -147,9 +145,12 @@ def test_columns_are_stored_typed_and_read_only():
 
 
 def test_records_are_a_view_of_the_columns():
+    # the only test that reads Trace.records, kept while perfbench/ reads it
     trace = _toy_trace(n=2, rows=3)
     rows = trace.records
     assert rows is not trace.records
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rows[2].ell = 1
     assert [r.k for r in rows] == [0, 1, 2]
     assert [r.j_inner for r in rows] == [-1, 1, 2]
     np.testing.assert_array_equal([r.f_value for r in rows], trace.column("F"))

@@ -27,9 +27,11 @@ The matrix:
   sidecar is gone;
 * ``input``: numbers a config cannot hold (integers beyond the float or
   int64 range or over 4300 digits), non-finite ones and ones outside their
-  field's domain, in each block and in ``verify``'s flags; and ``run`` at
-  ``m = 1000``, where the path-length constant is beyond the float range,
-  with ``verify`` of its trace.
+  field's domain, in each block and in ``verify``'s flags; an unknown field
+  in each block; ``pgnls`` with a nonzero and a non-number ``delta``; sizes
+  whose matrix numpy cannot make; a window ``m`` whose default ``kbar`` is
+  past int64; and ``run`` at ``m = 1000``, where the path-length constant is
+  beyond the float range, with ``verify`` of its trace.
 """
 
 from __future__ import annotations
@@ -286,6 +288,19 @@ def matrix() -> list[Call]:
         _input("diagnostics-kbar-beyond-int64", "lasso", "pgenls",
                diagnostics={"kbar": 10**30}),
         _verify_input("verify-m-beyond-int64", SIDECAR_RUN, m=10**30),
+        _verify_input("verify-m-leaves-no-default-kbar", SIDECAR_RUN, m=2**63 - 2),
+        _input("unknown-config-field", "lasso", "pgenls", extra=1),
+        _input("unknown-solver-field", "lasso", "pgenls", {"momentum": 0.9}),
+        _input("unknown-diagnostics-field", "lasso", "pgenls", diagnostics={"foo": 1}),
+        _input("unknown-params-field", "lasso", "pgenls", params={"seed": 0, "lamda": 5.0}),
+        _input("pgnls-delta-nonzero", "lasso", "pgnls", {"delta": 0.5}),
+        _input("pgnls-delta-string", "lasso", "pgnls", {"delta": "abc"}),
+        # numpy refuses these sizes before it allocates anything
+        _input("rows-times-cols-too-big", "lasso", "pgenls",
+               params={"seed": 0, "rows": 2**40, "cols": 2**40}),
+        _input("quad-l1-rows-times-cols-too-big", "quad-l1", "npg_major",
+               params={"seed": 0, "rows": 2**40, "cols": 2**40}),
+        _input("diagnostics-tau-beyond-float", "lasso", "pgenls", diagnostics={"tau": HUGE}),
         *_long_window("npg_major"),
         *_long_window("pgenls"),
         Call("input/sweep-value-over-4300-digits",
