@@ -66,9 +66,8 @@ def _sparse_regression_data(params: dict, rows_default: int, cols_default: int):
         return A, b
     if "seed" not in params:
         raise InvalidInputError("randomized problems require a 'seed' parameter")
-    rows, cols = int(params.get("rows", rows_default)), int(params.get("cols", cols_default))
-    if "rows" in params or "cols" in params:  # A must fit in numpy, as the defaults do
-        check("params", "params.", rows=rows, cols=cols)
+    rows, cols = check("params", "params.", rows=params.get("rows", rows_default),
+                       cols=params.get("cols", cols_default)).values()  # A must fit in numpy
     rng = np.random.default_rng(int(params["seed"]))
     A = rng.standard_normal((rows, cols)) / np.sqrt(rows)
     x_true = np.zeros(cols)

@@ -29,8 +29,7 @@ class Domain(NamedTuple):
     rule: str = ""                        # what a value failing ``test`` breaks
 
 
-_NOUNS = {numbers.Integral: "an integer", numbers.Real: "a real number", str: "a string",
-          dict: "an object"}
+_NOUNS = {numbers.Integral: "an integer", numbers.Real: "a real number", str: "a string"}
 
 REAL = Domain(numbers.Real)
 POSITIVE = Domain(numbers.Real, lambda v: v > 0.0, "must be positive")
@@ -101,7 +100,7 @@ def check_known(names: Iterable[str], known: Iterable[str], what: str) -> None:
         raise InvalidInputError(f"{what}: {', '.join(unknown)}")
 
 
-def check(context: str, prefix: str = "", **values) -> dict:
+def check(context: str, prefix: str = "", /, **values) -> dict:
     """Check each value against its field's domain in ``RULES[context]``, in
     order, then the rules on two fields among them, and return the values as
     the machine numbers they are used as: an integer as an ``int``, a real

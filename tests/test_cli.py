@@ -562,6 +562,10 @@ ERROR_PATHS = [
      "unknown solver field(s) for pgenls: momentum"),
     ("unknown-diagnostics-field", lambda t, r: _run(t, diagnostics={"foo": 1}), 1,
      "unknown diagnostics field(s): foo"),
+    ("diagnostics-unknown-prefix", lambda t, r: _run(t, diagnostics={"prefix": 1}), 1,
+     "unknown diagnostics field(s): prefix"),
+    ("diagnostics-unknown-context", lambda t, r: _run(t, diagnostics={"context": 1}), 1,
+     "unknown diagnostics field(s): context"),
     ("unknown-params-field", lambda t, r: _run(t, params={"seed": 0, "lamda": 5.0}), 1,
      "unknown params field(s) for lasso: lamda"),
     ("params-bool", lambda t, r: _run(t, params={"seed": True}), 1,
@@ -667,6 +671,9 @@ ERROR_PATHS = [
     ("sweep-unknown-params-field",
      lambda t, r: _sweep(t, "lamda", "0.1", problem="lasso", params={"seed": 0}), 1,
      "unknown params field(s) for lasso: lamda"),
+    ("sweep-diagnostics-unknown-prefix",
+     lambda t, r: _sweep(t, "m", "5", diagnostics={"prefix": 1}), 1,
+     "unknown diagnostics field(s): prefix"),
     ("sweep-m-past-kbar", lambda t, r: _sweep(t, "m", "5", diagnostics={"kbar": 4}), 1,
      "diagnostics.kbar must be an integer greater than m=5, got 4"),
     # verify: missing flags

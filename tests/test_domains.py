@@ -50,8 +50,8 @@ def test_every_field_of_every_context_has_one_rule():
 @pytest.mark.parametrize("context", sorted(RULES))
 def test_a_name_outside_its_context_is_rejected(context):
     with pytest.raises(InvalidInputError) as exc:
-        check(context, "prefix.", bogus=1.0, zzz=2)
-    assert str(exc.value) == f"unknown {context} field(s): bogus, zzz"
+        check(context, "prefix.", bogus=1.0, zzz=2, prefix=3, context=4)
+    assert str(exc.value) == f"unknown {context} field(s): bogus, context, prefix, zzz"
 
 
 @pytest.mark.parametrize("build, message", [

@@ -292,6 +292,8 @@ def matrix() -> list[Call]:
         _input("unknown-config-field", "lasso", "pgenls", extra=1),
         _input("unknown-solver-field", "lasso", "pgenls", {"momentum": 0.9}),
         _input("unknown-diagnostics-field", "lasso", "pgenls", diagnostics={"foo": 1}),
+        _input("unknown-diagnostics-field-named-prefix", "lasso", "pgenls",
+               diagnostics={"prefix": 1}),
         _input("unknown-params-field", "lasso", "pgenls", params={"seed": 0, "lamda": 5.0}),
         _input("pgnls-delta-nonzero", "lasso", "pgnls", {"delta": 0.5}),
         _input("pgnls-delta-string", "lasso", "pgnls", {"delta": "abc"}),
