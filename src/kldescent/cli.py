@@ -2,9 +2,9 @@
 
 Exit codes, all assigned by :func:`_exit_status`: 0 success, 1 bad input
 (bad JSON or field values, algorithm/problem mismatch, malformed or unreadable
-trace file, usage errors) or unwritable outputs, 2 solver or diagnostics
-failure (backtracking exhaustion, oracle inconsistency), 3 audit failure (the
-run finished but at least one framework check failed).
+trace file, usage errors), unwritable outputs or an allocation that fails, 2
+solver or diagnostics failure (backtracking exhaustion, oracle inconsistency),
+3 audit failure (the run finished but at least one framework check failed).
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ _AGGREGATE_FIELDS = (("iterations", "iterations"), ("final_f", "final_f"),
                      ("slope", "rate.slope"), ("degenerate_a", "h1.degenerate_a"))
 # the verify flags that make up the trace's config snapshot
 _SNAPSHOT_FLAGS = ("m", "a", "alpha", "delta", "c", "beta_max")
+# the longest file name, in bytes, of the common Linux filesystems
+_NAME_MAX = 255
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,21 +51,24 @@ class _AuditFailure(KlDescentError):
 
 
 # the program's own failures, which every verb maps; any other exception is a bug
-_HANDLED = (KlDescentError, OSError)
+_HANDLED = (KlDescentError, OSError, MemoryError)
 
 
 def _exit_status(exc: Exception, stage: Optional[str] = None) -> int:
     """Print ``exc`` as the one ``kldescent: error:`` line and return its exit
-    status: 1 for bad input and for outputs that cannot be written, 2 for an
-    error the ``stage`` ("solver" or "diagnostics") raised, 3 for failed
-    audits.  A sweep run that raised an exception not the program's own
-    passes its name as ``stage``, and exits 2 too."""
+    status: 1 for bad input, for outputs that cannot be written and for an
+    allocation that fails, 2 for an error the ``stage`` ("solver" or
+    "diagnostics") raised, 3 for failed audits.  A sweep run that raised an
+    exception not the program's own passes its name as ``stage``, and exits 2
+    too."""
     if isinstance(exc, _AuditFailure):
         status, text = 3, f"audit failure: {exc}"
     elif isinstance(exc, (InvalidInputError, InsufficientTraceError)):
         status, text = 1, str(exc)
     elif isinstance(exc, OSError):
         status, text = 1, f"cannot write outputs: {exc}"
+    elif isinstance(exc, MemoryError):
+        status, text = 1, f"out of memory: {exc}" if str(exc) else "out of memory"
     elif isinstance(exc, KlDescentError):
         status, text = 2, f"{stage} failure: {exc}" if stage else str(exc)
     else:
@@ -281,12 +286,17 @@ def cmd_sweep(args) -> int:
     diag_overrides(cfg)
     values = _parse_sweep_values(args.values)
     configs = [_apply_sweep_value(cfg, args.param, v) for v in values]
+    names = [f"{args.param.replace('.', '_')}_{value}" for value in values]
+    for name in names:
+        if len(name.encode()) > _NAME_MAX:
+            raise InvalidInputError(f"run directory name {shown(name)} is "
+                                    f"{len(name.encode())} bytes long, over {_NAME_MAX}")
     root = Path(cfg.get("output_dir") or _default_outdir(args.config))
     root.mkdir(parents=True, exist_ok=True)
 
     results = []
-    for value, sub_cfg in zip(values, configs):
-        subdir = root / f"{args.param.replace('.', '_')}_{value}"
+    for value, name, sub_cfg in zip(values, names, configs):
+        subdir = root / name
         try:
             results.append(execute(dict(sub_cfg, output_dir=str(subdir)), subdir))
         except Exception as exc:  # isolation: one bad run must not kill the sweep

@@ -84,8 +84,16 @@ def initial_gamma(config, it: Iterate) -> float:
     ``pgenls`` from ``k = 1`` only when its first step did not extrapolate
     (``beta = 0``), else from ``k = 2``.  Also ``gamma_min`` under the
     constant rule and when the estimate is undefined.  ``pgenls`` raises this
-    start to ``delta/2`` after a rejected first trial; that floor lives in
-    :mod:`kldescent.pgenls`, since ``npg_major`` shares this function.
+    start to ``delta/2`` after a rejected first trial, and caps its first
+    extrapolation weight for the resulting start ``gamma0`` at
+    ``sqrt((1 - alpha) delta / (delta + alpha gamma0))`` and at
+    ``1 - alpha (delta + gamma0) / (2 gamma0)`` (0 when negative): past either
+    weight the ``m = 0`` test rejects a model candidate, one that is all
+    inertia on a flat ``F`` (``beta^2 (delta + alpha gamma0) <= (1 - alpha)
+    delta``) or one that repeats the last step on an ``F`` linear along it
+    (``gamma0 (1 - beta) >= (alpha/2) (gamma0 + delta)``).  The floor and the
+    caps live in :mod:`kldescent.pgenls`, since ``npg_major`` shares this
+    function.
     """
     if config.gamma_init_rule == "constant" or it.grad_prev is None or it.step_sq == 0.0:
         return config.gamma_min

@@ -7,6 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
+from kldescent import catalog
 from kldescent.catalog import make_problem, problem_ids
 from kldescent.cli import main
 from kldescent.errors import InvalidInputError
@@ -661,6 +662,12 @@ ERROR_PATHS = [
     ("sweep-bad-values", lambda t, r: _sweep(t, "delta", "a,b"), 1, "is not a number"),
     ("sweep-value-over-4300-digits", lambda t, r: _sweep(t, "params.x0", "1" + "0" * 4300), 1,
      "--values entry '1000000000000000000... (4303 characters) is not a number"),
+    ("sweep-run-directory-name-too-long",
+     lambda t, r: _sweep(t, "params.lam", str(10**300), problem="lasso", params={"seed": 0}),
+     1, "run directory name 'params_lam_10000000... (314 characters) is 312 bytes long, "
+        "over 255"),
+    ("sweep-param-name-too-long", lambda t, r: _sweep(t, "params." + "x" * 300, "1"), 1,
+     "run directory name 'params_xxxxxxxxxxxx... (311 characters) is 309 bytes long, over 255"),
     ("sweep-root-under-a-file",
      lambda t, r: _sweep(t, "m", "1", output_dir=str(_file(t / "root") / "sub")), 1,
      "cannot write outputs: "),
@@ -738,6 +745,25 @@ ERROR_PATHS = [
      lambda t, r: _verify(t, r, edit=_set_cells(12, F="1000000.0", merit="1000000.0")), 3,
      "audit failure: "),
 ]
+
+
+def _no_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 2.00 EiB for an array with shape "
+                      "(536870912, 536870912) and data type float64")
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_exit_1_when_the_data_does_not_fit_in_memory(tmp_path, capsys, monkeypatch, verb):
+    # rows = cols = 2**29 passes the size rule but no memory holds its matrix;
+    # the builder is stubbed so that the allocation is never tried
+    monkeypatch.setattr(catalog, "_sparse_regression_data", _no_memory)
+    params = {"seed": 0, "rows": 2**29, "cols": 2**29}
+    argv = (_run(tmp_path, problem="lasso", params=params) if verb == "run" else
+            _sweep(tmp_path, "params.seed", "0", problem="lasso", params=params))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == ("kldescent: error: out of memory: Unable to allocate 2.00 EiB for an "
+                   "array with shape (536870912, 536870912) and data type float64\n")
 
 
 @pytest.mark.parametrize("build, status, fragment",

@@ -128,13 +128,18 @@ def first_iterations(solve, problem, x0, config, calls, k):
 
 def test_power4_gradient_once_per_trial_and_once_per_step(counted):
     # x^4/4 is not quadratic: each extrapolated trial needs grad f(y), and
-    # the accepted candidate's gradient is one more call
+    # the accepted candidate's gradient is one more call.  The trials of an
+    # iteration whose weight is capped at 0 share grad f(x), known from k = 1
+    # and computed once at k = 0.
     inst = make_problem("power4-1d")
     f, calls = counted(inst.problem.f)
     trace = pgenls_solve(replace(inst.problem, f=f), inst.x0, PgenlsConfig(m=0, max_outer=500))
     iterations = len(trace) - 1
-    trials = sum(j + 1 for j in trace.column("j_inner")[1:])
-    assert calls["gradient"] == trials + iterations
+    betas, js = trace.column("beta")[1:], trace.column("j_inner")[1:]
+    trials = sum(j + 1 for j in js)
+    extrapolated = sum(j + 1 for beta, j in zip(betas, js) if beta > 0.0)
+    assert 0 < extrapolated < trials
+    assert calls["gradient"] == extrapolated + iterations + (betas[0] == 0.0)
     assert calls["value"] == trials + 1  # and once at x^0
 
 

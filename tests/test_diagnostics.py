@@ -846,7 +846,7 @@ def test_build_report_flags_corrupted_objective_of_extrapolated_trace(tmp_path, 
     inst = make_problem("lasso", {"seed": 0})
     cfg = PgenlsConfig(m=5)
     trace = pgenls_solve(inst.problem, inst.x0, cfg, problem_id="lasso", seed=0)
-    assert len(trace) == 44 and build_report(trace, problem=inst.problem).passed()
+    assert len(trace) == 33 and build_report(trace, problem=inst.problem).passed()
     trace = with_cells(trace, "F", [1, 22], lambda f: f + 1000.0)
     report = build_report(trace, problem=inst.problem)
     assert report.failures() == ["h3"]

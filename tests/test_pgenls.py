@@ -209,16 +209,19 @@ def test_backtracking_failure_carries_location():
                         "(last gamma 32)")
 
 
-@pytest.mark.parametrize("beta_max, starts", [
-    pytest.param(0.9, [1e-2, 0.5, 1.0], id="0.9-2"),
-    pytest.param(0.0, [1e-2, 1.0, 1.0], id="0.0-1"),
+@pytest.mark.parametrize("beta_max, gamma_min, starts", [
+    pytest.param(0.9, 0.4, [0.4, 0.5, 1.0], id="0.9-2"),
+    pytest.param(0.0, 0.4, [0.4, 1.0, 1.0], id="0.0-1"),
+    pytest.param(0.9, 1e-2, [1e-2, 1.0, 1.0], id="0.9-capped-1"),
 ])
-def test_spectral_start_needs_a_known_previous_gradient(beta_max, starts):
+def test_spectral_start_needs_a_known_previous_gradient(beta_max, gamma_min, starts):
     # An extrapolated first step never evaluates grad f(x^0), so the
     # Barzilai-Borwein start is gamma_min until k = 2; without extrapolation
     # it applies from k = 1.  For f = x^2/2 the estimate is exactly 1.  Step 1
     # rejects its first trial, so step 2 starts at delta/2 = 0.5 or above.
-    cfg = PgenlsConfig(m=0, beta_max=beta_max, gamma_min=1e-2, max_outer=6,
+    # A start gamma_min below alpha delta / (2 - alpha) = 1/3 caps the first
+    # weight at 0 (see pgenls), so that first step does not extrapolate.
+    cfg = PgenlsConfig(m=0, beta_max=beta_max, gamma_min=gamma_min, max_outer=6,
                        tol_step=1e-300, tol_resid=1e-300)
     trace = pgenls_solve(quad_1d(), np.array([4.0]), cfg)
     ks, gammas, js = (trace.column(name)[1:].tolist() for name in ("k", "gamma", "j_inner"))
@@ -342,3 +345,82 @@ def test_extrapolated_gradient_agrees_with_the_computed_one(seed, m):
     for trace in traces:
         report = build_report(trace, problem=inst.problem)
         assert report.passed(), report.failures()
+
+
+def flat_cap(cfg, gamma):
+    """``sqrt((1 - alpha) delta / (delta + alpha gamma))``: the largest weight
+    whose all-inertia candidate passes the ``m = 0`` test on a flat ``F``."""
+    return math.sqrt((1.0 - cfg.alpha) * cfg.delta / (cfg.delta + cfg.alpha * gamma))
+
+
+def steady_cap(cfg, gamma):
+    """``1 - alpha (delta + gamma) / (2 gamma)``: the largest weight whose
+    candidate repeating the last step passes the ``m = 0`` test on an ``F``
+    linear along it."""
+    return 1.0 - 0.5 * cfg.alpha * (cfg.delta + gamma) / gamma
+
+
+def capped(cfg, beta0, gamma):
+    return max(min(beta0, flat_cap(cfg, gamma), steady_cap(cfg, gamma)), 0.0)
+
+
+def first_trial_rows(trace):
+    """``(gamma, beta)`` of the rows accepted at their first trial, row 0 aside."""
+    gamma, beta, j = (trace.column(name)[1:] for name in ("gamma", "beta", "j_inner"))
+    return gamma[j == 0].tolist(), beta[j == 0].tolist()
+
+
+@pytest.mark.parametrize("problem_id", ["lasso", "quad-l1"])
+@pytest.mark.parametrize("m", [0, 5])
+def test_extrapolation_starts_at_the_window_caps(problem_id, m):
+    inst = make_problem(problem_id, {"seed": 0})
+    cfg = PgenlsConfig(m=m)
+    trace = pgenls_solve(inst.problem, inst.x0, cfg)
+    gammas, betas = first_trial_rows(trace)
+    assert len(betas) >= 5
+    for gamma, beta in zip(gammas, betas):
+        assert beta == capped(cfg, cfg.beta_max, gamma)
+    # at the defaults the caps bind: every start is below beta_max, and the
+    # all-inertia cap is the smaller one on some rows
+    assert max(betas) < cfg.beta_max
+    assert any(flat_cap(cfg, gamma) < steady_cap(cfg, gamma) for gamma in gammas)
+
+
+def test_steady_step_cap_binds_on_a_flat_tail():
+    # power4-1d's gradient vanishes like x^3, so its curvature estimates and
+    # the starts gamma0 are small: there the repeated-step cap is the smaller
+    # one, and below gamma0 = alpha delta / (2 - alpha) it is 0
+    inst = make_problem("power4-1d", {})
+    cfg = PgenlsConfig(m=5, max_outer=1500)
+    gammas, betas = first_trial_rows(pgenls_solve(inst.problem, inst.x0, cfg))
+    for gamma, beta in zip(gammas, betas):
+        assert beta == capped(cfg, cfg.beta_max, gamma)
+    assert sum(0.0 < beta == steady_cap(cfg, gamma) for gamma, beta in zip(gammas, betas)) > 100
+    assert sum(beta == 0.0 for beta in betas) > 100
+
+
+def test_without_proximity_term_extrapolation_starts_at_beta_max():
+    inst = make_problem("lasso", {"seed": 0})
+    with pytest.warns(UserWarning, match="degenerate"):
+        cfg = PgenlsConfig(m=5, delta=0.0, beta_max=0.9)
+    _, betas = first_trial_rows(pgenls_solve(inst.problem, inst.x0, cfg))
+    assert betas and set(betas) == {0.9}
+
+
+def test_window_caps_bound_the_nesterov_start_too():
+    # the caps belong to the acceptance test, not to the weight rule: each
+    # first trial starts at the smallest of the Nesterov ramp and the caps
+    inst = make_problem("lasso", {"seed": 0})
+    cfg = PgenlsConfig(m=5, beta_init_rule="nesterov")
+    trace = pgenls_solve(inst.problem, inst.x0, cfg)
+    t_prev = t_curr = 1.0
+    ramp_binds = cap_binds = 0
+    for gamma, beta, j in zip(*(trace.column(name)[1:].tolist()
+                                for name in ("gamma", "beta", "j_inner"))):
+        ramp = min(max((t_prev - 1.0) / t_curr, 0.0), cfg.beta_max)
+        if j == 0:
+            cap = capped(cfg, cfg.beta_max, gamma)
+            assert beta == min(ramp, cap)
+            ramp_binds, cap_binds = ramp_binds + (ramp < cap), cap_binds + (cap < ramp)
+        t_prev, t_curr = t_curr, 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_curr**2))
+    assert ramp_binds > 0 and cap_binds > 0
