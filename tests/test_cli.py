@@ -755,7 +755,7 @@ def _no_memory(*args, **kwargs):
 @pytest.mark.parametrize("verb", ["run", "sweep"])
 def test_exit_1_when_the_data_does_not_fit_in_memory(tmp_path, capsys, monkeypatch, verb):
     # rows = cols = 2**29 passes the size rule but no memory holds its matrix;
-    # the builder is stubbed so that the allocation is never tried
+    # the data function is stubbed so that the allocation is never tried
     monkeypatch.setattr(catalog, "_sparse_regression_data", _no_memory)
     params = {"seed": 0, "rows": 2**29, "cols": 2**29}
     argv = (_run(tmp_path, problem="lasso", params=params) if verb == "run" else
