@@ -19,6 +19,7 @@ from .errors import InvalidInputError
 from .oracles import (
     CompositeProblem,
     Vector,
+    all_finite,
     l0_oracle,
     l1_oracle,
     l2_norm_oracle,
@@ -47,13 +48,32 @@ def _load_csv(path: str, what: str) -> np.ndarray:
         data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
     except (OSError, ValueError) as exc:
         raise InvalidInputError(f"could not load {what} from {path!r}: {exc}") from exc
-    if not np.all(np.isfinite(data)):
+    if not all_finite(data):
         raise InvalidInputError(f"{what} loaded from {path!r} has non-finite entries")
     return data
 
 
-def _sparse_regression_data(params: dict, rows_default: int, cols_default: int):
-    """Shared data generator: A (scaled Gaussian), b = A x_true + small noise."""
+def _matrix(rows: int, cols: int, ridge: bool) -> np.ndarray:
+    """An uninitialised ``rows x cols`` matrix, with ``cols`` zero rows under it
+    when ``ridge``."""
+    M = np.empty((rows + cols if ridge else rows, cols))
+    M[rows:] = 0.0
+    return M
+
+
+def _sparse_regression_data(params: dict, rows_default: int, cols_default: int,
+                            ridge: bool = False):
+    """Shared data generator: ``(A, b)`` with ``A`` a scaled Gaussian matrix
+    and ``b = A x_true +`` small noise, or both loaded from ``A_csv`` and
+    ``b_csv``.  With ``ridge`` the matrix returned is ``[A; 0]``, with
+    ``cols`` zero rows under ``A`` for the caller to fill in place, and
+    ``b`` keeps the rows of ``A``.
+
+    The matrix returned is the only array of its size that the build makes:
+    ``A`` is drawn into it and scaled in place.  (A loaded ``A`` stacked
+    under ``ridge`` is copied into it, so that path holds two copies for a
+    moment.)
+    """
     if "A_csv" in params or "b_csv" in params:
         if not ("A_csv" in params and "b_csv" in params):
             raise InvalidInputError("A_csv and b_csv must be given together")
@@ -63,18 +83,25 @@ def _sparse_regression_data(params: dict, rows_default: int, cols_default: int):
             raise InvalidInputError(
                 f"A has {A.shape[0]} rows but b has {b.shape[0]} entries"
             )
-        return A, b
+        if not ridge:
+            return A, b
+        M = _matrix(*A.shape, ridge)
+        M[: A.shape[0]] = A
+        return M, b
     if "seed" not in params:
         raise InvalidInputError("randomized problems require a 'seed' parameter")
     rows, cols = check("params", "params.", rows=params.get("rows", rows_default),
                        cols=params.get("cols", cols_default)).values()  # A must fit in numpy
     rng = np.random.default_rng(int(params["seed"]))
-    A = rng.standard_normal((rows, cols)) / np.sqrt(rows)
+    M = _matrix(rows, cols, ridge)
+    A = M[:rows]
+    rng.standard_normal(out=A)
+    A /= np.sqrt(rows)
     x_true = np.zeros(cols)
     support = rng.choice(cols, size=max(1, cols // 10), replace=False)
     x_true[support] = rng.standard_normal(support.size)
     b = A @ x_true + 0.01 * rng.standard_normal(rows)
-    return A, b
+    return M, b
 
 
 def _lam_from(params: dict, A: np.ndarray, b: np.ndarray, factor_default: float) -> float:
@@ -112,11 +139,14 @@ def _make_power4_1d(params: dict) -> ProblemInstance:
 
 
 def _make_quad_l1(params: dict) -> ProblemInstance:
-    """Strongly convex quadratic plus l1: least squares with a ridge block stacked on."""
+    """Strongly convex quadratic plus l1: least squares with ``[A; sqrt(mu) I]``
+    and ``[b; 0]``.  The stacked matrix is filled in place, so the build
+    makes no temporary of its size (bar a loaded ``A``'s own copy, see
+    ``_sparse_regression_data``)."""
     mu = float(params.get("mu", 1.0))
-    A, b = _sparse_regression_data(params, rows_default=30, cols_default=30)
-    n = A.shape[1]
-    A_full = np.vstack([A, np.sqrt(mu) * np.eye(n)])
+    A_full, b = _sparse_regression_data(params, rows_default=30, cols_default=30, ridge=True)
+    n = A_full.shape[1]
+    np.fill_diagonal(A_full[-n:], np.sqrt(mu))
     b_full = np.concatenate([b, np.zeros(n)])
     lam = _lam_from(params, A_full, b_full, 0.1)
     problem = CompositeProblem(

@@ -8,8 +8,10 @@ keys are the context's fields: ``config`` (an experiment config's top level),
 :func:`~kldescent.diagnostics.build_report`, its checks and
 :class:`~kldescent.memory.MemoryWindow`), ``diagnostics`` (those a config
 sets), ``residual`` (the solvers' residual weights), ``oracle`` (the weights of
-the prox maps and oracle builders) and ``params`` (the catalog's problem
-parameters).  Rules on two fields follow the table in :func:`check`.
+the prox maps and oracle builders, and the stopping arguments of
+:func:`~kldescent.oracles.power_iteration_sq_norm`) and ``params`` (the
+catalog's problem parameters).  Rules on two fields follow the table in
+:func:`check`.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ RULES = {
     "audit": _AUDIT,
     "diagnostics": {name: _AUDIT[name] for name in ("tau", "mu", "kbar")},
     "residual": {"gamma_prev": POSITIVE, "delta": _PGENLS["delta"]},
-    "oracle": {"lam": POSITIVE, "gamma": POSITIVE, "lo": REAL, "hi": REAL},
+    "oracle": {"lam": POSITIVE, "gamma": POSITIVE, "lo": REAL, "hi": REAL,
+               "rel_tol": OPEN_UNIT, "max_iter": POSITIVE_COUNT},
     "params": {"seed": COUNT, "rows": POSITIVE_COUNT, "cols": POSITIVE_COUNT,
                "lam": POSITIVE, "lam_factor": POSITIVE, "A_csv": STRING, "b_csv": STRING,
                "x0": REAL, "mu": POSITIVE},

@@ -52,6 +52,7 @@ __all__ = [
     "make_power4_1d",
     "power_iteration_sq_norm",
     "as_vector",
+    "all_finite",
 ]
 
 
@@ -250,13 +251,24 @@ _DENSE_MAX_DIM = 500
 _LANCZOS_BASIS = 128
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the float64 array ``a`` is finite, exactly,
+    with no temporary the size of ``a`` when they are: a NaN or infinite
+    entry makes the sum non-finite, so only a sum that is not finite (which
+    a finite array whose sum overflows also gives) is checked entry by
+    entry."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(a.sum())
+    return math.isfinite(total) or bool(np.isfinite(a).all())
+
+
 def _checked_matrix(A) -> np.ndarray:
-    """``A`` as a float64 matrix; ``InvalidInputError`` unless it has two
-    dimensions and finite entries."""
+    """``A`` as a float64 matrix, not copied when it is one; ``InvalidInputError``
+    unless it has two dimensions and finite entries."""
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise InvalidInputError(f"A must be a matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not all_finite(A):
         raise InvalidInputError("A contains non-finite entries")
     return A
 
@@ -283,10 +295,17 @@ def power_iteration_sq_norm(A: np.ndarray, rel_tol: float = 1e-6, max_iter: int 
     eigenvector or another eigenvalue lies within ``r`` below it, the result
     is an upper bound; after a residual stop it is at most ``rel_tol`` above
     the true value relatively.
+    A stop after ``max_iter`` products carries no such guarantee: its
+    ``theta + r`` can lie far below the true value.
     A zero matrix gives 0.0 on both paths, with no separate scan for it.
     Deterministic: repeated calls return the same bits.
+
+    ``rel_tol`` must lie in (0, 1) and ``max_iter`` be a positive integer,
+    on both paths; otherwise, and for a matrix that is not two-dimensional
+    with finite entries, ``InvalidInputError``.
     """
-    return _sq_norm(_checked_matrix(A), rel_tol, max_iter)
+    args = check("oracle", rel_tol=rel_tol, max_iter=max_iter)
+    return _sq_norm(_checked_matrix(A), args["rel_tol"], args["max_iter"])
 
 
 def _sq_norm(A: np.ndarray, rel_tol: float = 1e-6, max_iter: int = 10000) -> float:
@@ -361,7 +380,9 @@ def make_least_squares(A: np.ndarray, b: Vector) -> SmoothOracle:
     accepted step costs one product for its gradient instead of two.
     ``A`` and ``b`` are used as given, not copied, and must not change after
     the build: a cached residual would still be that of the old data, and a
-    hint read later would be that of the new ``A``.
+    hint read later would be that of the new ``A``.  A float64 ``A`` costs
+    the build no temporary of its size either: the finiteness check is
+    :func:`all_finite`, which sums the entries.
     """
     A = _checked_matrix(A)
     b = as_vector(b, "b")

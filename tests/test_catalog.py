@@ -1,8 +1,13 @@
-"""Canned problem catalog: determinism, shapes, data-file loading, validation."""
+"""Canned problem catalog: determinism, shapes, data-file loading, validation,
+and the memory a build takes."""
+
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from kldescent import catalog
 from kldescent.catalog import describe_problems, make_problem, problem_ids
 from kldescent.errors import InvalidInputError
 
@@ -72,6 +77,70 @@ def test_dimension_mismatch_in_data_files(tmp_path):
     np.savetxt(b_csv, np.ones(2), delimiter=",")
     with pytest.raises(InvalidInputError, match="rows"):
         make_problem("lasso", {"A_csv": str(a_csv), "b_csv": str(b_csv)})
+
+
+def reference_data(seed, rows, cols):
+    """The seeded ``(A, b)`` of the least-squares problems, drawn as plainly
+    as possible: fresh arrays, no buffer filled in place."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((rows, cols)) / np.sqrt(rows)
+    x_true = np.zeros(cols)
+    support = rng.choice(cols, size=max(1, cols // 10), replace=False)
+    x_true[support] = rng.standard_normal(support.size)
+    return A, A @ x_true + 0.01 * rng.standard_normal(rows)
+
+
+def least_squares_data(problem_id, params):
+    """The ``(A, b)`` that a build hands to ``make_least_squares``."""
+    with mock.patch.object(catalog, "make_least_squares",
+                           wraps=catalog.make_least_squares) as spy:
+        make_problem(problem_id, params)
+    return spy.call_args.args
+
+
+@pytest.mark.parametrize("problem_id, params, mu", [
+    ("lasso", {"seed": 4, "rows": 7, "cols": 5}, None),
+    ("quad-l1", {"seed": 4, "rows": 40, "cols": 25, "mu": 2.5}, 2.5),
+    ("quad-l1", {"seed": 2}, 1.0),
+], ids=["lasso", "quad-l1-40x25-mu2.5", "quad-l1-default"])
+def test_built_data_are_the_reference_bits(problem_id, params, mu):
+    A, b = reference_data(params["seed"], params.get("rows", 30), params.get("cols", 30))
+    if mu is not None:  # the ridge block, stacked as plainly as possible
+        n = A.shape[1]
+        A, b = np.vstack([A, np.sqrt(mu) * np.eye(n)]), np.concatenate([b, np.zeros(n)])
+    built_A, built_b = least_squares_data(problem_id, params)
+    assert built_A.tobytes() == A.tobytes() and built_A.shape == A.shape
+    assert built_b.tobytes() == b.tobytes()
+
+
+def test_quad_l1_stacks_its_ridge_under_loaded_data(tmp_path):
+    A = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+    np.savetxt(tmp_path / "A.csv", A, delimiter=",")
+    np.savetxt(tmp_path / "b.csv", [1.0, 2.0, 3.0], delimiter=",")
+    built_A, built_b = least_squares_data("quad-l1", {"A_csv": str(tmp_path / "A.csv"),
+                                                      "b_csv": str(tmp_path / "b.csv"),
+                                                      "mu": 2.5})
+    s = np.sqrt(2.5)
+    assert built_A.tolist() == [[1.0, 0.0], [0.0, 2.0], [1.0, 1.0], [s, 0.0], [0.0, s]]
+    assert built_b.tolist() == [1.0, 2.0, 3.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("problem_id, params, entries", [
+    ("lasso", {"seed": 0, "rows": 300, "cols": 900}, 300 * 900),
+    ("quad-l1", {"seed": 0, "rows": 300, "cols": 500, "mu": 2.5}, (300 + 500) * 500),
+], ids=["lasso", "quad-l1"])
+def test_a_build_makes_no_temporary_the_size_of_its_matrix(problem_id, params, entries):
+    make_problem(problem_id, {"seed": 0})  # anything a first build sets up once
+    tracemalloc.start()
+    try:
+        inst = make_problem(problem_id, params)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.problem.dimension == params["cols"]
+    nbytes = 8 * entries  # the float64 matrix the instance holds
+    assert nbytes <= kept < 2 * nbytes  # numpy's arrays are traced, and held once
+    assert peak - kept < nbytes / 16
 
 
 def test_dc_problem_has_concave_term():

@@ -42,9 +42,9 @@ def test_every_field_of_every_context_has_one_rule():
     assert set(RULES["diagnostics"]) == keywords - {"lipschitz"}
     weighted = (oracles.prox_l1, oracles.prox_l0, oracles.prox_box, oracles.subgrad_l2_norm,
                 oracles.l1_oracle, oracles.l0_oracle, oracles.box_oracle,
-                oracles.l2_norm_oracle)
+                oracles.l2_norm_oracle, oracles.power_iteration_sq_norm)
     weights = {name for fn in weighted for name in inspect.signature(fn).parameters}
-    assert set(RULES["oracle"]) == weights - {"v", "x"}
+    assert set(RULES["oracle"]) == weights - {"v", "x", "A"}
 
 
 @pytest.mark.parametrize("context", sorted(RULES))

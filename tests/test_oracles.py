@@ -245,12 +245,22 @@ def test_lipschitz_hint_is_computed_on_first_read():
 
 @pytest.mark.parametrize("A, message", [
     (np.array([[1.0, np.nan], [0.0, 1.0]]), "^A contains non-finite entries$"),
+    (np.array([[1.0, np.inf], [0.0, 1.0]]), "^A contains non-finite entries$"),
+    (np.array([[1.0, 2.0], [-np.inf, 1.0]]), "^A contains non-finite entries$"),
+    (np.array([[np.inf, 2.0], [-np.inf, 1.0]]), "^A contains non-finite entries$"),
     (np.full((2, 3, 4), np.nan), r"^A must be a matrix, got shape \(2, 3, 4\)$"),
-], ids=["nan", "3-d"])
+], ids=["nan", "inf", "-inf", "inf-and--inf", "3-d"])
 def test_least_squares_rejects_a_bad_matrix_at_the_build(A, message):
     with hint_spy() as spy, pytest.raises(InvalidInputError, match=message):
         make_least_squares(A, np.ones(2))
     assert spy.call_count == 0
+
+
+def test_a_finite_matrix_whose_sum_overflows_passes_the_check(recwarn):
+    A = oracles._checked_matrix([[1e308, 1e308]])
+    assert A.tolist() == [[1e308, 1e308]]
+    assert make_least_squares(A, np.ones(1)).value(np.zeros(2)) == 0.5
+    assert len(recwarn) == 0  # the overflowed sum warns of nothing
 
 
 def test_first_hint_read_does_not_check_the_matrix_again():
@@ -276,6 +286,32 @@ def test_power_iteration_matches_svd():
     est = power_iteration_sq_norm(A)
     ref = float(np.linalg.norm(A, 2) ** 2)
     assert est == pytest.approx(ref, rel=1e-4)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"rel_tol": 0.0}, "rel_tol must lie in (0, 1), got 0.0"),
+    ({"rel_tol": 1.0}, "rel_tol must lie in (0, 1), got 1.0"),
+    ({"rel_tol": 2.0}, "rel_tol must lie in (0, 1), got 2.0"),
+    ({"rel_tol": -1e-6}, "rel_tol must lie in (0, 1), got -1e-06"),
+    ({"rel_tol": float("nan")}, "rel_tol must lie in (0, 1), got nan"),
+    ({"rel_tol": "1e-6"}, "rel_tol must be a real number, got '1e-6'"),
+    ({"max_iter": 0}, "max_iter must be a positive integer, got 0"),
+    ({"max_iter": -5}, "max_iter must be a positive integer, got -5"),
+    ({"max_iter": 10.0}, "max_iter must be an integer, got 10.0"),
+    ({"max_iter": True}, "max_iter must be an integer, got True"),
+])
+@pytest.mark.parametrize("shape", [(20, 13), (501, 502)], ids=["dense", "lanczos"])
+def test_power_iteration_rejects_bad_stopping_arguments(kwargs, message, shape):
+    A = np.ones(shape)
+    with pytest.raises(InvalidInputError) as exc:
+        power_iteration_sq_norm(A, **kwargs)
+    assert str(exc.value) == message
+
+
+def test_power_iteration_takes_its_stopping_arguments_as_numbers():
+    A = np.random.default_rng(7).standard_normal((20, 13))
+    assert (power_iteration_sq_norm(A, rel_tol=np.float32(0.5), max_iter=np.int64(1))
+            == power_iteration_sq_norm(A))  # the dense path leaves them unused
 
 
 def catalog_matrix(problem_id, seed):

@@ -8,7 +8,8 @@
 directory, and writes a JSON manifest.  Per call it records the argv, the
 exit code (or the exception that escaped ``main``), stdout, stderr, the
 warnings raised and the SHA-256 of each file in the call's directory; the
-temporary directory's path is replaced by ``<tmp>`` throughout.  ``diff``
+temporary directory's path is replaced by ``<tmp>`` throughout, in the files
+before they are hashed too.  ``diff``
 prints every difference between two manifests and exits 1 if there is any.
 
 Compare two checkouts on one machine.  Least-squares results depend on the
@@ -23,6 +24,9 @@ The matrix:
 * ``verify`` of each run's trace with the complete flags, and with each
   solver flag dropped in turn;
 * ``sweep``: one per problem, over the window length;
+* ``data``: ``quad-l1`` with more rows than columns and ``mu`` not 1, and
+  ``lasso`` from CSV files written into the call's directory, once intact
+  and once with a ``nan`` matrix cell (exit 1);
 * ``reader``: one malformed trace per reader message, plus a trace whose
   sidecar is gone;
 * ``input``: numbers a config cannot hold (integers beyond the float or
@@ -103,6 +107,18 @@ def _write(name: str, text: str) -> Callable[[Path, Path], None]:
 def _run(label: str, cfg: dict) -> Call:
     return Call(label, lambda root, here: ["run", str(here / "exp.json")],
                 _write("exp.json", json.dumps(cfg)))
+
+
+def _lasso_from_csv(name: str, A: numpy.ndarray, b: numpy.ndarray) -> Call:
+    """``run`` of lasso under ``pgenls`` at ``m = 5`` on ``A`` and ``b``,
+    written as CSV files into the call's directory."""
+    def prepare(root: Path, here: Path) -> None:
+        numpy.savetxt(here / "A.csv", A, delimiter=",")
+        numpy.savetxt(here / "b.csv", b, delimiter=",")
+        params = {"A_csv": str(here / "A.csv"), "b_csv": str(here / "b.csv")}
+        _write("exp.json", json.dumps(_config("lasso", "pgenls", 0, {"m": 5},
+                                              params=params)))(root, here)
+    return Call(f"data/{name}", lambda root, here: ["run", str(here / "exp.json")], prepare)
 
 
 def _label(run: tuple) -> str:
@@ -230,6 +246,18 @@ def matrix() -> list[Call]:
                                               "--param", "m", "--values", "0,5"],
                           _write("exp.json", cfg)))
 
+    rng = numpy.random.default_rng(11)
+    A, b = rng.standard_normal((12, 20)), rng.standard_normal(12)
+    A_nan = A.copy()
+    A_nan[3, 5] = math.nan
+    calls += [
+        _run("data/quad-l1-40x25-mu2.5",
+             _config("quad-l1", "npg_major", 0, {"m": 5},
+                     params={"seed": 0, "rows": 40, "cols": 25, "mu": 2.5})),
+        _lasso_from_csv("lasso-csv", A, b),
+        _lasso_from_csv("lasso-csv-nan", A_nan, b),
+    ]
+
     calls += [
         _reader("empty-file", SIDECAR_RUN, lambda lines: []),
         _reader("header-only", SIDECAR_RUN, lambda lines: lines[:1]),
@@ -317,8 +345,8 @@ def matrix() -> list[Call]:
 # running and comparing
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(path: Path, root: Path) -> str:
+    return hashlib.sha256(path.read_bytes().replace(bytes(root), b"<tmp>")).hexdigest()
 
 
 def _call(call: Call, root: Path) -> dict:
@@ -338,7 +366,7 @@ def _call(call: Call, root: Path) -> dict:
             exit_code = main(argv)
         except Exception as exc:  # noqa: BLE001 - an escaped exception is an outcome
             exception = f"{type(exc).__name__}: {exc}"
-    files = {str(p.relative_to(here)): _sha256(p)
+    files = {str(p.relative_to(here)): _sha256(p, root)
              for p in sorted(here.rglob("*")) if p.is_file()}
     record = {"label": call.label, "argv": argv, "exit": exit_code,
               "exception": exception, "stdout": out.getvalue(), "stderr": err.getvalue(),
