@@ -9,9 +9,10 @@ import pytest
 import kldescent.cli
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
-# a run with a sidecar and an inline one, and the calls that read their traces
+# a run with a sidecar and an inline one, the calls that read their traces,
+# and the runs on data files, whose config and report hold the call's path
 PREFIXES = ("run/lasso/pgenls/s0/m5", "run/power4-1d/pgenls/s0/m0",
-            "verify/lasso/pgenls/s0/m5/", "reader/", "input/x0-")
+            "verify/lasso/pgenls/s0/m5/", "reader/", "input/x0-", "data/")
 
 
 @pytest.fixture
@@ -36,6 +37,11 @@ def test_same_checkout_gives_the_same_manifest(identity):
     assert run["exit"] == 0 and {"exp_out/trace.csv", "exp_out/trace.bin"} <= set(run["files"])
     missing = by_label["reader/sidecar-missing"]
     assert missing["exit"] == 0 and missing["stderr"] == ""
+    csv = by_label["data/lasso-csv"]
+    assert csv["exit"] == 0 and {"A.csv", "exp.json", "exp_out/report.json"} <= set(csv["files"])
+    assert by_label["data/lasso-csv-nan"]["stderr"] == (
+        "kldescent: error: matrix loaded from '<tmp>/data/lasso-csv-nan/A.csv' "
+        "has non-finite entries\n")
     magic = by_label["reader/sidecar-magic"]
     assert magic["exit"] == 1
     assert magic["stderr"].startswith("kldescent: error: <tmp>/reader/sidecar-magic/trace.bin")

@@ -8,9 +8,9 @@
 directory, and writes a JSON manifest.  Per call it records the argv, the
 exit code (or the exception that escaped ``main``), stdout, stderr, the
 warnings raised and the SHA-256 of each file in the call's directory; the
-temporary directory's path is replaced by ``<tmp>`` throughout, in the files
-before they are hashed too.  ``diff``
-prints every difference between two manifests and exits 1 if there is any.
+temporary directory's path is replaced by ``<tmp>`` throughout, in each file
+before it is hashed too.  ``diff`` prints every difference between two
+manifests and exits 1 if there is any.
 
 Compare two checkouts on one machine.  Least-squares results depend on the
 BLAS build, so a manifest from another machine differs for that reason alone,
@@ -116,8 +116,8 @@ def _lasso_from_csv(name: str, A: numpy.ndarray, b: numpy.ndarray) -> Call:
         numpy.savetxt(here / "A.csv", A, delimiter=",")
         numpy.savetxt(here / "b.csv", b, delimiter=",")
         params = {"A_csv": str(here / "A.csv"), "b_csv": str(here / "b.csv")}
-        _write("exp.json", json.dumps(_config("lasso", "pgenls", 0, {"m": 5},
-                                              params=params)))(root, here)
+        (here / "exp.json").write_text(
+            json.dumps(_config("lasso", "pgenls", 0, {"m": 5}, params=params)))
     return Call(f"data/{name}", lambda root, here: ["run", str(here / "exp.json")], prepare)
 
 
