@@ -53,25 +53,31 @@ def _load_csv(path: str, what: str) -> np.ndarray:
     return data
 
 
-def _matrix(rows: int, cols: int, ridge: bool) -> np.ndarray:
-    """An uninitialised ``rows x cols`` matrix, with ``cols`` zero rows under it
-    when ``ridge``."""
-    M = np.empty((rows + cols if ridge else rows, cols))
+def _matrix(rows: int, cols: int, mu) -> np.ndarray:
+    """An uninitialised ``rows x cols`` matrix, with ``sqrt(mu) I`` of size
+    ``cols`` under it unless ``mu`` is ``None``."""
+    if mu is None:
+        return np.empty((rows, cols))
+    M = np.empty((rows + cols, cols))
     M[rows:] = 0.0
+    np.fill_diagonal(M[rows:], np.sqrt(mu))
     return M
 
 
 def _sparse_regression_data(params: dict, rows_default: int, cols_default: int,
-                            ridge: bool = False):
-    """Shared data generator: ``(A, b)`` with ``A`` a scaled Gaussian matrix
-    and ``b = A x_true +`` small noise, or both loaded from ``A_csv`` and
-    ``b_csv``.  With ``ridge`` the matrix returned is ``[A; 0]``, with
-    ``cols`` zero rows under ``A`` for the caller to fill in place, and
-    ``b`` keeps the rows of ``A``.
+                            mu=None):
+    """Shared data generator: ``(A, b, key)`` with ``A`` a scaled Gaussian
+    matrix and ``b = A x_true +`` small noise, or both loaded from ``A_csv``
+    and ``b_csv``.  Unless ``mu`` is ``None`` the matrix returned is
+    ``[A; sqrt(mu) I]``, and ``b`` keeps the rows of ``A``.
+
+    ``key`` is what fixes every bit of a generated matrix, for
+    ``make_least_squares``'s hint memo: the seed, the size and ``mu``.  A
+    loaded matrix gets ``None``, since its file may change between builds.
 
     The matrix returned is the only array of its size that the build makes:
     ``A`` is drawn into it and scaled in place.  (A loaded ``A`` stacked
-    under ``ridge`` is copied into it, so that path holds two copies for a
+    under a ridge is copied into it, so that path holds two copies for a
     moment.)
     """
     if "A_csv" in params or "b_csv" in params:
@@ -83,17 +89,18 @@ def _sparse_regression_data(params: dict, rows_default: int, cols_default: int,
             raise InvalidInputError(
                 f"A has {A.shape[0]} rows but b has {b.shape[0]} entries"
             )
-        if not ridge:
-            return A, b
-        M = _matrix(*A.shape, ridge)
+        if mu is None:
+            return A, b, None
+        M = _matrix(*A.shape, mu)
         M[: A.shape[0]] = A
-        return M, b
+        return M, b, None
     if "seed" not in params:
         raise InvalidInputError("randomized problems require a 'seed' parameter")
     rows, cols = check("params", "params.", rows=params.get("rows", rows_default),
                        cols=params.get("cols", cols_default)).values()  # A must fit in numpy
-    rng = np.random.default_rng(int(params["seed"]))
-    M = _matrix(rows, cols, ridge)
+    seed = int(params["seed"])
+    rng = np.random.default_rng(seed)
+    M = _matrix(rows, cols, mu)
     A = M[:rows]
     rng.standard_normal(out=A)
     A /= np.sqrt(rows)
@@ -101,7 +108,7 @@ def _sparse_regression_data(params: dict, rows_default: int, cols_default: int,
     support = rng.choice(cols, size=max(1, cols // 10), replace=False)
     x_true[support] = rng.standard_normal(support.size)
     b = A @ x_true + 0.01 * rng.standard_normal(rows)
-    return M, b
+    return M, b, ("catalog", seed, rows, cols, mu)
 
 
 def _lam_from(params: dict, A: np.ndarray, b: np.ndarray, factor_default: float) -> float:
@@ -121,10 +128,10 @@ _PENALIZED_LS = {
 
 def _make_penalized_ls(problem_id: str, params: dict) -> ProblemInstance:
     rows, cols, g, h = _PENALIZED_LS[problem_id]
-    A, b = _sparse_regression_data(params, rows_default=rows, cols_default=cols)
+    A, b, key = _sparse_regression_data(params, rows_default=rows, cols_default=cols)
     lam = _lam_from(params, A, b, 0.1)
     problem = CompositeProblem(
-        f=make_least_squares(A, b),
+        f=make_least_squares(A, b, key=key),
         g=g(lam),
         h=h(lam) if h is not None else None,
         dimension=A.shape[1],
@@ -144,13 +151,12 @@ def _make_quad_l1(params: dict) -> ProblemInstance:
     makes no temporary of its size (bar a loaded ``A``'s own copy, see
     ``_sparse_regression_data``)."""
     mu = float(params.get("mu", 1.0))
-    A_full, b = _sparse_regression_data(params, rows_default=30, cols_default=30, ridge=True)
+    A_full, b, key = _sparse_regression_data(params, rows_default=30, cols_default=30, mu=mu)
     n = A_full.shape[1]
-    np.fill_diagonal(A_full[-n:], np.sqrt(mu))
     b_full = np.concatenate([b, np.zeros(n)])
     lam = _lam_from(params, A_full, b_full, 0.1)
     problem = CompositeProblem(
-        f=make_least_squares(A_full, b_full), g=l1_oracle(lam), h=None, dimension=n
+        f=make_least_squares(A_full, b_full, key=key), g=l1_oracle(lam), h=None, dimension=n
     )
     return ProblemInstance("quad-l1", problem, np.zeros(n), dict(params, lam=lam, mu=mu))
 

@@ -1,6 +1,10 @@
 """The byte-identity harness ``tools/identity.py``: on one checkout it finds
 nothing to report, and it reports a 1-ulp change in one trace cell."""
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -67,3 +71,20 @@ def test_a_one_ulp_change_in_a_trace_cell_is_reported(identity, monkeypatch):
     assert any(line.startswith("run/power4-1d/pgenls/s0/m0: file exp_out/trace.csv: ")
                for line in lines), lines
     assert not any(line.startswith("run/lasso/") for line in lines), lines
+
+
+def test_diff_runs_without_kldescent(tmp_path):
+    # only ``write`` runs the package: the subprocess has no ``src`` on its
+    # path, and an import of ``kldescent`` would fail even if one were installed
+    record = {"label": "run/lasso/pgenls/s0/m5", "exit": 0, "stdout": "",
+              "files": {"exp_out/report.json": "0" * 64}}
+    for name in ("a.json", "b.json"):
+        (tmp_path / name).write_text(json.dumps(
+            {"python": "3", "numpy": "2", "kldescent": "0", "calls": [record]}))
+    script = ("import runpy, sys; sys.modules['kldescent'] = None; "
+              f"sys.argv = [{str(TOOLS / 'identity.py')!r}, 'diff', 'a.json', 'b.json']; "
+              "runpy.run_path(sys.argv[0], run_name='__main__')")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "no differences\n", "")

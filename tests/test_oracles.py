@@ -5,6 +5,8 @@ prox maps and central finite differences for the gradients.  Expected values
 are frozen from these references, not from the implementations under test.
 """
 
+import contextlib
+import json
 import sys
 import threading
 from unittest import mock
@@ -12,8 +14,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from kldescent import oracles
+from kldescent import catalog, oracles
 from kldescent.catalog import make_problem
+from kldescent.cli import main
 from kldescent.errors import InvalidInputError
 from kldescent.npg import NpgConfig, npg_solve
 from kldescent.oracles import (
@@ -222,10 +225,14 @@ def test_quadratic_is_declared_by_the_builder():
     assert oracles.SmoothOracle(value=abs, gradient=abs).quadratic is False
 
 
+@contextlib.contextmanager
 def hint_spy():
     """Spy on the core a least-squares hint read calls: the Lipschitz value
-    of a matrix the build has already checked."""
-    return mock.patch.object(oracles, "_sq_norm", wraps=oracles._sq_norm)
+    of a matrix the build has already checked.  The hint memo starts empty
+    and is put back on exit, so a first read inside computes."""
+    with (mock.patch.object(oracles, "_hint_memo", None),
+          mock.patch.object(oracles, "_sq_norm", wraps=oracles._sq_norm) as spy):
+        yield spy
 
 
 def test_lipschitz_hint_is_computed_on_first_read():
@@ -241,6 +248,116 @@ def test_lipschitz_hint_is_computed_on_first_read():
         assert inst.problem.f.lipschitz_hint == hint
         assert spy.call_count == 1
     assert hint.hex() == power_iteration_sq_norm(A).hex()
+
+
+# ---------------------------------------------------------------------------
+# the hint memo of generated matrices
+
+SMALL = {"seed": 0, "rows": 20, "cols": 40}
+
+
+def built_hint(problem_id, params):
+    """The hint of a catalog build, and the matrix its oracle holds."""
+    with mock.patch.object(catalog, "make_least_squares",
+                           wraps=catalog.make_least_squares) as build:
+        inst = make_problem(problem_id, params)
+    return inst.problem.f.lipschitz_hint, build.call_args.args[0]
+
+
+def test_problems_on_one_generated_matrix_share_its_hint():
+    with hint_spy() as spy:
+        hints = [built_hint(pid, dict(SMALL, lam=lam))[0]
+                 for pid, lam in (("lasso", 0.1), ("l0-ls", 0.2), ("l1-l2-dc", 0.3))]
+        assert spy.call_count == 1
+        A = spy.call_args.args[0]
+    assert {h.hex() for h in hints} == {power_iteration_sq_norm(A).hex()}
+
+
+@pytest.mark.parametrize("first, second", [
+    (("lasso", SMALL), ("lasso", dict(SMALL, seed=1))),
+    (("lasso", SMALL), ("lasso", dict(SMALL, rows=21))),
+    (("lasso", SMALL), ("lasso", dict(SMALL, cols=41))),
+    (("quad-l1", dict(SMALL, mu=1.0)), ("quad-l1", dict(SMALL, mu=2.0))),
+    (("lasso", SMALL), ("quad-l1", SMALL)),
+    (("quad-l1", SMALL), ("lasso", SMALL)),
+], ids=["seed", "rows", "cols", "mu", "to-quad-l1", "from-quad-l1"])
+def test_a_change_of_any_data_field_recomputes_the_hint(first, second):
+    with hint_spy() as spy:
+        built = [built_hint(problem_id, params) for problem_id, params in (first, second)]
+        assert spy.call_count == 2
+    for hint, A in built:
+        assert hint.hex() == power_iteration_sq_norm(A).hex()
+
+
+def test_loaded_and_hand_built_matrices_never_share_a_hint(tmp_path):
+    A, b, _ = least_squares_case()
+    np.savetxt(tmp_path / "A.csv", A, delimiter=",")
+    np.savetxt(tmp_path / "b.csv", b, delimiter=",")
+    files = {"A_csv": str(tmp_path / "A.csv"), "b_csv": str(tmp_path / "b.csv")}
+    with hint_spy() as spy:
+        generated = built_hint("lasso", SMALL)[0]
+        for problem_id in ("lasso", "lasso", "quad-l1", "quad-l1"):
+            make_problem(problem_id, files).problem.f.lipschitz_hint
+        for _ in range(2):
+            make_least_squares(A, b).lipschitz_hint
+        assert spy.call_count == 7
+        # no unkeyed read touched the entry of the generated matrix
+        assert built_hint("lasso", SMALL)[0] == generated
+        assert spy.call_count == 7
+
+
+def test_a_new_key_replaces_the_single_entry():
+    with hint_spy() as spy:
+        first = built_hint("lasso", SMALL)[0]
+        second = built_hint("lasso", dict(SMALL, seed=1))[0]
+        assert oracles._hint_memo[1] == second
+        assert built_hint("lasso", SMALL)[0] == first
+        assert spy.call_count == 3
+        assert oracles._hint_memo[1] == first
+
+
+def test_hint_memo_under_racing_threads():
+    # threads read the hints of three generated matrices in turn, so the
+    # memo's entry is replaced under them; a reader must get the hint of its
+    # own matrix, never the entry another thread just stored.  The hint is
+    # stubbed by a corner entry, distinct per matrix, so that the threads
+    # spend their time in the memo
+    fs = [make_problem("lasso", dict(SMALL, seed=seed)).problem.f for seed in range(3)]
+    wrong = []
+
+    def work(offset):
+        for i in range(3000):
+            k = (i + offset) % len(fs)
+            if fs[k].lipschitz_fn() != expected[k]:  # lipschitz_fn skips the oracle's cache
+                wrong.append(k)
+
+    with (mock.patch.object(oracles, "_hint_memo", None),
+          mock.patch.object(oracles, "_sq_norm", lambda A: float(A[0, 0]))):
+        expected = [f.lipschitz_hint for f in fs]
+        assert len(set(expected)) == len(fs)
+        threads = [threading.Thread(target=work, args=(offset,)) for offset in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_a_sweep_over_one_generated_matrix_computes_its_hint_once(tmp_path):
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({
+        "problem": "lasso", "params": {"seed": 0, "rows": 600, "cols": 1200},
+        "algorithm": "pgenls", "output_dir": str(tmp_path / "sweep")}))
+    with hint_spy() as spy:
+        assert main(["sweep", str(config), "--param", "m", "--values", "0,3,5"]) == 0
+        assert spy.call_count == 1
+    assert min(spy.call_args.args[0].shape) > oracles._DENSE_MAX_DIM  # the Lanczos path
 
 
 @pytest.mark.parametrize("A, message", [

@@ -1,7 +1,7 @@
 """Byte-identity check of the ``kldescent`` command line between two checkouts.
 
     PYTHONPATH=src python tools/identity.py write MANIFEST
-    PYTHONPATH=src python tools/identity.py diff A B
+    python tools/identity.py diff A B
 
 ``write`` runs a fixed matrix of calls in this process through
 ``kldescent.cli.main``, each in its own directory under one temporary
@@ -10,7 +10,8 @@ exit code (or the exception that escaped ``main``), stdout, stderr, the
 warnings raised and the SHA-256 of each file in the call's directory; the
 temporary directory's path is replaced by ``<tmp>`` throughout, in each file
 before it is hashed too.  ``diff`` prints every difference between two
-manifests and exits 1 if there is any.
+manifests and exits 1 if there is any; it needs no ``kldescent``, which
+only ``write`` imports.
 
 Compare two checkouts on one machine.  Least-squares results depend on the
 BLAS build, so a manifest from another machine differs for that reason alone,
@@ -24,9 +25,12 @@ The matrix:
 * ``verify`` of each run's trace with the complete flags, and with each
   solver flag dropped in turn;
 * ``sweep``: one per problem, over the window length;
-* ``data``: ``quad-l1`` with more rows than columns and ``mu`` not 1, and
+* ``data``: ``quad-l1`` with more rows than columns and ``mu`` not 1;
   ``lasso`` from CSV files written into the call's directory, once intact
-  and once with a ``nan`` matrix cell (exit 1);
+  and once with a ``nan`` matrix cell (exit 1); and ``lasso`` under
+  ``pgenls``, ``l1-l2-dc`` under ``npg_major`` and a ``lasso`` sweep over the
+  window length, back to back on one 600x1200 matrix, whose hint (on the
+  Lanczos path) the later calls take from the memo the first one filled;
 * ``reader``: one malformed trace per reader message, plus a trace whose
   sidecar is gone;
 * ``input``: numbers a config cannot hold (integers beyond the float or
@@ -56,10 +60,6 @@ from typing import Callable, Optional
 
 import numpy
 
-import kldescent
-from kldescent.cli import main
-from kldescent.diagnostics import derive_audit_inputs
-
 ALGORITHMS = ("npg_major", "pgenls", "pgnls")
 SEEDS = (0, 1, 3)
 WINDOWS = (0, 5)
@@ -71,6 +71,8 @@ SWEEPS = {"lasso": "pgenls", "l0-ls": "npg_major", "l1-l2-dc": "npg_major",
 # corrupt: one with a sidecar, one inline
 SIDECAR_RUN = ("lasso", "pgenls", 0, 5)
 INLINE_RUN = ("power4-1d", "pgenls", 0, 0)
+# one generated matrix whose smaller side is above the dense threshold
+LANCZOS_PARAMS = {"seed": 0, "rows": 600, "cols": 1200}
 HUGE = 10**400
 DIGITS_4301 = "1" + "0" * 4300
 
@@ -128,6 +130,8 @@ def _label(run: tuple) -> str:
 
 def _verify_flags(root: Path, run: tuple) -> Optional[dict]:
     """The complete ``verify`` flags of a run, or ``None`` if it wrote no report."""
+    import kldescent
+
     report_path = root / _label(run) / "exp_out" / "report.json"
     if not report_path.exists():
         return None
@@ -216,6 +220,9 @@ def _long_window(algorithm: str) -> list[Call]:
     """``run`` of lasso at seed 0 and ``m = 1000``, where the path-length
     constant ``c`` is beyond the float range, and ``verify`` of its trace with
     the flags of its config (a run that fails writes no report to read)."""
+    import kldescent
+    from kldescent.diagnostics import derive_audit_inputs
+
     label = f"input/lasso-m1000-{algorithm}"
     config = kldescent.NpgConfig if algorithm == "npg_major" else kldescent.PgenlsConfig
     cfg = config(m=1000)
@@ -228,7 +235,15 @@ def _long_window(algorithm: str) -> list[Call]:
                 "verify", str(root / label / "exp_out" / "trace.csv"), *_argv_flags(flags)])]
 
 
+def _sweep(label: str, cfg: dict, param: str, values: str) -> Call:
+    return Call(label, lambda root, here: ["sweep", str(here / "exp.json"),
+                                           "--param", param, "--values", values],
+                _write("exp.json", json.dumps(cfg)))
+
+
 def matrix() -> list[Call]:
+    import kldescent
+
     calls = []
     runs = [(problem, algorithm, seed, m) for problem in kldescent.problem_ids()
             for algorithm in ALGORITHMS for seed in SEEDS for m in WINDOWS]
@@ -240,11 +255,7 @@ def matrix() -> list[Call]:
         for drop in (None, "m", "a", "alpha", "delta", last):
             calls.append(_verify(run, drop))
     for problem, algorithm in SWEEPS.items():
-        cfg = json.dumps(_config(problem, algorithm, 0, {}))
-        calls.append(Call(f"sweep/{problem}",
-                          lambda root, here: ["sweep", str(here / "exp.json"),
-                                              "--param", "m", "--values", "0,5"],
-                          _write("exp.json", cfg)))
+        calls.append(_sweep(f"sweep/{problem}", _config(problem, algorithm, 0, {}), "m", "0,5"))
 
     rng = numpy.random.default_rng(11)
     A, b = rng.standard_normal((12, 20)), rng.standard_normal(12)
@@ -256,6 +267,12 @@ def matrix() -> list[Call]:
                      params={"seed": 0, "rows": 40, "cols": 25, "mu": 2.5})),
         _lasso_from_csv("lasso-csv", A, b),
         _lasso_from_csv("lasso-csv-nan", A_nan, b),
+        _run("data/lasso-600x1200",
+             _config("lasso", "pgenls", 0, {"m": 5}, params=LANCZOS_PARAMS)),
+        _run("data/l1-l2-dc-600x1200",
+             _config("l1-l2-dc", "npg_major", 0, {"m": 5}, params=LANCZOS_PARAMS)),
+        _sweep("data/sweep-lasso-600x1200",
+               _config("lasso", "pgenls", 0, {}, params=LANCZOS_PARAMS), "m", "0,5"),
     ]
 
     calls += [
@@ -333,10 +350,8 @@ def matrix() -> list[Call]:
         _input("diagnostics-tau-beyond-float", "lasso", "pgenls", diagnostics={"tau": HUGE}),
         *_long_window("npg_major"),
         *_long_window("pgenls"),
-        Call("input/sweep-value-over-4300-digits",
-             lambda root, here: ["sweep", str(here / "exp.json"), "--param", "params.x0",
-                                 "--values", DIGITS_4301],
-             _write("exp.json", json.dumps(_config("power4-1d", "pgenls", 0, {})))),
+        _sweep("input/sweep-value-over-4300-digits", _config("power4-1d", "pgenls", 0, {}),
+               "params.x0", DIGITS_4301),
     ]
     return calls
 
@@ -350,6 +365,8 @@ def _sha256(path: Path, root: Path) -> str:
 
 
 def _call(call: Call, root: Path) -> dict:
+    from kldescent.cli import main
+
     here = root / call.label
     here.mkdir(parents=True)
     if call.prepare:
@@ -377,6 +394,8 @@ def _call(call: Call, root: Path) -> dict:
 
 def manifest(calls: list[Call]) -> dict:
     """Run ``calls`` in order in a fresh temporary directory."""
+    import kldescent
+
     root = Path(tempfile.mkdtemp(prefix="kldescent-identity-")).resolve()
     try:
         records = [_call(call, root) for call in calls]
