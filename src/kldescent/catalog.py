@@ -2,9 +2,10 @@
 
 Randomized instances draw every random quantity from a single
 ``numpy.random.default_rng(seed)`` generator (PCG64), so a given
-``(id, params)`` pair always produces bit-identical data.  Matrices and
-right-hand sides can instead be loaded from headerless CSV files via the
-``A_csv`` / ``b_csv`` parameters.
+``(id, params)`` pair always produces bit-identical data, and the last
+least-squares data drawn are kept for the next build over them (see
+:func:`make_problem`).  Matrices and right-hand sides can instead be loaded
+from headerless CSV files via the ``A_csv`` / ``b_csv`` parameters.
 """
 
 from __future__ import annotations
@@ -64,22 +65,52 @@ def _matrix(rows: int, cols: int, mu) -> np.ndarray:
     return M
 
 
+def _with_ridge(b: np.ndarray, cols: int, mu) -> np.ndarray:
+    """``b``, with ``cols`` zeros after it (the rows of the ridge) unless
+    ``mu`` is ``None``."""
+    return b if mu is None else np.concatenate([b, np.zeros(cols)])
+
+
+class _LeastSquares:
+    """The data of a least-squares build: ``A`` and ``b``, the oracle ``f``
+    of ``0.5 ||Ax - b||^2`` over them, and ``max |A^T b|``, computed on the
+    first call of ``max_atb`` (a build given ``lam`` makes none) and kept."""
+
+    __slots__ = ("A", "b", "f", "_max_atb")
+
+    def __init__(self, A: np.ndarray, b: np.ndarray):
+        self.A, self.b, self.f, self._max_atb = A, b, make_least_squares(A, b), None
+
+    def max_atb(self) -> float:
+        if self._max_atb is None:  # two threads at once both compute the same bits
+            self._max_atb = float(np.max(np.abs(self.A.T @ self.b)))
+        return self._max_atb
+
+
+# (key, _LeastSquares) of the last generated data, replaced whole so that a
+# reader never pairs one key with another key's data; see make_problem
+_memo = None
+
+
 def _sparse_regression_data(params: dict, rows_default: int, cols_default: int,
-                            mu=None):
-    """Shared data generator: ``(A, b, key)`` with ``A`` a scaled Gaussian
+                            mu=None) -> _LeastSquares:
+    """Shared data of the least-squares problems: ``A`` a scaled Gaussian
     matrix and ``b = A x_true +`` small noise, or both loaded from ``A_csv``
-    and ``b_csv``.  Unless ``mu`` is ``None`` the matrix returned is
-    ``[A; sqrt(mu) I]``, and ``b`` keeps the rows of ``A``.
+    and ``b_csv``.  Unless ``mu`` is ``None`` the matrix is
+    ``[A; sqrt(mu) I]`` and the right-hand side ``[b; 0]``.
 
-    ``key`` is what fixes every bit of a generated matrix, for
-    ``make_least_squares``'s hint memo: the seed, the size and ``mu``.  A
-    loaded matrix gets ``None``, since its file may change between builds.
+    Generated data are fixed to the bit by ``(seed, rows, cols, mu)``, so the
+    last of them is kept in ``_memo`` under that key, read-only, and a build
+    with the same key takes it from there.  A build with another key drops
+    the entry before it draws.  Loaded data never enter the memo: their
+    files may change between builds.
 
-    The matrix returned is the only array of its size that the build makes:
+    The matrix built is the only array of its size that the build makes:
     ``A`` is drawn into it and scaled in place.  (A loaded ``A`` stacked
     under a ridge is copied into it, so that path holds two copies for a
     moment.)
     """
+    global _memo
     if "A_csv" in params or "b_csv" in params:
         if not ("A_csv" in params and "b_csv" in params):
             raise InvalidInputError("A_csv and b_csv must be given together")
@@ -89,17 +120,23 @@ def _sparse_regression_data(params: dict, rows_default: int, cols_default: int,
             raise InvalidInputError(
                 f"A has {A.shape[0]} rows but b has {b.shape[0]} entries"
             )
-        if mu is None:
-            return A, b, None
-        M = _matrix(*A.shape, mu)
-        M[: A.shape[0]] = A
-        return M, b, None
+        if mu is not None:
+            M = _matrix(*A.shape, mu)
+            M[: A.shape[0]] = A
+            A, b = M, _with_ridge(b, A.shape[1], mu)
+        return _LeastSquares(A, b)
     if "seed" not in params:
         raise InvalidInputError("randomized problems require a 'seed' parameter")
-    rows, cols = check("params", "params.", rows=params.get("rows", rows_default),
-                       cols=params.get("cols", cols_default)).values()  # A must fit in numpy
-    seed = int(params["seed"])
-    rng = np.random.default_rng(seed)
+    rows, cols = rows_default, cols_default
+    if "rows" in params or "cols" in params:  # the defaults need no check
+        rows, cols = check("params", "params.", rows=params.get("rows", rows),
+                           cols=params.get("cols", cols)).values()  # A must fit in numpy
+    key = (int(params["seed"]), rows, cols, mu)
+    last = _memo
+    if last is not None and last[0] == key:
+        return last[1]
+    _memo = last = None  # the last data, unless a caller holds them, are freed before the draw
+    rng = np.random.default_rng(key[0])
     M = _matrix(rows, cols, mu)
     A = M[:rows]
     rng.standard_normal(out=A)
@@ -107,36 +144,37 @@ def _sparse_regression_data(params: dict, rows_default: int, cols_default: int,
     x_true = np.zeros(cols)
     support = rng.choice(cols, size=max(1, cols // 10), replace=False)
     x_true[support] = rng.standard_normal(support.size)
-    b = A @ x_true + 0.01 * rng.standard_normal(rows)
-    return M, b, ("catalog", seed, rows, cols, mu)
+    b = _with_ridge(A @ x_true + 0.01 * rng.standard_normal(rows), cols, mu)
+    M.flags.writeable = False
+    b.flags.writeable = False
+    data = _LeastSquares(M, b)
+    _memo = (key, data)
+    return data
 
 
-def _lam_from(params: dict, A: np.ndarray, b: np.ndarray, factor_default: float) -> float:
-    if "lam" in params:
-        return float(params["lam"])
-    return float(params.get("lam_factor", factor_default)) * float(np.max(np.abs(A.T @ b)))
-
-
-# the penalized least-squares problems ``0.5 ||Ax - b||^2 + g - h``:
-# id -> (default rows, default cols, oracle g of lam, oracle h of lam or None)
-_PENALIZED_LS = {
-    "lasso": (50, 100, l1_oracle, None),
-    "l0-ls": (20, 40, l0_oracle, None),
-    "l1-l2-dc": (20, 40, l1_oracle, l2_norm_oracle),
+# the least-squares problems ``0.5 ||Ax - b||^2 + g - h``: id -> (default
+# rows, default cols, oracle g of lam, oracle h of lam or None, whether
+# ``sqrt(mu) I`` is stacked under ``A``, making ``f`` strongly convex)
+_LEAST_SQUARES = {
+    "lasso": (50, 100, l1_oracle, None, False),
+    "l0-ls": (20, 40, l0_oracle, None, False),
+    "l1-l2-dc": (20, 40, l1_oracle, l2_norm_oracle, False),
+    "quad-l1": (30, 30, l1_oracle, None, True),
 }
 
 
-def _make_penalized_ls(problem_id: str, params: dict) -> ProblemInstance:
-    rows, cols, g, h = _PENALIZED_LS[problem_id]
-    A, b, key = _sparse_regression_data(params, rows_default=rows, cols_default=cols)
-    lam = _lam_from(params, A, b, 0.1)
-    problem = CompositeProblem(
-        f=make_least_squares(A, b, key=key),
-        g=g(lam),
-        h=h(lam) if h is not None else None,
-        dimension=A.shape[1],
-    )
-    return ProblemInstance(problem_id, problem, np.zeros(A.shape[1]), dict(params, lam=lam))
+def _make_ls_problem(problem_id: str, params: dict) -> ProblemInstance:
+    rows, cols, g, h, ridge = _LEAST_SQUARES[problem_id]
+    ridged = {"mu": float(params.get("mu", 1.0))} if ridge else {}
+    data = _sparse_regression_data(params, rows, cols, **ridged)
+    if "lam" in params:
+        lam = float(params["lam"])
+    else:
+        lam = float(params.get("lam_factor", 0.1)) * data.max_atb()
+    n = data.A.shape[1]
+    problem = CompositeProblem(f=data.f, g=g(lam), h=h(lam) if h is not None else None,
+                               dimension=n)
+    return ProblemInstance(problem_id, problem, np.zeros(n), dict(params, lam=lam, **ridged))
 
 
 def _make_power4_1d(params: dict) -> ProblemInstance:
@@ -145,37 +183,21 @@ def _make_power4_1d(params: dict) -> ProblemInstance:
     return ProblemInstance("power4-1d", problem, np.array([x0]), dict(params))
 
 
-def _make_quad_l1(params: dict) -> ProblemInstance:
-    """Strongly convex quadratic plus l1: least squares with ``[A; sqrt(mu) I]``
-    and ``[b; 0]``.  The stacked matrix is filled in place, so the build
-    makes no temporary of its size (bar a loaded ``A``'s own copy, see
-    ``_sparse_regression_data``)."""
-    mu = float(params.get("mu", 1.0))
-    A_full, b, key = _sparse_regression_data(params, rows_default=30, cols_default=30, mu=mu)
-    n = A_full.shape[1]
-    b_full = np.concatenate([b, np.zeros(n)])
-    lam = _lam_from(params, A_full, b_full, 0.1)
-    problem = CompositeProblem(
-        f=make_least_squares(A_full, b_full, key=key), g=l1_oracle(lam), h=None, dimension=n
-    )
-    return ProblemInstance("quad-l1", problem, np.zeros(n), dict(params, lam=lam, mu=mu))
-
-
 # the params fields of the least-squares problems; every problem takes a seed
 _LS_FIELDS = ("seed", "rows", "cols", "lam", "lam_factor", "A_csv", "b_csv")
 
 # id -> (builder taking the params, description, accepted params fields)
 _REGISTRY = {
-    "lasso": (partial(_make_penalized_ls, "lasso"), "least squares + l1 penalty (convex)",
+    "lasso": (partial(_make_ls_problem, "lasso"), "least squares + l1 penalty (convex)",
               _LS_FIELDS),
-    "l0-ls": (partial(_make_penalized_ls, "l0-ls"),
+    "l0-ls": (partial(_make_ls_problem, "l0-ls"),
               "least squares + l0 cardinality penalty (nonconvex prox term)", _LS_FIELDS),
-    "l1-l2-dc": (partial(_make_penalized_ls, "l1-l2-dc"),
+    "l1-l2-dc": (partial(_make_ls_problem, "l1-l2-dc"),
                  "least squares + l1 minus l2 (difference of convex terms)", _LS_FIELDS),
     "power4-1d": (_make_power4_1d, "scalar x^4/4, flat minimizer at 0 (sublinear benchmark)",
                   ("seed", "x0")),
-    "quad-l1": (_make_quad_l1, "strongly convex quadratic + l1 (linear-rate benchmark)",
-                _LS_FIELDS + ("mu",)),
+    "quad-l1": (partial(_make_ls_problem, "quad-l1"),
+                "strongly convex quadratic + l1 (linear-rate benchmark)", _LS_FIELDS + ("mu",)),
 }
 
 
@@ -190,7 +212,21 @@ def describe_problems() -> list[tuple[str, str]]:
 def make_problem(problem_id: str, params: dict | None = None) -> ProblemInstance:
     """Build a catalog problem; unknown identifiers, params fields the
     problem does not take and values outside their field's domain raise
-    ``InvalidInputError``."""
+    ``InvalidInputError``.
+
+    The generated data of the least-squares problems are memoized: the last
+    of them stays in a module-wide memo of one entry, keyed on the seed, the
+    size and (``quad-l1``) ``mu``, which fix them to the bit.  The entry holds
+    the matrix and right-hand side, made read-only, their
+    ``make_least_squares`` oracle (with its Lipschitz hint, once read) and
+    ``max |A^T b|``.  A build with the entry's key, of any of the problems,
+    takes them from there: it draws nothing, scans nothing and shares the
+    oracle, so the instances over one dataset compute its hint once.  The
+    entry stays until a build of other generated data drops it, before that
+    build draws; it pins one dataset (64 MB at 2000x4000) for the life of
+    the process.  Data loaded from ``A_csv`` and ``b_csv`` never enter it.
+    Each instance still gets its own ``x0``, ``params`` and penalty terms.
+    """
     if problem_id not in _REGISTRY:
         raise InvalidInputError(
             f"unknown problem id {problem_id!r}; known ids: {', '.join(problem_ids())}"

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, TypeAlias
 
 import numpy as np
@@ -73,19 +72,19 @@ class SmoothOracle:
     """Continuously differentiable term: value, gradient, optional curvature hint.
 
     ``lipschitz_hint`` is the gradient's Lipschitz constant or an upper bound
-    on it (``None`` when no global bound exists).  It is computed on first
-    read by calling ``lipschitz_fn`` with no arguments, and cached on the
-    oracle, so an oracle whose hint is never read never pays for it; an
-    oracle built without ``lipschitz_fn`` has no hint.  For least squares it
-    is ``||A||_2^2`` from ``power_iteration_sq_norm``: exact up to rounding
-    when the smaller side of ``A`` is small, otherwise a Lanczos bound at
-    most 1e-6 above it relatively, under the condition stated there.  The
-    hint of a matrix the catalog generates is computed once for all oracles
-    over the same data, as long as that matrix's key stays the only entry of
-    a module-wide memo; a matrix loaded from CSV or built by hand is computed
-    per oracle (see ``make_least_squares``).  Two threads reading it first at
-    once may both compute it; the computation is deterministic, so both get
-    the same bits.
+    on it (``None`` when no global bound exists): the value of
+    ``lipschitz_fn`` called with no arguments, at each read, so an oracle
+    whose hint is never read never pays for it; an oracle built without
+    ``lipschitz_fn`` has no hint.  A builder whose hint is costly caches it
+    in ``lipschitz_fn``, which copies of the oracle made with
+    ``dataclasses.replace`` share.  For least squares it is ``||A||_2^2``
+    from ``power_iteration_sq_norm``, computed on the first read of any
+    oracle sharing the function (see ``make_least_squares``): exact up to
+    rounding when the smaller side of ``A`` is small, otherwise a Lanczos
+    bound at most 1e-6 above it relatively, under the condition stated
+    there.  The catalog builds one such oracle per generated dataset and
+    hands it to every problem over the same data while the data stay in its
+    memo (see :func:`kldescent.catalog.make_problem`).
 
     ``quadratic`` promises that ``f`` is quadratic, so its gradient is affine:
     ``grad f(x + beta (x - u)) = grad f(x) + beta (grad f(x) - grad f(u))``
@@ -106,7 +105,7 @@ class SmoothOracle:
     lipschitz_fn: Optional[Callable[[], float]] = None
     quadratic: bool = False
 
-    @cached_property
+    @property
     def lipschitz_hint(self) -> Optional[float]:
         return None if self.lipschitz_fn is None else self.lipschitz_fn()
 
@@ -357,31 +356,12 @@ def _lanczos_top_eigenvalue(gram: Callable[[Vector], Vector], dim: int,
         q /= np.linalg.norm(q)
 
 
-# (key, hint) of the last keyed least-squares hint computed, replaced whole
-# so that a reader never pairs one matrix's key with another's hint
-_hint_memo = None
-
-
-def _hint(A: np.ndarray, key) -> float:
-    """``_sq_norm(A)``, taken from ``_hint_memo`` when ``key`` is not ``None``
-    and equals the memo's key, and stored there when computed for a key."""
-    global _hint_memo
-    if key is None:
-        return _sq_norm(A)
-    last = _hint_memo
-    if last is not None and last[0] == key:
-        return last[1]
-    hint = _sq_norm(A)
-    _hint_memo = (key, hint)
-    return hint
-
-
 def _residual(A: np.ndarray, x: Vector, b: Vector) -> Vector:
     """``A x - b``, the one product with ``A`` of a least-squares oracle call."""
     return A @ x - b
 
 
-def make_least_squares(A: np.ndarray, b: Vector, key=None) -> SmoothOracle:
+def make_least_squares(A: np.ndarray, b: Vector) -> SmoothOracle:
     """Smooth oracle for ``0.5 * ||A x - b||^2``.
 
     The Lipschitz hint is the squared spectral norm of ``A`` from
@@ -390,20 +370,13 @@ def make_least_squares(A: np.ndarray, b: Vector, key=None) -> SmoothOracle:
     Lanczos upper bound at most 1e-6 above it relatively, which holds when
     the top Ritz value converged to the largest eigenvalue.  It is computed
     on the first read of ``lipschitz_hint``, not here: the solvers backtrack
-    and never read it, only the audit does.  ``A`` is checked here all the
-    same (two dimensions, finite entries), so bad input fails at the build,
-    and only here: the first read does not scan ``A`` again.
-
-    ``key``, when given, is compared with ``==`` and must fix every bit of
-    ``A`` (the catalog passes the seed, the size and the ridge weight it
-    generated ``A`` from).  The hint is then kept in a module-wide memo of
-    one entry, ``(key, hint)``, and a first read on another oracle built
-    with an equal key returns the memo's float instead of computing it: so
-    two problems, or the runs of a sweep, over one generated matrix compute
-    its hint once, as long as no other key has replaced the entry in
-    between.  Without a key (a matrix loaded from CSV, or built by hand)
-    each oracle computes its own hint on its first read.  Two first reads
-    at once may both compute it, and get the same bits.
+    and never read it, only the audit does.  Then it is kept in the
+    oracle's ``lipschitz_fn``, so later reads, on this oracle or on a copy
+    made with ``dataclasses.replace``, return the same float.  Two first
+    reads at once, from two threads, may both compute it; they get the same
+    bits.  ``A`` is checked here all the same (two dimensions, finite
+    entries), so bad input fails at the build, and only here: the first
+    read does not scan ``A`` again.
 
     The oracle keeps a one-entry cache: each ``value(x)`` call stores the
     residual ``r = A x - b`` under a key made of the dtype, shape and bytes
@@ -413,10 +386,10 @@ def make_least_squares(A: np.ndarray, b: Vector, key=None) -> SmoothOracle:
     evaluate ``f`` at a candidate before they need its gradient, so an
     accepted step costs one product for its gradient instead of two.
     ``A`` and ``b`` are used as given, not copied, and must not change after
-    the build: a cached residual would still be that of the old data, and a
-    hint read later would be that of the new ``A``.  A float64 ``A`` costs
-    the build no temporary of its size either: the finiteness check is
-    :func:`all_finite`, which sums the entries.
+    the build: a cached residual or hint would still be that of the old
+    data.  (The catalog makes the data it generates read-only.)  A float64
+    ``A`` costs the build no temporary of its size either: the finiteness
+    check is :func:`all_finite`, which sums the entries.
     """
     A = _checked_matrix(A)
     b = as_vector(b, "b")
@@ -428,6 +401,7 @@ def make_least_squares(A: np.ndarray, b: Vector, key=None) -> SmoothOracle:
     # (key of the point, A @ x - b) of the last value call, replaced whole so
     # that a reader never pairs one call's key with another call's residual
     cache = None
+    hint = None
 
     def value(x):
         nonlocal cache
@@ -446,10 +420,17 @@ def make_least_squares(A: np.ndarray, b: Vector, key=None) -> SmoothOracle:
             return A.T @ last[1]
         return A.T @ _residual(A, x, b)
 
-    # ``A`` was checked above, so the hint skips the public function's check;
-    # ``_sq_norm`` is looked up by name when called, so a wrapper of it sees it
-    return SmoothOracle(value=value, gradient=gradient,
-                        lipschitz_fn=lambda: _hint(A, key), quadratic=True)
+    def lipschitz_fn():
+        # ``A`` was checked above, so the hint skips the public function's
+        # check; ``_sq_norm`` is looked up by name when called, so a wrapper
+        # of it sees it
+        nonlocal hint
+        if hint is None:
+            hint = _sq_norm(A)
+        return hint
+
+    return SmoothOracle(value=value, gradient=gradient, lipschitz_fn=lipschitz_fn,
+                        quadratic=True)
 
 
 def make_power4_1d() -> SmoothOracle:

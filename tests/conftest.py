@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import pytest
 
-from kldescent import oracles
+from kldescent import catalog, oracles
 from kldescent.catalog import ProblemInstance, make_problem
 from kldescent.diagnostics import DiagnosticsReport, build_report
 from kldescent.npg import NpgConfig, npg_solve
@@ -80,6 +80,13 @@ def suite() -> Suite:
         r.report = build_report(r.trace, problem=r.instance.problem)
     t2 = time.perf_counter()
     return Suite(runs, t1 - t0, t2 - t1)
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """The catalog's memo of generated data starts empty, so that the first
+    build of any generated data draws them, and it is put back on exit."""
+    monkeypatch.setattr(catalog, "_memo", None)
 
 
 @pytest.fixture

@@ -223,17 +223,21 @@ def test_criterion_09_oracles_match_independent_references():
 
 def test_criterion_10_peak_series_concentrate_early(suite):
     """On tolerance-terminated runs both framework series converge: the last
-    decile of iterations contributes at most 1% of each series total."""
+    decile of iterations contributes at most 1% of each series total.  The
+    gate judges it only on a ``tolerance`` stop after more than 30
+    iterations, where the decile of the peak-gap series holds at least 4
+    points; elsewhere ``series.pass`` is null."""
     gated = 0
     for run in suite.runs:
         if not run.trace.tolerance_terminated():
             continue
         f = run.report.fields
         label = (run.problem_id, run.algorithm, run.seed, run.m)
-        assert f["series.pass"] is True, label
         assert f["series.xi_tail_fraction"] <= 0.01, label
         assert f["series.gamma_tail_fraction"] <= 0.01, label
-        gated += 1
+        judged = run.trace.terminated == "tolerance" and len(run.trace) - 1 > 30
+        assert f["series.pass"] is (True if judged else None), label
+        gated += judged
     assert gated >= 1
 
 

@@ -103,7 +103,7 @@ def least_squares_data(problem_id, params):
     ("quad-l1", {"seed": 4, "rows": 40, "cols": 25, "mu": 2.5}, 2.5),
     ("quad-l1", {"seed": 2}, 1.0),
 ], ids=["lasso", "quad-l1-40x25-mu2.5", "quad-l1-default"])
-def test_built_data_are_the_reference_bits(problem_id, params, mu):
+def test_built_data_are_the_reference_bits(empty_memo, problem_id, params, mu):
     A, b = reference_data(params["seed"], params.get("rows", 30), params.get("cols", 30))
     if mu is not None:  # the ridge block, stacked as plainly as possible
         n = A.shape[1]
@@ -129,7 +129,8 @@ def test_quad_l1_stacks_its_ridge_under_loaded_data(tmp_path):
     ("lasso", {"seed": 0, "rows": 300, "cols": 900}, 300 * 900),
     ("quad-l1", {"seed": 0, "rows": 300, "cols": 500, "mu": 2.5}, (300 + 500) * 500),
 ], ids=["lasso", "quad-l1"])
-def test_a_build_makes_no_temporary_the_size_of_its_matrix(problem_id, params, entries):
+def test_a_build_makes_no_temporary_the_size_of_its_matrix(empty_memo, problem_id, params,
+                                                           entries):
     make_problem(problem_id, {"seed": 0})  # anything a first build sets up once
     tracemalloc.start()
     try:
@@ -141,6 +142,19 @@ def test_a_build_makes_no_temporary_the_size_of_its_matrix(problem_id, params, e
     nbytes = 8 * entries  # the float64 matrix the instance holds
     assert nbytes <= kept < 2 * nbytes  # numpy's arrays are traced, and held once
     assert peak - kept < nbytes / 16
+
+
+def test_built_data_are_read_only_and_each_start_point_is_fresh(empty_memo):
+    first = make_problem("lasso", {"seed": 0})
+    second = make_problem("l0-ls", {"seed": 0, "rows": 50, "cols": 100})
+    assert second.problem.f is first.problem.f  # one dataset, shared
+    data = catalog._memo[1]
+    for shared in (data.A, data.b):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 1.0
+    first.x0[0] = 5.0
+    assert second.x0[0] == 0.0 and make_problem("lasso", {"seed": 0}).x0[0] == 0.0
+    assert first.x0.flags.writeable and second.x0.flags.writeable
 
 
 def test_dc_problem_has_concave_term():

@@ -46,6 +46,27 @@ def test_run_success_writes_artifacts(tmp_path, capsys):
     assert report["problem"] == "lasso"
 
 
+@pytest.mark.parametrize("problem, seed, algorithm, m, terminated", [
+    ("l0-ls", 0, "npg_major", 1, "stationary"),
+    ("l0-ls", 6, "pgenls", 0, "stationary"),
+    ("l0-ls", 7, "npg_major", 5, "tolerance"),     # 8 iterations: a 1-point tail
+    ("l0-ls", 1, "npg_major", 6, "tolerance"),     # 13 iterations: 2 points
+    ("l1-l2-dc", 9, "npg_major", 8, "tolerance"),  # 30 iterations: 3 points
+])
+def test_series_gives_no_verdict_on_a_short_or_stationary_run(tmp_path, capsys, problem,
+                                                               seed, algorithm, m, terminated):
+    # each of these correct runs carries more than 1% of a series in its
+    # last decile, and failed the series gate when it was applied to them
+    argv = _run(tmp_path, problem=problem, params={"seed": seed}, algorithm=algorithm,
+                solver={"m": m})
+    assert main(argv) == 0, capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["terminated"] == terminated
+    assert report["series.pass"] is None
+    assert max(report["series.xi_tail_fraction"], report["series.gamma_tail_fraction"]) > 0.01
+    assert all(v is not False for k, v in report.items() if k.endswith(".pass"))
+
+
 def test_run_is_deterministic(tmp_path):
     p1, _ = write_config(tmp_path, name="a.json",
                          output_dir=str(tmp_path / "o1"))
@@ -753,7 +774,8 @@ def _no_memory(*args, **kwargs):
 
 
 @pytest.mark.parametrize("verb", ["run", "sweep"])
-def test_exit_1_when_the_data_does_not_fit_in_memory(tmp_path, capsys, monkeypatch, verb):
+def test_exit_1_when_the_data_does_not_fit_in_memory(empty_memo, tmp_path, capsys,
+                                                     monkeypatch, verb):
     # rows = cols = 2**29 passes the size rule but no memory holds its matrix;
     # the data function is stubbed so that the allocation is never tried
     monkeypatch.setattr(catalog, "_sparse_regression_data", _no_memory)

@@ -148,6 +148,24 @@ def test_series_tails():
     assert frac < 1e-15
 
 
+@pytest.mark.parametrize("iterations, terminated, verdict", [
+    (31, "tolerance", False),   # the peak-gap tail holds 4 points: gated
+    (30, "tolerance", None),    # 3 points
+    (3, "tolerance", None),
+    (31, "stationary", None),
+    (31, "max_outer", None),
+])
+def test_series_gates_the_tail_of_long_tolerance_runs_only(iterations, terminated, verdict):
+    # unit steps and unit merit gaps: each tail carries a tenth of its sum
+    trace = synth(np.arange(iterations, -1, -1.0), [0.0] + [1.0] * iterations,
+                  terminated=terminated, config={"m": 0, "a": 0.5, "alpha": 1.0,
+                                                 "delta": 0.5, "c": 1.0})
+    f = build_report(trace).fields
+    assert f["series.xi_tail_fraction"] > 0.01 and f["series.gamma_tail_fraction"] > 0.01
+    assert f["series.pass"] is verdict
+    assert "series.error" not in f
+
+
 # ---------------------------------------------------------------------------
 # descent conditions
 

@@ -9,6 +9,9 @@ import contextlib
 import json
 import sys
 import threading
+import weakref
+from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -228,9 +231,9 @@ def test_quadratic_is_declared_by_the_builder():
 @contextlib.contextmanager
 def hint_spy():
     """Spy on the core a least-squares hint read calls: the Lipschitz value
-    of a matrix the build has already checked.  The hint memo starts empty
-    and is put back on exit, so a first read inside computes."""
-    with (mock.patch.object(oracles, "_hint_memo", None),
+    of a matrix the build has already checked.  The catalog's data memo
+    starts empty and is put back on exit, so a first read inside computes."""
+    with (mock.patch.object(catalog, "_memo", None),
           mock.patch.object(oracles, "_sq_norm", wraps=oracles._sq_norm) as spy):
         yield spy
 
@@ -250,27 +253,55 @@ def test_lipschitz_hint_is_computed_on_first_read():
     assert hint.hex() == power_iteration_sq_norm(A).hex()
 
 
+def test_oracle_copies_share_the_hint():
+    A, b, _ = least_squares_case()
+    with hint_spy() as spy:
+        f = make_least_squares(A, b)
+        copy = replace(f, value=f.value)
+        assert copy.lipschitz_hint == f.lipschitz_hint
+        assert spy.call_count == 1
+
+
 # ---------------------------------------------------------------------------
-# the hint memo of generated matrices
+# the catalog's memo of generated least-squares data
 
 SMALL = {"seed": 0, "rows": 20, "cols": 40}
 
 
-def built_hint(problem_id, params):
-    """The hint of a catalog build, and the matrix its oracle holds."""
-    with mock.patch.object(catalog, "make_least_squares",
-                           wraps=catalog.make_least_squares) as build:
-        inst = make_problem(problem_id, params)
-    return inst.problem.f.lipschitz_hint, build.call_args.args[0]
+@contextlib.contextmanager
+def build_spies():
+    """Spies on the work a build of generated data does in proportion to its
+    matrix: the draw (``draws``), the finiteness scan (``scans``), the hint
+    (``hints``) and ``max |A^T b|`` (``counts["max_atb"]``).  The data memo
+    starts empty."""
+    counts = {"max_atb": 0}
+    computed = catalog._LeastSquares.max_atb
+
+    def max_atb(data):
+        counts["max_atb"] += data._max_atb is None
+        return computed(data)
+
+    with (hint_spy() as hints,
+          mock.patch.object(catalog, "_matrix", wraps=catalog._matrix) as draws,
+          mock.patch.object(oracles, "_checked_matrix", wraps=oracles._checked_matrix) as scans,
+          mock.patch.object(catalog._LeastSquares, "max_atb", max_atb)):
+        yield SimpleNamespace(hints=hints, draws=draws, scans=scans, counts=counts)
 
 
-def test_problems_on_one_generated_matrix_share_its_hint():
-    with hint_spy() as spy:
-        hints = [built_hint(pid, dict(SMALL, lam=lam))[0]
-                 for pid, lam in (("lasso", 0.1), ("l0-ls", 0.2), ("l1-l2-dc", 0.3))]
-        assert spy.call_count == 1
-        A = spy.call_args.args[0]
+def test_problems_on_one_generated_dataset_share_it():
+    with build_spies() as spy:
+        insts = [make_problem(pid, params) for pid, params in (
+            ("lasso", SMALL), ("l0-ls", dict(SMALL, lam=0.2)), ("l1-l2-dc", SMALL),
+            ("lasso", dict(SMALL, lam_factor=0.3)))]
+        hints = [inst.problem.f.lipschitz_hint for inst in insts]
+        assert spy.draws.call_count == spy.scans.call_count == spy.hints.call_count == 1
+        assert spy.counts["max_atb"] == 1
+        A, b = catalog._memo[1].A, catalog._memo[1].b
+        assert spy.hints.call_args.args[0] is A
+    assert all(inst.problem.f is insts[0].problem.f for inst in insts)
     assert {h.hex() for h in hints} == {power_iteration_sq_norm(A).hex()}
+    top = float(np.max(np.abs(A.T @ b)))
+    assert [inst.params["lam"] for inst in insts] == [0.1 * top, 0.2, 0.1 * top, 0.3 * top]
 
 
 @pytest.mark.parametrize("first, second", [
@@ -281,60 +312,78 @@ def test_problems_on_one_generated_matrix_share_its_hint():
     (("lasso", SMALL), ("quad-l1", SMALL)),
     (("quad-l1", SMALL), ("lasso", SMALL)),
 ], ids=["seed", "rows", "cols", "mu", "to-quad-l1", "from-quad-l1"])
-def test_a_change_of_any_data_field_recomputes_the_hint(first, second):
-    with hint_spy() as spy:
-        built = [built_hint(problem_id, params) for problem_id, params in (first, second)]
-        assert spy.call_count == 2
-    for hint, A in built:
+def test_a_change_of_any_data_field_misses(first, second):
+    with build_spies() as spy:
+        insts = [make_problem(problem_id, params) for problem_id, params in (first, second)]
+        hints = [inst.problem.f.lipschitz_hint for inst in insts]
+        assert spy.draws.call_count == spy.hints.call_count == 2
+        matrices = [call.args[0] for call in spy.hints.call_args_list]
+    assert insts[0].problem.f is not insts[1].problem.f
+    for hint, A in zip(hints, matrices):
         assert hint.hex() == power_iteration_sq_norm(A).hex()
 
 
-def test_loaded_and_hand_built_matrices_never_share_a_hint(tmp_path):
+def test_loaded_and_hand_built_data_never_enter_the_memo(tmp_path):
     A, b, _ = least_squares_case()
     np.savetxt(tmp_path / "A.csv", A, delimiter=",")
     np.savetxt(tmp_path / "b.csv", b, delimiter=",")
     files = {"A_csv": str(tmp_path / "A.csv"), "b_csv": str(tmp_path / "b.csv")}
-    with hint_spy() as spy:
-        generated = built_hint("lasso", SMALL)[0]
-        for problem_id in ("lasso", "lasso", "quad-l1", "quad-l1"):
-            make_problem(problem_id, files).problem.f.lipschitz_hint
-        for _ in range(2):
-            make_least_squares(A, b).lipschitz_hint
-        assert spy.call_count == 7
-        # no unkeyed read touched the entry of the generated matrix
-        assert built_hint("lasso", SMALL)[0] == generated
-        assert spy.call_count == 7
+    with build_spies() as spy:
+        generated = make_problem("lasso", SMALL).problem.f
+        entry = catalog._memo
+        oracles_built = [make_problem(problem_id, files).problem.f
+                         for problem_id in ("lasso", "lasso", "quad-l1", "quad-l1")]
+        oracles_built += [make_least_squares(A, b) for _ in range(2)]
+        for f in oracles_built:
+            f.lipschitz_hint
+        assert spy.hints.call_count == 6
+        assert len({id(f) for f in oracles_built}) == 6
+        assert catalog._memo is entry  # untouched by the loaded and hand-built data
+        assert make_problem("lasso", SMALL).problem.f is generated
+        assert spy.draws.call_count == 3  # the generated data, and the two loaded quad-l1
 
 
-def test_a_new_key_replaces_the_single_entry():
-    with hint_spy() as spy:
-        first = built_hint("lasso", SMALL)[0]
-        second = built_hint("lasso", dict(SMALL, seed=1))[0]
-        assert oracles._hint_memo[1] == second
-        assert built_hint("lasso", SMALL)[0] == first
-        assert spy.call_count == 3
-        assert oracles._hint_memo[1] == first
+def test_a_new_key_replaces_the_single_entry_and_frees_the_old_data():
+    draw = catalog._matrix
+    with build_spies() as spy:
+        inst = make_problem("lasso", SMALL)
+        old = weakref.ref(catalog._memo[1].A)
+        old_bits = old().tobytes()
+        del inst
+        spy.scans.reset_mock()  # the spy's record of its last call holds the matrix
+        freed_before_the_draw = []
+        spy.draws.side_effect = lambda *args: (freed_before_the_draw.append(old() is None),
+                                               draw(*args))[1]
+        make_problem("lasso", dict(SMALL, seed=1))
+        assert freed_before_the_draw == [True]
+        assert catalog._memo[0] == (1, 20, 40, None)
+        again = make_problem("lasso", SMALL)  # a miss: drawn again, to the same bits
+        assert spy.draws.call_count == 3
+        assert catalog._memo[1].A.tobytes() == old_bits
+        assert again.problem.f is catalog._memo[1].f
 
 
-def test_hint_memo_under_racing_threads():
-    # threads read the hints of three generated matrices in turn, so the
-    # memo's entry is replaced under them; a reader must get the hint of its
-    # own matrix, never the entry another thread just stored.  The hint is
-    # stubbed by a corner entry, distinct per matrix, so that the threads
-    # spend their time in the memo
-    fs = [make_problem("lasso", dict(SMALL, seed=seed)).problem.f for seed in range(3)]
-    wrong = []
+def test_data_memo_under_racing_threads():
+    # threads build three generated datasets in turn, so the memo's entry is
+    # replaced under them; a build must get the data of its own key, never
+    # the entry another thread just stored
+    params = [dict(SMALL, seed=seed) for seed in range(3)]
+    x = np.linspace(-1.0, 1.0, SMALL["cols"])
 
-    def work(offset):
-        for i in range(3000):
-            k = (i + offset) % len(fs)
-            if fs[k].lipschitz_fn() != expected[k]:  # lipschitz_fn skips the oracle's cache
-                wrong.append(k)
+    def facts(inst):
+        return inst.params["lam"], inst.problem.f.value(x)
 
-    with (mock.patch.object(oracles, "_hint_memo", None),
-          mock.patch.object(oracles, "_sq_norm", lambda A: float(A[0, 0]))):
-        expected = [f.lipschitz_hint for f in fs]
-        assert len(set(expected)) == len(fs)
+    with mock.patch.object(catalog, "_memo", None):
+        expected = [facts(make_problem("lasso", p)) for p in params]
+        assert len(set(expected)) == len(params)
+        wrong = []
+
+        def work(offset):
+            for i in range(300):
+                k = (i + offset) % len(params)
+                if facts(make_problem("lasso", params[k])) != expected[k]:
+                    wrong.append(k)
+
         threads = [threading.Thread(target=work, args=(offset,)) for offset in range(6)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -349,15 +398,15 @@ def test_hint_memo_under_racing_threads():
     assert wrong == []
 
 
-def test_a_sweep_over_one_generated_matrix_computes_its_hint_once(tmp_path):
+def test_a_sweep_over_m_draws_once_and_computes_one_hint(tmp_path):
     config = tmp_path / "exp.json"
     config.write_text(json.dumps({
         "problem": "lasso", "params": {"seed": 0, "rows": 600, "cols": 1200},
         "algorithm": "pgenls", "output_dir": str(tmp_path / "sweep")}))
-    with hint_spy() as spy:
+    with build_spies() as spy:
         assert main(["sweep", str(config), "--param", "m", "--values", "0,3,5"]) == 0
-        assert spy.call_count == 1
-    assert min(spy.call_args.args[0].shape) > oracles._DENSE_MAX_DIM  # the Lanczos path
+        assert spy.draws.call_count == spy.hints.call_count == 1
+    assert min(spy.hints.call_args.args[0].shape) > oracles._DENSE_MAX_DIM  # the Lanczos path
 
 
 @pytest.mark.parametrize("A, message", [
