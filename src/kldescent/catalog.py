@@ -127,16 +127,18 @@ def _sparse_regression_data(params: dict, rows_default: int, cols_default: int,
         return _LeastSquares(A, b)
     if "seed" not in params:
         raise InvalidInputError("randomized problems require a 'seed' parameter")
-    rows, cols = rows_default, cols_default
-    if "rows" in params or "cols" in params:  # the defaults need no check
-        rows, cols = check("params", "params.", rows=params.get("rows", rows),
-                           cols=params.get("cols", cols)).values()  # A must fit in numpy
-    key = (int(params["seed"]), rows, cols, mu)
+    # make_problem has checked the sizes given, and the pair rule (A must fit
+    # in numpy) when both are; with one given, the rule still needs the other
+    rows, cols = params.get("rows", rows_default), params.get("cols", cols_default)
+    if ("rows" in params) != ("cols" in params):
+        check("params", "params.", rows=rows, cols=cols)
+    seed, rows, cols = int(params["seed"]), int(rows), int(cols)
+    key = (seed, rows, cols, mu)
     last = _memo
     if last is not None and last[0] == key:
         return last[1]
     _memo = last = None  # the last data, unless a caller holds them, are freed before the draw
-    rng = np.random.default_rng(key[0])
+    rng = np.random.default_rng(seed)
     M = _matrix(rows, cols, mu)
     A = M[:rows]
     rng.standard_normal(out=A)

@@ -67,7 +67,7 @@ _RADICAND_FLOOR = -1e-12
 
 # The fewest points the last decile of each series must hold for the tail
 # test to gate, so runs of 30 iterations or fewer get no verdict.  Over
-# 1950 catalog runs stopped on their tolerance (default configs at m 0 to
+# 1688 catalog runs stopped on their tolerance (default configs at m 0 to
 # 8, seeds 0 to 9, and other alpha, delta and c at m 1, 3 and 5), every
 # run whose tail held 4 points or more carried at most 7e-5 of each sum in
 # it; with 1 to 3 points the largest passing tail was 0.8% and 14 correct
@@ -634,8 +634,9 @@ def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
     m, a, alpha, delta, c, beta_max = (inputs[k] for k in
                                        ("m", "a", "alpha", "delta", "c", "beta_max"))
 
-    if lipschitz is None and problem is not None and problem.f.lipschitz_hint is not None:
-        lipschitz = float(problem.f.lipschitz_hint)
+    if lipschitz is None and problem is not None:
+        hint = problem.f.lipschitz_hint  # one read: a hand-built lipschitz_fn may not cache
+        lipschitz = None if hint is None else float(hint)
     if kbar is None:
         kbar = m + 2
         check("audit", "the default m + 2 for ", kbar=kbar)  # names m + 2 if past int64

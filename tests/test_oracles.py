@@ -288,7 +288,7 @@ def build_spies():
         yield SimpleNamespace(hints=hints, draws=draws, scans=scans, counts=counts)
 
 
-def test_problems_on_one_generated_dataset_share_it():
+def test_problems_on_one_generated_matrix_share_its_hint():
     with build_spies() as spy:
         insts = [make_problem(pid, params) for pid, params in (
             ("lasso", SMALL), ("l0-ls", dict(SMALL, lam=0.2)), ("l1-l2-dc", SMALL),
@@ -312,7 +312,7 @@ def test_problems_on_one_generated_dataset_share_it():
     (("lasso", SMALL), ("quad-l1", SMALL)),
     (("quad-l1", SMALL), ("lasso", SMALL)),
 ], ids=["seed", "rows", "cols", "mu", "to-quad-l1", "from-quad-l1"])
-def test_a_change_of_any_data_field_misses(first, second):
+def test_a_change_of_any_data_field_recomputes_the_hint(first, second):
     with build_spies() as spy:
         insts = [make_problem(problem_id, params) for problem_id, params in (first, second)]
         hints = [inst.problem.f.lipschitz_hint for inst in insts]
@@ -323,7 +323,7 @@ def test_a_change_of_any_data_field_misses(first, second):
         assert hint.hex() == power_iteration_sq_norm(A).hex()
 
 
-def test_loaded_and_hand_built_data_never_enter_the_memo(tmp_path):
+def test_loaded_and_hand_built_matrices_never_share_a_hint(tmp_path):
     A, b, _ = least_squares_case()
     np.savetxt(tmp_path / "A.csv", A, delimiter=",")
     np.savetxt(tmp_path / "b.csv", b, delimiter=",")
@@ -343,7 +343,7 @@ def test_loaded_and_hand_built_data_never_enter_the_memo(tmp_path):
         assert spy.draws.call_count == 3  # the generated data, and the two loaded quad-l1
 
 
-def test_a_new_key_replaces_the_single_entry_and_frees_the_old_data():
+def test_a_new_key_replaces_the_single_entry():
     draw = catalog._matrix
     with build_spies() as spy:
         inst = make_problem("lasso", SMALL)
@@ -398,7 +398,7 @@ def test_data_memo_under_racing_threads():
     assert wrong == []
 
 
-def test_a_sweep_over_m_draws_once_and_computes_one_hint(tmp_path):
+def test_a_sweep_over_one_generated_matrix_computes_its_hint_once(tmp_path):
     config = tmp_path / "exp.json"
     config.write_text(json.dumps({
         "problem": "lasso", "params": {"seed": 0, "rows": 600, "cols": 1200},

@@ -29,8 +29,9 @@ The matrix:
   ``lasso`` from CSV files written into the call's directory, once intact
   and once with a ``nan`` matrix cell (exit 1); and ``lasso`` under
   ``pgenls``, ``l1-l2-dc`` under ``npg_major`` and a ``lasso`` sweep over the
-  window length, back to back on one 600x1200 matrix, whose hint (on the
-  Lanczos path) the later calls take from the memo the first one filled;
+  window length, back to back on one 600x1200 matrix, whose data and hint
+  (on the Lanczos path) the later calls take from the catalog's memo, which
+  the first one filled;
 * ``reader``: one malformed trace per reader message, plus a trace whose
   sidecar is gone;
 * ``input``: numbers a config cannot hold (integers beyond the float or
