@@ -73,18 +73,14 @@ def _with_ridge(b: np.ndarray, cols: int, mu) -> np.ndarray:
 
 class _LeastSquares:
     """The data of a least-squares build: ``A`` and ``b``, the oracle ``f``
-    of ``0.5 ||Ax - b||^2`` over them, and ``max |A^T b|``, computed on the
-    first call of ``max_atb`` (a build given ``lam`` makes none) and kept."""
+    of ``0.5 ||Ax - b||^2`` over them (which checks them first), and
+    ``max |A^T b|``."""
 
-    __slots__ = ("A", "b", "f", "_max_atb")
+    __slots__ = ("A", "b", "f", "max_atb")
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
-        self.A, self.b, self.f, self._max_atb = A, b, make_least_squares(A, b), None
-
-    def max_atb(self) -> float:
-        if self._max_atb is None:  # two threads at once both compute the same bits
-            self._max_atb = float(np.max(np.abs(self.A.T @ self.b)))
-        return self._max_atb
+        self.A, self.b, self.f = A, b, make_least_squares(A, b)
+        self.max_atb = float(np.max(np.abs(A.T @ b)))
 
 
 # (key, _LeastSquares) of the last generated data, replaced whole so that a
@@ -97,7 +93,9 @@ def _sparse_regression_data(params: dict, rows_default: int, cols_default: int,
     """Shared data of the least-squares problems: ``A`` a scaled Gaussian
     matrix and ``b = A x_true +`` small noise, or both loaded from ``A_csv``
     and ``b_csv``.  Unless ``mu`` is ``None`` the matrix is
-    ``[A; sqrt(mu) I]`` and the right-hand side ``[b; 0]``.
+    ``[A; sqrt(mu) I]`` and the right-hand side ``[b; 0]``.  They come in
+    one record with their oracle and ``max |A^T b|``, which every new
+    record computes once, ``lam`` given or not.
 
     Generated data are fixed to the bit by ``(seed, rows, cols, mu)``, so the
     last of them is kept in ``_memo`` under that key, read-only, and a build
@@ -154,52 +152,50 @@ def _sparse_regression_data(params: dict, rows_default: int, cols_default: int,
     return data
 
 
-# the least-squares problems ``0.5 ||Ax - b||^2 + g - h``: id -> (default
-# rows, default cols, oracle g of lam, oracle h of lam or None, whether
-# ``sqrt(mu) I`` is stacked under ``A``, making ``f`` strongly convex)
-_LEAST_SQUARES = {
-    "lasso": (50, 100, l1_oracle, None, False),
-    "l0-ls": (20, 40, l0_oracle, None, False),
-    "l1-l2-dc": (20, 40, l1_oracle, l2_norm_oracle, False),
-    "quad-l1": (30, 30, l1_oracle, None, True),
-}
-
-
-def _make_ls_problem(problem_id: str, params: dict) -> ProblemInstance:
-    rows, cols, g, h, ridge = _LEAST_SQUARES[problem_id]
+def _make_ls_problem(rows: int, cols: int, g, h, ridge: bool, problem_id: str,
+                     params: dict) -> ProblemInstance:
     ridged = {"mu": float(params.get("mu", 1.0))} if ridge else {}
     data = _sparse_regression_data(params, rows, cols, **ridged)
-    if "lam" in params:
-        lam = float(params["lam"])
-    else:
-        lam = float(params.get("lam_factor", 0.1)) * data.max_atb()
+    lam = (float(params["lam"]) if "lam" in params
+           else float(params.get("lam_factor", 0.1)) * data.max_atb)
     n = data.A.shape[1]
     problem = CompositeProblem(f=data.f, g=g(lam), h=h(lam) if h is not None else None,
                                dimension=n)
     return ProblemInstance(problem_id, problem, np.zeros(n), dict(params, lam=lam, **ridged))
 
 
-def _make_power4_1d(params: dict) -> ProblemInstance:
+def _make_power4_1d(problem_id: str, params: dict) -> ProblemInstance:
     x0 = float(params.get("x0", 1.0))
     problem = CompositeProblem(f=make_power4_1d(), g=zero_oracle(), h=None, dimension=1)
-    return ProblemInstance("power4-1d", problem, np.array([x0]), dict(params))
+    return ProblemInstance(problem_id, problem, np.array([x0]), dict(params))
 
 
 # the params fields of the least-squares problems; every problem takes a seed
 _LS_FIELDS = ("seed", "rows", "cols", "lam", "lam_factor", "A_csv", "b_csv")
 
-# id -> (builder taking the params, description, accepted params fields)
+
+def _least_squares_problem(description: str, rows: int, cols: int, g, h=None,
+                           ridge: bool = False) -> tuple:
+    """The table entry of ``0.5 ||Ax - b||^2 + g - h`` on ``rows x cols``
+    data by default, with the oracles ``g`` and ``h`` (or ``None``) of
+    ``lam``; with ``ridge``, ``sqrt(mu) I`` is stacked under ``A``, making
+    ``f`` strongly convex, and the problem takes ``mu``."""
+    return (partial(_make_ls_problem, rows, cols, g, h, ridge), description,
+            _LS_FIELDS + ("mu",) if ridge else _LS_FIELDS)
+
+
+# id -> (builder taking the id and the params, description, accepted params fields)
 _REGISTRY = {
-    "lasso": (partial(_make_ls_problem, "lasso"), "least squares + l1 penalty (convex)",
-              _LS_FIELDS),
-    "l0-ls": (partial(_make_ls_problem, "l0-ls"),
-              "least squares + l0 cardinality penalty (nonconvex prox term)", _LS_FIELDS),
-    "l1-l2-dc": (partial(_make_ls_problem, "l1-l2-dc"),
-                 "least squares + l1 minus l2 (difference of convex terms)", _LS_FIELDS),
+    "lasso": _least_squares_problem("least squares + l1 penalty (convex)", 50, 100, l1_oracle),
+    "l0-ls": _least_squares_problem(
+        "least squares + l0 cardinality penalty (nonconvex prox term)", 20, 40, l0_oracle),
+    "l1-l2-dc": _least_squares_problem(
+        "least squares + l1 minus l2 (difference of convex terms)", 20, 40, l1_oracle,
+        l2_norm_oracle),
     "power4-1d": (_make_power4_1d, "scalar x^4/4, flat minimizer at 0 (sublinear benchmark)",
                   ("seed", "x0")),
-    "quad-l1": (partial(_make_ls_problem, "quad-l1"),
-                "strongly convex quadratic + l1 (linear-rate benchmark)", _LS_FIELDS + ("mu",)),
+    "quad-l1": _least_squares_problem("strongly convex quadratic + l1 (linear-rate benchmark)",
+                                      30, 30, l1_oracle, ridge=True),
 }
 
 
@@ -237,4 +233,4 @@ def make_problem(problem_id: str, params: dict | None = None) -> ProblemInstance
     params = dict(params or {})
     check_known(params, accepted, f"unknown params field(s) for {problem_id}")
     check("params", "params.", **params)
-    return builder(params)
+    return builder(problem_id, params)

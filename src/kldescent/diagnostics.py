@@ -65,6 +65,8 @@ __all__ = [
 
 _RADICAND_FLOOR = -1e-12
 
+# The share of each series, at its end, that the tail test reads: the last decile.
+_SERIES_TAIL = 0.1
 # The fewest points the last decile of each series must hold for the tail
 # test to gate, so runs of 30 iterations or fewer get no verdict.  Over
 # 1688 catalog runs stopped on their tolerance (default configs at m 0 to
@@ -121,17 +123,18 @@ def xi_gamma(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
     return xi, gamma
 
 
-def _tail_points(size: int, decile: float = 0.1) -> int:
-    """Points in the last ``decile`` of a series of ``size`` points (at least one)."""
-    return max(1, math.ceil(decile * size))
+def _tail_points(size: int) -> int:
+    """Points in the last decile of a series of ``size`` points (at least one)."""
+    return max(1, math.ceil(_SERIES_TAIL * size))
 
 
-def series_tails(values: np.ndarray, decile: float = 0.1) -> tuple[float, float]:
-    """Total of ``values`` and the fraction contributed by the last decile."""
+def series_tails(values: np.ndarray) -> tuple[float, float]:
+    """Total of ``values`` and the fraction contributed by its last decile
+    (``_SERIES_TAIL``, at least one point)."""
     total = float(np.sum(values))
     if values.size == 0 or total <= 0.0:
         return total, 0.0
-    return total, float(np.sum(values[-_tail_points(values.size, decile):])) / total
+    return total, float(np.sum(values[-_tail_points(values.size):])) / total
 
 
 # ---------------------------------------------------------------------------

@@ -244,7 +244,7 @@ def l2_norm_oracle(lam: float) -> ConvexOracle:
 # The smaller side of ``A`` up to which ``power_iteration_sq_norm`` forms the
 # Gram matrix and takes its exact top eigenvalue; above it, Lanczos.  Medians
 # on Gaussian matrices (2-core Xeon at 2.1 GHz, OpenBLAS 0.3.31, two threads),
-# dense against Lanczos at rel_tol 1e-6: 200x400 3.5/5.7 ms, 500x500 25/17 ms,
+# dense against Lanczos at _REL_TOL 1e-6: 200x400 3.5/5.7 ms, 500x500 25/17 ms,
 # 500x1000 24/19 ms, 500x4000 38/65 ms, 600x1200 39/24 ms, 800x1600 72/42 ms,
 # 2000x4000 1.0-2.2/0.6 s.  At 500 either path is within 1.7x of the other
 # for aspect ratios 1 to 8; above it Lanczos wins on near-square matrices.
@@ -252,6 +252,11 @@ _DENSE_MAX_DIM = 500
 # Lanczos basis vectors kept before restarting from the top Ritz vector
 # (2 MB at dimension 2000).
 _LANCZOS_BASIS = 128
+# Lanczos stops once the top Ritz pair's residual is at most _REL_TOL times
+# its value, or after _MAX_ITER Gram products.  A looser tolerance loosens
+# the bound that the audit's gates take from the hint.
+_REL_TOL = 1e-6
+_MAX_ITER = 10000
 
 
 def all_finite(a: np.ndarray) -> bool:
@@ -276,7 +281,7 @@ def _checked_matrix(A) -> np.ndarray:
     return A
 
 
-def power_iteration_sq_norm(A: np.ndarray, rel_tol: float = 1e-6, max_iter: int = 10000) -> float:
+def power_iteration_sq_norm(A: np.ndarray) -> float:
     """Largest squared singular value ``||A||_2^2``, the top eigenvalue of the
     Gram matrix of the smaller side of ``A`` (``A A^T`` or ``A^T A``).
 
@@ -284,34 +289,30 @@ def power_iteration_sq_norm(A: np.ndarray, rel_tol: float = 1e-6, max_iter: int 
 
     - at most ``_DENSE_MAX_DIM`` (500): the Gram matrix is formed and its top
       eigenvalue taken from ``numpy.linalg.eigvalsh``, exact up to rounding;
-      ``rel_tol`` and ``max_iter`` are unused;
     - larger: Lanczos on the Gram operator from a fixed pseudo-random start,
       with full reorthogonalization and a basis of ``_LANCZOS_BASIS`` vectors,
       restarted from the top Ritz vector when it fills.  It stops once the
       top Ritz pair ``(theta, y)`` has residual ``r = ||G y - theta y||`` at
-      most ``rel_tol * theta`` (a residual test, not a step-to-step change),
-      or after ``max_iter`` Gram products, and returns ``theta + r``.
+      most ``_REL_TOL * theta`` (1e-6; a residual test, not a step-to-step
+      change), or after ``_MAX_ITER`` (10000) Gram products, and returns
+      ``theta + r``.
 
     Ritz values never exceed the largest eigenvalue, and some eigenvalue lies
     within ``r`` of ``theta``.  So when ``theta`` has converged to the largest
     eigenvalue, as it does unless the start is nearly orthogonal to its
     eigenvector or another eigenvalue lies within ``r`` below it, the result
-    is an upper bound; after a residual stop it is at most ``rel_tol`` above
-    the true value relatively.
-    A stop after ``max_iter`` products carries no such guarantee: its
+    is an upper bound; after a residual stop it is at most 1e-6 above the
+    true value relatively.
+    A stop after ``_MAX_ITER`` products carries no such guarantee: its
     ``theta + r`` can lie far below the true value.
     A zero matrix gives 0.0 on both paths, with no separate scan for it.
-    Deterministic: repeated calls return the same bits.
-
-    ``rel_tol`` must lie in (0, 1) and ``max_iter`` be a positive integer,
-    on both paths; otherwise, and for a matrix that is not two-dimensional
-    with finite entries, ``InvalidInputError``.
+    Deterministic: repeated calls return the same bits.  A matrix that is
+    not two-dimensional with finite entries raises ``InvalidInputError``.
     """
-    args = check("oracle", rel_tol=rel_tol, max_iter=max_iter)
-    return _sq_norm(_checked_matrix(A), args["rel_tol"], args["max_iter"])
+    return _sq_norm(_checked_matrix(A))
 
 
-def _sq_norm(A: np.ndarray, rel_tol: float = 1e-6, max_iter: int = 10000) -> float:
+def _sq_norm(A: np.ndarray) -> float:
     """:func:`power_iteration_sq_norm` of a matrix that ``_checked_matrix``
     has already passed, without a second scan of its entries."""
     if A.size == 0:
@@ -321,12 +322,11 @@ def _sq_norm(A: np.ndarray, rel_tol: float = 1e-6, max_iter: int = 10000) -> flo
         gram = A @ A.T if rows <= cols else A.T @ A
         return float(np.linalg.eigvalsh(gram)[-1])
     if rows <= cols:
-        return _lanczos_top_eigenvalue(lambda v: A @ (A.T @ v), rows, rel_tol, max_iter)
-    return _lanczos_top_eigenvalue(lambda v: A.T @ (A @ v), cols, rel_tol, max_iter)
+        return _lanczos_top_eigenvalue(lambda v: A @ (A.T @ v), rows)
+    return _lanczos_top_eigenvalue(lambda v: A.T @ (A @ v), cols)
 
 
-def _lanczos_top_eigenvalue(gram: Callable[[Vector], Vector], dim: int,
-                            rel_tol: float, max_iter: int) -> float:
+def _lanczos_top_eigenvalue(gram: Callable[[Vector], Vector], dim: int) -> float:
     """``theta + r`` for the top Ritz pair of the symmetric PSD operator
     ``gram`` on ``R^dim``; see ``power_iteration_sq_norm``."""
     basis = np.empty((_LANCZOS_BASIS, dim))
@@ -349,7 +349,7 @@ def _lanczos_top_eigenvalue(gram: Callable[[Vector], Vector], dim: int,
             ritz, vecs = np.linalg.eigh(np.diag(alpha[: j + 1]) + np.diag(beta[:j], -1))
             theta = float(ritz[-1])
             resid = float(beta[j] * abs(vecs[-1, -1]))
-            if resid <= rel_tol * theta or steps >= max_iter:
+            if resid <= _REL_TOL * theta or steps >= _MAX_ITER:
                 return theta + resid
             q = w / beta[j]
         q = basis.T @ vecs[:, -1]
@@ -365,18 +365,18 @@ def make_least_squares(A: np.ndarray, b: Vector) -> SmoothOracle:
     """Smooth oracle for ``0.5 * ||A x - b||^2``.
 
     The Lipschitz hint is the squared spectral norm of ``A`` from
-    ``power_iteration_sq_norm`` at its default ``rel_tol=1e-6``: the exact
-    dense value when the smaller side of ``A`` is at most 500, otherwise a
-    Lanczos upper bound at most 1e-6 above it relatively, which holds when
-    the top Ritz value converged to the largest eigenvalue.  It is computed
-    on the first read of ``lipschitz_hint``, not here: the solvers backtrack
-    and never read it, only the audit does.  Then it is kept in the
-    oracle's ``lipschitz_fn``, so later reads, on this oracle or on a copy
-    made with ``dataclasses.replace``, return the same float.  Two first
-    reads at once, from two threads, may both compute it; they get the same
-    bits.  ``A`` is checked here all the same (two dimensions, finite
-    entries), so bad input fails at the build, and only here: the first
-    read does not scan ``A`` again.
+    ``power_iteration_sq_norm``: the exact dense value when the smaller side
+    of ``A`` is at most 500, otherwise a Lanczos upper bound at most 1e-6
+    above it relatively, which holds when the top Ritz value converged to
+    the largest eigenvalue.  It is computed on the first read of
+    ``lipschitz_hint``, not here: the solvers backtrack and never read it,
+    only the audit does.  Then it is kept in the oracle's ``lipschitz_fn``,
+    so later reads, on this oracle or on a copy made with
+    ``dataclasses.replace``, return the same float.  Two first reads at
+    once, from two threads, may both compute it; they get the same bits.
+    ``A`` is checked here all the same (two dimensions, finite entries), so
+    bad input fails at the build, and only here: the first read does not
+    scan ``A`` again.
 
     The oracle keeps a one-entry cache: each ``value(x)`` call stores the
     residual ``r = A x - b`` under a key made of the dtype, shape and bytes

@@ -173,26 +173,28 @@ def read_trace_csv(path: str | Path, algorithm: str = "", config: dict | None = 
         text = path.read_text()
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    # (number in the file, line) of each line that is not blank
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise InvalidInputError(f"{path}: empty trace file (line 1)")
-    header = lines[0].split(",")
+    head, first = lines[0]
+    header = first.split(",")
     if tuple(header[: len(CSV_COLUMNS)]) != CSV_COLUMNS:
         raise InvalidInputError(
-            f"{path}: line 1: header must start with {','.join(CSV_COLUMNS)}"
+            f"{path}: line {head}: header must start with {','.join(CSV_COLUMNS)}"
         )
     x_cols = header[len(CSV_COLUMNS):]
     for i, name in enumerate(x_cols):
         if name != f"x_{i}":
-            raise InvalidInputError(f"{path}: line 1: unexpected column {name!r}")
+            raise InvalidInputError(f"{path}: line {head}: unexpected column {name!r}")
     n_inline = len(x_cols)
     if len(lines) == 1:
-        raise InvalidInputError(f"{path}: line 2: no rows after the header")
+        raise InvalidInputError(f"{path}: line {head + 1}: no rows after the header")
 
     rows: list[tuple] = []
     xs: list[list[float]] = []
     low = 0  # a window argmax never moves back and never leaves rows 0..k
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(header):
             raise InvalidInputError(
@@ -204,7 +206,7 @@ def read_trace_csv(path: str | Path, algorithm: str = "", config: dict | None = 
             x = [float(c) for c in cells[len(CSV_COLUMNS):]]
         except ValueError as exc:
             raise InvalidInputError(f"{path}: line {lineno}: {exc}") from exc
-        if row["k"] != lineno - 2:
+        if row["k"] != len(rows):
             raise InvalidInputError(
                 f"{path}: line {lineno}: iteration index {row['k']} out of order"
             )

@@ -36,8 +36,10 @@ def test_every_field_of_every_context_has_one_rule():
     resolved = derive_audit_inputs(Trace(algorithm="npg_major", config=snapshot))
     keywords = set(inspect.signature(build_report).parameters) - {"trace", "problem"}
     assert set(RULES["audit"]) == set(resolved) | {"gamma_min"} | keywords
-    accepted = {name for _, _, names in catalog._REGISTRY.values() for name in names}
-    assert set(RULES["params"]) == accepted
+    # one table lists every problem, and only the ridged quad-l1 takes mu
+    accepted = {pid: names for pid, (_, _, names) in catalog._REGISTRY.items()}
+    assert set(RULES["params"]) == set().union(*accepted.values())
+    assert [pid for pid, names in accepted.items() if "mu" in names] == ["quad-l1"]
     assert set(RULES["pgnls"]) == set(RULES["pgenls"])
     assert set(RULES["diagnostics"]) == keywords - {"lipschitz"}
     weighted = (oracles.prox_l1, oracles.prox_l0, oracles.prox_box, oracles.subgrad_l2_norm,

@@ -43,6 +43,8 @@ def test_same_checkout_gives_the_same_manifest(identity):
     assert missing["exit"] == 0 and missing["stderr"] == ""
     csv = by_label["data/lasso-csv"]
     assert csv["exit"] == 0 and {"A.csv", "exp.json", "exp_out/report.json"} <= set(csv["files"])
+    for name in ("quad-l1-csv-mu2.5", "lasso-lam-given", "lasso-rows-only"):
+        assert by_label[f"data/{name}"]["exit"] == 0
     assert by_label["data/lasso-csv-nan"]["stderr"] == (
         "kldescent: error: matrix loaded from '<tmp>/data/lasso-csv-nan/A.csv' "
         "has non-finite entries\n")

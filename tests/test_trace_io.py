@@ -269,6 +269,29 @@ def test_wrong_cell_count_names_line_number(tmp_path):
         read_trace_csv(path)
 
 
+def test_blank_lines_are_skipped_and_counted(tmp_path):
+    path, again = tmp_path / "t.csv", tmp_path / "again.csv"
+    write_trace_csv(_toy_trace(n=2, rows=8), path)
+    text = path.read_text()
+    lines = text.splitlines()
+    lines[1:1] = [""]  # a blank line after the header
+    lines[5:5] = ["  "]
+    path.write_text("\n".join(lines) + "\n")
+    write_trace_csv(read_trace_csv(path), again)
+    assert again.read_text() == text
+    cells = lines[7].split(",")  # file line 8, the data row k = 5
+    cells[CSV_COLUMNS.index("F")] = "abc"
+    path.write_text("\n".join(lines[:7] + [",".join(cells)] + lines[8:]) + "\n")
+    with pytest.raises(InvalidInputError, match=r": line 8: could not convert"):
+        read_trace_csv(path)
+    path.write_text("\n\n" + "\n".join(["K" + lines[0][1:]] + lines[1:]) + "\n")
+    with pytest.raises(InvalidInputError, match=r": line 3: header must start"):
+        read_trace_csv(path)
+    path.write_text("\n" + lines[0] + "\n\n")
+    with pytest.raises(InvalidInputError, match=r": line 3: no rows after the header$"):
+        read_trace_csv(path)
+
+
 def rewrite_cell(path, row, column, value):
     """Set one cell of data row ``row`` (0-based) of the CSV at ``path``."""
     lines = path.read_text().splitlines()

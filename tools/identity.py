@@ -27,7 +27,9 @@ The matrix:
 * ``sweep``: one per problem, over the window length;
 * ``data``: ``quad-l1`` with more rows than columns and ``mu`` not 1;
   ``lasso`` from CSV files written into the call's directory, once intact
-  and once with a ``nan`` matrix cell (exit 1); and ``lasso`` under
+  and once with a ``nan`` matrix cell (exit 1), and ``quad-l1`` from the
+  intact files with ``mu`` 2.5; ``lasso`` on generated data with ``lam``
+  given, and with only ``rows`` given; and ``lasso`` under
   ``pgenls``, ``l1-l2-dc`` under ``npg_major`` and a ``lasso`` sweep over the
   window length, back to back on one 600x1200 matrix, whose data and hint
   (on the Lanczos path) the later calls take from the catalog's memo, which
@@ -112,15 +114,16 @@ def _run(label: str, cfg: dict) -> Call:
                 _write("exp.json", json.dumps(cfg)))
 
 
-def _lasso_from_csv(name: str, A: numpy.ndarray, b: numpy.ndarray) -> Call:
-    """``run`` of lasso under ``pgenls`` at ``m = 5`` on ``A`` and ``b``,
-    written as CSV files into the call's directory."""
+def _from_csv(name: str, A: numpy.ndarray, b: numpy.ndarray, problem: str = "lasso",
+              **params) -> Call:
+    """``run`` of ``problem`` (with ``params``) under ``pgenls`` at ``m = 5``
+    on ``A`` and ``b``, written as CSV files into the call's directory."""
     def prepare(root: Path, here: Path) -> None:
         numpy.savetxt(here / "A.csv", A, delimiter=",")
         numpy.savetxt(here / "b.csv", b, delimiter=",")
-        params = {"A_csv": str(here / "A.csv"), "b_csv": str(here / "b.csv")}
+        files = {"A_csv": str(here / "A.csv"), "b_csv": str(here / "b.csv")}
         (here / "exp.json").write_text(
-            json.dumps(_config("lasso", "pgenls", 0, {"m": 5}, params=params)))
+            json.dumps(_config(problem, "pgenls", 0, {"m": 5}, params={**files, **params})))
     return Call(f"data/{name}", lambda root, here: ["run", str(here / "exp.json")], prepare)
 
 
@@ -266,8 +269,13 @@ def matrix() -> list[Call]:
         _run("data/quad-l1-40x25-mu2.5",
              _config("quad-l1", "npg_major", 0, {"m": 5},
                      params={"seed": 0, "rows": 40, "cols": 25, "mu": 2.5})),
-        _lasso_from_csv("lasso-csv", A, b),
-        _lasso_from_csv("lasso-csv-nan", A_nan, b),
+        _from_csv("lasso-csv", A, b),
+        _from_csv("lasso-csv-nan", A_nan, b),
+        _from_csv("quad-l1-csv-mu2.5", A, b, "quad-l1", mu=2.5),
+        _run("data/lasso-lam-given",
+             _config("lasso", "npg_major", 0, {"m": 5}, params={"seed": 0, "lam": 0.05})),
+        _run("data/lasso-rows-only",
+             _config("lasso", "pgenls", 0, {"m": 5}, params={"seed": 0, "rows": 80})),
         _run("data/lasso-600x1200",
              _config("lasso", "pgenls", 0, {"m": 5}, params=LANCZOS_PARAMS)),
         _run("data/l1-l2-dc-600x1200",
