@@ -287,10 +287,12 @@ def cmd_sweep(args) -> int:
     values = _parse_sweep_values(args.values)
     configs = [_apply_sweep_value(cfg, args.param, v) for v in values]
     names = [f"{args.param.replace('.', '_')}_{value}" for value in values]
-    for name in names:
+    for i, name in enumerate(names):
         if len(name.encode()) > _NAME_MAX:
             raise InvalidInputError(f"run directory name {shown(name)} is "
                                     f"{len(name.encode())} bytes long, over {_NAME_MAX}")
+        if name in names[:i]:  # two values that print alike would share one run
+            raise InvalidInputError(f"run directory name {shown(name)} repeats in --values")
     root = Path(cfg.get("output_dir") or _default_outdir(args.config))
     root.mkdir(parents=True, exist_ok=True)
 

@@ -95,8 +95,6 @@ def npg_solve(problem: CompositeProblem, x0: Vector, config: NpgConfig | None = 
 
     def trials(it: Iterate, gamma0: float):
         x = it.x
-        if it.grad is None:
-            it.grad = problem.f.gradient(x)
         if problem.h is not None:
             xi = -problem.h.subgradient(x)
         else:

@@ -17,14 +17,15 @@ term harmless in the limit.  Setting ``delta = 0``, ``beta_max = 0`` and
 method.
 
 The first trial weight ``gamma0`` comes from
-:func:`kldescent.descent.initial_gamma`.  Its Barzilai-Borwein estimate
-(the default ``spectral`` rule) sees the curvature of ``f`` alone, while
-the acceptance test charges every candidate the proximity term
-``(delta/2) ||cand - x||^2`` in full.  So after an iteration that rejected
-its first trial, the next one starts at
-``min(max(gamma0, delta/2), gamma_max)``; after one accepted at its first
-trial it keeps ``gamma0``, so the window can still accept long steps from a
-small ``gamma``.  The convergence theory admits any start in
+:func:`kldescent.descent.initial_gamma`: under the default ``spectral`` rule
+from the curvature probe at ``x^0`` for ``k = 0`` and from the last step
+after it, ``gamma_min`` under the ``constant`` rule.  This Barzilai-Borwein
+estimate sees the curvature of ``f`` alone, while the acceptance test
+charges every candidate the proximity term ``(delta/2) ||cand - x||^2`` in
+full.  So after an iteration that rejected its first trial, the next one
+starts at ``min(max(gamma0, delta/2), gamma_max)``; after one accepted at
+its first trial it keeps ``gamma0``, so the window can still accept long
+steps from a small ``gamma``.  The convergence theory admits any start in
 ``[gamma_min, gamma_max]``, and at ``delta = 0`` (``pgnls``) the floor is
 inert.
 
@@ -49,10 +50,11 @@ iterations from ``beta0 = 0.9``, 51 from the caps).  The convergence theory
 admits any extrapolation weight the backtracking accepts; at ``delta = 0``
 there is no cap.
 
-For a quadratic ``f`` (``SmoothOracle.quadratic``) the gradient at ``y`` is
-extrapolated as ``grad f(x) + beta (grad f(x) - grad f(u))``, as in SpaRSA,
-instead of computed: the trials of an iteration call the gradient oracle at
-most once, and not at all once ``grad f(u)`` is known (from ``k = 2``).
+At ``k = 0`` there is no inertia (``u = x^0``), so ``y = x^0`` for every
+weight and the trials reuse ``grad f(x^0)``.  For a quadratic ``f``
+(``SmoothOracle.quadratic``) the gradient at ``y`` is extrapolated as
+``grad f(x) + beta (grad f(x) - grad f(u))``, as in SpaRSA, instead of
+computed: the trials never call the gradient oracle.
 
 This module owns the extrapolated step: its config, the trial schedule of
 ``(gamma, beta)``, the extrapolated candidates with their decrement, the
@@ -149,24 +151,6 @@ def _residual(grad_x: Vector, grad_y: Vector, gamma: float, x_minus_y: Vector,
     return math.sqrt(float(top.dot(top)) + (delta * step_norm) ** 2)
 
 
-def _gradient_and_step(problem: CompositeProblem, it: Iterate,
-                       inertia: Vector) -> tuple[Vector, Vector]:
-    """``(grad f(x), grad f(x) - grad f(u))`` at the paired state ``(x, u)``.
-
-    Calls the oracle only for a gradient ``it`` does not know, and stores
-    neither in ``it``: the Barzilai-Borwein start must see only the gradients
-    of accepted steps.  With no inertia, ``u = x`` and the difference is 0.
-    """
-    grad_x = it.grad if it.grad is not None else problem.f.gradient(it.x)
-    if it.grad_prev is not None:
-        grad_u = it.grad_prev
-    elif inertia.any():
-        grad_u = problem.f.gradient(it.x_prev)
-    else:
-        grad_u = grad_x
-    return grad_x, grad_x - grad_u
-
-
 def pg_residual(problem: CompositeProblem, x_curr: Vector, y_curr: Vector,
                 x_prev: Vector, gamma_prev: float, delta: float) -> float:
     """Stationarity residual of the paired state after an extrapolated step.
@@ -223,17 +207,14 @@ def pgenls_solve(problem: CompositeProblem, x0: Vector,
         grad_step = None  # grad f(x) - grad f(x_prev), once a quadratic f needs it
         for j in itertools.count():
             gamma, beta = inner_schedule(gamma0, beta0, config.rho, config.nu, j)
-            if beta == 0.0:
-                y = x
-                if it.grad is None:
-                    it.grad = gradient(x)
-                grad_y = it.grad
+            if beta == 0.0 or it.k == 0:  # no inertia at k = 0, where x^{-1} = x^0
+                y, grad_y = x, it.grad
             else:
                 y = x + beta * inertia
                 if quadratic:
                     if grad_step is None:
-                        grad_x, grad_step = _gradient_and_step(problem, it, inertia)
-                    grad_y = grad_x + beta * grad_step
+                        grad_step = it.grad - it.grad_prev
+                    grad_y = it.grad + beta * grad_step
                 else:
                     grad_y = gradient(y)
             cand = prox(y - grad_y / gamma, gamma)

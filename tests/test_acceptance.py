@@ -146,12 +146,21 @@ def test_criterion_05_path_length_bound_holds(suite):
 
 def test_criterion_06_merit_increases_capped_by_curvature(suite):
     """DC-solver merit increases per squared step never exceed the
-    gradient Lipschitz bound of the smooth term."""
+    gradient Lipschitz bound of the smooth term.  A run whose every step is
+    zero makes no move to cap, and gets no verdict: on ``l0-ls`` seed 0 the
+    first trial from the curvature probe's start hard-thresholds every
+    entry back to ``x^0 = 0``."""
+    unmoved = set()
     for run in suite.npg():
         f = run.report.fields
         label = (run.problem_id, run.seed, run.m)
+        if f["constants.b_bar_degenerate"]:
+            assert f["bbar_cap.pass"] is None and run.trace.terminated == "stationary", label
+            unmoved.add(label)
+            continue
         assert f["bbar_cap.pass"] is True, label
         assert f["constants.b_bar"] <= f["constants.l_f"] + 1e-8, label
+    assert unmoved == {("l0-ls", 0, 0), ("l0-ls", 0, 5)}
 
 
 def test_criterion_07_residual_step_ratio_capped(suite):
@@ -226,19 +235,23 @@ def test_criterion_10_peak_series_concentrate_early(suite):
     decile of iterations contributes at most 1% of each series total.  The
     gate judges it only on a ``tolerance`` stop after more than 30
     iterations, where the decile of the peak-gap series holds at least 4
-    points; elsewhere ``series.pass`` is null."""
-    gated = 0
+    points; elsewhere ``series.pass`` is null.  One short run carries more
+    than 1% in its tail (``l0-ls`` under ``npg_major``, seed 1, ``m=5``: 10
+    iterations)."""
+    gated, heavy = 0, set()
     for run in suite.runs:
         if not run.trace.tolerance_terminated():
             continue
         f = run.report.fields
         label = (run.problem_id, run.algorithm, run.seed, run.m)
-        assert f["series.xi_tail_fraction"] <= 0.01, label
-        assert f["series.gamma_tail_fraction"] <= 0.01, label
         judged = run.trace.terminated == "tolerance" and len(run.trace) - 1 > 30
         assert f["series.pass"] is (True if judged else None), label
+        if max(f["series.xi_tail_fraction"], f["series.gamma_tail_fraction"]) > 0.01:
+            assert not judged, label
+            heavy.add(label)
         gated += judged
     assert gated >= 1
+    assert heavy == {("l0-ls", "npg_major", 1, 5)}
 
 
 def test_criterion_11_stepsize_schedule_is_sound(suite):

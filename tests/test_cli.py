@@ -47,11 +47,11 @@ def test_run_success_writes_artifacts(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("problem, seed, algorithm, m, terminated", [
-    ("l0-ls", 0, "npg_major", 1, "stationary"),
+    ("l0-ls", 2, "npg_major", 1, "stationary"),
     ("l0-ls", 6, "pgenls", 0, "stationary"),
     ("l0-ls", 7, "npg_major", 5, "tolerance"),     # 8 iterations: a 1-point tail
-    ("l0-ls", 1, "npg_major", 6, "tolerance"),     # 13 iterations: 2 points
-    ("l1-l2-dc", 9, "npg_major", 8, "tolerance"),  # 30 iterations: 3 points
+    ("l0-ls", 1, "npg_major", 6, "tolerance"),     # 10 iterations: 1 point
+    ("l1-l2-dc", 8, "npg_major", 8, "tolerance"),  # 24 iterations: 3 points
 ])
 def test_series_gives_no_verdict_on_a_short_or_stationary_run(tmp_path, capsys, problem,
                                                                seed, algorithm, m, terminated):
@@ -297,6 +297,13 @@ def test_sweep_dotted_param_targets_problem_params(tmp_path):
     assert status == 0
     sub = tmp_path / "sweep" / "params_lam_factor_0.2"
     assert (sub / "report.json").exists()
+
+
+def test_sweep_rejects_a_repeated_run_before_any_run(tmp_path, capsys):
+    # 1 and 1.0 parse to one value: its run would be solved twice into one
+    # directory and listed twice in aggregate.csv
+    assert main(_sweep(tmp_path, "params.seed", "1,1.0,1,0")) == 1
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_sweep_value_validation(tmp_path, capsys):
@@ -687,6 +694,10 @@ ERROR_PATHS = [
      lambda t, r: _sweep(t, "params.lam", str(10**300), problem="lasso", params={"seed": 0}),
      1, "run directory name 'params_lam_10000000... (314 characters) is 312 bytes long, "
         "over 255"),
+    ("sweep-repeated-value", lambda t, r: _sweep(t, "params.seed", "1,1.0,1,0"), 1,
+     "run directory name 'params_seed_1' repeats in --values"),
+    ("sweep-values-that-print-alike", lambda t, r: _sweep(t, "delta", "0.1,0.10"), 1,
+     "run directory name 'delta_0.1' repeats in --values"),
     ("sweep-param-name-too-long", lambda t, r: _sweep(t, "params." + "x" * 300, "1"), 1,
      "run directory name 'params_xxxxxxxxxxxx... (311 characters) is 309 bytes long, over 255"),
     ("sweep-root-under-a-file",

@@ -129,12 +129,13 @@ def test_spectral_restart_matches_quadratic_curvature():
 
 
 def test_spectral_start_applies_from_the_first_step():
-    # grad f(x^0) is known after step 0, so step 1 (row 2) already starts from
-    # the Barzilai-Borwein estimate, exactly 1 for f = x^2/2.
+    # The probe at x^0 gives step 0 (row 1) the Barzilai-Borwein estimate,
+    # 1 for f = x^2/2 up to the rounding of x^0 + d, so it needs no doubling;
+    # from step 1 (row 2) the carried step gives exactly 1.
     cfg = NpgConfig(m=0, gamma_min=1e-2, max_outer=3)
     trace = npg_solve(quad_1d(), np.array([4.0]), cfg)
     (_, g1, g2), (_, j1, j2) = (trace.column(name)[:3].tolist() for name in ("gamma", "j_inner"))
-    assert g1 == cfg.gamma_min * cfg.rho**j1
+    assert j1 == 0 and g1 == pytest.approx(1.0, rel=1e-9)
     assert g2 == cfg.rho**j2
 
 
@@ -230,10 +231,11 @@ def test_plain_l1_runs_without_h():
 
 def test_one_gradient_per_iteration_from_the_cached_residual(counted):
     # one gradient at x^0 and one per accepted candidate, each right after
-    # the value call at the same point, so none recomputes A x - b
+    # the value call at the same point, so none recomputes A x - b; the
+    # spectral probe adds one gradient at x^0 + d, with its own residual
     inst = make_problem("l1-l2-dc", {"seed": 0})
     f, calls = counted(inst.problem.f)
     trace = npg_solve(replace(inst.problem, f=f), inst.x0, NpgConfig(m=5))
     assert trace.terminated == "tolerance"
-    assert calls["gradient"] == len(trace)  # iterations + 1
-    assert calls["residual"] == calls["value"]
+    assert calls["gradient"] == len(trace) + 1  # iterations + 2
+    assert calls["residual"] == calls["value"] + 1

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kldescent.catalog import make_problem
-from kldescent.descent import Iterate, initial_gamma
+from kldescent.descent import initial_gamma, probe_gamma
 from kldescent.diagnostics import build_report
 from kldescent.errors import BacktrackingFailureError, InvalidInputError
 from kldescent.oracles import (
@@ -162,10 +162,12 @@ def test_stationary_exit():
 
 
 def test_outer_cap_termination():
-    cfg = PgenlsConfig(m=0, max_outer=3, tol_step=1e-300, tol_resid=1e-300)
+    # from 4 the run reaches the minimizer 0 at step 1 and repeats it at
+    # step 2, so a cap of 2 steps ends it first
+    cfg = PgenlsConfig(m=0, max_outer=2, tol_step=1e-300, tol_resid=1e-300)
     trace = pgenls_solve(quad_1d(), np.array([4.0]), cfg)
     assert trace.terminated == "max_outer"
-    assert len(trace) == 4
+    assert len(trace) == 3
 
 
 def test_tolerance_termination_on_sparse_regression():
@@ -209,21 +211,25 @@ def test_backtracking_failure_carries_location():
                         "(last gamma 32)")
 
 
-@pytest.mark.parametrize("beta_max, gamma_min, starts", [
-    pytest.param(0.9, 0.4, [0.4, 0.5, 1.0], id="0.9-2"),
-    pytest.param(0.0, 0.4, [0.4, 1.0, 1.0], id="0.0-1"),
-    pytest.param(0.9, 1e-2, [1e-2, 1.0, 1.0], id="0.9-capped-1"),
+@pytest.mark.parametrize("beta_max, gamma_min", [
+    pytest.param(0.9, 0.4, id="0.9-2"),
+    pytest.param(0.0, 0.4, id="0.0-1"),
+    pytest.param(0.9, 1e-2, id="0.9-capped-1"),
 ])
-def test_spectral_start_needs_a_known_previous_gradient(beta_max, gamma_min, starts):
-    # An extrapolated first step never evaluates grad f(x^0), so the
-    # Barzilai-Borwein start is gamma_min until k = 2; without extrapolation
-    # it applies from k = 1.  For f = x^2/2 the estimate is exactly 1.  Step 1
-    # rejects its first trial, so step 2 starts at delta/2 = 0.5 or above.
-    # A start gamma_min below alpha delta / (2 - alpha) = 1/3 caps the first
-    # weight at 0 (see pgenls), so that first step does not extrapolate.
+def test_spectral_start_needs_a_known_previous_gradient(beta_max, gamma_min):
+    # The Barzilai-Borwein start needs the gradient at a second point.  The
+    # probe supplies it at k = 0, so neither an extrapolated first step nor a
+    # gamma_min that caps the first weight at 0 delays it, as they once did
+    # to k = 2 and k = 1 (the ids).  For f = x^2/2 the estimate is 1, exactly
+    # from k = 1 and up to the rounding of x^0 + d at k = 0.  Step 0 rejects
+    # its first trial; the floor delta/2 = 0.5 of step 1 is below 1.
     cfg = PgenlsConfig(m=0, beta_max=beta_max, gamma_min=gamma_min, max_outer=6,
                        tol_step=1e-300, tol_resid=1e-300)
-    trace = pgenls_solve(quad_1d(), np.array([4.0]), cfg)
+    problem, x0 = quad_1d(), np.array([4.0])
+    trace = pgenls_solve(problem, x0, cfg)
+    probe = probe_gamma(cfg, problem.f.gradient, x0, problem.f.gradient(x0))
+    assert probe == pytest.approx(1.0, rel=1e-9)
+    starts = [probe, 1.0, 1.0]
     ks, gammas, js = (trace.column(name)[1:].tolist() for name in ("k", "gamma", "j_inner"))
     assert js[0] > 0
     assert len(ks) >= len(starts)
@@ -233,20 +239,19 @@ def test_spectral_start_needs_a_known_previous_gradient(beta_max, gamma_min, sta
 
 
 def spectral_starts(trace, problem, cfg):
-    """The Barzilai-Borwein start :func:`initial_gamma` gives each row after
-    row 0, rebuilt from the stored iterates: ``grad f(x^{k-1})`` is known from
-    ``k = 2``, and at ``k = 1`` only when the first step did not extrapolate."""
-    X = trace.X
+    """The Barzilai-Borwein start of each row after row 0, rebuilt from the
+    stored iterates: :func:`probe_gamma` at ``x^0`` for row 1, and
+    :func:`initial_gamma` of the step ``x^k - x^{k-1}`` after it."""
+    X, gradient = trace.X, problem.f.gradient
     starts = []
     for row in trace.column("k")[1:].tolist():
         k = row - 1  # the outer iteration that made the row
-        known = k >= 2 or (k == 1 and trace.column("beta")[1] == 0.0)
-        step = X[k] - X[max(k - 1, 0)]
-        it = Iterate(k=k, x=X[k], x_prev=X[max(k - 1, 0)], h=0.0,
-                     step=step, step_sq=float(step @ step),
-                     grad=problem.f.gradient(X[k]),
-                     grad_prev=problem.f.gradient(X[k - 1]) if known else None)
-        starts.append(initial_gamma(cfg, it))
+        if k == 0:
+            starts.append(probe_gamma(cfg, gradient, X[0], gradient(X[0])))
+            continue
+        step = X[k] - X[k - 1]
+        starts.append(initial_gamma(cfg, step, float(step @ step), gradient(X[k]),
+                                    gradient(X[k - 1])))
     return starts
 
 
@@ -284,12 +289,13 @@ def test_start_is_floored_only_after_a_rejected_start():
 
 
 @pytest.mark.parametrize("problem_id, seed, m", [
-    ("lasso", 0, 0), ("quad-l1", 0, 0), ("l0-ls", 0, 5), ("power4-1d", None, 0),
+    ("lasso", 0, 0), ("quad-l1", 0, 0), ("l0-ls", 1, 5), ("lasso", 1, 0),
 ])
 def test_plain_mode_starts_are_spectral(problem_id, seed, m):
     # At delta = 0 the floor delta/2 is inert: every row begins at the
     # Barzilai-Borwein value, after a rejected start too, so pgnls runs as
-    # it did before the floor.
+    # it did before the floor.  (From the probe's start, pgnls on power4-1d
+    # rejects no start at all.)
     inst = make_problem(problem_id, {} if seed is None else {"seed": seed})
     cfg = PgenlsConfig(m=m, delta=0.0, beta_max=0.0, max_outer=3000)
     trace = pgenls_solve(inst.problem, inst.x0, cfg)
@@ -298,13 +304,16 @@ def test_plain_mode_starts_are_spectral(problem_id, seed, m):
 
 
 def test_floored_start_is_clamped_to_gamma_max():
-    # gamma_max = 0.2 < delta/2: step 2 follows a rejected start and begins
-    # at gamma_max, not at delta/2 nor at the spectral fallback gamma_min.
+    # f = x^2/32 has curvature 1/16 and gamma_max = 0.2 < delta/2: step 1
+    # follows a rejected start and begins at gamma_max, not at delta/2 nor
+    # at the Barzilai-Borwein estimate 1/16.
+    f = make_least_squares(np.array([[0.25]]), np.array([0.0]))
+    problem = CompositeProblem(f=f, g=zero_oracle(), h=None, dimension=1)
     cfg = PgenlsConfig(m=0, beta_max=0.9, gamma_min=1e-2, gamma_max=0.2, max_outer=4,
                        tol_step=1e-300, tol_resid=1e-300)
-    trace = pgenls_solve(quad_1d(), np.array([4.0]), cfg)
+    trace = pgenls_solve(problem, np.array([4.0]), cfg)
     (_, g1, g2), (_, j1, j2) = (trace.column(name)[:3].tolist() for name in ("gamma", "j_inner"))
-    assert j1 > 0 and g1 == cfg.gamma_min * cfg.rho**j1
+    assert j1 > 0 and g1 == pytest.approx(cfg.rho**j1 / 16.0, rel=1e-9)
     assert g2 == cfg.gamma_max * cfg.rho**j2
 
 
@@ -321,15 +330,17 @@ def test_power4_monotone_run_rejects_few_trials():
 
 def test_extrapolated_trials_call_the_gradient_at_most_twice(counted):
     # For the quadratic least-squares f, grad f(y) comes from the gradients at
-    # x and x_prev: only k = 0 and k = 1 call the oracle for it, once each.
-    # The accepted candidate's gradient reuses the residual of its value call.
+    # x and x_prev, both known from the start: the trials never call the
+    # oracle for it.  The gradient calls are grad f(x^0), the spectral probe's
+    # at x^0 + d and the accepted candidates', which reuse the residual of
+    # their value call; only the probe's computes its own.
     inst = make_problem("lasso", {"seed": 0})
     f, calls = counted(inst.problem.f)
     trace = pgenls_solve(replace(inst.problem, f=f), inst.x0, PgenlsConfig(m=5))
     iterations = len(trace) - 1
     assert trace.terminated == "tolerance"
-    assert calls["gradient"] <= iterations + 2
-    assert calls["residual"] <= calls["value"] + 1
+    assert calls["gradient"] == iterations + 2
+    assert calls["residual"] == calls["value"] + 1
 
 
 @pytest.mark.parametrize("m", [0, 5])
