@@ -300,7 +300,7 @@ def cmd_sweep(args) -> int:
     for value, name, sub_cfg in zip(values, names, configs):
         subdir = root / name
         try:
-            results.append(execute(dict(sub_cfg, output_dir=str(subdir)), subdir))
+            results.append(execute(sub_cfg, subdir))
         except Exception as exc:  # isolation: one bad run must not kill the sweep
             results.append((_exit_status(exc, subdir.name), {}))
 

@@ -29,21 +29,22 @@ the probe calls the gradient once more, at ``x^0 + d``, and ``k = 0`` starts
 at the Barzilai-Borwein ratio ``<d, grad f(x^0 + d) - g0> / <d, d>``, clamped
 (Barzilai & Borwein 1988; SpaRSA, Wright, Nowak & Figueiredo 2009).  It falls
 back to ``gamma_min``, without the call, when ``g0`` is 0 or not finite, and
-the constant rule makes no probe at all.  A first step from ``gamma_min``
-backtracked through 7 to 10 doublings on every least-squares catalog run.
+the constant rule makes no probe at all.
 
 What the driver carries across iterations, in the :class:`Iterate`, is what
-the next iteration would otherwise compute again: the gradients at ``x^k``
-and ``x^{k-1}`` (``grad f(x^0)`` from the start, so the gradient at ``x^0``
-is computed once), and the accepted step with its squared norm, which the
-Barzilai-Borwein start and the inertia of ``pgenls`` read.  The step and its
-norm are the very array and float the accepted trial computed, from the
-operands a recomputation would use (``x^{k+1} - x^k`` is the trial's
-``candidate - x``), so carrying them changes no bit of any trace.  Nor does
-any other saving here: the stopping scale ``1 + ||x^k||`` is formed only
-once the residual passes its tolerance, a merit is screened for NaN once,
-before the window's test, and ``a.dot(b)`` reaches the same float64 dot
-kernel as ``a @ b``.
+the next iteration reads: ``x^k``, the gradient at ``x^k`` (``grad f(x^0)``
+from the start, so the gradient at ``x^0`` is computed once), the gradient
+change ``grad f(x^k) - grad f(x^{k-1})``, formed once per accepted step, and
+the accepted step with its squared norm.  The Barzilai-Borwein start reads
+the step and the gradient change, ``pgenls`` its inertia and, for a
+quadratic ``f``, its extrapolated gradient.  The step and its norm are the
+very array and float the accepted trial computed, from the operands a
+recomputation would use (``x^{k+1} - x^k`` is the trial's ``candidate -
+x``), so carrying them changes no bit of any trace.  Nor does any other
+saving here: the stopping scale ``1 + ||x^k||`` is formed only once the
+residual passes its tolerance, a merit is screened for NaN once, before the
+window's test, and ``a.dot(b)`` reaches the same float64 dot kernel as
+``a @ b``.
 """
 
 from __future__ import annotations
@@ -69,49 +70,40 @@ PROBE_SCALE = 1e-6
 
 @dataclass(slots=True)
 class Iterate:
-    """The paired state ``(x^k, x^{k-1})`` an outer iteration starts from.
+    """The state outer iteration ``k`` starts from, at ``x^k``.
 
-    :func:`descend` rotates ``x``, the step and the gradients; the trial
-    generator, for a concave term, updates ``h`` when its candidate is
-    accepted.
+    :func:`descend` rotates ``x``, the step, the gradient and its change;
+    the trial generator, for a concave term, updates ``h`` when its candidate
+    is accepted.
     """
 
     k: int
     x: Vector
-    x_prev: Vector                       # x^{k-1}; x^0 itself at k = 0
     h: float                             # h(x); 0 without a concave term
-    step: Vector                         # x - x_prev; zeros at k = 0
+    step: Vector                         # x^k - x^{k-1}; zeros at k = 0
     step_sq: float                       # float(step @ step); 0.0 at k = 0
     grad: Vector                         # grad f(x)
-    grad_prev: Optional[Vector] = None   # grad f(x_prev); None at k = 0
+    grad_step: Optional[Vector] = None   # grad f(x^k) - grad f(x^{k-1}); None at k = 0
 
 
 Trials = Callable[[Iterate, float], Generator[tuple, Optional[Vector], None]]
 
 
-def initial_gamma(config, dx: Vector, dx_sq: float, grad: Vector, grad_prev: Vector) -> float:
+def initial_gamma(config, dx: Vector, dx_sq: float, dg: Vector) -> float:
     """First trial weight: the Barzilai-Borwein curvature estimate
     ``<dx, dg> / <dx, dx>`` clamped to ``[gamma_min, gamma_max]``, where
-    ``dg = grad - grad_prev`` and ``dx_sq`` is the squared norm of ``dx``.
+    ``dg`` is the gradient change along ``dx`` and ``dx_sq`` the squared norm
+    of ``dx``.
 
     :func:`descend` passes the probe pair of :func:`probe_gamma` at ``k = 0``
     and, from ``k = 1``, the carried step ``x^k - x^{k-1}`` with ``grad
-    f(x^k)`` and ``grad f(x^{k-1})``, so both solvers start every iteration
-    at a measured curvature.  ``gamma_min`` under the constant rule and when
-    the estimate is undefined.  ``pgenls`` raises this start to ``delta/2``
-    after a rejected first trial, and caps its first extrapolation weight for
-    the resulting start ``gamma0`` at ``sqrt((1 - alpha) delta / (delta +
-    alpha gamma0))`` and at ``1 - alpha (delta + gamma0) / (2 gamma0)`` (0
-    when negative): past either weight the ``m = 0`` test rejects a model
-    candidate, one that is all inertia on a flat ``F`` (``beta^2 (delta +
-    alpha gamma0) <= (1 - alpha) delta``) or one that repeats the last step
-    on an ``F`` linear along it (``gamma0 (1 - beta) >= (alpha/2) (gamma0 +
-    delta)``).  The floor and the caps live in :mod:`kldescent.pgenls`, since
-    ``npg_major`` shares this function.
+    f(x^k) - grad f(x^{k-1})``, so both solvers start every iteration at a
+    measured curvature.  ``gamma_min`` under the constant rule and when the
+    estimate is undefined.
     """
     if config.gamma_init_rule == "constant" or dx_sq == 0.0:
         return config.gamma_min
-    ratio = float(dx.dot(grad - grad_prev)) / dx_sq
+    ratio = float(dx.dot(dg)) / dx_sq
     if not math.isfinite(ratio):
         return config.gamma_min
     return float(min(max(ratio, config.gamma_min), config.gamma_max))
@@ -130,7 +122,7 @@ def probe_gamma(config, gradient: Callable[[Vector], Vector], x0: Vector, g0: Ve
     if not (0.0 < g0_sq < math.inf and x0_sq < math.inf):
         return config.gamma_min
     d = (-PROBE_SCALE * (1.0 + math.sqrt(x0_sq)) / math.sqrt(g0_sq)) * g0
-    return initial_gamma(config, d, float(d.dot(d)), gradient(x0 + d), g0)
+    return initial_gamma(config, d, float(d.dot(d)), gradient(x0 + d) - g0)
 
 
 def checked_penalty(problem: CompositeProblem, cand: Vector, k: int):
@@ -170,7 +162,7 @@ def descend(problem: CompositeProblem, x0: Vector, config, trials: Trials, *,
     xs = [x0]
 
     gradient, accept = problem.f.gradient, window.accept
-    it = Iterate(k=0, x=x0, x_prev=x0, h=float(h0), step=np.zeros_like(x0), step_sq=0.0,
+    it = Iterate(k=0, x=x0, h=float(h0), step=np.zeros_like(x0), step_sq=0.0,
                  grad=gradient(x0))
     gamma0 = config.gamma_min
     if config.gamma_init_rule == "spectral":
@@ -178,7 +170,7 @@ def descend(problem: CompositeProblem, x0: Vector, config, trials: Trials, *,
     terminated = "max_outer"
     for k in range(config.max_outer):
         if k > 0:
-            gamma0 = initial_gamma(config, it.step, it.step_sq, it.grad, it.grad_prev)
+            gamma0 = initial_gamma(config, it.step, it.step_sq, it.grad_step)
         steps = trials(it, gamma0)
         for j in range(config.max_inner):
             gamma, cand, merit, decrement = next(steps)
@@ -198,18 +190,17 @@ def descend(problem: CompositeProblem, x0: Vector, config, trials: Trials, *,
         rows.append((k + 1, f_value, row_merit, gamma, beta, j, ell, step_norm, residual))
         xs.append(cand)
 
-        it.k = k + 1
-        it.x_prev, it.x = it.x, cand
-        it.step, it.step_sq = step, step_sq
-        it.grad_prev, it.grad = it.grad, grad_next
-
         if step_norm == 0.0:
             terminated = "stationary"
             break
         if residual <= config.tol_resid and step_norm <= config.tol_step * (
-                1.0 + math.sqrt(float(it.x_prev.dot(it.x_prev)))):
+                1.0 + math.sqrt(float(it.x.dot(it.x)))):
             terminated = "tolerance"
             break
+
+        it.k, it.x = k + 1, cand
+        it.step, it.step_sq = step, step_sq
+        it.grad_step, it.grad = grad_next - it.grad, grad_next
     return Trace(algorithm=algorithm, columns=dict(zip(CSV_COLUMNS, zip(*rows))), X=np.array(xs),
                  problem_id=problem_id, config=asdict(config), seed=seed,
                  terminated=terminated)

@@ -486,8 +486,7 @@ def fit_rate(trace: Trace) -> dict:
     if s[-1] <= _STEP_FLOOR:
         out["verdict"] = "finite-termination"
         return out
-    if not trace.tolerance_terminated() and len(trace) < 100:
-        out["note"] = "short trace without tolerance termination"
+    if not trace.tolerance_terminated() and len(trace) < 100:  # short, never converged
         return out
 
     start = max(1, math.ceil(0.2 * K))

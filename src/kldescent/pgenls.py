@@ -50,11 +50,13 @@ iterations from ``beta0 = 0.9``, 51 from the caps).  The convergence theory
 admits any extrapolation weight the backtracking accepts; at ``delta = 0``
 there is no cap.
 
-At ``k = 0`` there is no inertia (``u = x^0``), so ``y = x^0`` for every
-weight and the trials reuse ``grad f(x^0)``.  For a quadratic ``f``
+At ``k = 0`` there is no inertia (``u = x^0``), so the first trial weight
+is 0: ``y = x^0`` for every trial, the trials reuse ``grad f(x^0)``, and
+row 1 records ``beta = 0``.  For a quadratic ``f``
 (``SmoothOracle.quadratic``) the gradient at ``y`` is extrapolated as
-``grad f(x) + beta (grad f(x) - grad f(u))``, as in SpaRSA, instead of
-computed: the trials never call the gradient oracle.
+``grad f(x) + beta (grad f(x) - grad f(u))``, as in SpaRSA, from the
+gradient change the driver carries, instead of computed: the trials never
+call the gradient oracle.
 
 This module owns the extrapolated step: its config, the trial schedule of
 ``(gamma, beta)``, the extrapolated candidates with their decrement, the
@@ -197,26 +199,22 @@ def pgenls_solve(problem: CompositeProblem, x0: Vector,
         if rejected_start:
             gamma0 = min(max(gamma0, 0.5 * delta), config.gamma_max)
         x, inertia, inertia_sq = it.x, it.step, it.step_sq
-        if nesterov:
+        if it.k == 0:  # no inertia yet: x^{-1} = x^0
+            beta0 = 0.0
+        elif nesterov:
             beta0 = float(min(max((t_prev - 1.0) / t_curr, 0.0), config.beta_max))
         else:
             beta0 = config.beta_max
         if delta > 0.0:  # the two window caps of the module docstring
             beta0 = max(min(beta0, math.sqrt((1.0 - alpha) * delta / (delta + alpha * gamma0)),
                             1.0 - 0.5 * alpha * (delta + gamma0) / gamma0), 0.0)
-        grad_step = None  # grad f(x) - grad f(x_prev), once a quadratic f needs it
         for j in itertools.count():
             gamma, beta = inner_schedule(gamma0, beta0, config.rho, config.nu, j)
-            if beta == 0.0 or it.k == 0:  # no inertia at k = 0, where x^{-1} = x^0
+            if beta == 0.0:
                 y, grad_y = x, it.grad
             else:
                 y = x + beta * inertia
-                if quadratic:
-                    if grad_step is None:
-                        grad_step = it.grad - it.grad_prev
-                    grad_y = it.grad + beta * grad_step
-                else:
-                    grad_y = gradient(y)
+                grad_y = it.grad + beta * it.grad_step if quadratic else gradient(y)
             cand = prox(y - grad_y / gamma, gamma)
             g_cand = checked_penalty(problem, cand, it.k)
             F_cand = float(value(cand) + g_cand)

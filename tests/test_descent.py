@@ -110,38 +110,39 @@ def catalog_run(problem_id, algorithm, m, params=None, **fields):
 @pytest.mark.parametrize("m", [0, 5])
 @pytest.mark.parametrize("problem_id, algorithm, rule", CARRY_RUNS)
 def test_carried_step_is_the_recomputed_one(monkeypatch, problem_id, algorithm, rule, m):
-    # The driver hands each iteration the accepted step and its squared norm
-    # instead of computing them again; both, and the start they give, must
-    # be bit for bit what the recomputation gives.  Under the spectral rule
-    # the start of k = 0 comes from the probe pair at x^0, rebuilt here from
-    # fresh gradients.
+    # The driver hands each iteration the accepted step, its squared norm and
+    # the gradient change along it instead of computing them again; all
+    # three, and the start they give, must be bit for bit what the
+    # recomputation from fresh gradients gives.  Under the spectral rule the
+    # start of k = 0 comes from the probe pair at x^0, rebuilt here too.
     seen = []
     start = descent.initial_gamma
 
-    def recording(config, dx, dx_sq, grad, grad_prev):
-        gamma0 = start(config, dx, dx_sq, grad, grad_prev)
-        seen.append((dx, dx_sq, grad, grad_prev, gamma0))
+    def recording(config, dx, dx_sq, dg):
+        gamma0 = start(config, dx, dx_sq, dg)
+        seen.append((dx, dx_sq, dg, gamma0))
         return gamma0
 
     monkeypatch.setattr(descent, "initial_gamma", recording)
     inst, config, trace = catalog_run(problem_id, algorithm, m, max_outer=400, **RULES[rule])
     xs, f = trace.X, inst.problem.f
     if config.gamma_init_rule == "spectral":
-        d, d_sq, grad, grad_prev, gamma0 = seen.pop(0)
+        d, d_sq, dg, gamma0 = seen.pop(0)
         g0 = f.gradient(xs[0])
         assert d.tobytes() == probe_step(xs[0], g0).tobytes()
         assert np.float64(d_sq).tobytes() == np.float64(float(d @ d)).tobytes()
-        g_d = f.gradient(xs[0] + d)
-        assert grad_prev.tobytes() == g0.tobytes()
-        assert grad.tobytes() == g_d.tobytes()
-        again = recomputed_gamma(config, d, g_d - g0)
+        fresh = f.gradient(xs[0] + d) - g0
+        assert dg.tobytes() == fresh.tobytes()
+        again = recomputed_gamma(config, d, fresh)
         assert np.float64(gamma0).tobytes() == np.float64(again).tobytes()
     assert len(seen) == len(xs) - 2
-    for k, (step, step_sq, grad, grad_prev, gamma0) in enumerate(seen, start=1):
+    for k, (step, step_sq, dg, gamma0) in enumerate(seen, start=1):
         d = xs[k] - xs[k - 1]
         assert step.tobytes() == d.tobytes(), k
         assert np.float64(step_sq).tobytes() == np.float64(float(d @ d)).tobytes(), k
-        again = recomputed_gamma(config, d, grad - grad_prev)
+        fresh = f.gradient(xs[k]) - f.gradient(xs[k - 1])
+        assert dg.tobytes() == fresh.tobytes(), k
+        again = recomputed_gamma(config, d, fresh)
         assert np.float64(gamma0).tobytes() == np.float64(again).tobytes(), k
 
 
@@ -156,8 +157,8 @@ def first_iterations(solve, problem, x0, config, calls, k):
 def test_power4_gradient_once_per_trial_and_once_per_step(counted):
     # x^4/4 is not quadratic: each extrapolated trial from k = 1 on needs
     # grad f(y), and the accepted candidate's gradient is one more call.  The
-    # trials of k = 0, which has no inertia, and those of an iteration whose
-    # weight is capped at 0 share grad f(x).  The driver computes grad f(x^0)
+    # trials of k = 0, which has no inertia and so weight 0, and those of an
+    # iteration whose weight is capped at 0 share grad f(x).  The driver computes grad f(x^0)
     # once, and the spectral probe makes one more call, at x^0 + d.
     inst = make_problem("power4-1d")
     f, calls = counted(inst.problem.f)
@@ -165,8 +166,8 @@ def test_power4_gradient_once_per_trial_and_once_per_step(counted):
     iterations = len(trace) - 1
     betas, js = trace.column("beta")[1:], trace.column("j_inner")[1:]
     trials = sum(j + 1 for j in js)
-    extrapolated = sum(j + 1 for beta, j in zip(betas[1:], js[1:]) if beta > 0.0)
-    assert betas[0] > 0.0
+    extrapolated = sum(j + 1 for beta, j in zip(betas, js) if beta > 0.0)
+    assert betas[0] == 0.0
     assert 0 < extrapolated < trials
     assert calls["gradient"] == extrapolated + iterations + 2
     assert calls["value"] == trials + 1  # and once at x^0

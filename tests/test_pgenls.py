@@ -43,10 +43,10 @@ def test_worked_two_steps():
     F, merit, resid = map(trace.column, ("F", "merit", "residual"))
     # bootstrap pair (4, 4): proximity term vanishes, merit = F
     assert F[0] == 8.0 and merit[0] == 8.0
-    # step 1: inertia 0, cand = 4 - 4/2 = 2, merit = 2 + 0.5*4 = 4
+    # step 1: no inertia, so weight 0; cand = 4 - 4/2 = 2, merit = 2 + 0.5*4 = 4
     assert trace.X[1, 0] == 2.0
     assert F[1] == 2.0 and merit[1] == 4.0
-    assert (trace.column("gamma")[1] == 2.0 and trace.column("beta")[1] == 0.5
+    assert (trace.column("gamma")[1] == 2.0 and trace.column("beta")[1] == 0.0
             and trace.column("j_inner")[1] == 0)
     assert resid[1] == pytest.approx(2.0, abs=1e-15)
     # step 2: y = 2 + 0.5*(2-4) = 1, cand = 1 - 1/2 = 0.5
@@ -250,8 +250,8 @@ def spectral_starts(trace, problem, cfg):
             starts.append(probe_gamma(cfg, gradient, X[0], gradient(X[0])))
             continue
         step = X[k] - X[k - 1]
-        starts.append(initial_gamma(cfg, step, float(step @ step), gradient(X[k]),
-                                    gradient(X[k - 1])))
+        starts.append(initial_gamma(cfg, step, float(step @ step),
+                                    gradient(X[k]) - gradient(X[k - 1])))
     return starts
 
 
@@ -375,9 +375,20 @@ def capped(cfg, beta0, gamma):
     return max(min(beta0, flat_cap(cfg, gamma), steady_cap(cfg, gamma)), 0.0)
 
 
+@pytest.mark.parametrize("m", [0, 5])
+@pytest.mark.parametrize("problem_id", ["lasso", "quad-l1", "l0-ls", "power4-1d"])
+def test_first_step_records_no_extrapolation(problem_id, m):
+    # At k = 0 there is no inertia, so y = x^0 whatever the weight: the first
+    # trial weight is 0, and row 1 records the weight its step used.
+    inst = make_problem(problem_id, {} if problem_id == "power4-1d" else {"seed": 0})
+    trace = pgenls_solve(inst.problem, inst.x0, PgenlsConfig(m=m, max_outer=1))
+    assert trace.column("beta")[1] == 0.0
+
+
 def first_trial_rows(trace):
-    """``(gamma, beta)`` of the rows accepted at their first trial, row 0 aside."""
-    gamma, beta, j = (trace.column(name)[1:] for name in ("gamma", "beta", "j_inner"))
+    """``(gamma, beta)`` of the rows accepted at their first trial, rows 0 and
+    1 aside: row 1's step has no inertia to extrapolate."""
+    gamma, beta, j = (trace.column(name)[2:] for name in ("gamma", "beta", "j_inner"))
     return gamma[j == 0].tolist(), beta[j == 0].tolist()
 
 

@@ -24,6 +24,11 @@ The matrix:
   concave problem under ``pgenls``/``pgnls`` must exit 1;
 * ``verify`` of each run's trace with the complete flags, and with each
   solver flag dropped in turn;
+* ``run`` under a start rule other than the default, at seed 0 and window
+  lengths 0 and 5: the ``constant`` ``gamma_init_rule`` for ``lasso`` under
+  ``npg_major`` and ``power4-1d`` under ``pgenls``, the ``nesterov``
+  ``beta_init_rule`` for ``lasso`` under ``pgenls``; and ``verify`` of each
+  with the complete flags;
 * ``sweep``: one per problem, over the window length;
 * ``data``: ``quad-l1`` with more rows than columns and ``mu`` not 1;
   ``lasso`` from CSV files written into the call's directory, once intact
@@ -70,6 +75,11 @@ MAX_OUTER = {"power4-1d": 1500}
 # the algorithm each problem is swept under
 SWEEPS = {"lasso": "pgenls", "l0-ls": "npg_major", "l1-l2-dc": "npg_major",
           "quad-l1": "npg_major", "power4-1d": "pgenls"}
+# runs under a start rule other than the default: (problem, algorithm, field,
+# value), the field set in the solver block
+RULE_RUNS = (("lasso", "npg_major", "gamma_init_rule", "constant"),
+             ("power4-1d", "pgenls", "gamma_init_rule", "constant"),
+             ("lasso", "pgenls", "beta_init_rule", "nesterov"))
 # the runs (problem, algorithm, seed, m) whose traces the reader cases
 # corrupt: one with a sidecar, one inline
 SIDECAR_RUN = ("lasso", "pgenls", 0, 5)
@@ -128,8 +138,11 @@ def _from_csv(name: str, A: numpy.ndarray, b: numpy.ndarray, problem: str = "las
 
 
 def _label(run: tuple) -> str:
-    problem, algorithm, seed, m = run
-    return f"run/{problem}/{algorithm}/s{seed}/m{m}"
+    """The directory of ``run``, ``(problem, algorithm, seed, m)`` followed by
+    the ``(field, value)`` pairs of a non-default solver block, if any."""
+    problem, algorithm, seed, m, *solver = run
+    return f"run/{problem}/{algorithm}/s{seed}/m{m}" + "".join(
+        f"/{field}-{value}" for field, value in solver)
 
 
 def _verify_flags(root: Path, run: tuple) -> Optional[dict]:
@@ -140,7 +153,7 @@ def _verify_flags(root: Path, run: tuple) -> Optional[dict]:
     if not report_path.exists():
         return None
     report = json.loads(report_path.read_text())
-    _, algorithm, _, m = run
+    _, algorithm, _, m, *_ = run
     if algorithm == "npg_major":
         cfg = kldescent.NpgConfig(m=m)
         solver = {"c": cfg.c}
@@ -258,6 +271,11 @@ def matrix() -> list[Call]:
         last = "c" if run[1] == "npg_major" else "beta-max"
         for drop in (None, "m", "a", "alpha", "delta", last):
             calls.append(_verify(run, drop))
+    for problem, algorithm, field, value in RULE_RUNS:
+        for m in WINDOWS:
+            run = (problem, algorithm, 0, m, (field, value))
+            calls += [_run(_label(run), _config(problem, algorithm, 0, {"m": m, field: value})),
+                      _verify(run, None)]
     for problem, algorithm in SWEEPS.items():
         calls.append(_sweep(f"sweep/{problem}", _config(problem, algorithm, 0, {}), "m", "0,5"))
 
