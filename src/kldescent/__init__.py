@@ -34,7 +34,7 @@ from .errors import (
     OracleInconsistencyError,
 )
 from .memory import MemoryWindow
-from .npg import NpgConfig, dc_residual, npg_solve
+from .npg import NpgConfig, npg_solve
 from .oracles import (
     CompositeProblem,
     ConvexOracle,
@@ -45,11 +45,9 @@ from .oracles import (
     l2_norm_oracle,
     make_least_squares,
     make_power4_1d,
-    prox_l0,
-    prox_l1,
     zero_oracle,
 )
-from .pgenls import PgenlsConfig, f_delta, inner_schedule, pg_residual, pgenls_solve
+from .pgenls import PgenlsConfig, inner_schedule, pgenls_solve
 from .trace import IterateRecord, Trace, read_trace_csv, write_trace_csv
 
 __all__ = [
@@ -60,10 +58,9 @@ __all__ = [
     "MemoryWindow", "NpgConfig", "OracleInconsistencyError", "PgenlsConfig",
     "ProblemInstance", "ProxOracle", "SmoothOracle", "Trace",
     "build_report", "c_constant", "check_acceptance", "check_h1", "check_h3",
-    "check_h4", "check_prop_bound", "dc_residual", "describe_problems",
-    "estimate_bbar", "f_delta", "fit_decay", "fit_rate", "inner_schedule",
-    "l0_oracle", "l1_oracle", "l2_norm_oracle", "make_least_squares",
-    "make_power4_1d", "make_problem", "npg_solve", "pg_residual",
-    "pgenls_solve", "problem_ids", "prox_l0", "prox_l1", "read_trace_csv",
-    "theta_dc", "write_trace_csv", "xi_gamma", "zero_oracle",
+    "check_h4", "check_prop_bound", "describe_problems", "estimate_bbar",
+    "fit_decay", "fit_rate", "inner_schedule", "l0_oracle", "l1_oracle",
+    "l2_norm_oracle", "make_least_squares", "make_power4_1d", "make_problem",
+    "npg_solve", "pgenls_solve", "problem_ids", "read_trace_csv", "theta_dc",
+    "write_trace_csv", "xi_gamma", "zero_oracle",
 ]

@@ -60,7 +60,7 @@ __all__ = [
     "verify_theta", "check_h3", "estimate_bbar", "BbarEstimate", "check_h4",
     "c_constant", "check_prop_bound", "fit_decay", "fit_rate",
     "estimate_lipschitz", "series_tails", "AuditRecord", "DiagnosticsReport",
-    "build_report",
+    "derive_audit_inputs", "build_report",
 ]
 
 _RADICAND_FLOOR = -1e-12

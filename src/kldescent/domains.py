@@ -7,9 +7,9 @@ keys are the context's fields: ``config`` (an experiment config's top level),
 ``delta`` and ``beta_max`` at 0), ``audit`` (the constants of
 :func:`~kldescent.diagnostics.build_report`, its checks and
 :class:`~kldescent.memory.MemoryWindow`), ``diagnostics`` (those a config
-sets), ``residual`` (the solvers' residual weights), ``oracle`` (the weights of
-the prox maps and oracle builders) and ``params`` (the catalog's problem
-parameters).  Rules on two fields follow the table in :func:`check`.
+sets), ``oracle`` (the weight ``lam`` of the oracle builders) and ``params``
+(the catalog's problem parameters).  Rules on two fields follow the table in
+:func:`check`.
 """
 
 from __future__ import annotations
@@ -74,8 +74,7 @@ RULES = {
     "pgnls": {**_PGENLS, "delta": _ZERO, "beta_max": _ZERO},
     "audit": _AUDIT,
     "diagnostics": {name: _AUDIT[name] for name in ("tau", "mu", "kbar")},
-    "residual": {"gamma_prev": POSITIVE, "delta": _PGENLS["delta"]},
-    "oracle": {"lam": POSITIVE, "gamma": POSITIVE, "lo": REAL, "hi": REAL},
+    "oracle": {"lam": POSITIVE},
     "params": {"seed": COUNT, "rows": POSITIVE_COUNT, "cols": POSITIVE_COUNT,
                "lam": POSITIVE, "lam_factor": POSITIVE, "A_csv": STRING, "b_csv": STRING,
                "x0": REAL, "mu": POSITIVE},
@@ -146,9 +145,6 @@ def check(context: str, prefix: str = "", /, **values) -> dict:
     if "m" in v and "kbar" in v and not v["kbar"] > v["m"]:
         raise InvalidInputError(
             f"{prefix}kbar must be an integer greater than m={v['m']}, got {v['kbar']!r}")
-    if "lo" in v and "hi" in v and not v["lo"] <= v["hi"]:
-        raise InvalidInputError(f"box bounds must satisfy lo <= hi, "
-                                f"got [{v['lo']!r}, {v['hi']!r}]")
     if "rows" in v and "cols" in v and v["rows"] * v["cols"] > _MAX_ENTRIES:
         raise InvalidInputError(f"{prefix}rows * {prefix}cols must be at most {_MAX_ENTRIES} "
                                 f"entries, got {v['rows']!r} * {v['cols']!r}")

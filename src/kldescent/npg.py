@@ -28,16 +28,16 @@ import numpy as np
 
 from .descent import Iterate, checked_penalty, descend
 from .domains import check
-from .oracles import CompositeProblem, Vector, as_vector
+from .oracles import CompositeProblem, Vector
 from .trace import Trace
 
-__all__ = ["NpgConfig", "decrease_constant", "decrement", "npg_solve", "dc_residual"]
+__all__ = ["NpgConfig", "decrease_constant", "decrement", "npg_solve"]
 
 
 def decrease_constant(alpha: float, delta: float, gamma_min: float, c: float) -> float:
-    """Sufficient-decrease constant ``(alpha*delta*gamma_min + (1-alpha)*c)/2``
-    guaranteed for every accepted majorized step."""
-    return 0.5 * (alpha * delta * gamma_min + (1.0 - alpha) * c)
+    """Sufficient-decrease constant guaranteed for every accepted majorized
+    step: the :func:`decrement` of a unit step at weight ``gamma_min``."""
+    return decrement(alpha, delta, c, gamma_min, 1.0)
 
 
 def decrement(alpha: float, delta: float, c: float, gamma, step_sq):
@@ -67,24 +67,10 @@ class NpgConfig:
 
 def _residual(grad_next: Vector, grad: Vector, gamma: float, diff: Vector,
               step_norm: float) -> float:
+    """Stationarity residual after a majorized step ``diff`` at weight ``gamma``:
+    the norm of the merit subgradient ``(grad_next - grad - gamma diff, diff)``."""
     top = grad_next - grad - gamma * diff
     return math.sqrt(float(top.dot(top)) + step_norm**2)
-
-
-def dc_residual(problem: CompositeProblem, x_curr: Vector, x_prev: Vector,
-                gamma_prev: float) -> float:
-    """Stationarity residual of the paired state after a majorized proximal step.
-
-    Norm of the exhibited merit subgradient
-    ``(grad f(x_curr) - grad f(x_prev) - gamma_prev (x_curr - x_prev),
-    x_curr - x_prev)``; it vanishes only at fixed points of the update.
-    """
-    x_curr = as_vector(x_curr, "x_curr")
-    x_prev = as_vector(x_prev, "x_prev")
-    check("residual", gamma_prev=gamma_prev)
-    diff = x_curr - x_prev
-    return _residual(problem.f.gradient(x_curr), problem.f.gradient(x_prev),
-                     gamma_prev, diff, math.sqrt(float(diff @ diff)))
 
 
 def npg_solve(problem: CompositeProblem, x0: Vector, config: NpgConfig | None = None,

@@ -6,15 +6,11 @@ lower-semicontinuous with a cheap prox map (possibly nonconvex, e.g. a
 cardinality penalty), and ``h`` is an optional continuous convex term accessed
 through one deterministic subgradient per point.
 
-Validation happens once per value.  The public maps (``prox_l1``,
-``prox_l0``, ``prox_box``, ``subgrad_l2_norm``) check every argument on every
-call: the point must be a finite vector and the weights in the ``oracle``
-context of :mod:`kldescent.domains` (positive ``lam`` and ``gamma``, finite
-box bounds with ``lo <= hi``).  The oracle builders (``l1_oracle`` and the
-rest) check their weights at the build and give the solvers closures over
-the unchecked kernels, so a trial pays for no check: the solvers pass
-float64 vectors and positive weights.  A non-finite point reaches the kernel
-as it is, and its non-finite output is caught by the solver (see
+Validation happens once, at the build: ``l1_oracle``, ``l0_oracle`` and
+``l2_norm_oracle`` check their weight ``lam`` (the ``oracle`` context of
+:mod:`kldescent.domains`) and give the solvers closures over the unchecked
+kernels, so a trial pays for no check.  A non-finite point reaches a kernel as
+it is, and the solver catches its non-finite output (see
 :func:`kldescent.descent.checked_penalty`).
 """
 
@@ -38,13 +34,8 @@ __all__ = [
     "ProxOracle",
     "ConvexOracle",
     "CompositeProblem",
-    "prox_l1",
-    "prox_l0",
-    "prox_box",
-    "subgrad_l2_norm",
     "l1_oracle",
     "l0_oracle",
-    "box_oracle",
     "zero_oracle",
     "l2_norm_oracle",
     "make_least_squares",
@@ -148,7 +139,7 @@ class CompositeProblem:
 
 
 # ---------------------------------------------------------------------------
-# prox maps and subgradients
+# prox and subgradient kernels
 
 
 def _soft_threshold(v: Vector, lam: float, gamma: float) -> Vector:
@@ -167,40 +158,12 @@ def _scaled_direction(x: Vector, lam: float) -> Vector:
     return (lam / nrm) * x
 
 
-def prox_l1(v: Vector, lam: float, gamma: float) -> Vector:
-    """Soft threshold: prox of ``lam * ||.||_1`` at ``v`` with weight ``gamma``."""
-    v = as_vector(v, "v")
-    return _soft_threshold(v, *check("oracle", lam=lam, gamma=gamma).values())
-
-
-def prox_l0(v: Vector, lam: float, gamma: float) -> Vector:
-    """Hard threshold: prox of ``lam * ||.||_0`` at ``v`` with weight ``gamma``.
-
-    Entries with ``|v_i| <= sqrt(2 * lam / gamma)`` are zeroed; the tie at
-    equality is broken toward 0 so the map is single-valued.
-    """
-    v = as_vector(v, "v")
-    return _hard_threshold(v, *check("oracle", lam=lam, gamma=gamma).values())
-
-
-def prox_box(v: Vector, lo: float, hi: float, gamma: float) -> Vector:
-    """Componentwise clamp onto ``[lo, hi]``; independent of ``gamma``."""
-    v = as_vector(v, "v")
-    lo, hi, _ = check("oracle", lo=lo, hi=hi, gamma=gamma).values()
-    return np.clip(v, lo, hi)
-
-
-def subgrad_l2_norm(x: Vector, lam: float) -> Vector:
-    """Deterministic subgradient of ``lam * ||.||_2``: ``lam*x/||x||``, or 0 at 0."""
-    x = as_vector(x, "x")
-    return _scaled_direction(x, check("oracle", lam=lam)["lam"])
-
-
 # ---------------------------------------------------------------------------
 # oracle builders: weights checked here, once; the closures call the kernels
 
 
 def l1_oracle(lam: float) -> ProxOracle:
+    """``lam * ||.||_1``; its prox is the soft threshold at ``lam / gamma``."""
     lam = check("oracle", lam=lam)["lam"]
     return ProxOracle(
         value=lambda x: lam * float(np.sum(np.abs(x))),
@@ -209,23 +172,13 @@ def l1_oracle(lam: float) -> ProxOracle:
 
 
 def l0_oracle(lam: float) -> ProxOracle:
+    """``lam * ||.||_0``; its prox zeroes each ``|v_i| <= sqrt(2 * lam / gamma)``,
+    the tie toward 0 so the map is single-valued."""
     lam = check("oracle", lam=lam)["lam"]
     return ProxOracle(
         value=lambda x: lam * float(np.count_nonzero(x)),
         prox=lambda v, gamma: _hard_threshold(v, lam, gamma),
     )
-
-
-def box_oracle(lo: float, hi: float) -> ProxOracle:
-    """Indicator of the box ``[lo, hi]^n`` (value 0 inside, +inf outside);
-    the bounds must be finite."""
-    lo_f, hi_f = check("oracle", lo=lo, hi=hi).values()
-
-    def value(x):
-        inside = np.all(x >= lo_f) and np.all(x <= hi_f)
-        return 0.0 if inside else float("inf")
-
-    return ProxOracle(value=value, prox=lambda v, gamma: np.clip(v, lo_f, hi_f))
 
 
 def zero_oracle() -> ProxOracle:
@@ -234,6 +187,7 @@ def zero_oracle() -> ProxOracle:
 
 
 def l2_norm_oracle(lam: float) -> ConvexOracle:
+    """``lam * ||.||_2`` with the subgradient ``lam * x / ||x||``, or 0 at 0."""
     lam = check("oracle", lam=lam)["lam"]
     return ConvexOracle(
         value=lambda x: lam * float(np.linalg.norm(x)),

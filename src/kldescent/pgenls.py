@@ -75,11 +75,11 @@ from typing import Optional
 from .descent import Iterate, checked_penalty, descend
 from .domains import check
 from .errors import InvalidInputError
-from .oracles import CompositeProblem, Vector, as_vector
+from .oracles import CompositeProblem, Vector
 from .trace import Trace
 
 __all__ = ["PgenlsConfig", "decrease_constant", "decrement", "degenerate_decrease",
-           "f_delta", "inner_schedule", "pgenls_solve", "pg_residual"]
+           "inner_schedule", "pgenls_solve"]
 
 
 def decrease_constant(alpha: float, delta: float, gamma_min: float) -> float:
@@ -133,15 +133,6 @@ class PgenlsConfig:
             )
 
 
-def f_delta(problem: CompositeProblem, x: Vector, u: Vector, delta: float) -> float:
-    """Proximity-augmented objective ``F(x) + (delta/2) ||x - u||^2``."""
-    x = as_vector(x, "x")
-    u = as_vector(u, "u")
-    check("residual", delta=delta)
-    d = x - u
-    return problem.objective(x) + 0.5 * float(delta) * float(d @ d)
-
-
 def inner_schedule(gamma0: float, beta0: float, rho: float, nu: float, j: int):
     """Trial pair ``(gamma0 * rho^j, beta0 * nu^j)`` for inner trial ``j``."""
     return gamma0 * rho**j, beta0 * nu**j
@@ -149,25 +140,11 @@ def inner_schedule(gamma0: float, beta0: float, rho: float, nu: float, j: int):
 
 def _residual(grad_x: Vector, grad_y: Vector, gamma: float, x_minus_y: Vector,
               delta: float, dxp: Vector, step_norm: float) -> float:
+    """Stationarity residual after an extrapolated step, ``dxp = x - x_prev``:
+    the norm of the merit subgradient
+    ``(grad_x - grad_y - gamma (x - y) + delta dxp, -delta dxp)``."""
     top = grad_x - grad_y - gamma * x_minus_y + delta * dxp
     return math.sqrt(float(top.dot(top)) + (delta * step_norm) ** 2)
-
-
-def pg_residual(problem: CompositeProblem, x_curr: Vector, y_curr: Vector,
-                x_prev: Vector, gamma_prev: float, delta: float) -> float:
-    """Stationarity residual of the paired state after an extrapolated step.
-
-    Norm of the exhibited merit subgradient
-    ``(grad f(x) - grad f(y) - gamma (x - y) + delta (x - x_prev),
-    delta (x_prev - x))``.
-    """
-    x_curr = as_vector(x_curr, "x_curr")
-    y_curr = as_vector(y_curr, "y_curr")
-    x_prev = as_vector(x_prev, "x_prev")
-    check("residual", gamma_prev=gamma_prev, delta=delta)
-    dxp = x_curr - x_prev
-    return _residual(problem.f.gradient(x_curr), problem.f.gradient(y_curr), gamma_prev,
-                     x_curr - y_curr, delta, dxp, math.sqrt(float(dxp @ dxp)))
 
 
 def pgenls_solve(problem: CompositeProblem, x0: Vector,

@@ -11,12 +11,11 @@ from kldescent.errors import (
     InvalidInputError,
     OracleInconsistencyError,
 )
-from kldescent.npg import NpgConfig, dc_residual, decrease_constant, npg_solve
+from kldescent.npg import NpgConfig, decrease_constant, npg_solve
 from kldescent.oracles import (
     CompositeProblem,
     ProxOracle,
     SmoothOracle,
-    box_oracle,
     l1_oracle,
     l2_norm_oracle,
     make_least_squares,
@@ -29,6 +28,11 @@ def quad_1d():
     """f(x) = x^2 / 2 as a 1-d least-squares instance."""
     f = make_least_squares(np.array([[1.0]]), np.array([0.0]))
     return CompositeProblem(f=f, g=zero_oracle(), h=None, dimension=1)
+
+
+def unit_box_indicator(x):
+    """0 on the unit box [0, 1]^n, +inf outside it."""
+    return 0.0 if np.all((x >= 0.0) & (x <= 1.0)) else math.inf
 
 
 HALVING = NpgConfig(m=0, gamma_min=2.0, gamma_max=2.0, rho=2.0, delta=0.5,
@@ -57,15 +61,6 @@ def test_halving_iterates_exact():
     ks = np.arange(len(xs))
     np.testing.assert_array_equal(xs, 4.0 * 0.5**ks)
     assert trace.terminated == "tolerance"
-
-
-def test_dc_residual_closed_form():
-    p = quad_1d()
-    # top = grad(2) - grad(4) - 2*(2-4) = 2, bottom = -2
-    assert dc_residual(p, np.array([2.0]), np.array([4.0]), 2.0) == pytest.approx(
-        2.0 * math.sqrt(2.0), abs=1e-15)
-    with pytest.raises(InvalidInputError, match="gamma_prev"):
-        dc_residual(p, np.array([2.0]), np.array([4.0]), -1.0)
 
 
 def test_worked_dc_step_with_linear_h_region():
@@ -161,8 +156,7 @@ def test_backtracking_failure_carries_location():
 
 def test_prox_leaving_domain_is_an_oracle_error():
     # a "prox" that ignores the box constraint it claims to model
-    broken = ProxOracle(value=box_oracle(0.0, 1.0).value,
-                        prox=lambda v, gamma: v)
+    broken = ProxOracle(value=unit_box_indicator, prox=lambda v, gamma: v)
     f = make_least_squares(np.array([[1.0]]), np.array([5.0]))
     p = CompositeProblem(f=f, g=broken, h=None, dimension=1)
     with pytest.raises(OracleInconsistencyError, match="non-finite"):
@@ -170,8 +164,8 @@ def test_prox_leaving_domain_is_an_oracle_error():
 
 
 def test_infeasible_start_rejected():
-    p = CompositeProblem(f=quad_1d().f, g=box_oracle(0.0, 1.0), h=None,
-                        dimension=1)
+    box = ProxOracle(value=unit_box_indicator, prox=lambda v, gamma: np.clip(v, 0.0, 1.0))
+    p = CompositeProblem(f=quad_1d().f, g=box, h=None, dimension=1)
     with pytest.raises(InvalidInputError, match="domain"):
         npg_solve(p, np.array([2.0]), HALVING)
 

@@ -24,17 +24,12 @@ from kldescent.errors import InvalidInputError
 from kldescent.npg import NpgConfig, npg_solve
 from kldescent.oracles import (
     CompositeProblem,
-    box_oracle,
     l0_oracle,
     l1_oracle,
     l2_norm_oracle,
     make_least_squares,
     make_power4_1d,
     power_iteration_sq_norm,
-    prox_box,
-    prox_l0,
-    prox_l1,
-    subgrad_l2_norm,
     zero_oracle,
 )
 from kldescent.pgenls import PgenlsConfig, pgenls_solve
@@ -66,7 +61,7 @@ def test_prox_l1_matches_grid_oracle():
         lam = float(rng.uniform(0.05, 1.5))
         gamma = float(rng.uniform(0.5, 4.0))
         ref = grid_prox_scalar(v, gamma, lambda x: lam * np.abs(x))
-        got = prox_l1(np.array([v]), lam, gamma)[0]
+        got = l1_oracle(lam).prox(np.array([v]), gamma)[0]
         assert abs(got - ref) <= 1e-4, (v, lam, gamma)
 
 
@@ -77,33 +72,21 @@ def test_prox_l0_matches_grid_oracle():
         lam = float(rng.uniform(0.05, 1.5))
         gamma = float(rng.uniform(0.5, 4.0))
         ref = grid_prox_scalar(v, gamma, lambda x: lam * (x != 0.0))
-        got = prox_l0(np.array([v]), lam, gamma)[0]
+        got = l0_oracle(lam).prox(np.array([v]), gamma)[0]
         assert abs(got - ref) <= 1e-4, (v, lam, gamma)
 
 
 def test_prox_l1_closed_form_points():
     # frozen by hand: shrink by lam/gamma, clip to zero inside the band
-    out = prox_l1(np.array([3.0, -3.0, 0.4, -0.4, 0.0]), lam=1.0, gamma=2.0)
+    out = l1_oracle(1.0).prox(np.array([3.0, -3.0, 0.4, -0.4, 0.0]), 2.0)
     assert np.allclose(out, [2.5, -2.5, 0.0, 0.0, 0.0], atol=0)
 
 
 def test_prox_l0_threshold_and_tie():
     # threshold sqrt(2*lam/gamma) = 1 at lam=0.5, gamma=1
-    out = prox_l0(np.array([2.0, 0.5, -0.5, 1.0]), lam=0.5, gamma=1.0)
+    out = l0_oracle(0.5).prox(np.array([2.0, 0.5, -0.5, 1.0]), 1.0)
     # the |v| == threshold tie goes to 0 (strict survival test)
     assert np.allclose(out, [2.0, 0.0, 0.0, 0.0], atol=0)
-
-
-def test_prox_box_clamps():
-    out = prox_box(np.array([-2.0, 0.3, 9.0]), lo=-1.0, hi=1.0, gamma=0.7)
-    assert np.allclose(out, [-1.0, 0.3, 1.0], atol=0)
-
-
-def test_prox_rejects_bad_weights():
-    with pytest.raises(InvalidInputError):
-        prox_l1(np.array([1.0]), lam=-1.0, gamma=1.0)
-    with pytest.raises(InvalidInputError):
-        prox_l0(np.array([1.0]), lam=1.0, gamma=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -542,9 +525,9 @@ def test_lanczos_stops_at_the_product_cap(basis, monkeypatch):
 
 def test_l2_subgradient():
     x = np.array([3.0, 4.0])
-    g = subgrad_l2_norm(x, lam=2.0)
-    assert np.allclose(g, [1.2, 1.6])
-    assert np.allclose(subgrad_l2_norm(np.zeros(2), lam=2.0), 0.0)
+    h = l2_norm_oracle(2.0)
+    assert np.allclose(h.subgradient(x), [1.2, 1.6])
+    assert np.allclose(h.subgradient(np.zeros(2)), 0.0)
 
 
 def test_l2_oracle_value():
@@ -569,37 +552,19 @@ def test_zero_oracle_is_identity_prox():
     assert np.array_equal(z.prox(v, 3.0), v)
 
 
-def test_box_oracle_infeasible_value():
-    box = box_oracle(-1.0, 1.0)
-    assert box.value(np.array([0.5])) == 0.0
-    assert box.value(np.array([1.5])) == np.inf
-
-
 def test_oracle_builders_validate():
     with pytest.raises(InvalidInputError):
         l1_oracle(0.0)
     with pytest.raises(InvalidInputError):
         make_least_squares(np.ones((2, 2)), np.ones(3))
-    with pytest.raises(InvalidInputError):
-        box_oracle(2.0, -2.0)
-    # the bounds are checked at the build, where prox_box checks them per call
-    for lo, hi in ((0.0, np.inf), (np.nan, 1.0)):
-        with pytest.raises(InvalidInputError, match="must be finite"):
-            box_oracle(lo, hi)
 
 
-def test_oracle_closures_match_the_checked_maps():
-    # The closures skip the per-call checks of the public maps and return
-    # the same bits on valid input, signed zeros and threshold ties included.
+def test_hard_threshold_keeps_large_entries_and_nan():
+    # the l0 prox keeps exactly the entries above the threshold, signed zeros
+    # and ties included, and a NaN entry stays NaN, so the solver sees a
+    # non-finite candidate
     v = np.array([-3.0, -1.0, -0.5, -0.0, 0.0, 0.25, 1.0, 2.0, 7.5])
     for gamma in (0.5, 2.0, 8.0):
-        pairs = ((l1_oracle(1.0).prox(v, gamma), prox_l1(v, 1.0, gamma)),
-                 (l0_oracle(1.0).prox(v, gamma), prox_l0(v, 1.0, gamma)),
-                 (box_oracle(-1.0, 1.0).prox(v, gamma), prox_box(v, -1.0, 1.0, gamma)))
-        for got, want in pairs:
-            assert got.tobytes() == want.tobytes()
         keep_large = np.where(np.abs(v) > np.sqrt(2.0 / gamma), v, 0.0)
-        assert prox_l0(v, 1.0, gamma).tobytes() == keep_large.tobytes()
-    assert l2_norm_oracle(2.0).subgradient(v).tobytes() == subgrad_l2_norm(v, 2.0).tobytes()
-    # a NaN entry stays NaN, so the solver sees a non-finite candidate
+        assert l0_oracle(1.0).prox(v, gamma).tobytes() == keep_large.tobytes()
     assert np.isnan(l0_oracle(1.0).prox(np.array([np.nan, 3.0]), 1.0)[0])

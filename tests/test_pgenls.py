@@ -20,9 +20,7 @@ from kldescent.pgenls import (
     PgenlsConfig,
     decrease_constant,
     degenerate_decrease,
-    f_delta,
     inner_schedule,
-    pg_residual,
     pgenls_solve,
 )
 
@@ -54,14 +52,6 @@ def test_worked_two_steps():
     assert F[2] == 0.125 and merit[2] == pytest.approx(1.25, abs=1e-15)
     assert trace.column("step_norm")[2] == 1.5
     assert resid[2] == pytest.approx(math.sqrt(3.25), abs=1e-14)
-
-
-def test_f_delta_value():
-    p = quad_1d()
-    assert f_delta(p, np.array([2.0]), np.array([4.0]), 1.0) == 4.0
-    assert f_delta(p, np.array([2.0]), np.array([2.0]), 3.0) == 2.0
-    with pytest.raises(InvalidInputError):
-        f_delta(p, np.array([1.0]), np.array([1.0]), -0.5)
 
 
 def test_inner_schedule_product_decays_exactly():
@@ -141,18 +131,6 @@ def test_window_acceptance_vs_recorded_quantities():
         peak = merit[lo:k].max()
         dec = 0.5 * cfg.alpha * (g[k] * s[k] ** 2 + cfg.delta * s[k - 1] ** 2)
         assert merit[k] <= peak - dec + 1e-12 * (1.0 + abs(peak))
-
-
-def test_pg_residual_validation():
-    p = quad_1d()
-    x = np.array([1.0])
-    with pytest.raises(InvalidInputError, match="gamma_prev"):
-        pg_residual(p, x, x, x, 0.0, 1.0)
-    with pytest.raises(InvalidInputError, match="delta"):
-        pg_residual(p, x, x, x, 1.0, -1.0)
-    # at an exact fixed point with no extrapolation the residual vanishes
-    z = np.array([0.0])
-    assert pg_residual(p, z, z, z, 2.0, 1.0) == 0.0
 
 
 def test_stationary_exit():
