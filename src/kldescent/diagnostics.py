@@ -1,10 +1,12 @@
 """Trace audits for the nonmonotone descent framework, plus rate fitting.
 
 Every check here consumes a :class:`~kldescent.trace.Trace` (columns only, no
-oracles needed once the constants are known) and returns a small record with
-a worst-case violation.  Checks use plain floating-point comparisons with a
-scale-aware slack ``1e-10 * (1 + max |merit|)`` so that exact-by-construction
-inequalities pass and corrupted traces fail.
+oracles) and returns a small record with a worst-case violation.  Each reads
+the solver constants from the trace's config snapshot through
+:func:`derive_audit_inputs` and takes no more than the Lipschitz bound,
+``tau``, ``mu`` and ``kbar``.  Checks use plain floating-point comparisons
+with a scale-aware slack ``1e-10 * (1 + max |merit|)`` so that
+exact-by-construction inequalities pass and corrupted traces fail.
 
 Audited conditions, in the order they strengthen each other:
 
@@ -81,6 +83,23 @@ def _phi_slack(phi: np.ndarray) -> float:
     return 1e-10 * (1.0 + float(np.max(np.abs(phi))))
 
 
+def _phi(trace: Trace) -> np.ndarray:
+    """Merit audited by the descent framework: F for the DC solver, the
+    proximity-augmented objective (merit column) otherwise."""
+    return trace.column("F" if trace.algorithm == "npg_major" else "merit")
+
+
+def _framework_steps(trace: Trace, delta: float) -> np.ndarray:
+    """Per-row step of the audited sequence: for the extrapolated solver,
+    whose framework runs on the paired state ``(x^k, x^{k-1})``, two
+    consecutive x-moves combined, unless its proximity weight ``delta`` is 0."""
+    s = trace.column("step_norm")
+    if trace.algorithm == "npg_major" or delta == 0.0:
+        return s
+    prev = np.concatenate([[0.0], s[:-1]])
+    return np.sqrt(s * s + prev * prev)
+
+
 @dataclass
 class AuditRecord:
     name: str
@@ -109,7 +128,7 @@ def xi_gamma(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
     """
     if len(trace) == 0:
         raise InvalidInputError("empty trace")
-    phi = trace.phi_values()
+    phi = _phi(trace)
     ell = trace.column("ell")
     s = trace.column("step_norm")
     xi = s[ell]
@@ -144,7 +163,7 @@ def series_tails(values: np.ndarray) -> tuple[float, float]:
 def _window_decrease(trace: Trace, name: str, decrement) -> AuditRecord:
     """Test ``merit_{k+1} + decrement_k <= merit(peak_k)`` within the audit slack;
     ``decrement`` maps the step-norm column to the decrements of rows ``1..K``."""
-    phi = trace.phi_values()
+    phi = _phi(trace)
     ell = trace.column("ell")
     s = trace.column("step_norm")
     if len(trace) < 2:
@@ -157,34 +176,38 @@ def _window_decrease(trace: Trace, name: str, decrement) -> AuditRecord:
                         "worst_k": int(np.argmax(v))})
 
 
-def check_h1(trace: Trace, a: float) -> AuditRecord:
+def check_h1(trace: Trace) -> AuditRecord:
     """Window sufficient decrease with the guaranteed constant ``a``."""
-    check("audit", a=a)
+    a = derive_audit_inputs(trace)["a"]
     return _window_decrease(trace, "h1", lambda s: a * s[1:] ** 2)
 
 
-def check_acceptance(trace: Trace, alpha: float, delta: float,
-                     c: Optional[float] = None) -> AuditRecord:
-    """Re-check the accepted inequality with each iteration's own stepsize weight."""
+def check_acceptance(trace: Trace) -> AuditRecord:
+    """Re-check the accepted inequality with each iteration's own stepsize
+    weight; not evaluated (``None``) when the snapshot lacks ``alpha``,
+    ``delta`` or, for the DC solver, ``c``."""
+    inputs = derive_audit_inputs(trace)
+    alpha, delta, c = inputs["alpha"], inputs["delta"], inputs["c"]
+    dc = trace.algorithm == "npg_major"
+    if alpha is None or delta is None or (dc and c is None):
+        return AuditRecord("acceptance", None)
     gam = trace.column("gamma")[1:]
-    if trace.algorithm != "npg_major":
+    if not dc:
         return _window_decrease(trace, "acceptance", lambda s: pgenls.decrement(
             alpha, delta, gam, s[1:] ** 2, s[:-1] ** 2))
-    if c is None and len(trace) > 1:
-        raise InvalidInputError("the DC solver acceptance check needs c")
     return _window_decrease(trace, "acceptance",
                             lambda s: npg.decrement(alpha, delta, c, gam, s[1:] ** 2))
 
 
-def recompute_ell(trace: Trace, m: int) -> AuditRecord:
+def recompute_ell(trace: Trace) -> AuditRecord:
     """Re-derive the window argmax column from merits and count mismatches.
 
     Walks the window offsets oldest first, so that ``>=`` hands ties to the
     latest index; every pass is one column wide, so memory does not grow
     with ``m``.
     """
-    check("audit", m=m)
-    phi = trace.phi_values()
+    m = derive_audit_inputs(trace)["m"]
+    phi = _phi(trace)
     n = len(phi)
     pos = np.arange(n)
     best_idx = np.maximum(pos - m, 0)
@@ -228,14 +251,12 @@ def verify_theta(trace: Trace, problem: CompositeProblem) -> AuditRecord:
               else np.zeros_like(x_prev))
         recomputed = theta_dc(problem, x_prev, x_curr, xi)
         worst = max(worst, abs(recomputed - merit))
-    phi = trace.phi_values()
+    phi = _phi(trace)
     slack = _phi_slack(phi)
     return AuditRecord("theta", worst <= slack, worst, {"slack": slack})
 
 
-def check_h3(trace: Trace, lipschitz: Optional[float],
-             gamma_star: Optional[float] = None,
-             enforce_cap: bool = True, delta: float = 0.0) -> AuditRecord:
+def check_h3(trace: Trace, lipschitz: Optional[float]) -> AuditRecord:
     """Merit sandwich plus the residual/step ratio cap.
 
     For DC traces: ``F(x^{k+1}) <= merit^{k+1} <= F(peak_k) + (L/2) step^2``
@@ -243,26 +264,31 @@ def check_h3(trace: Trace, lipschitz: Optional[float],
     the audited objective itself, so the right side needs no curvature slack;
     the left side is the merit's definition ``|merit - F - (delta/2) step^2|``
     and the cap is ``sqrt(2) * (L + gamma_star + 2 delta)``, with ``delta`` the
-    run's proximity weight (see :meth:`Trace.framework_steps`).  ``lipschitz``
-    is taken as an upper bound; without it, or without ``gamma_star``, there
-    is no cap.  Set ``enforce_cap`` to ``False`` in the degenerate
-    proximity-free case with extrapolation on, where the step does not control
-    the extrapolation offset the residual was built from: the ratio is still
-    reported but does not gate.
+    run's proximity weight and ``gamma_star`` the largest accepted stepsize
+    weight.  ``lipschitz`` is taken as an upper bound; without it, or without
+    ``gamma_star``, there is no cap.  In the degenerate proximity-free case
+    with extrapolation on (``details["degenerate"]``) the step does not
+    control the extrapolation offset the residual was built from: the ratio
+    is still reported but does not gate.
     """
-    phi = trace.phi_values()
+    inputs = derive_audit_inputs(trace)
+    delta = inputs["delta"] or 0.0
+    is_dc = trace.algorithm == "npg_major"
+    degenerate = not is_dc and pgenls.degenerate_decrease(delta, inputs["beta_max"])
+    gam = trace.column("gamma")
+    gamma_star = float(np.nanmax(gam)) if np.any(np.isfinite(gam)) else None
+    phi = _phi(trace)
     ell = trace.column("ell")
     s = trace.column("step_norm")
-    fsteps = trace.framework_steps(delta)
+    fsteps = _framework_steps(trace, delta)
     merit = trace.column("merit")
     resid = trace.column("residual")
     slack = _phi_slack(phi)
 
-    details: dict = {}
+    details: dict = {"gamma_star": gamma_star, "degenerate": degenerate}
     if len(trace) < 2:
-        return AuditRecord("h3", True, 0.0, {"checked": 0})
+        return AuditRecord("h3", True, 0.0, {"checked": 0, **details})
 
-    is_dc = trace.algorithm == "npg_major"
     if is_dc:
         left = phi[1:] - merit[1:]  # phi is F
     else:
@@ -287,9 +313,9 @@ def check_h3(trace: Trace, lipschitz: Optional[float],
         if is_dc:
             cap = 1.0 + lipschitz + gamma_star
         else:
-            cap = math.sqrt(2.0) * (lipschitz + gamma_star + 2.0 * float(delta))
+            cap = math.sqrt(2.0) * (lipschitz + gamma_star + 2.0 * delta)
     details["b_cap"] = cap
-    details["b_cap_enforced"] = bool(enforce_cap and cap is not None)
+    details["b_cap_enforced"] = not degenerate and cap is not None
 
     worst_left = max(float(np.max(left)) if len(left) else 0.0, -slack)
     details["left_max_violation"] = worst_left
@@ -299,7 +325,7 @@ def check_h3(trace: Trace, lipschitz: Optional[float],
     worst_right = max(float(np.max(right)), -slack)
     details["right_max_violation"] = worst_right
     ok = worst_left <= slack and worst_right <= slack
-    if cap is not None and enforce_cap:
+    if details["b_cap_enforced"]:
         ok = ok and b_hat <= cap * (1.0 + 1e-10)
     return AuditRecord("h3", bool(ok), max(worst_left, worst_right), details)
 
@@ -314,7 +340,7 @@ def estimate_bbar(trace: Trace) -> BbarEstimate:
     of pure noise to ``step^2`` diverges.  Genuine window-permitted increases
     sit well above the floor and enter the max unchanged.
     """
-    phi = trace.phi_values()
+    phi = _phi(trace)
     s = trace.column("step_norm")
     if len(trace) < 2:
         return BbarEstimate(0.0, True)
@@ -329,7 +355,7 @@ def estimate_bbar(trace: Trace) -> BbarEstimate:
     return BbarEstimate(max(0.0, float(np.max(ratios))), False)
 
 
-def check_h4(trace: Trace, tau: float, mu: float, kbar: int, a: float) -> AuditRecord:
+def check_h4(trace: Trace, tau: float, mu: float, kbar: int) -> AuditRecord:
     """Window gap control between consecutive window peaks.
 
     For each ``k >= kbar`` and interior index ``i`` strictly between the
@@ -345,8 +371,9 @@ def check_h4(trace: Trace, tau: float, mu: float, kbar: int, a: float) -> AuditR
     every interior range is empty and the check passes vacuously.  A NaN
     margin is the worst one, so a NaN step fails the check.
     """
-    check("audit", tau=tau, mu=mu, a=a, kbar=kbar)
-    phi = trace.phi_values()
+    a = derive_audit_inputs(trace)["a"]
+    check("audit", tau=tau, mu=mu, kbar=kbar)
+    phi = _phi(trace)
     ell = trace.column("ell")
     s = trace.column("step_norm")
     csum = np.concatenate([[0.0], np.cumsum(s)])  # csum[i] = sum s[:i]
@@ -392,8 +419,7 @@ def c_constant(mu: float, tau: float, a: float, m: int) -> float:
         return math.inf
 
 
-def check_prop_bound(trace: Trace, tau: float, mu: float, a: float, m: int,
-                     kbar: int) -> AuditRecord:
+def check_prop_bound(trace: Trace, tau: float, mu: float, kbar: int) -> AuditRecord:
     """Path length between consecutive window peaks versus the peak-gap series.
 
     For each ``k >= kbar``::
@@ -401,23 +427,25 @@ def check_prop_bound(trace: Trace, tau: float, mu: float, a: float, m: int,
         sum of steps over rows (peak_{k-1}, peak_k]
             <= c * ( sum_{j=k-m-1}^{k-1} Gamma_j  +  Xi_k )
 
-    A NaN margin is the worst one, so a NaN step fails the check.  A ``c``
-    beyond the float range bounds nothing, and the check is not evaluated.
+    A NaN margin is the worst one, so a NaN step fails the check.  The check
+    is not evaluated on a trace shorter than ``kbar``, nor when ``c`` is
+    beyond the float range, where it bounds nothing.
     """
-    check("audit", m=m, kbar=kbar)
-    c = c_constant(mu, tau, a, m)
+    inputs = derive_audit_inputs(trace)
+    m = check("audit", m=inputs["m"], kbar=kbar)["m"]  # the rule kbar > m
+    c = c_constant(mu, tau, inputs["a"], m)
     if not math.isfinite(c):
         return AuditRecord("prop_bound", None, None, {"c": c})
     xi, gamma = xi_gamma(trace)
+    k = np.arange(kbar, len(trace))
+    if k.size == 0:
+        return AuditRecord("prop_bound", None, None, {"c": c})
     ell = trace.column("ell")
     csum = np.concatenate([[0.0], np.cumsum(trace.column("step_norm"))])
     gsum = np.concatenate([[0.0], np.cumsum(gamma)])
-    k = np.arange(kbar, len(trace))
-    if k.size == 0:
-        return AuditRecord("prop_bound", True, 0.0, {"checked": 0, "c": c})
     v = (csum[ell[k] + 1] - csum[ell[k - 1] + 1]) - c * ((gsum[k] - gsum[k - m - 1]) + xi[k])
     w = int(np.argmax(v))
-    slack = _phi_slack(trace.phi_values())
+    slack = _phi_slack(_phi(trace))
     return AuditRecord("prop_bound", bool(v[w] <= slack), max(float(v[w]), -slack),
                        {"checked": int(k.size), "slack": slack, "c": c,
                         "worst_k": int(k[w])})
@@ -486,8 +514,8 @@ def fit_rate(trace: Trace) -> dict:
     if s[-1] <= _STEP_FLOOR:
         out["verdict"] = "finite-termination"
         return out
-    if not trace.tolerance_terminated() and len(trace) < 100:  # short, never converged
-        return out
+    if trace.terminated not in ("tolerance", "stationary") and len(trace) < 100:
+        return out  # short, never converged
 
     start = max(1, math.ceil(0.2 * K))
     usable = (ks >= start) & (s > _STEP_FLOOR)
@@ -608,7 +636,8 @@ def derive_audit_inputs(trace: Trace) -> dict:
         a = (npg if dc else pgenls).decrease_constant(*known.values())
     raw = {"m": require("m"), "a": a, "alpha": cfg.get("alpha"),
            "delta": cfg.get("delta") if dc else require("delta"),
-           "c": cfg.get("c"), "beta_max": cfg.get("beta_max", 0.0)}
+           "c": cfg.get("c"),
+           "beta_max": 0.0 if cfg.get("beta_max") is None else cfg["beta_max"]}
     return {**raw, **check("audit", **{name: v for name, v in raw.items() if v is not None})}
 
 
@@ -620,7 +649,7 @@ def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
 
     The solver constants (``m``, ``a``, ``alpha``, ``delta``, ``c``,
     ``beta_max``) come from the trace's config snapshot alone, through
-    :func:`derive_audit_inputs`.  The Lipschitz constant of the gradient of
+    :func:`derive_audit_inputs`, in every check.  The Lipschitz constant of the gradient of
     ``f`` is ``lipschitz`` if given, else the problem's ``lipschitz_hint``;
     either is taken as an upper bound.  With neither, ``constants.l_f`` and
     ``constants.b_cap`` are null and the checks that need them report
@@ -633,8 +662,7 @@ def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
     if len(trace) == 0:
         raise InvalidInputError("empty trace")
     inputs = derive_audit_inputs(trace)
-    m, a, alpha, delta, c, beta_max = (inputs[k] for k in
-                                       ("m", "a", "alpha", "delta", "c", "beta_max"))
+    m, a = inputs["m"], inputs["a"]
 
     if lipschitz is None and problem is not None:
         hint = problem.f.lipschitz_hint  # one read: a hand-built lipschitz_fn may not cache
@@ -655,34 +683,23 @@ def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
         "final_f": _clean(trace.column("F")[-1]),
         "final_residual": _clean(trace.column("residual")[-1]),
     }
-    gam = trace.column("gamma")
-    gamma_star = float(np.nanmax(gam)) if np.any(np.isfinite(gam)) else None
     j_col = trace.column("j_inner")
-    fields["constants.gamma_star"] = _clean(gamma_star)
     fields["constants.j_max"] = int(np.max(j_col)) if len(trace) > 1 else 0
     fields["constants.a"] = _clean(a)
     fields["constants.l_f"] = _clean(lipschitz)
 
-    degenerate = (trace.algorithm != "npg_major"
-                  and pgenls.degenerate_decrease(delta, beta_max))
-    fields["h1.degenerate_a"] = bool(degenerate)
-    _put(fields, "h1", check_h1(trace, a), "max_violation")
+    _put(fields, "h1", check_h1(trace), "max_violation")
     fields["h1.a"] = _clean(a)
-    needs = (alpha, delta, c) if trace.algorithm == "npg_major" else (alpha, delta)
-    acceptance = (check_acceptance(trace, alpha, delta, c) if None not in needs
-                  else AuditRecord("acceptance", None))
-    _put(fields, "acceptance", acceptance, "max_violation")
-    _put(fields, "ell", recompute_ell(trace, m), "mismatches")
+    _put(fields, "acceptance", check_acceptance(trace), "max_violation")
+    _put(fields, "ell", recompute_ell(trace), "mismatches")
 
-    # In the degenerate proximity-free case the x-block step does not control
-    # the extrapolation offset the residual was built from, so the ratio cap
-    # is informational there rather than a gate.
-    rec = check_h3(trace, lipschitz, gamma_star, enforce_cap=not degenerate,
-                   delta=delta or 0.0)
+    rec = check_h3(trace, lipschitz)
     _put(fields, "h3", rec, "left_max_violation", "right_max_violation", "sigma_max")
+    fields["h1.degenerate_a"] = rec.details["degenerate"]
+    fields["constants.gamma_star"] = _clean(rec.details["gamma_star"])
     fields["constants.b_hat"] = _clean(rec.details.get("b_hat"))
     fields["constants.b_cap"] = _clean(rec.details.get("b_cap"))
-    fields["constants.b_cap_enforced"] = bool(rec.details.get("b_cap_enforced", False))
+    fields["constants.b_cap_enforced"] = rec.details.get("b_cap_enforced", False)
 
     bbar = estimate_bbar(trace)
     fields["constants.b_bar"] = _clean(bbar.value)
@@ -697,7 +714,7 @@ def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
         fields["bbar_cap.pass"] = None
 
     mu_eff = mu if mu is not None else math.sqrt(0.5 * bbar.value)
-    _put(fields, "h4", check_h4(trace, tau, mu_eff, kbar_eff, a), "max_violation",
+    _put(fields, "h4", check_h4(trace, tau, mu_eff, kbar_eff), "max_violation",
          "vacuous", "worst_k", "worst_i", "tau", "mu", "kbar")
 
     try:
@@ -717,10 +734,7 @@ def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
                              None, {"xi_sum": xi_sum, "gamma_sum": g_sum,
                                     "xi_tail_fraction": xi_tail,
                                     "gamma_tail_fraction": g_tail})
-        if len(trace) - 1 >= kbar_eff:
-            prop = check_prop_bound(trace, tau, mu_eff, a, m, kbar_eff)
-        else:  # trace shorter than kbar
-            prop = AuditRecord("prop_bound", None, None, {"c": c_constant(mu_eff, tau, a, m)})
+        prop = check_prop_bound(trace, tau, mu_eff, kbar_eff)
     _put(fields, "series", series, "xi_sum", "gamma_sum", "xi_tail_fraction",
          "gamma_tail_fraction")
     _put(fields, "prop_bound", prop, "c", "max_violation")

@@ -101,33 +101,13 @@ class Trace:
     def iterates(self) -> np.ndarray:
         return self.X
 
-    def phi_values(self) -> np.ndarray:
-        """Merit audited by the descent framework: F for the DC solver,
-        the proximity-augmented objective (merit column) otherwise."""
-        if self.algorithm == "npg_major":
-            return self.column("F")
-        return self.column("merit")
-
-    def framework_steps(self, delta: float) -> np.ndarray:
-        """Per-row step length of the audited sequence.
-
-        The extrapolated solver's framework runs on the paired state
-        ``(x^k, x^{k-1})``, so its step combines two consecutive x-moves;
-        when the run's proximity weight ``delta`` is 0 the audit falls back
-        to the x-block.
-        """
-        s = self.column("step_norm")
-        if self.algorithm == "npg_major" or float(delta) == 0.0:
-            return s
-        prev = np.concatenate([[0.0], s[:-1]])
-        return np.sqrt(s * s + prev * prev)
-
-    def tolerance_terminated(self) -> bool:
-        return self.terminated in ("tolerance", "stationary")
-
 
 def write_trace_csv(trace: Trace, path: str | Path) -> Path:
-    """Write ``trace`` to ``path``; returns the sidecar path when one was needed."""
+    """Write ``trace`` to ``path``; returns the sidecar path when one was needed.
+
+    An inline trace removes the sidecar an earlier, wider trace left at the
+    same path, so that the CSV and its sidecar never come from two runs.
+    """
     path = Path(path)
     n = trace.dimension
     inline = n <= MAX_INLINE_DIM
@@ -137,9 +117,10 @@ def write_trace_csv(trace: Trace, path: str | Path) -> Path:
         cells.extend(map(repr, col) for col in trace.X.T.tolist())
     lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
     path.write_text("\n".join(lines) + "\n")
-    if inline:
-        return path
     side = path.with_suffix(".bin")
+    if inline:
+        side.unlink(missing_ok=True)
+        return path
     with open(side, "wb") as fh:
         fh.write(SIDECAR_MAGIC)
         fh.write(struct.pack("<II", n, len(trace)))

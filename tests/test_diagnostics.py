@@ -32,6 +32,7 @@ from kldescent.diagnostics import (
     theta_dc,
     verify_theta,
     xi_gamma,
+    _phi,
     _phi_slack,
 )
 from kldescent.domains import check
@@ -172,7 +173,8 @@ def test_series_gates_the_tail_of_long_tolerance_runs_only(iterations, terminate
 
 def test_check_h1_halving_exact():
     trace, cfg = halving_trace()
-    rec = check_h1(trace, npg_a(cfg))
+    assert derive_audit_inputs(trace)["a"] == npg_a(cfg)
+    rec = check_h1(trace)
     assert rec.passed is True
     K = len(trace) - 1
     # v_k = -4 * 4^-k exactly: worst at the last transition
@@ -181,54 +183,59 @@ def test_check_h1_halving_exact():
 
 def test_check_h1_boundary_and_violation():
     # merit drop exactly equals a * step^2: boundary passes
-    rec = check_h1(synth([1.0, 0.75], [0.0, 0.5]), a=1.0)
+    snapshot = {"m": 0, "a": 1.0}
+    rec = check_h1(synth([1.0, 0.75], [0.0, 0.5], config=snapshot))
     assert rec.passed is True
     assert rec.max_violation == 0.0
     # merit increase fails and is located
-    rec = check_h1(synth([1.0, 1.5], [0.0, 0.5]), a=1.0)
+    rec = check_h1(synth([1.0, 1.5], [0.0, 0.5], config=snapshot))
     assert rec.passed is False
     assert rec.max_violation == pytest.approx(0.75)
     assert rec.details["worst_k"] == 0
     with pytest.raises(InvalidInputError):
-        check_h1(synth([1.0], [0.0]), a=-1.0)
+        check_h1(synth([1.0], [0.0], config={"m": 0, "a": -1.0}))
 
 
 def test_check_acceptance_uses_per_iteration_weights():
     trace, cfg = halving_trace()
-    rec = check_acceptance(trace, cfg.alpha, cfg.delta, cfg.c)
+    rec = check_acceptance(trace)
     assert rec.passed is True
-    with pytest.raises(InvalidInputError, match="needs c"):
-        check_acceptance(trace, cfg.alpha, cfg.delta, None)
+    # a snapshot without c cannot give the DC form: not evaluated
+    no_c = replace(trace, config=dict(trace.config, c=None, a=npg_a(cfg)))
+    assert check_acceptance(no_c) == AuditRecord("acceptance", None)
 
-    bad = synth([1.0, 0.9], [0.0, 1.0], gammas=[float("nan"), 2.0])
-    rec = check_acceptance(bad, alpha=1.0, delta=0.5, c=1.0)
+    bad = synth([1.0, 0.9], [0.0, 1.0], gammas=[float("nan"), 2.0],
+                config={"m": 0, "a": 1.0, "alpha": 1.0, "delta": 0.5, "c": 1.0})
+    rec = check_acceptance(bad)
     assert rec.passed is False
     assert rec.max_violation == pytest.approx(0.4)
 
 
 def test_check_acceptance_two_block_form():
     # merit decrement uses this step and the previous one
-    trace = synth([1.0, 0.8, 0.6], [0.0, 0.5, 0.5], algorithm="pgenls")
-    rec = check_acceptance(trace, alpha=0.5, delta=1.0)
+    snapshot = {"m": 0, "a": 0.25, "alpha": 0.5, "delta": 1.0}
+    trace = synth([1.0, 0.8, 0.6], [0.0, 0.5, 0.5], algorithm="pgenls", config=snapshot)
+    rec = check_acceptance(trace)
     assert rec.passed is True
     # decrements were 0.125 and 0.1875; shrinking the drops below the second
     # decrement flips the verdict
-    tight = synth([1.0, 0.8, 0.75], [0.0, 0.5, 0.5], algorithm="pgenls")
-    rec = check_acceptance(tight, alpha=0.5, delta=1.0)
+    tight = synth([1.0, 0.8, 0.75], [0.0, 0.5, 0.5], algorithm="pgenls", config=snapshot)
+    rec = check_acceptance(tight)
     assert rec.passed is False
     assert rec.max_violation == pytest.approx(0.75 + 0.1875 - 0.8)
 
 
 def test_recompute_ell_tie_break():
-    trace = synth([1.0, 2.0, 2.0, 0.0], [0.0, 1.0, 1.0, 1.0], m=3)
+    trace = synth([1.0, 2.0, 2.0, 0.0], [0.0, 1.0, 1.0, 1.0], m=3,
+                  config={"m": 3, "a": 1.0})
     assert list(trace.column("ell")) == [0, 1, 2, 2]
-    rec = recompute_ell(trace, 3)
+    rec = recompute_ell(trace)
     assert rec.passed is True and rec.details["mismatches"] == 0
     trace = with_cells(trace, "ell", 2, lambda _: 1)  # smaller-index argmax is wrong under ties
-    rec = recompute_ell(trace, 3)
+    rec = recompute_ell(trace)
     assert rec.passed is False and rec.details["mismatches"] == 1
     with pytest.raises(InvalidInputError):
-        recompute_ell(trace, -1)
+        recompute_ell(replace(trace, config={"m": -1, "a": 1.0}))
 
 
 def test_theta_dc_worked_example():
@@ -288,15 +295,18 @@ def test_verify_theta_needs_iterates(tmp_path):
 
 def test_check_h3_halving():
     trace, _ = halving_trace()
-    rec = check_h3(trace, lipschitz=1.0, gamma_star=2.0)
+    rec = check_h3(trace, lipschitz=1.0)
     assert rec.passed is True
+    assert rec.details["gamma_star"] == 2.0 and rec.details["degenerate"] is False
     # residual / step ratio is sqrt(2) on every transition
     assert rec.details["b_hat"] == pytest.approx(math.sqrt(2.0), abs=1e-14)
     assert rec.details["b_cap"] == 4.0
     assert rec.details["b_cap_enforced"] is True
-    # no gamma_star: no cap, and the sandwich alone gates
-    rec = check_h3(trace, lipschitz=1.0)
+    # no accepted stepsize weight, so no gamma_star: no cap, and the
+    # sandwich alone gates
+    rec = check_h3(with_column(trace, gamma=np.full(len(trace), np.nan)), lipschitz=1.0)
     assert rec.passed is True
+    assert rec.details["gamma_star"] is None
     assert rec.details["b_cap"] is None and rec.details["b_cap_enforced"] is False
     # no curvature bound: the upper half cannot be evaluated
     rec = check_h3(trace, lipschitz=None)
@@ -308,7 +318,7 @@ def test_check_h3_two_block():
     cfg = PgenlsConfig(m=0, delta=1.0, alpha=0.5, gamma_min=2.0, gamma_max=2.0,
                       beta_max=0.5, gamma_init_rule="constant", max_outer=2)
     trace = pgenls_solve(quad_1d(), np.array([4.0]), cfg)
-    rec = check_h3(trace, lipschitz=1.0, gamma_star=2.0, delta=cfg.delta)
+    rec = check_h3(trace, lipschitz=1.0)
     assert rec.passed is True
     # worked ratios: 2 / 2 and sqrt(3.25) / 2.5
     assert rec.details["b_hat"] == 1.0
@@ -317,12 +327,21 @@ def test_check_h3_two_block():
 
 
 def test_check_h3_cap_not_enforced():
-    trace, _ = halving_trace()
-    rec = check_h3(trace, lipschitz=1e-6, gamma_star=1e-6, enforce_cap=False)
-    # the ratio sqrt(2) exceeds the bogus cap but does not gate
+    # proximity-free with extrapolation on, the degenerate case; tiny
+    # accepted weights make a bogus cap of sqrt(2) * 2e-6 for ratios of 1
+    trace = synth([1.0, 0.5, 0.25], [0.0, 1.0, 1.0], gammas=[math.nan, 1e-6, 1e-6],
+                  algorithm="pgenls",
+                  config={"m": 0, "a": 1.0, "delta": 0.0, "beta_max": 0.5})
+    trace = with_column(trace, residual=[math.nan, 1.0, 1.0])
+    rec = check_h3(trace, lipschitz=1e-6)
+    # the ratio exceeds the bogus cap but does not gate
+    assert rec.details["degenerate"] is True
     assert rec.details["b_hat"] > rec.details["b_cap"]
     assert rec.details["b_cap_enforced"] is False
-    rec2 = check_h3(trace, lipschitz=1e-6, gamma_star=1e-6, enforce_cap=True)
+    assert rec.passed is True
+    # the same trace under a snapshot without extrapolation: the cap gates
+    rec2 = check_h3(replace(trace, config=dict(trace.config, beta_max=0.0)), lipschitz=1e-6)
+    assert rec2.details["b_cap_enforced"] is True
     assert rec2.passed is False
 
 
@@ -336,16 +355,17 @@ def test_estimate_bbar_cases():
 
 
 def test_check_h4_vacuous_for_monotone_window():
-    trace, cfg = halving_trace()
-    rec = check_h4(trace, tau=0.5, mu=0.5, kbar=2, a=npg_a(cfg))
+    trace, _ = halving_trace()
+    rec = check_h4(trace, tau=0.5, mu=0.5, kbar=2)
     assert rec.passed is True
     assert rec.details["vacuous"] is True and rec.details["checked"] == 0
 
 
 def test_check_h4_worked_pass_with_clamped_violation():
-    trace = synth([4.0, 3.0, 3.5, 1.0], [0.0, 1.0, 1.0, 1.0], m=1)
+    trace = synth([4.0, 3.0, 3.5, 1.0], [0.0, 1.0, 1.0, 1.0], m=1,
+                  config={"m": 1, "a": 4.0})
     assert list(trace.column("ell")) == [0, 0, 2, 2]
-    rec = check_h4(trace, tau=0.5, mu=0.0, kbar=2, a=4.0)
+    rec = check_h4(trace, tau=0.5, mu=0.0, kbar=2)
     # only (k=2, i=1): sqrt(0.5) <= 0.5 * 2 * 1; the true margin -0.293
     # is reported clamped to the merit-scale slack floor
     assert rec.passed is True
@@ -354,8 +374,9 @@ def test_check_h4_worked_pass_with_clamped_violation():
 
 
 def test_check_h4_locates_spikes():
-    trace = synth([10.0, 9.0, 0.0, 8.9, 8.8], [0.0, 0.1, 0.1, 0.1, 0.1], m=1)
-    rec = check_h4(trace, tau=0.5, mu=0.5, kbar=2, a=1.0)
+    trace = synth([10.0, 9.0, 0.0, 8.9, 8.8], [0.0, 0.1, 0.1, 0.1, 0.1], m=1,
+                  config={"m": 1, "a": 1.0})
+    rec = check_h4(trace, tau=0.5, mu=0.5, kbar=2)
     assert rec.passed is False
     assert (rec.details["worst_k"], rec.details["worst_i"]) == (3, 2)
     assert rec.max_violation == pytest.approx(math.sqrt(8.9) - 0.1)
@@ -367,9 +388,10 @@ def test_check_h4_locates_spikes():
     {"tau": math.nan},
 ])
 def test_check_h4_validation(kwargs):
-    trace = synth([1.0, 0.5], [0.0, 1.0])
+    # a comes from the snapshot, the other constants are arguments
     args = {"tau": 0.5, "mu": 0.5, "kbar": 1, "a": 1.0}
     args.update(kwargs)
+    trace = synth([1.0, 0.5], [0.0, 1.0], config={"m": 0, "a": args.pop("a")})
     with pytest.raises(InvalidInputError):
         check_h4(trace, **args)
 
@@ -411,17 +433,17 @@ def test_a_path_length_constant_past_the_float_range_bounds_nothing():
     assert c_constant(1.0, 0.5, 1.0, 1000) == math.inf
     assert c_constant(1e100, 0.5, 1.0, 5) == math.inf
     # no gaps and no steps: inf * 0 is NaN, which must not fail the bound
-    trace = synth([1.0] * 8, [0.0] * 8, m=5)
-    rec = check_prop_bound(trace, tau=0.5, mu=1e100, a=1.0, m=5, kbar=6)
+    trace = synth([1.0] * 8, [0.0] * 8, m=5, config={"m": 5, "a": 1.0})
+    rec = check_prop_bound(trace, tau=0.5, mu=1e100, kbar=6)
     assert rec.passed is None and rec.details["c"] == math.inf
-    report = build_report(replace(trace, config={"m": 5, "a": 1.0}), mu=1e100, kbar=6)
+    report = build_report(trace, mu=1e100, kbar=6)
     assert report.fields["prop_bound.pass"] is None
     assert report.fields["prop_bound.c"] is None
 
 
 def test_prop_bound_trivial_pass():
-    trace = synth([4.0, 3.0, 2.0, 1.0], [0.0, 1.0, 1.0, 1.0])
-    rec = check_prop_bound(trace, tau=0.5, mu=0.0, a=1.0, m=0, kbar=1)
+    trace = synth([4.0, 3.0, 2.0, 1.0], [0.0, 1.0, 1.0, 1.0], config={"m": 0, "a": 1.0})
+    rec = check_prop_bound(trace, tau=0.5, mu=0.0, kbar=1)
     assert rec.passed is True
     assert rec.details["c"] == 2.0
     # every margin is far inside the bound; the report clamps at the floor
@@ -429,18 +451,18 @@ def test_prop_bound_trivial_pass():
 
 
 def test_prop_bound_halving():
-    trace, cfg = halving_trace()
-    rec = check_prop_bound(trace, tau=0.5, mu=0.0, a=npg_a(cfg),
-                           m=0, kbar=1)
+    trace, _ = halving_trace()
+    rec = check_prop_bound(trace, tau=0.5, mu=0.0, kbar=1)
     assert rec.passed is True
     assert rec.details["checked"] == len(trace) - 1
 
 
 def test_prop_bound_detects_uncovered_path():
     # the window peak jumps over a long step that the gap series cannot pay for
-    trace = synth([1.0, 0.9, 0.95, 0.5], [0.0, 10.0, 0.01, 0.01], m=1)
+    trace = synth([1.0, 0.9, 0.95, 0.5], [0.0, 10.0, 0.01, 0.01], m=1,
+                  config={"m": 1, "a": 1.0})
     assert list(trace.column("ell"))[:3] == [0, 0, 2]
-    rec = check_prop_bound(trace, tau=0.5, mu=0.5, a=1.0, m=1, kbar=2)
+    rec = check_prop_bound(trace, tau=0.5, mu=0.5, kbar=2)
     assert rec.passed is False
     assert rec.details["worst_k"] == 2
     lhs = 10.0 + 0.01
@@ -449,12 +471,22 @@ def test_prop_bound_detects_uncovered_path():
 
 
 def test_prop_bound_kbar_validation():
-    trace = synth([1.0, 0.5], [0.0, 1.0])
+    trace = synth([1.0, 0.5], [0.0, 1.0], config={"m": 2, "a": 1.0})
     with pytest.raises(InvalidInputError, match="kbar"):
-        check_prop_bound(trace, tau=0.5, mu=0.0, a=1.0, m=2, kbar=2)
+        check_prop_bound(trace, tau=0.5, mu=0.0, kbar=2)
     # the same rule as check_h4: booleans are not window indices
     with pytest.raises(InvalidInputError, match="kbar must be an integer, got True"):
-        check_prop_bound(trace, tau=0.5, mu=0.0, a=1.0, m=0, kbar=True)
+        check_prop_bound(replace(trace, config={"m": 0, "a": 1.0}), tau=0.5, mu=0.0,
+                         kbar=True)
+
+
+def test_prop_bound_on_a_trace_shorter_than_kbar_is_null_as_in_the_report():
+    trace = synth([4.0, 3.0, 2.0, 1.0], [0.0, 1.0, 1.0, 1.0], m=2, config={"m": 2, "a": 1.0})
+    rec = check_prop_bound(trace, tau=0.5, mu=0.0, kbar=4)
+    assert rec == AuditRecord("prop_bound", None, None, {"c": c_constant(0.0, 0.5, 1.0, 2)})
+    fields = build_report(trace, mu=0.0, kbar=4).fields
+    assert fields["prop_bound.pass"] is None
+    assert fields["prop_bound.c"] == rec.details["c"]
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +496,7 @@ def test_prop_bound_kbar_validation():
 def ref_recompute_ell(trace: Trace, m: int) -> AuditRecord:
     """Re-derive the window argmax column from merits and count mismatches."""
     check("audit", m=m)
-    phi = trace.phi_values()
+    phi = _phi(trace)
     ell = trace.column("ell")
     mismatches = 0
     for k in range(len(trace)):
@@ -481,7 +513,7 @@ def ref_recompute_ell(trace: Trace, m: int) -> AuditRecord:
 
 def ref_check_h4(trace: Trace, tau: float, mu: float, kbar: int, a: float) -> AuditRecord:
     check("audit", tau=tau, mu=mu, a=a, kbar=kbar)
-    phi = trace.phi_values()
+    phi = _phi(trace)
     ell = trace.column("ell")
     s = trace.column("step_norm")
     csum = np.concatenate([[0.0], np.cumsum(s)])  # csum[i] = sum s[:i]
@@ -521,7 +553,7 @@ def ref_check_prop_bound(trace: Trace, tau: float, mu: float, a: float, m: int,
     xi, gamma = xi_gamma(trace)
     ell = trace.column("ell")
     s = trace.column("step_norm")
-    phi = trace.phi_values()
+    phi = _phi(trace)
     csum = np.concatenate([[0.0], np.cumsum(s)])
     gsum = np.concatenate([[0.0], np.cumsum(gamma)])
     worst = -math.inf
@@ -535,8 +567,8 @@ def ref_check_prop_bound(trace: Trace, tau: float, mu: float, a: float, m: int,
         checked += 1
         if v > worst:
             worst, worst_k = v, int(k)
-    if checked == 0:
-        return AuditRecord("prop_bound", True, 0.0, {"checked": 0, "c": c})
+    if checked == 0:  # trace shorter than kbar
+        return AuditRecord("prop_bound", None, None, {"c": c})
     slack = _phi_slack(phi)
     return AuditRecord("prop_bound", bool(worst <= slack),
                        max(float(worst), -slack),
@@ -576,14 +608,15 @@ def test_column_kernels_match_the_row_loops():
         m = int(rng.integers(0, 7))
         trace = random_window_trace(rng, m)
         for m_audit in {m, int(rng.integers(0, 7))}:
-            assert same_record(recompute_ell(trace, m_audit),
+            assert same_record(recompute_ell(replace(trace, config={"m": m_audit, "a": 1.0})),
                                ref_recompute_ell(trace, m_audit))
             compared += 1
         tau = float(rng.choice([0.1, 0.5, 0.9]))
         mu = float(rng.choice([0.0, 0.3, 1.0]))
         a = float(rng.choice([0.25, 1.0, 4.0]))
         kbar = int(rng.integers(1, m + 4))
-        assert same_record(check_h4(trace, tau, mu, kbar, a),
+        trace = replace(trace, config={"m": m, "a": a})
+        assert same_record(check_h4(trace, tau, mu, kbar),
                            ref_check_h4(trace, tau, mu, kbar, a))
         compared += 1
         kbar = max(kbar, m + 1)
@@ -591,9 +624,9 @@ def test_column_kernels_match_the_row_loops():
             old = ref_check_prop_bound(trace, tau, mu, a, m, kbar)
         except FrameworkViolationError:
             with pytest.raises(FrameworkViolationError):
-                check_prop_bound(trace, tau, mu, a, m, kbar)
+                check_prop_bound(trace, tau, mu, kbar)
             continue
-        assert same_record(check_prop_bound(trace, tau, mu, a, m, kbar), old)
+        assert same_record(check_prop_bound(trace, tau, mu, kbar), old)
         compared += 1
     assert compared > 900
 
@@ -613,11 +646,11 @@ def test_recompute_ell_memory_does_not_grow_with_m():
     K, m = 20000, 2000
     rows = [(k, float(k % 7), float(k % 7), 2.0, 0.0, 0, k, 1.0, 0.0) for k in range(K)]
     trace = Trace(algorithm="pgenls", columns=dict(zip(CSV_COLUMNS, zip(*rows))),
-                  X=np.zeros((K, 0)))
+                  X=np.zeros((K, 0)), config={"m": m, "a": 1.0, "delta": 1.0})
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        rec = recompute_ell(trace, m)
+        rec = recompute_ell(trace)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -742,6 +775,9 @@ def test_derive_audit_inputs():
     got = derive_audit_inputs(replace(trace, config={"m": 3, "a": 0.25}))
     assert got == {"m": 3, "a": 0.25, "alpha": None, "delta": None, "c": None,
                    "beta_max": 0.0}
+    # a null beta_max is a missing one: no extrapolation
+    got = derive_audit_inputs(replace(trace, config={"m": 3, "a": 0.25, "beta_max": None}))
+    assert got["beta_max"] == 0.0
 
     pg = pgenls_solve(quad_1d(), np.array([4.0]),
                       PgenlsConfig(m=2, delta=0.25, alpha=0.5, gamma_min=1.0,
@@ -759,6 +795,33 @@ def test_derive_audit_inputs():
         derive_audit_inputs(Trace(algorithm="npg_major", config={"m": 1}))
     with pytest.raises(InsufficientTraceError, match="no config"):
         derive_audit_inputs(Trace(algorithm="npg_major"))
+
+
+# each gate with the arguments no snapshot holds
+GATES = {
+    "h1": check_h1,
+    "acceptance": check_acceptance,
+    "ell": recompute_ell,
+    "h3": lambda trace: check_h3(trace, 1.0),
+    "h4": lambda trace: check_h4(trace, 0.5, 0.5, 2),
+    "prop_bound": lambda trace: check_prop_bound(trace, 0.5, 0.5, 2),
+}
+
+
+@pytest.mark.parametrize("gate", sorted(GATES))
+def test_a_gate_on_a_trace_without_a_snapshot_raises(gate):
+    trace = synth([4.0, 3.0, 2.0, 1.0], [0.0, 1.0, 1.0, 1.0])
+    with pytest.raises(InsufficientTraceError, match="no config snapshot"):
+        GATES[gate](trace)
+
+
+def test_a_gate_takes_its_constants_from_the_snapshot():
+    trace = synth([1.0, 0.75], [0.0, 0.5], config={"m": 0, "a": 1.0})
+    assert check_h1(trace).passed is True
+    assert check_h1(replace(trace, config={"m": 0, "a": 2.0})).passed is False
+    trace = synth([1.0, 2.0, 2.0, 0.0], [0.0, 1.0, 1.0, 1.0], m=3, config={"m": 3, "a": 1.0})
+    assert recompute_ell(trace).passed is True
+    assert recompute_ell(replace(trace, config={"m": 0, "a": 1.0})).passed is False
 
 
 @pytest.mark.parametrize("snapshot, kwargs, message", [
@@ -838,7 +901,7 @@ def test_build_report_violation_floor():
     trace = pgenls_solve(inst.problem, inst.x0,
                          PgenlsConfig(m=5, max_outer=500), problem_id="lasso")
     report = build_report(trace, problem=inst.problem)
-    phi = trace.phi_values()
+    phi = _phi(trace)
     floor = -1e-10 * (1.0 + float(np.max(np.abs(phi)))) - 1e-15
     for key, val in report.fields.items():
         if key.endswith("max_violation") and val is not None:

@@ -207,7 +207,7 @@ def test_l1_dc_run_reaches_stationarity():
     inst = make_problem("l1-l2-dc", {"seed": 7})
     cfg = NpgConfig(m=5, max_outer=3000, tol_step=1e-10, tol_resid=1e-6)
     trace = npg_solve(inst.problem, inst.x0, cfg, problem_id="l1-l2-dc", seed=7)
-    assert trace.tolerance_terminated()
+    assert trace.terminated in ("tolerance", "stationary")
     assert trace.column("residual")[-1] <= 1e-6
     # the sparsity pattern at the end is genuinely sparse
     nnz = int(np.count_nonzero(trace.X[-1]))

@@ -152,7 +152,7 @@ def test_tolerance_termination_on_sparse_regression():
     inst = make_problem("lasso", {"seed": 1})
     cfg = PgenlsConfig(m=5, max_outer=2000, tol_step=1e-8, tol_resid=1e-6)
     trace = pgenls_solve(inst.problem, inst.x0, cfg, problem_id="lasso", seed=1)
-    assert trace.tolerance_terminated()
+    assert trace.terminated in ("tolerance", "stationary")
     assert trace.column("residual")[-1] <= 1e-6
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kldescent.diagnostics import _framework_steps, _phi
 from kldescent.errors import InvalidInputError, LogicError
 from kldescent.trace import (
     CSV_COLUMNS,
@@ -218,6 +219,17 @@ def test_missing_sidecar_yields_empty_iterates(tmp_path):
     assert back.X.shape == (3, 0)
 
 
+@pytest.mark.parametrize("n", [12, 0])
+def test_an_inline_trace_removes_the_sidecar_of_an_earlier_wide_one(tmp_path, n):
+    path = tmp_path / "trace.csv"
+    side = write_trace_csv(_toy_trace(n=25, rows=3), path)
+    small = _toy_trace(n=n, rows=4)
+    assert write_trace_csv(small, path) == path
+    assert not side.exists()
+    # with no x_ columns the reader would take the stale sidecar's iterates
+    np.testing.assert_array_equal(read_trace_csv(path).X, small.X)
+
+
 def test_corrupt_sidecar_magic(tmp_path):
     trace = _toy_trace(n=22, rows=2)
     path = tmp_path / "big.csv"
@@ -359,16 +371,16 @@ def test_empty_file_rejected(tmp_path):
 def test_framework_steps_pair_norm():
     trace = _toy_trace(algorithm="pgenls")
     s = trace.column("step_norm")
-    fs = trace.framework_steps(delta=0.5)
+    fs = _framework_steps(trace, 0.5)
     assert fs[0] == s[0]
     for k in range(1, len(s)):
         assert fs[k] == pytest.approx(np.hypot(s[k], s[k - 1]))
     # delta = 0 falls back to the x-block
-    np.testing.assert_array_equal(trace.framework_steps(delta=0.0), s)
+    np.testing.assert_array_equal(_framework_steps(trace, 0.0), s)
 
 
 def test_phi_values_pick_the_audited_merit():
     t_dc = _toy_trace(algorithm="npg_major")
-    np.testing.assert_array_equal(t_dc.phi_values(), t_dc.column("F"))
+    np.testing.assert_array_equal(_phi(t_dc), t_dc.column("F"))
     t_ex = _toy_trace(algorithm="pgenls")
-    np.testing.assert_array_equal(t_ex.phi_values(), t_ex.column("merit"))
+    np.testing.assert_array_equal(_phi(t_ex), t_ex.column("merit"))
