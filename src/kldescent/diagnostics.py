@@ -3,10 +3,11 @@
 Every check here consumes a :class:`~kldescent.trace.Trace` (columns only, no
 oracles) and returns a small record with a worst-case violation.  Each reads
 the solver constants from the trace's config snapshot through
-:func:`derive_audit_inputs` and takes no more than the Lipschitz bound,
-``tau``, ``mu`` and ``kbar``.  Checks use plain floating-point comparisons
-with a scale-aware slack ``1e-10 * (1 + max |merit|)`` so that
-exact-by-construction inequalities pass and corrupted traces fail.
+:func:`derive_audit_inputs` (once per report, in :func:`build_report`) and
+takes no more than the Lipschitz bound, ``tau``, ``mu`` and ``kbar``.
+Checks use plain floating-point comparisons with a scale-aware slack
+``1e-10 * (1 + max |merit|)`` so that exact-by-construction inequalities
+pass and corrupted traces fail.
 
 Audited conditions, in the order they strengthen each other:
 
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -77,6 +79,18 @@ _SERIES_TAIL = 0.1
 # it; with 1 to 3 points the largest passing tail was 0.8% and 14 correct
 # runs carried more than 1%.
 _SERIES_MIN_TAIL = 4
+
+# (trace, its resolved constants) while build_report audits that trace, so
+# that the gates it calls by their public names (which a profiler may wrap)
+# take the constants it resolved instead of resolving them again
+_report_inputs: ContextVar[Optional[tuple]] = ContextVar("_report_inputs", default=None)
+
+
+def _audit_inputs(trace: Trace) -> dict:
+    """The constants :func:`build_report` resolved for ``trace``, when it is
+    auditing it, else :func:`derive_audit_inputs` of ``trace``."""
+    held = _report_inputs.get()
+    return held[1] if held is not None and held[0] is trace else derive_audit_inputs(trace)
 
 
 def _phi_slack(phi: np.ndarray) -> float:
@@ -178,7 +192,7 @@ def _window_decrease(trace: Trace, name: str, decrement) -> AuditRecord:
 
 def check_h1(trace: Trace) -> AuditRecord:
     """Window sufficient decrease with the guaranteed constant ``a``."""
-    a = derive_audit_inputs(trace)["a"]
+    a = _audit_inputs(trace)["a"]
     return _window_decrease(trace, "h1", lambda s: a * s[1:] ** 2)
 
 
@@ -186,7 +200,7 @@ def check_acceptance(trace: Trace) -> AuditRecord:
     """Re-check the accepted inequality with each iteration's own stepsize
     weight; not evaluated (``None``) when the snapshot lacks ``alpha``,
     ``delta`` or, for the DC solver, ``c``."""
-    inputs = derive_audit_inputs(trace)
+    inputs = _audit_inputs(trace)
     alpha, delta, c = inputs["alpha"], inputs["delta"], inputs["c"]
     dc = trace.algorithm == "npg_major"
     if alpha is None or delta is None or (dc and c is None):
@@ -206,7 +220,7 @@ def recompute_ell(trace: Trace) -> AuditRecord:
     latest index; every pass is one column wide, so memory does not grow
     with ``m``.
     """
-    m = derive_audit_inputs(trace)["m"]
+    m = _audit_inputs(trace)["m"]
     phi = _phi(trace)
     n = len(phi)
     pos = np.arange(n)
@@ -271,7 +285,7 @@ def check_h3(trace: Trace, lipschitz: Optional[float]) -> AuditRecord:
     control the extrapolation offset the residual was built from: the ratio
     is still reported but does not gate.
     """
-    inputs = derive_audit_inputs(trace)
+    inputs = _audit_inputs(trace)
     delta = inputs["delta"] or 0.0
     is_dc = trace.algorithm == "npg_major"
     degenerate = not is_dc and pgenls.degenerate_decrease(delta, inputs["beta_max"])
@@ -371,7 +385,7 @@ def check_h4(trace: Trace, tau: float, mu: float, kbar: int) -> AuditRecord:
     every interior range is empty and the check passes vacuously.  A NaN
     margin is the worst one, so a NaN step fails the check.
     """
-    a = derive_audit_inputs(trace)["a"]
+    a = _audit_inputs(trace)["a"]
     check("audit", tau=tau, mu=mu, kbar=kbar)
     phi = _phi(trace)
     ell = trace.column("ell")
@@ -410,6 +424,11 @@ def c_constant(mu: float, tau: float, a: float, m: int) -> float:
     ``inf`` when ``c`` is beyond the float range, as long windows make it.
     """
     check("audit", tau=tau, mu=mu, a=a, m=m)
+    return _c_constant(mu, tau, a, m)
+
+
+def _c_constant(mu: float, tau: float, a: float, m: int) -> float:
+    """:func:`c_constant` of checked constants."""
     denom = math.sqrt(a) * (1.0 - tau)
     mu_bar = mu / denom
     try:
@@ -431,9 +450,10 @@ def check_prop_bound(trace: Trace, tau: float, mu: float, kbar: int) -> AuditRec
     is not evaluated on a trace shorter than ``kbar``, nor when ``c`` is
     beyond the float range, where it bounds nothing.
     """
-    inputs = derive_audit_inputs(trace)
+    inputs = _audit_inputs(trace)
     m = check("audit", m=inputs["m"], kbar=kbar)["m"]  # the rule kbar > m
-    c = c_constant(mu, tau, inputs["a"], m)
+    check("audit", tau=tau, mu=mu)  # a and m are checked already
+    c = _c_constant(mu, tau, inputs["a"], m)
     if not math.isfinite(c):
         return AuditRecord("prop_bound", None, None, {"c": c})
     xi, gamma = xi_gamma(trace)
@@ -648,8 +668,9 @@ def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
     """Run every applicable audit on ``trace`` and assemble the flat report.
 
     The solver constants (``m``, ``a``, ``alpha``, ``delta``, ``c``,
-    ``beta_max``) come from the trace's config snapshot alone, through
-    :func:`derive_audit_inputs`, in every check.  The Lipschitz constant of the gradient of
+    ``beta_max``) come from the trace's config snapshot alone, resolved
+    and checked once, by one :func:`derive_audit_inputs` call, for every
+    check the report runs.  The Lipschitz constant of the gradient of
     ``f`` is ``lipschitz`` if given, else the problem's ``lipschitz_hint``;
     either is taken as an upper bound.  With neither, ``constants.l_f`` and
     ``constants.b_cap`` are null and the checks that need them report
@@ -662,6 +683,17 @@ def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
     if len(trace) == 0:
         raise InvalidInputError("empty trace")
     inputs = derive_audit_inputs(trace)
+    token = _report_inputs.set((trace, inputs))
+    try:
+        return _report(trace, inputs, problem, lipschitz, tau, mu, kbar)
+    finally:
+        _report_inputs.reset(token)
+
+
+def _report(trace: Trace, inputs: dict, problem: Optional[CompositeProblem],
+            lipschitz: Optional[float], tau: float, mu: Optional[float],
+            kbar: Optional[int]) -> DiagnosticsReport:
+    """:func:`build_report` of a non-empty trace with its resolved constants."""
     m, a = inputs["m"], inputs["a"]
 
     if lipschitz is None and problem is not None:

@@ -88,7 +88,10 @@ class SmoothOracle:
     residual of its last ``value`` call).  Such a cache is keyed on the
     contents of the point, never on the array object, so a point changed in
     place or a call from another thread can only miss it; a miss costs time,
-    never a wrong answer.
+    never a wrong answer.  An oracle may also pick how it computes from its
+    data and the point, as long as a hit and a miss give the same bits
+    (``make_least_squares`` multiplies a large column-major matrix by the
+    support of a sparse point alone).
     """
 
     value: Callable[[Vector], float]
@@ -310,8 +313,37 @@ def _lanczos_top_eigenvalue(gram: Callable[[Vector], Vector], dim: int) -> float
         q /= np.linalg.norm(q)
 
 
-def _residual(A: np.ndarray, x: Vector, b: Vector) -> Vector:
-    """``A x - b``, the one product with ``A`` of a least-squares oracle call."""
+# ``A x - b`` is formed from the columns of the nonzero entries of ``x`` alone
+# when ``A`` is column-major with at least _SUPPORT_MIN_SIZE entries and at
+# most _SUPPORT_MAX_SHARE of the entries of ``x`` are nonzero.  Medians on
+# Gaussian matrices (2-core Xeon, OpenBLAS 0.3.31), the dense product against
+# the support-only one at 5, 15 and 25% nonzeros, in us: 50x100 4/11, 4/12,
+# 3/11; 150x300 11/9, 9/12, 9/14; 200x400 14/10, 14/14, 13/18; 300x600 33/14,
+# 39/29, 39/37; 600x1200 143/28, 133/74, 179/120; 1000x2000 465/65, 392/217,
+# 405/422; 2000x4000 2417/326, 2394/981, 2783/1743.  A row-major matrix
+# gathers its columns with a stride (16 ms at 2000x4000 and 430 nonzeros),
+# so it always takes the dense product.
+_SUPPORT_MIN_SIZE = 100_000
+_SUPPORT_MAX_SHARE = 0.15
+# The columns are gathered in chunks of at most _GATHER_BYTES (one column at
+# least), which bounds the copy and keeps it in cache: at 2000x4000 and 428
+# nonzeros, 0.6 ms in chunks of 512 KB against 1.1 ms in one gather of 6.8 MB.
+_GATHER_BYTES = 1 << 19
+
+
+def _residual(A: np.ndarray, x: Vector, b: Vector, by_support: bool) -> Vector:
+    """``A x - b``, the one product with ``A`` of a least-squares oracle call;
+    with ``by_support``, from the columns of the nonzero entries of ``x``
+    alone when they are at most ``_SUPPORT_MAX_SHARE`` of them."""
+    if by_support:
+        nz = np.flatnonzero(x)
+        if nz.size <= _SUPPORT_MAX_SHARE * x.size:
+            step = max(1, _GATHER_BYTES // (8 * A.shape[0]))
+            r = A[:, nz[:step]] @ x[nz[:step]] - b
+            for start in range(step, nz.size, step):
+                cols = nz[start:start + step]
+                r += A[:, cols] @ x[cols]
+            return r
     return A @ x - b
 
 
@@ -332,11 +364,32 @@ def make_least_squares(A: np.ndarray, b: Vector) -> SmoothOracle:
     bad input fails at the build, and only here: the first read does not
     scan ``A`` again.
 
+    The residual ``A x - b`` of a sparse point is formed from the columns of
+    its nonzero entries alone, ``A[:, nz] @ x[nz] - b``, when two rules hold:
+
+    - the layout rule, fixed at the build: ``A`` is column-major (Fortran
+      order, its columns contiguous) with at least ``_SUPPORT_MIN_SIZE``
+      (100,000) entries;
+    - the support rule, at each call: at most ``_SUPPORT_MAX_SHARE`` (15%)
+      of the entries of ``x`` are nonzero.
+
+    The columns are gathered in chunks of at most 512 KB.  Otherwise, and
+    always for a row-major ``A``, whose columns a gather reads with a
+    stride, the residual is the dense ``A @ x - b``.  On a 2-core Xeon the
+    support-only product took 0.33 ms at 2000x4000 and 5% nonzeros, 0.98 ms
+    at 15% and 1.7 ms at 25%, against 2.4 to 2.8 ms dense; below the size
+    rule it loses, 11 us against 4 us at 50x100.  Both forms are ``A x - b``
+    up to rounding, so above the rule a value or a gradient can differ from
+    the dense product in its last bits; below it, and for any row-major
+    ``A``, they are the bits of ``A @ x - b`` and ``A.T @ (A @ x - b)``.
+    The gradient's ``A^T r`` is always dense.
+
     The oracle keeps a one-entry cache: each ``value(x)`` call stores the
     residual ``r = A x - b`` under a key made of the dtype, shape and bytes
     of ``x``, and ``gradient`` at a point with the same key returns
     ``A^T r``, saving the product with ``A``.  That is the same computation
-    on the same bits, so a hit returns exactly what a miss would.  Solvers
+    on the same bits, under either rule, so a hit returns exactly what a
+    miss would.  Solvers
     evaluate ``f`` at a candidate before they need its gradient, so an
     accepted step costs one product for its gradient instead of two.
     ``A`` and ``b`` are used as given, not copied, and must not change after
@@ -352,6 +405,7 @@ def make_least_squares(A: np.ndarray, b: Vector) -> SmoothOracle:
             f"dimension mismatch: A has {A.shape[0]} rows but b has {b.shape[0]} entries"
         )
     n = A.shape[1]
+    by_support = A.size >= _SUPPORT_MIN_SIZE and A.flags.f_contiguous
     # (key of the point, A @ x - b) of the last value call, replaced whole so
     # that a reader never pairs one call's key with another call's residual
     cache = None
@@ -362,7 +416,7 @@ def make_least_squares(A: np.ndarray, b: Vector) -> SmoothOracle:
         if x.shape[0] != n:
             raise InvalidInputError(f"expected dimension {n}, got {x.shape[0]}")
         key = (x.dtype, x.shape, x.tobytes())
-        r = _residual(A, x, b)
+        r = _residual(A, x, b, by_support)
         cache = (key, r)
         return 0.5 * float(r @ r)
 
@@ -372,7 +426,7 @@ def make_least_squares(A: np.ndarray, b: Vector) -> SmoothOracle:
         last = cache
         if last is not None and last[0] == (x.dtype, x.shape, x.tobytes()):
             return A.T @ last[1]
-        return A.T @ _residual(A, x, b)
+        return A.T @ _residual(A, x, b, by_support)
 
     def lipschitz_fn():
         # ``A`` was checked above, so the hint skips the public function's

@@ -100,9 +100,9 @@ def counted(monkeypatch):
     calls = {"value": 0, "gradient": 0, "residual": 0}
     residual = oracles._residual
 
-    def counting_residual(A, x, b):
+    def counting_residual(*args):
         calls["residual"] += 1
-        return residual(A, x, b)
+        return residual(*args)
 
     monkeypatch.setattr(oracles, "_residual", counting_residual)
 

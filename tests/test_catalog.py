@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from kldescent import catalog
+from kldescent import catalog, oracles
 from kldescent.catalog import describe_problems, make_problem, problem_ids
 from kldescent.errors import InvalidInputError
 
@@ -102,7 +102,10 @@ def least_squares_data(problem_id, params):
     ("lasso", {"seed": 4, "rows": 7, "cols": 5}, None),
     ("quad-l1", {"seed": 4, "rows": 40, "cols": 25, "mu": 2.5}, 2.5),
     ("quad-l1", {"seed": 2}, 1.0),
-], ids=["lasso", "quad-l1-40x25-mu2.5", "quad-l1-default"])
+    ("lasso", {"seed": 4, "rows": 250, "cols": 400}, None),
+    ("quad-l1", {"seed": 4, "rows": 150, "cols": 300, "mu": 2.5}, 2.5),
+], ids=["lasso", "quad-l1-40x25-mu2.5", "quad-l1-default", "lasso-250x400",
+        "quad-l1-150x300-mu2.5"])
 def test_built_data_are_the_reference_bits(empty_memo, problem_id, params, mu):
     A, b = reference_data(params["seed"], params.get("rows", 30), params.get("cols", 30))
     if mu is not None:  # the ridge block, stacked as plainly as possible
@@ -110,7 +113,18 @@ def test_built_data_are_the_reference_bits(empty_memo, problem_id, params, mu):
         A, b = np.vstack([A, np.sqrt(mu) * np.eye(n)]), np.concatenate([b, np.zeros(n)])
     built_A, built_b = least_squares_data(problem_id, params)
     assert built_A.tobytes() == A.tobytes() and built_A.shape == A.shape
-    assert built_b.tobytes() == b.tobytes()
+    if A.size < oracles._SUPPORT_MIN_SIZE:
+        assert built_A.flags.c_contiguous
+        assert built_b.tobytes() == b.tobytes()
+    else:  # drawn into column-major storage, so b = A x_true + noise moves in its last bits
+        assert built_A.flags.f_contiguous
+        assert np.max(np.abs(built_b - b)) <= 1e-14 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("problem_id", ["lasso", "l0-ls", "l1-l2-dc", "quad-l1"])
+def test_default_sizes_stay_row_major(empty_memo, problem_id):
+    built_A, _ = least_squares_data(problem_id, {"seed": 0})
+    assert built_A.size < oracles._SUPPORT_MIN_SIZE and built_A.flags.c_contiguous
 
 
 def test_quad_l1_stacks_its_ridge_under_loaded_data(tmp_path):

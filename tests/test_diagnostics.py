@@ -2,13 +2,16 @@
 
 import json
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from kldescent import npg, pgenls
+from kldescent import diagnostics, npg, pgenls
 from kldescent.catalog import make_problem
 from kldescent.cli import main
 from kldescent.diagnostics import (
@@ -880,6 +883,55 @@ def test_build_report_clean_dc_run():
     assert f["constants.b_hat"] <= f["constants.b_cap"]
     assert f["rate.verdict"] in ("linear", "sublinear", "finite-termination",
                                  "inconclusive")
+
+
+@pytest.mark.parametrize("problem_id, solve", [("l1-l2-dc", npg_solve),
+                                                ("lasso", pgenls_solve)],
+                         ids=["npg_major", "pgenls"])
+def test_build_report_resolves_the_snapshot_once(problem_id, solve):
+    inst = make_problem(problem_id, {"seed": 1})
+    cfg = NpgConfig(m=3) if solve is npg_solve else PgenlsConfig(m=3)
+    trace = solve(inst.problem, inst.x0, cfg)
+    with mock.patch.object(diagnostics, "derive_audit_inputs",
+                           wraps=diagnostics.derive_audit_inputs) as spy:
+        fields = build_report(trace, problem=inst.problem).fields
+        assert spy.call_count == 1
+        # the same verdicts as each gate resolving the snapshot itself
+        assert fields["h1.pass"] == check_h1(trace).passed
+        assert fields["ell.mismatches"] == recompute_ell(trace).details["mismatches"]
+        assert spy.call_count == 3  # outside a report each gate resolves it again
+        with pytest.raises(InvalidInputError, match="tau"):
+            build_report(trace, tau=2.0)
+        check_h1(trace)
+        assert spy.call_count == 5  # a report that raised holds no constants after it
+
+
+def test_reports_in_racing_threads_use_their_own_constants():
+    # each thread audits its own trace, whose snapshot gives another a; the
+    # constants one report holds must never reach another thread's gates
+    trace, cfg = halving_trace()
+    traces = [replace(trace, config=dict(trace.config, a=npg_a(cfg) * 2.0 ** -i))
+              for i in range(6)]
+    expected = [build_report(t, problem=quad_1d()).to_json() for t in traces]
+    wrong = []
+
+    def work(i):
+        for _ in range(40):
+            if build_report(traces[i], problem=quad_1d()).to_json() != expected[i]:
+                wrong.append(i)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == [] and len(set(expected)) == 6
 
 
 def test_build_report_json_contract():

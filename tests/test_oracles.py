@@ -165,6 +165,78 @@ def test_least_squares_cache_misses_give_the_fresh_gradient(counted):
     assert_fresh_gradient(zero)
 
 
+def large_least_squares_case(order):
+    """A 200x600 problem, above the size rule of the support-only product,
+    with ``A`` stored in ``order``, and a point with 40 nonzeros (7%)."""
+    rng = np.random.default_rng(5)
+    A = np.asarray(rng.standard_normal((200, 600)), order=order)
+    b = rng.standard_normal(200)
+    x = np.zeros(600)
+    x[rng.choice(600, size=40, replace=False)] = rng.standard_normal(40)
+    assert A.size >= oracles._SUPPORT_MIN_SIZE
+    return A, b, x
+
+
+def test_only_a_large_column_major_matrix_multiplies_by_the_support(monkeypatch):
+    seen = []
+    residual = oracles._residual
+
+    def spy(A, x, b, by_support):
+        seen.append(by_support)
+        return residual(A, x, b, by_support)
+
+    monkeypatch.setattr(oracles, "_residual", spy)
+    small = np.asfortranarray(least_squares_case()[0])
+    for order in ("F", "C"):
+        A, b, x = large_least_squares_case(order)
+        make_least_squares(A, b).value(x)
+    make_least_squares(small, np.ones(12)).value(np.ones(7))
+    assert seen == [True, False, False]
+
+
+def test_a_row_major_matrix_above_the_rule_keeps_the_dense_bits():
+    A, b, x = large_least_squares_case("C")
+    f = make_least_squares(A, b)
+    assert f.value(x) == 0.5 * float((A @ x - b) @ (A @ x - b))
+    assert f.gradient(x).tobytes() == (A.T @ (A @ x - b)).tobytes()
+
+
+@pytest.mark.parametrize("gather_columns", [None, 3], ids=["one-gather", "chunks-of-3"])
+def test_support_only_value_agrees_with_the_dense_product(monkeypatch, gather_columns):
+    A, b, x = large_least_squares_case("F")
+    if gather_columns is not None:
+        monkeypatch.setattr(oracles, "_GATHER_BYTES", 8 * A.shape[0] * gather_columns)
+    f = make_least_squares(A, b)
+    r = A @ x - b
+    assert f.value(x) == pytest.approx(0.5 * float(r @ r), rel=1e-12, abs=0.0)
+    assert np.allclose(f.gradient(x), A.T @ r, rtol=1e-12, atol=1e-12 * np.abs(A.T @ r).max())
+
+
+def test_support_only_gradient_hit_is_the_bits_of_a_miss(counted):
+    A, b, x = large_least_squares_case("F")
+    f, calls = counted(make_least_squares(A, b))
+    miss = f.gradient(x)
+    f.value(x)
+    before = calls["residual"]
+    hit = f.gradient(x)
+    assert calls["residual"] == before  # one residual per value+gradient pair
+    assert hit.tobytes() == miss.tobytes()
+    assert hit.tobytes() == (A.T @ oracles._residual(A, x, b, True)).tobytes()
+
+
+def test_support_only_residual_of_zero_is_minus_b():
+    A, b, _ = large_least_squares_case("F")
+    zero = np.zeros(A.shape[1])
+    assert np.array_equal(oracles._residual(A, zero, b, True), -b)
+    assert make_least_squares(A, b).value(zero) == 0.5 * float(b @ b)
+
+
+def test_a_dense_point_takes_the_dense_product():
+    A, b, _ = large_least_squares_case("F")
+    x = np.linspace(-1.0, 1.0, A.shape[1])  # no entry is 0, as the grid has even length
+    assert oracles._residual(A, x, b, True).tobytes() == (A @ x - b).tobytes()
+
+
 def test_least_squares_cache_under_racing_threads():
     # each thread alternates value and gradient at its own points on one
     # shared oracle; a switch between another thread's value and this
