@@ -319,15 +319,17 @@ def cmd_verify(args) -> int:
     snapshot, the one source :func:`build_report` reads them from."""
     snapshot = {name: getattr(args, name) for name in _SNAPSHOT_FLAGS
                 if getattr(args, name) is not None}
+    missing = ("--m and --a" if args.m is None or args.a is None
+               else "--delta" if args.delta is None and args.algorithm != "npg_major"
+               else None)
     try:
-        trace = read_trace_csv(args.trace, algorithm=args.algorithm, config=snapshot)
-        trace.problem_id = args.problem
-        trace.terminated = args.terminated
-        missing = ("--m and --a" if args.m is None or args.a is None
-                   else "--delta" if args.delta is None and args.algorithm != "npg_major"
-                   else None)
+        # a malformed trace is named first, then a missing flag, then a bad one
+        trace = read_trace_csv(args.trace, algorithm=args.algorithm,
+                               config=None if missing else snapshot)
         if missing:
             raise InsufficientTraceError(f"audit constants unavailable: give {missing}")
+        trace.problem_id = args.problem
+        trace.terminated = args.terminated
         report = build_report(trace, lipschitz=args.lf, **{
             name: getattr(args, name) for name in RULES["diagnostics"]
             if getattr(args, name) is not None})

@@ -3,8 +3,10 @@
 Every check here consumes a :class:`~kldescent.trace.Trace` (columns only, no
 oracles) and returns a small record with a worst-case violation.  Each reads
 the solver constants from the trace's config snapshot through
-:func:`derive_audit_inputs` (once per report, in :func:`build_report`) and
-takes no more than the Lipschitz bound, ``tau``, ``mu`` and ``kbar``.
+:func:`derive_audit_inputs`, which only looks them up: the snapshot is
+checked when the :class:`~kldescent.trace.Trace` is built, is read-only and
+carries the solver's ``a``.  A check takes no more than the Lipschitz bound,
+``tau``, ``mu`` and ``kbar``.
 Checks use plain floating-point comparisons with a scale-aware slack
 ``1e-10 * (1 + max |merit|)`` so that exact-by-construction inequalities
 pass and corrupted traces fail.
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import json
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -79,19 +80,6 @@ _SERIES_TAIL = 0.1
 # it; with 1 to 3 points the largest passing tail was 0.8% and 14 correct
 # runs carried more than 1%.
 _SERIES_MIN_TAIL = 4
-
-# (trace, its resolved constants) while build_report audits that trace, so
-# that the gates it calls by their public names (which a profiler may wrap)
-# take the constants it resolved instead of resolving them again
-_report_inputs: ContextVar[Optional[tuple]] = ContextVar("_report_inputs", default=None)
-
-
-def _audit_inputs(trace: Trace) -> dict:
-    """The constants :func:`build_report` resolved for ``trace``, when it is
-    auditing it, else :func:`derive_audit_inputs` of ``trace``."""
-    held = _report_inputs.get()
-    return held[1] if held is not None and held[0] is trace else derive_audit_inputs(trace)
-
 
 def _phi_slack(phi: np.ndarray) -> float:
     return 1e-10 * (1.0 + float(np.max(np.abs(phi))))
@@ -192,7 +180,7 @@ def _window_decrease(trace: Trace, name: str, decrement) -> AuditRecord:
 
 def check_h1(trace: Trace) -> AuditRecord:
     """Window sufficient decrease with the guaranteed constant ``a``."""
-    a = _audit_inputs(trace)["a"]
+    a = derive_audit_inputs(trace)["a"]
     return _window_decrease(trace, "h1", lambda s: a * s[1:] ** 2)
 
 
@@ -200,7 +188,7 @@ def check_acceptance(trace: Trace) -> AuditRecord:
     """Re-check the accepted inequality with each iteration's own stepsize
     weight; not evaluated (``None``) when the snapshot lacks ``alpha``,
     ``delta`` or, for the DC solver, ``c``."""
-    inputs = _audit_inputs(trace)
+    inputs = derive_audit_inputs(trace)
     alpha, delta, c = inputs["alpha"], inputs["delta"], inputs["c"]
     dc = trace.algorithm == "npg_major"
     if alpha is None or delta is None or (dc and c is None):
@@ -220,7 +208,7 @@ def recompute_ell(trace: Trace) -> AuditRecord:
     latest index; every pass is one column wide, so memory does not grow
     with ``m``.
     """
-    m = _audit_inputs(trace)["m"]
+    m = derive_audit_inputs(trace)["m"]
     phi = _phi(trace)
     n = len(phi)
     pos = np.arange(n)
@@ -285,7 +273,7 @@ def check_h3(trace: Trace, lipschitz: Optional[float]) -> AuditRecord:
     control the extrapolation offset the residual was built from: the ratio
     is still reported but does not gate.
     """
-    inputs = _audit_inputs(trace)
+    inputs = derive_audit_inputs(trace)
     delta = inputs["delta"] or 0.0
     is_dc = trace.algorithm == "npg_major"
     degenerate = not is_dc and pgenls.degenerate_decrease(delta, inputs["beta_max"])
@@ -365,7 +353,8 @@ def estimate_bbar(trace: Trace) -> BbarEstimate:
     resolvable = dphi > 1e-13 * (1.0 + float(np.max(np.abs(phi))))
     if not np.any(resolvable):
         return BbarEstimate(0.0, False)
-    ratios = 2.0 * dphi[resolvable] / s[1:][mask][resolvable] ** 2
+    with np.errstate(divide="ignore", over="ignore"):  # a square that underflows: inf
+        ratios = 2.0 * dphi[resolvable] / s[1:][mask][resolvable] ** 2
     return BbarEstimate(max(0.0, float(np.max(ratios))), False)
 
 
@@ -385,7 +374,7 @@ def check_h4(trace: Trace, tau: float, mu: float, kbar: int) -> AuditRecord:
     every interior range is empty and the check passes vacuously.  A NaN
     margin is the worst one, so a NaN step fails the check.
     """
-    a = _audit_inputs(trace)["a"]
+    a = derive_audit_inputs(trace)["a"]
     check("audit", tau=tau, mu=mu, kbar=kbar)
     phi = _phi(trace)
     ell = trace.column("ell")
@@ -424,11 +413,6 @@ def c_constant(mu: float, tau: float, a: float, m: int) -> float:
     ``inf`` when ``c`` is beyond the float range, as long windows make it.
     """
     check("audit", tau=tau, mu=mu, a=a, m=m)
-    return _c_constant(mu, tau, a, m)
-
-
-def _c_constant(mu: float, tau: float, a: float, m: int) -> float:
-    """:func:`c_constant` of checked constants."""
     denom = math.sqrt(a) * (1.0 - tau)
     mu_bar = mu / denom
     try:
@@ -450,10 +434,9 @@ def check_prop_bound(trace: Trace, tau: float, mu: float, kbar: int) -> AuditRec
     is not evaluated on a trace shorter than ``kbar``, nor when ``c`` is
     beyond the float range, where it bounds nothing.
     """
-    inputs = _audit_inputs(trace)
+    inputs = derive_audit_inputs(trace)
     m = check("audit", m=inputs["m"], kbar=kbar)["m"]  # the rule kbar > m
-    check("audit", tau=tau, mu=mu)  # a and m are checked already
-    c = _c_constant(mu, tau, inputs["a"], m)
+    c = c_constant(mu, tau, inputs["a"], m)
     if not math.isfinite(c):
         return AuditRecord("prop_bound", None, None, {"c": c})
     xi, gamma = xi_gamma(trace)
@@ -623,19 +606,19 @@ def _put(fields: dict, prefix: str, rec: AuditRecord, *keys: str) -> None:
 
 
 def derive_audit_inputs(trace: Trace) -> dict:
-    """Resolve the audit constants of ``trace`` from its config snapshot, the
+    """Look up the audit constants of ``trace`` in its config snapshot, the
     only place they are read.
 
-    The snapshot's own ``a`` is used when it has one; otherwise ``a`` is the
-    solver's :func:`~kldescent.npg.decrease_constant` or
+    The snapshot was checked when the trace was built, and the solvers
+    record their own ``a`` in it.  Only a hand-built snapshot without ``a``
+    has it derived here, and checked: the solver's
+    :func:`~kldescent.npg.decrease_constant` or
     :func:`~kldescent.pgenls.decrease_constant` of the snapshot's ``alpha``,
     ``delta``, ``gamma_min`` and (``npg_major``) ``c``.  ``m`` and ``a`` must
     resolve, and ``delta`` too for traces not made by ``npg_major``;
     ``alpha``, ``c`` and a DC trace's ``delta`` stay ``None`` when the
-    snapshot lacks them, and ``beta_max`` is then 0 (no extrapolation).  Each
-    value must be finite and in its domain before it is converted (``m`` to
-    an int, the others to floats).  To audit with other
-    constants, give the trace another snapshot, e.g.
+    snapshot lacks them, and ``beta_max`` is then 0 (no extrapolation).  To
+    audit with other constants, give the trace another snapshot, e.g.
     ``dataclasses.replace(trace, config=...)``.
     """
     cfg = trace.config
@@ -652,13 +635,11 @@ def derive_audit_inputs(trace: Trace) -> dict:
     a = cfg.get("a")
     if a is None:
         names = ("alpha", "delta", "gamma_min") + (("c",) if dc else ())
-        known = check("audit", **{name: require(name) for name in names})
-        a = (npg if dc else pgenls).decrease_constant(*known.values())
-    raw = {"m": require("m"), "a": a, "alpha": cfg.get("alpha"),
-           "delta": cfg.get("delta") if dc else require("delta"),
-           "c": cfg.get("c"),
-           "beta_max": 0.0 if cfg.get("beta_max") is None else cfg["beta_max"]}
-    return {**raw, **check("audit", **{name: v for name, v in raw.items() if v is not None})}
+        a = (npg if dc else pgenls).decrease_constant(*map(require, names))
+        a = check("audit", a=a)["a"]
+    return {"m": require("m"), "a": a, "alpha": cfg.get("alpha"),
+            "delta": cfg.get("delta") if dc else require("delta"), "c": cfg.get("c"),
+            "beta_max": 0.0 if cfg.get("beta_max") is None else cfg["beta_max"]}
 
 
 def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
@@ -668,32 +649,24 @@ def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
     """Run every applicable audit on ``trace`` and assemble the flat report.
 
     The solver constants (``m``, ``a``, ``alpha``, ``delta``, ``c``,
-    ``beta_max``) come from the trace's config snapshot alone, resolved
-    and checked once, by one :func:`derive_audit_inputs` call, for every
-    check the report runs.  The Lipschitz constant of the gradient of
-    ``f`` is ``lipschitz`` if given, else the problem's ``lipschitz_hint``;
-    either is taken as an upper bound.  With neither, ``constants.l_f`` and
-    ``constants.b_cap`` are null and the checks that need them report
-    ``pass = null``.  The ``h3`` ratio cap gates except in the degenerate
-    proximity-free case.  Checks that cannot be evaluated get ``pass = null``
-    and do not gate the overall verdict.  An empty trace, or a constant
-    outside its domain (``kbar <= m`` included, whatever the trace length),
-    raises ``InvalidInputError`` before any check runs.
+    ``beta_max``) come from the trace's config snapshot alone, through
+    :func:`derive_audit_inputs`; the snapshot was checked when the trace was
+    built and is read-only, so no check the report runs checks it again.
+    The Lipschitz constant of the gradient of ``f`` is ``lipschitz`` if
+    given, else the problem's ``lipschitz_hint``; either is taken as an upper
+    bound.  With neither, ``constants.l_f`` and ``constants.b_cap`` are null
+    and the checks that need them report ``pass = null``.  The ``h3`` ratio
+    cap gates except in the degenerate proximity-free case.  When no ``mu``
+    is given and the one fitted from ``b_bar`` is not finite, ``h4`` and
+    ``prop_bound`` report ``pass = null``.  Checks that cannot be evaluated
+    get ``pass = null`` and do not gate the overall verdict.  An empty
+    trace, or a constant outside its domain (``kbar <= m`` included,
+    whatever the trace length), raises ``InvalidInputError`` before any
+    check runs.
     """
     if len(trace) == 0:
         raise InvalidInputError("empty trace")
     inputs = derive_audit_inputs(trace)
-    token = _report_inputs.set((trace, inputs))
-    try:
-        return _report(trace, inputs, problem, lipschitz, tau, mu, kbar)
-    finally:
-        _report_inputs.reset(token)
-
-
-def _report(trace: Trace, inputs: dict, problem: Optional[CompositeProblem],
-            lipschitz: Optional[float], tau: float, mu: Optional[float],
-            kbar: Optional[int]) -> DiagnosticsReport:
-    """:func:`build_report` of a non-empty trace with its resolved constants."""
     m, a = inputs["m"], inputs["a"]
 
     if lipschitz is None and problem is not None:
@@ -746,8 +719,11 @@ def _report(trace: Trace, inputs: dict, problem: Optional[CompositeProblem],
         fields["bbar_cap.pass"] = None
 
     mu_eff = mu if mu is not None else math.sqrt(0.5 * bbar.value)
-    _put(fields, "h4", check_h4(trace, tau, mu_eff, kbar_eff), "max_violation",
-         "vacuous", "worst_k", "worst_i", "tau", "mu", "kbar")
+    finite_mu = math.isfinite(mu_eff)  # b_bar is inf when a step's square underflows
+    h4 = (check_h4(trace, tau, mu_eff, kbar_eff) if finite_mu
+          else AuditRecord("h4", None, None, {"tau": tau, "mu": mu_eff, "kbar": kbar_eff}))
+    _put(fields, "h4", h4, "max_violation", "vacuous", "worst_k", "worst_i", "tau", "mu",
+         "kbar")
 
     try:
         xi, gamma_series = xi_gamma(trace)
@@ -766,7 +742,8 @@ def _report(trace: Trace, inputs: dict, problem: Optional[CompositeProblem],
                              None, {"xi_sum": xi_sum, "gamma_sum": g_sum,
                                     "xi_tail_fraction": xi_tail,
                                     "gamma_tail_fraction": g_tail})
-        prop = check_prop_bound(trace, tau, mu_eff, kbar_eff)
+        prop = (check_prop_bound(trace, tau, mu_eff, kbar_eff) if finite_mu
+                else AuditRecord("prop_bound", None))
     _put(fields, "series", series, "xi_sum", "gamma_sum", "xi_tail_fraction",
          "gamma_tail_fraction")
     _put(fields, "prop_bound", prop, "c", "max_violation")

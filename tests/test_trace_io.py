@@ -323,6 +323,15 @@ def test_non_finite_cell_rejected(tmp_path, column, value):
         read_trace_csv(path)
 
 
+@pytest.mark.parametrize("column", ["step_norm", "residual"])
+def test_negative_norm_rejected(tmp_path, column):
+    path = tmp_path / "t.csv"
+    write_trace_csv(_toy_trace(n=2, rows=4), path)  # row 0's residual is NaN
+    rewrite_cell(path, 2, column, "-0.5")
+    with pytest.raises(InvalidInputError, match=f"line 4: {column} is negative$"):
+        read_trace_csv(path)
+
+
 @pytest.mark.parametrize("row, ell, bounds", [
     (0, "-1", "[0, 0]"),   # negative
     (2, "3", "[0, 2]"),    # above its row's k

@@ -40,7 +40,8 @@ The matrix:
   (on the Lanczos path) the later calls take from the catalog's memo, which
   the first one filled;
 * ``reader``: one malformed trace per reader message, plus a trace whose
-  sidecar is gone;
+  sidecar is gone and a four-row DC trace whose steps of 1e-170 square to 0,
+  so the ``mu`` fitted from its ``b_bar`` is inf;
 * ``input``: numbers a config cannot hold (integers beyond the float or
   int64 range or over 4300 digits), non-finite ones and ones outside their
   field's domain, in each block and in ``verify``'s flags; an unknown field
@@ -88,6 +89,15 @@ INLINE_RUN = ("power4-1d", "pgenls", 0, 0)
 LANCZOS_PARAMS = {"seed": 0, "rows": 600, "cols": 1200}
 HUGE = 10**400
 DIGITS_4301 = "1" + "0" * 4300
+# a DC trace whose two tiny steps square to 0, with the verify flags of it
+UNDERFLOW_TRACE = """k,F,merit,gamma,beta,j_inner,ell,step_norm,residual
+0,1.0,1.0,nan,nan,-1,0,0.0,nan
+1,0.5,0.5,1.0,nan,0,0,1e-170,0.0
+2,0.6,0.6,1.0,nan,0,0,1e-170,0.0
+3,0.1,0.1,1.0,nan,0,2,1.0,0.0
+"""
+UNDERFLOW_FLAGS = ["--algorithm", "npg_major", "--m", "2", "--a", "0.1", "--alpha", "1",
+                   "--delta", "0.5", "--c", "1"]
 
 
 @dataclass(frozen=True)
@@ -320,6 +330,11 @@ def matrix() -> list[Call]:
         _reader("nan-F", SIDECAR_RUN, _set_cell(8, "F", "nan")),
         _reader("inf-merit", SIDECAR_RUN, _set_cell(8, "merit", "inf")),
         _reader("nan-step", SIDECAR_RUN, _set_cell(8, "step_norm", "nan")),
+        _reader("negative-step", SIDECAR_RUN, _set_cell(8, "step_norm", "-0.5")),
+        _reader("negative-residual", SIDECAR_RUN, _set_cell(8, "residual", "-0.5")),
+        Call("reader/underflowing-step",
+             lambda root, here: ["verify", str(here / "trace.csv"), *UNDERFLOW_FLAGS],
+             _write("trace.csv", UNDERFLOW_TRACE)),
         _reader("impossible-ell", SIDECAR_RUN, _set_cell(8, "ell", "99")),
         _reader("ell-moves-back", SIDECAR_RUN, _set_cell(9, "ell", "0")),
         _reader("sidecar-magic", SIDECAR_RUN, edit_sidecar=lambda raw: b"NOTMAGIC" + raw[8:]),
