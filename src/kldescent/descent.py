@@ -136,15 +136,12 @@ def checked_penalty(problem: CompositeProblem, cand: Vector, k: int):
 
 
 def descend(problem: CompositeProblem, x0: Vector, config, trials: Trials, *,
-            algorithm: str, problem_id: str, seed: Optional[int], a: float) -> Trace:
+            algorithm: str, problem_id: str, seed: Optional[int]) -> Trace:
     """Run the window line search from ``z^0 = (x^0, x^0)``.
 
     Stops when ``||x^{k+1} - x^k|| <= tol_step * (1 + ||x^k||)`` and the
     residual is at most ``tol_resid`` (``tolerance``), when an iterate repeats
     exactly (``stationary``), or after ``max_outer`` steps (``max_outer``).
-    The trace's config snapshot is ``config``'s fields followed by ``a``, the
-    solver's sufficient-decrease constant, and is checked when the
-    :class:`~kldescent.trace.Trace` is built.
     """
     x0 = as_vector(x0, "x0")
     if problem.dimension != x0.shape[0]:
@@ -205,5 +202,5 @@ def descend(problem: CompositeProblem, x0: Vector, config, trials: Trials, *,
         it.step, it.step_sq = step, step_sq
         it.grad_step, it.grad = grad_next - it.grad, grad_next
     return Trace(algorithm=algorithm, columns=dict(zip(CSV_COLUMNS, zip(*rows))), X=np.array(xs),
-                 problem_id=problem_id, config={**asdict(config), "a": a}, seed=seed,
+                 problem_id=problem_id, config=asdict(config), seed=seed,
                  terminated=terminated)

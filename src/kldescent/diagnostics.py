@@ -3,9 +3,9 @@
 Every check here consumes a :class:`~kldescent.trace.Trace` (columns only, no
 oracles) and returns a small record with a worst-case violation.  Each reads
 the solver constants from the trace's config snapshot through
-:func:`derive_audit_inputs`, which only looks them up: the snapshot is
-checked when the :class:`~kldescent.trace.Trace` is built, is read-only and
-carries the solver's ``a``.  A check takes no more than the Lipschitz bound,
+:func:`derive_audit_inputs`, which looks them up and derives a missing
+``a``: the snapshot is checked when the :class:`~kldescent.trace.Trace` is
+built and is read-only.  A check takes no more than the Lipschitz bound,
 ``tau``, ``mu`` and ``kbar``.
 Checks use plain floating-point comparisons with a scale-aware slack
 ``1e-10 * (1 + max |merit|)`` so that exact-by-construction inequalities
@@ -609,16 +609,16 @@ def derive_audit_inputs(trace: Trace) -> dict:
     """Look up the audit constants of ``trace`` in its config snapshot, the
     only place they are read.
 
-    The snapshot was checked when the trace was built, and the solvers
-    record their own ``a`` in it.  Only a hand-built snapshot without ``a``
-    has it derived here, and checked: the solver's
-    :func:`~kldescent.npg.decrease_constant` or
+    The snapshot was checked when the trace was built (``gamma_min`` only
+    when it has no ``a``).  ``a`` is the snapshot's own ``a`` when it has
+    one, else the solver's :func:`~kldescent.npg.decrease_constant` or
     :func:`~kldescent.pgenls.decrease_constant` of the snapshot's ``alpha``,
-    ``delta``, ``gamma_min`` and (``npg_major``) ``c``.  ``m`` and ``a`` must
-    resolve, and ``delta`` too for traces not made by ``npg_major``;
-    ``alpha``, ``c`` and a DC trace's ``delta`` stay ``None`` when the
-    snapshot lacks them, and ``beta_max`` is then 0 (no extrapolation).  To
-    audit with other constants, give the trace another snapshot, e.g.
+    ``delta``, ``gamma_min`` and (``npg_major``) ``c``, derived and checked
+    here, since it can underflow to 0.  ``m`` and ``a`` must resolve, and
+    ``delta`` too for traces not made by ``npg_major``; ``alpha``, ``c`` and
+    a DC trace's ``delta`` stay ``None`` when the snapshot lacks them, and
+    ``beta_max`` is then 0 (no extrapolation).  To audit with other
+    constants, give the trace another snapshot, e.g.
     ``dataclasses.replace(trace, config=...)``.
     """
     cfg = trace.config
@@ -636,10 +636,12 @@ def derive_audit_inputs(trace: Trace) -> dict:
     if a is None:
         names = ("alpha", "delta", "gamma_min") + (("c",) if dc else ())
         a = (npg if dc else pgenls).decrease_constant(*map(require, names))
-        a = check("audit", a=a)["a"]
-    return {"m": require("m"), "a": a, "alpha": cfg.get("alpha"),
-            "delta": cfg.get("delta") if dc else require("delta"), "c": cfg.get("c"),
-            "beta_max": 0.0 if cfg.get("beta_max") is None else cfg["beta_max"]}
+    inputs = {"m": require("m"), "a": a, "alpha": cfg.get("alpha"),
+              "delta": cfg.get("delta") if dc else require("delta"), "c": cfg.get("c"),
+              "beta_max": 0.0 if cfg.get("beta_max") is None else cfg["beta_max"]}
+    if cfg.get("a") is None:
+        inputs["a"] = check("audit", a=a)["a"]
+    return inputs
 
 
 def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
@@ -650,8 +652,11 @@ def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
 
     The solver constants (``m``, ``a``, ``alpha``, ``delta``, ``c``,
     ``beta_max``) come from the trace's config snapshot alone, through
-    :func:`derive_audit_inputs`; the snapshot was checked when the trace was
-    built and is read-only, so no check the report runs checks it again.
+    :func:`derive_audit_inputs`.  The snapshot was checked when the trace
+    was built and is read-only, so no check the report runs checks its
+    ``alpha``, ``delta``, ``c``, ``beta_max`` or ``gamma_min`` again; ``a``,
+    derived from a solver's snapshot, is checked at each derivation and in
+    :func:`c_constant`, and ``m`` goes through the rule ``kbar > m``.
     The Lipschitz constant of the gradient of ``f`` is ``lipschitz`` if
     given, else the problem's ``lipschitz_hint``; either is taken as an upper
     bound.  With neither, ``constants.l_f`` and ``constants.b_cap`` are null

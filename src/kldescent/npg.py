@@ -105,5 +105,4 @@ def npg_solve(problem: CompositeProblem, x0: Vector, config: NpgConfig | None = 
                        _residual(grad_next, it.grad, gamma, diff, step_norm), diff, step_sq)
 
     return descend(problem, x0, config, trials, algorithm="npg_major",
-                   problem_id=problem_id, seed=seed,
-                   a=decrease_constant(config.alpha, config.delta, config.gamma_min, config.c))
+                   problem_id=problem_id, seed=seed)

@@ -210,5 +210,4 @@ def pgenls_solve(problem: CompositeProblem, x0: Vector,
                        diff, step_sq)
 
     return descend(problem, x0, config, trials, algorithm=algorithm_label,
-                   problem_id=problem_id, seed=seed,
-                   a=decrease_constant(alpha, delta, config.gamma_min))
+                   problem_id=problem_id, seed=seed)

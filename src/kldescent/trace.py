@@ -32,7 +32,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .domains import RULES, check
+from .domains import check
 from .errors import InvalidInputError, LogicError
 from .oracles import Vector
 
@@ -45,6 +45,8 @@ _ROW_SCHEMA = {
     "j_inner": int, "ell": int, "step_norm": float, "residual": float,
 }
 CSV_COLUMNS = tuple(_ROW_SCHEMA)
+# the config snapshot fields an audit reads, each checked against RULES["audit"]
+_AUDITED = frozenset({"m", "a", "alpha", "delta", "c", "beta_max"})
 SIDECAR_MAGIC = b"KLTRACE1"
 MAX_INLINE_DIM = 20
 
@@ -65,9 +67,11 @@ class IterateRecord:
 
 @dataclass
 class Trace:
-    """A run's rows, iterates and config snapshot, whose fields ``RULES["audit"]``
-    names (``None`` is absent) are checked once, here, in snapshot order, and
-    kept converted; the snapshot is then read-only."""
+    """A run's rows, iterates and config snapshot.  The snapshot fields an
+    audit reads (``m``, ``a``, ``alpha``, ``delta``, ``c``, ``beta_max``, and
+    ``gamma_min`` when there is no ``a`` to derive ``a`` from; ``None`` is
+    absent) are checked once, here, against ``RULES["audit"]`` in snapshot
+    order, and kept converted; the snapshot is then read-only."""
 
     algorithm: str
     columns: Mapping[str, Sequence] = field(default_factory=dict)  # typed read-only at init
@@ -86,8 +90,9 @@ class Trace:
             if col.shape != (len(self),):
                 raise LogicError(f"column {name} has shape {col.shape} for {len(self)} rows")
             col.flags.writeable = False
+        read = _AUDITED if self.config.get("a") is not None else _AUDITED | {"gamma_min"}
         audited = {name: value for name, value in self.config.items()
-                   if name in RULES["audit"] and value is not None}
+                   if name in read and value is not None}
         self.config = MappingProxyType({**self.config, **check("audit", **audited)})
 
     def __len__(self) -> int:

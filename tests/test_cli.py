@@ -520,6 +520,15 @@ def test_verify_of_a_step_whose_square_underflows(tmp_path, capsys):
     assert report["h4.pass"] is None and report["prop_bound.pass"] is None
 
 
+def test_a_decrease_constant_that_underflows_fails_the_report_after_the_trace(tmp_path, capsys):
+    path, _ = write_config(tmp_path, problem="power4-1d", params={}, algorithm="npg_major",
+                           solver={"m": 2, "gamma_min": 5e-324, "max_outer": 5})
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == "kldescent: error: a must be positive, got 0.0\n"
+    assert (tmp_path / "out" / "trace.csv").exists()
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # config loading unit checks
 

@@ -42,7 +42,7 @@ def test_nan_merit_is_rejected_not_raised():
     # to the next trial
     trace = descend(quad_1d(), np.array([4.0]), NpgConfig(m=0, max_outer=1),
                     scripted([(math.nan, 0.0), (1.0, 0.0)]),
-                    algorithm="npg_major", problem_id="", seed=None, a=0.5)
+                    algorithm="npg_major", problem_id="", seed=None)
     assert trace.column("j_inner").tolist() == [-1, 1]
     assert trace.column("gamma")[1] == 2.0
 
@@ -51,7 +51,7 @@ def test_nan_decrement_raises():
     with pytest.raises(InvalidInputError, match="NaN"):
         descend(quad_1d(), np.array([4.0]), NpgConfig(m=0, max_outer=1),
                 scripted([(1.0, math.nan)]),
-                algorithm="npg_major", problem_id="", seed=None, a=0.5)
+                algorithm="npg_major", problem_id="", seed=None)
 
 
 def recomputed_gamma(config, dx, dg):

@@ -40,7 +40,7 @@ from kldescent.diagnostics import (
     _phi,
     _phi_slack,
 )
-from kldescent.domains import RULES, check
+from kldescent.domains import check
 from kldescent.errors import (
     FrameworkViolationError,
     InsufficientTraceError,
@@ -801,6 +801,20 @@ def test_derive_audit_inputs():
         derive_audit_inputs(Trace(algorithm="npg_major"))
 
 
+def test_a_trace_checks_only_the_snapshot_fields_the_audit_reads():
+    trace, _ = halving_trace()
+    # gamma_min only derives a missing a, and tau, mu and kbar are report arguments
+    given = replace(trace, config={"m": 0, "a": 0.25, "gamma_min": 0, "mu": -1.0, "kbar": 0})
+    assert given.config["gamma_min"] == 0 and given.config["mu"] == -1.0
+    assert build_report(given, problem=quad_1d()).fields["constants.a"] == 0.25
+    with pytest.raises(InvalidInputError, match=r"^gamma_min must be positive, got 0$"):
+        replace(given, config=dict(given.config, a=None))
+    # a derived a that underflows to 0 fails only when it is derived
+    tiny = replace(trace, config=dict(trace.config, gamma_min=5e-324))
+    with pytest.raises(InvalidInputError, match=r"^a must be positive, got 0\.0$"):
+        derive_audit_inputs(tiny)
+
+
 # each gate with the arguments no snapshot holds
 GATES = {
     "h1": check_h1,
@@ -941,9 +955,9 @@ def test_the_snapshot_is_checked_once_when_the_trace_is_built(problem_id, solve)
           mock.patch.object(diagnostics, "check", wraps=check) as audited):
         trace = solve(inst.problem, inst.x0, cfg)
         assert built.call_count == 1
-        # the audit fields of the snapshot, in snapshot order
-        assert list(built.call_args.kwargs) == [name for name in [*asdict(cfg), "a"]
-                                                if name in RULES["audit"]]
+        # the fields the audit reads, gamma_min to derive a, in snapshot order
+        read = {"m", "alpha", "delta", "c", "beta_max", "gamma_min"}
+        assert list(built.call_args.kwargs) == [name for name in asdict(cfg) if name in read]
         assert audited.call_count == 0
         build_report(trace, problem=inst.problem)
         replace(trace, terminated="")
@@ -952,22 +966,6 @@ def test_the_snapshot_is_checked_once_when_the_trace_is_built(problem_id, solve)
     snapshot_only = {"alpha", "delta", "c", "beta_max", "gamma_min"}
     for call in audited.call_args_list:
         assert not snapshot_only & call.kwargs.keys(), call
-
-
-@pytest.mark.parametrize("algorithm", ["npg_major", "pgenls", "pgnls"])
-def test_a_solver_records_its_decrease_constant_in_the_snapshot(algorithm):
-    inst = make_problem("lasso", {"seed": 0})
-    if algorithm == "npg_major":
-        cfg = NpgConfig(m=3, max_outer=5)
-        trace = npg_solve(inst.problem, inst.x0, cfg)
-        expected = npg.decrease_constant(cfg.alpha, cfg.delta, cfg.gamma_min, cfg.c)
-    else:
-        zeros = {"delta": 0.0, "beta_max": 0.0} if algorithm == "pgnls" else {}
-        cfg = PgenlsConfig(m=3, max_outer=5, **zeros)
-        trace = pgenls_solve(inst.problem, inst.x0, cfg, algorithm_label=algorithm)
-        expected = pgenls.decrease_constant(cfg.alpha, cfg.delta, cfg.gamma_min)
-    assert trace.config["a"].hex() == expected.hex()
-    assert derive_audit_inputs(trace)["a"] == expected
 
 
 def test_reports_in_racing_threads_use_their_own_constants():
