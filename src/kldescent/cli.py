@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import numbers
 import sys
 from pathlib import Path
 from typing import Optional
@@ -29,8 +30,9 @@ from .trace import Trace, read_trace_csv, write_trace_csv
 _AGGREGATE_FIELDS = (("iterations", "iterations"), ("final_f", "final_f"),
                      ("verdict", "rate.verdict"), ("rho", "rate.rho"),
                      ("slope", "rate.slope"), ("degenerate_a", "h1.degenerate_a"))
-# the verify flags that make up the trace's config snapshot
-_SNAPSHOT_FLAGS = ("m", "a", "alpha", "delta", "c", "beta_max")
+# the help of the verify flags of RULES["snapshot"] that have one
+_FLAG_HELP = {"m": "window length", "a": "sufficient-decrease constant",
+              "delta": "proximity weight used by the run", "c": "free decrease weight (DC solver)"}
 # the longest file name, in bytes, of the common Linux filesystems
 _NAME_MAX = 255
 
@@ -317,7 +319,7 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     """Re-audit a trace CSV; the solver-constant flags given are its config
     snapshot, the one source :func:`build_report` reads them from."""
-    snapshot = {name: getattr(args, name) for name in _SNAPSHOT_FLAGS
+    snapshot = {name: getattr(args, name) for name in RULES["snapshot"]
                 if getattr(args, name) is not None}
     missing = ("--m and --a" if args.m is None or args.a is None
                else "--delta" if args.delta is None and args.algorithm != "npg_major"
@@ -375,26 +377,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_ver = sub.add_parser("verify", help="re-audit an existing trace.csv")
+
+    def rule_flags(context):  # one per field, an int for an integer domain
+        for name, (kind, _, _) in RULES[context].items():
+            p_ver.add_argument("--" + name.replace("_", "-"), help=_FLAG_HELP.get(name),
+                               type=int if kind is numbers.Integral else float)
+
     p_ver.add_argument("trace", help="trace CSV produced by run (or compatible)")
     p_ver.add_argument("--report", default=None,
                        help="write the report JSON here (default: stdout)")
     p_ver.add_argument("--algorithm", default="npg_major", choices=ALGORITHMS)
-    p_ver.add_argument("--m", type=int, default=None, help="window length")
-    p_ver.add_argument("--a", type=float, default=None,
-                       help="sufficient-decrease constant")
-    p_ver.add_argument("--alpha", type=float, default=None)
-    p_ver.add_argument("--delta", type=float, default=None,
-                       help="proximity weight used by the run")
-    p_ver.add_argument("--c", type=float, default=None,
-                       help="free decrease weight (DC solver)")
-    p_ver.add_argument("--beta-max", type=float, default=None, dest="beta_max")
+    rule_flags("snapshot")
     p_ver.add_argument("--lf", type=float, default=None,
                        help="upper bound on the Lipschitz constant of the "
                             "gradient of f (without it the checks that need "
                             "one report n/a)")
-    p_ver.add_argument("--tau", type=float, default=None)
-    p_ver.add_argument("--mu", type=float, default=None)
-    p_ver.add_argument("--kbar", type=int, default=None)
+    rule_flags("diagnostics")
     p_ver.add_argument("--problem", default="", help="problem id for the report")
     p_ver.add_argument("--terminated", default="",
                        choices=("", "tolerance", "stationary", "max_outer"),

@@ -5,6 +5,7 @@ they try stepsize weights ``gamma0 * rho**j`` for ``j = 0, 1, ...`` and accept
 the first candidate whose merit sits below the maximum of the last ``m + 1``
 merits minus a forcing decrement.  This module owns what the two share:
 
+- the config fields of the line search (:class:`DescentConfig`);
 - the Barzilai-Borwein start ``gamma0`` of each trial loop
   (:func:`initial_gamma`), at ``k = 0`` from one curvature probe at ``x^0``
   (:func:`probe_gamma`);
@@ -60,12 +61,28 @@ from .memory import MemoryWindow
 from .oracles import CompositeProblem, Vector, as_vector
 from .trace import CSV_COLUMNS, Trace
 
-__all__ = ["Iterate", "PROBE_SCALE", "initial_gamma", "probe_gamma", "checked_penalty",
-           "descend"]
+__all__ = ["DescentConfig", "Iterate", "PROBE_SCALE", "initial_gamma", "probe_gamma",
+           "checked_penalty", "descend"]
 
 # Length of the curvature probe at x^0 relative to 1 + ||x^0||.  A probe of
 # 1e-3 measured worse off quadratics (lasso under pgenls at m = 0).
 PROBE_SCALE = 1e-6
+
+
+@dataclass(frozen=True)
+class DescentConfig:
+    """The fields :func:`descend` reads, in ``domains._SOLVER``'s order; each
+    solver's config adds its own and checks them all against its ``RULES``."""
+
+    m: int = 5
+    gamma_min: float = 1e-2
+    gamma_max: float = 1e10
+    rho: float = 2.0
+    max_outer: int = 10000
+    max_inner: int = 60
+    tol_step: float = 1e-8
+    tol_resid: float = 1e-8
+    gamma_init_rule: str = "spectral"
 
 
 @dataclass(slots=True)
@@ -135,9 +152,10 @@ def checked_penalty(problem: CompositeProblem, cand: Vector, k: int):
     return g_cand
 
 
-def descend(problem: CompositeProblem, x0: Vector, config, trials: Trials, *,
+def descend(problem: CompositeProblem, x0: Vector, config: DescentConfig, trials: Trials, *,
             algorithm: str, problem_id: str, seed: Optional[int]) -> Trace:
-    """Run the window line search from ``z^0 = (x^0, x^0)``.
+    """Run the window line search from ``z^0 = (x^0, x^0)`` under ``config``, a
+    solver's :class:`DescentConfig`, all of whose fields make the trace's snapshot.
 
     Stops when ``||x^{k+1} - x^k|| <= tol_step * (1 + ||x^k||)`` and the
     residual is at most ``tol_resid`` (``tolerance``), when an iterate repeats

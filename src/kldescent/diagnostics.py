@@ -306,7 +306,8 @@ def check_h3(trace: Trace, lipschitz: Optional[float]) -> AuditRecord:
         details["sigma_max"] = 0.0
 
     mask = fsteps[1:] > 0.0
-    ratios = resid[1:][mask] / fsteps[1:][mask]
+    with np.errstate(divide="ignore", over="ignore"):  # a ratio past float64 is inf
+        ratios = resid[1:][mask] / fsteps[1:][mask]
     b_hat = float(np.max(ratios)) if ratios.size else 0.0
     details["b_hat"] = b_hat
 

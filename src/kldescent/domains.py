@@ -7,10 +7,11 @@ keys are the context's fields: ``config`` (an experiment config's top level),
 ``delta`` and ``beta_max`` at 0), ``audit`` (the constants of a
 :class:`~kldescent.trace.Trace`'s config snapshot,
 :func:`~kldescent.diagnostics.build_report`, its checks and
-:class:`~kldescent.memory.MemoryWindow`), ``diagnostics`` (those a config
-sets), ``oracle`` (the weight ``lam`` of the oracle builders) and ``params``
-(the catalog's problem parameters).  Rules on two fields follow the table in
-:func:`check`.
+:class:`~kldescent.memory.MemoryWindow`), ``snapshot`` (those of a trace's
+config snapshot that an audit reads), ``diagnostics`` (those a config sets;
+the two make ``verify``'s flags), ``oracle`` (the weight ``lam`` of the oracle
+builders) and ``params`` (the catalog's problem parameters).  Rules on two
+fields follow the table in :func:`check`.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def _choice(*options: str) -> Domain:
     return Domain(str, lambda v: v in options, "must be " + " or ".join(map(repr, options)))
 
 
-# the fields both solver configs have; gamma_min's positivity is a pair rule
+# the fields of descent.DescentConfig; gamma_min's positivity is a pair rule
 _SOLVER = {"m": COUNT, "gamma_min": REAL, "gamma_max": REAL, "rho": ABOVE_ONE,
            "max_outer": POSITIVE_COUNT, "max_inner": POSITIVE_COUNT,
            "tol_step": POSITIVE, "tol_resid": POSITIVE,
@@ -74,6 +75,7 @@ RULES = {
     "pgenls": _PGENLS,
     "pgnls": {**_PGENLS, "delta": _ZERO, "beta_max": _ZERO},
     "audit": _AUDIT,
+    "snapshot": {name: _AUDIT[name] for name in ("m", "a", "alpha", "delta", "c", "beta_max")},
     "diagnostics": {name: _AUDIT[name] for name in ("tau", "mu", "kbar")},
     "oracle": {"lam": POSITIVE},
     "params": {"seed": COUNT, "rows": POSITIVE_COUNT, "cols": POSITIVE_COUNT,

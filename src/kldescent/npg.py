@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .descent import Iterate, checked_penalty, descend
+from .descent import DescentConfig, Iterate, checked_penalty, descend
 from .domains import check
 from .oracles import CompositeProblem, Vector
 from .trace import Trace
@@ -47,19 +47,10 @@ def decrement(alpha: float, delta: float, c: float, gamma, step_sq):
 
 
 @dataclass(frozen=True)
-class NpgConfig:
-    m: int = 5
-    gamma_min: float = 1e-2
-    gamma_max: float = 1e10
-    rho: float = 2.0
+class NpgConfig(DescentConfig):
     delta: float = 0.5
     alpha: float = 1.0
     c: float = 1.0
-    max_outer: int = 10000
-    max_inner: int = 60
-    tol_step: float = 1e-8
-    tol_resid: float = 1e-8
-    gamma_init_rule: str = "spectral"
 
     def __post_init__(self):
         check("npg_major", **vars(self))

@@ -72,7 +72,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .descent import Iterate, checked_penalty, descend
+from .descent import DescentConfig, Iterate, checked_penalty, descend
 from .domains import check
 from .errors import InvalidInputError
 from .oracles import CompositeProblem, Vector
@@ -107,20 +107,11 @@ def degenerate_decrease(delta: float, beta_max: float) -> bool:
 
 
 @dataclass(frozen=True)
-class PgenlsConfig:
-    m: int = 5
+class PgenlsConfig(DescentConfig):
     delta: float = 1.0
     alpha: float = 0.5
-    gamma_min: float = 1e-2
-    gamma_max: float = 1e10
     beta_max: float = 0.9
-    rho: float = 2.0
     nu: float = 0.25
-    max_outer: int = 10000
-    max_inner: int = 60
-    tol_step: float = 1e-8
-    tol_resid: float = 1e-8
-    gamma_init_rule: str = "spectral"
     beta_init_rule: str = "constant"
 
     def __post_init__(self):

@@ -32,7 +32,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .domains import check
+from .domains import RULES, check
 from .errors import InvalidInputError, LogicError
 from .oracles import Vector
 
@@ -45,8 +45,6 @@ _ROW_SCHEMA = {
     "j_inner": int, "ell": int, "step_norm": float, "residual": float,
 }
 CSV_COLUMNS = tuple(_ROW_SCHEMA)
-# the config snapshot fields an audit reads, each checked against RULES["audit"]
-_AUDITED = frozenset({"m", "a", "alpha", "delta", "c", "beta_max"})
 SIDECAR_MAGIC = b"KLTRACE1"
 MAX_INLINE_DIM = 20
 
@@ -68,10 +66,9 @@ class IterateRecord:
 @dataclass
 class Trace:
     """A run's rows, iterates and config snapshot.  The snapshot fields an
-    audit reads (``m``, ``a``, ``alpha``, ``delta``, ``c``, ``beta_max``, and
-    ``gamma_min`` when there is no ``a`` to derive ``a`` from; ``None`` is
-    absent) are checked once, here, against ``RULES["audit"]`` in snapshot
-    order, and kept converted; the snapshot is then read-only."""
+    audit reads (``RULES["snapshot"]``'s, and ``gamma_min`` without an ``a`` to
+    derive ``a`` from; ``None`` is absent) are checked once, here, against
+    ``RULES["audit"]`` in snapshot order and kept converted; then it is read-only."""
 
     algorithm: str
     columns: Mapping[str, Sequence] = field(default_factory=dict)  # typed read-only at init
@@ -90,7 +87,8 @@ class Trace:
             if col.shape != (len(self),):
                 raise LogicError(f"column {name} has shape {col.shape} for {len(self)} rows")
             col.flags.writeable = False
-        read = _AUDITED if self.config.get("a") is not None else _AUDITED | {"gamma_min"}
+        snapshot = RULES["snapshot"]
+        read = snapshot if self.config.get("a") is not None else {*snapshot, "gamma_min"}
         audited = {name: value for name, value in self.config.items()
                    if name in read and value is not None}
         self.config = MappingProxyType({**self.config, **check("audit", **audited)})
@@ -211,6 +209,8 @@ def read_trace_csv(path: str | Path, algorithm: str = "", config: dict | None = 
         for name in ("step_norm", "residual"):  # a NaN residual, as on row 0, passes
             if row[name] < 0.0:
                 raise InvalidInputError(f"{path}: line {lineno}: {name} is negative")
+        if rows and not row["gamma"] > 0.0:  # row 0's is NaN
+            raise InvalidInputError(f"{path}: line {lineno}: gamma is not positive")
         if not low <= row["ell"] <= row["k"]:
             raise InvalidInputError(
                 f"{path}: line {lineno}: ell {row['ell']} outside [{low}, {row['k']}]"

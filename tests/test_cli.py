@@ -2,18 +2,25 @@
 
 import json
 import math
+import numbers
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kldescent import catalog
 from kldescent.catalog import make_problem, problem_ids
-from kldescent.cli import main
+from kldescent.cli import build_parser, main
+from kldescent.domains import RULES
 from kldescent.errors import InvalidInputError
 from kldescent.trace import CSV_COLUMNS
 from kldescent.cli import _apply_sweep_value, _parse_sweep_values, diag_overrides, load_config
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 # 10**400 as an error message shows it: its first 20 characters and its length
 HUGE_SHOWN = "10000000000000000000... (401 characters)"
 
@@ -520,6 +527,42 @@ def test_verify_of_a_step_whose_square_underflows(tmp_path, capsys):
     assert report["h4.pass"] is None and report["prop_bound.pass"] is None
 
 
+# a DC trace whose residual over a subnormal step overflows float64
+SUBNORMAL_TRACE = """k,F,merit,gamma,beta,j_inner,ell,step_norm,residual
+0,1.0,1.0,nan,nan,-1,0,0.0,nan
+1,0.5,0.5,1.0,nan,0,1,1e-310,10000000000.0
+2,0.4,0.4,1.0,nan,0,2,1.0,0.1
+"""
+
+
+def test_verify_of_a_residual_ratio_past_float64_prints_one_line(tmp_path):
+    # in a process of its own, where a numpy warning would reach stderr
+    path = tmp_path / "trace.csv"
+    path.write_text(SUBNORMAL_TRACE)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-m", "kldescent", "verify", str(path), "--algorithm", "npg_major",
+         "--m", "0", "--a", "0.1", "--alpha", "1", "--delta", "0.5", "--c", "1", "--lf", "1"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 3
+    assert done.stderr == "kldescent: error: audit failure: acceptance, h3\n"
+    report = json.loads(done.stdout)
+    assert report["constants.b_hat"] is None and report["h3.pass"] is False
+
+
+def test_verify_has_one_flag_per_snapshot_and_diagnostics_field(capsys):
+    # each flag parses to its domain's machine number: an int for an integer
+    fields = {**RULES["snapshot"], **RULES["diagnostics"]}
+    argv = ["verify", "t.csv", *[part for name in fields
+                                 for part in ("--" + name.replace("_", "-"), "3")]]
+    args = build_parser().parse_args(argv)
+    assert {name: type(getattr(args, name)) for name in fields} == {
+        name: int if kind is numbers.Integral else float for name, (kind, _, _) in fields.items()}
+    for flag in ("--m", "--kbar"):
+        assert main(["verify", "t.csv", flag, "2.5"]) == 1
+        assert capsys.readouterr().err.endswith(f"argument {flag}: invalid int value: '2.5'\n")
+
+
 def test_a_decrease_constant_that_underflows_fails_the_report_after_the_trace(tmp_path, capsys):
     path, _ = write_config(tmp_path, problem="power4-1d", params={}, algorithm="npg_major",
                            solver={"m": 2, "gamma_min": 5e-324, "max_outer": 5})
@@ -717,6 +760,8 @@ ERROR_PATHS = [
     ("usage-unknown-verb", lambda t, r: ["frobnicate"], 1, "invalid choice"),
     ("usage-sweep-flags", lambda t, r: ["sweep", "x.json"], 1, "required"),
     ("usage-verify-m", lambda t, r: ["verify", "x.csv", "--m", "1.5"], 1, "invalid int value"),
+    ("usage-verify-kbar", lambda t, r: ["verify", "x.csv", "--kbar", "2.5"], 1,
+     "invalid int value"),
     # sweep
     ("sweep-bad-values", lambda t, r: _sweep(t, "delta", "a,b"), 1, "is not a number"),
     ("sweep-value-over-4300-digits", lambda t, r: _sweep(t, "params.x0", "1" + "0" * 4300), 1,
@@ -775,6 +820,10 @@ ERROR_PATHS = [
      "line 10: residual is negative"),
     ("verify-impossible-ell", lambda t, r: _verify(t, r, edit=_set_cells(8, ell="99")), 1,
      "line 10: ell 99 outside"),
+    ("verify-negative-gamma", lambda t, r: _verify(t, r, edit=_set_cells(8, gamma="-0.5")), 1,
+     "line 10: gamma is not positive"),
+    ("verify-nan-gamma", lambda t, r: _verify(t, r, edit=_set_cells(8, gamma="nan")), 1,
+     "line 10: gamma is not positive"),
     ("verify-sidecar-magic",
      lambda t, r: _verify(t, r, sidecar=lambda p: p.write_bytes(b"NOTMAGIC" + p.read_bytes()[8:])),
      1, "not a trace sidecar (bad magic)"),

@@ -927,6 +927,17 @@ def test_build_report_clean_dc_run():
                                  "inconclusive")
 
 
+def test_a_residual_ratio_past_float64_makes_b_hat_null_without_a_warning():
+    # a residual of 1e10 over a subnormal step of 1e-310 overflows to inf
+    trace = synth([1.0, 0.5, 0.4], [0.0, 1e-310, 1.0], gammas=[math.nan, 1.0, 1.0],
+                  config={"m": 0, "a": 0.1, "alpha": 1.0, "delta": 0.5, "c": 1.0})
+    trace = with_column(trace, residual=[math.nan, 1e10, 0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = build_report(trace, lipschitz=1.0).fields
+    assert f["constants.b_hat"] is None and f["h3.pass"] is False
+
+
 def test_build_report_without_a_finite_fitted_mu_skips_h4_and_prop_bound():
     # the two tiny steps square to 0, so the merit rise between them makes
     # b_bar, and the mu fitted from it, inf: no gate can use that mu

@@ -5,12 +5,14 @@ naming the field."""
 
 import inspect
 import math
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from kldescent import catalog, oracles
+from kldescent import catalog, domains, oracles
+from kldescent import trace as trace_module
+from kldescent.descent import DescentConfig
 from kldescent.diagnostics import build_report, derive_audit_inputs
 from kldescent.domains import RULES, check, shown
 from kldescent.errors import InvalidInputError
@@ -25,6 +27,32 @@ HUGE_SHOWN = "10000000000000000000... (401 characters)"
 DEFAULT_KBAR_PAST_INT64 = Trace(algorithm="npg_major", X=np.zeros((1, 1)),
                                 columns=dict.fromkeys(CSV_COLUMNS, [0]),
                                 config={"m": 2**63 - 2, "a": 1.0})
+
+
+def test_the_shared_solver_fields_are_declared_once_in_rule_order():
+    shared = [f.name for f in fields(DescentConfig)]
+    assert shared == list(domains._SOLVER)
+    for config in (NpgConfig, PgenlsConfig):
+        assert [f.name for f in fields(config)][:len(shared)] == shared
+
+
+@pytest.mark.parametrize("a, checked", [
+    (0.1, ["m", "delta", "alpha", "beta_max", "c", "a"]),
+    (None, ["m", "gamma_min", "delta", "alpha", "beta_max", "c"]),
+], ids=["with-a", "without-a"])
+def test_a_trace_checks_exactly_the_snapshot_fields(monkeypatch, a, checked):
+    # every field of a solver config, with c, a and a stray audit field added
+    config = {**asdict(PgenlsConfig()), "c": 1.0, "a": a, "tau": 0.5}
+    seen = []
+
+    def spy(context, *prefix, **values):
+        seen.append((context, list(values)))
+        return check(context, *prefix, **values)
+
+    monkeypatch.setattr(trace_module, "check", spy)
+    Trace(algorithm="pgenls", config=config)
+    assert seen == [("audit", checked)]
+    assert {*checked, "a"} - {"gamma_min"} == set(RULES["snapshot"])
 
 
 def test_every_field_of_every_context_has_one_rule():
@@ -66,6 +94,7 @@ def test_a_name_outside_its_context_is_rejected(context):
     (lambda: NpgConfig(m=10**400), "m must fit in int64, got " + HUGE_SHOWN),
     (lambda: NpgConfig(max_inner=2**63), f"max_inner must fit in int64, got {2**63}"),
     (lambda: NpgConfig(max_outer=0), "max_outer must be a positive integer, got 0"),
+    (lambda: NpgConfig(delta=2.0, max_outer=0), "max_outer must be a positive integer, got 0"),
     (lambda: NpgConfig(gamma_min=0.0), "gamma bounds must satisfy 0 < gamma_min <= gamma_max, "
                                        "got [0.0, 10000000000.0]"),
     (lambda: PgenlsConfig(delta=math.inf), "delta must be finite, got inf"),
@@ -96,7 +125,7 @@ def test_a_name_outside_its_context_is_rejected(context):
      "the default m + 2 for kbar must fit in int64, got 9223372036854775808"),
 ], ids=["c-inf", "rho-inf", "gamma-bounds-inf", "gamma_max-inf", "tol_step-inf",
         "tol_step-zero", "m-beyond-int64", "max_inner-2**63", "max_outer-zero",
-        "gamma_min-zero", "pgenls-delta-inf", "pgenls-tol_resid-inf",
+        "shared-field-checked-first", "gamma_min-zero", "pgenls-delta-inf", "pgenls-tol_resid-inf",
         "pgenls-max_outer-beyond-int64", "gamma_init_rule-int", "beta_init_rule-bogus",
         "nu-past-1/rho", "audit-m-beyond-int64", "audit-delta-inf", "params-rows-beyond-int64",
         "params-seed-negative", "params-rows-times-cols", "oracle-lam-negative",

@@ -13,9 +13,10 @@ import pytest
 import kldescent.cli
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
-# a run with a sidecar and an inline one, the calls that read their traces,
-# and the runs on data files, whose config and report hold the call's path
-PREFIXES = ("run/lasso/pgenls/s0/m5", "run/power4-1d/pgenls/s0/m0",
+# a run with a sidecar and an inline one, the DC run the acceptance readers
+# edit, the calls that read their traces, and the runs on data files, whose
+# config and report hold the call's path
+PREFIXES = ("run/lasso/pgenls/s0/m5", "run/power4-1d/pgenls/s0/m0", "run/lasso/npg_major/s0/m5",
             "verify/lasso/pgenls/s0/m5/", "reader/", "input/x0-", "data/")
 
 
@@ -48,6 +49,11 @@ def test_same_checkout_gives_the_same_manifest(identity):
     assert by_label["data/lasso-csv-nan"]["stderr"] == (
         "kldescent: error: matrix loaded from '<tmp>/data/lasso-csv-nan/A.csv' "
         "has non-finite entries\n")
+    # the edit that makes acceptance alone fail, and the negated gamma the reader rejects
+    assert by_label["reader/acceptance-fails"]["stderr"] == (
+        "kldescent: error: audit failure: acceptance\n")
+    assert by_label["reader/negative-gamma"]["stderr"].endswith(
+        "trace.csv: line 3: gamma is not positive\n")
     magic = by_label["reader/sidecar-magic"]
     assert magic["exit"] == 1
     assert magic["stderr"].startswith("kldescent: error: <tmp>/reader/sidecar-magic/trace.bin")

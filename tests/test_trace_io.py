@@ -332,6 +332,15 @@ def test_negative_norm_rejected(tmp_path, column):
         read_trace_csv(path)
 
 
+@pytest.mark.parametrize("value", ["-0.5", "0.0", "-0.0", "nan", "-inf"])
+def test_a_gamma_that_is_not_positive_rejected(tmp_path, value):
+    path = tmp_path / "t.csv"
+    write_trace_csv(_toy_trace(n=2, rows=4), path)  # row 0's gamma is NaN
+    rewrite_cell(path, 2, "gamma", value)
+    with pytest.raises(InvalidInputError, match="line 4: gamma is not positive$"):
+        read_trace_csv(path)
+
+
 @pytest.mark.parametrize("row, ell, bounds", [
     (0, "-1", "[0, 0]"),   # negative
     (2, "3", "[0, 2]"),    # above its row's k

@@ -19,6 +19,7 @@ and no manifest is committed.
 
 The matrix:
 
+* ``help``: ``verify --help``;
 * ``run``: every catalog problem under each algorithm, at seeds 0, 1 and 3
   and window lengths 0 and 5 (``power4-1d`` capped at 1500 iterations); the
   concave problem under ``pgenls``/``pgnls`` must exit 1;
@@ -40,14 +41,18 @@ The matrix:
   (on the Lanczos path) the later calls take from the catalog's memo, which
   the first one filled;
 * ``reader``: one malformed trace per reader message, plus a trace whose
-  sidecar is gone and a four-row DC trace whose steps of 1e-170 square to 0,
-  so the ``mu`` fitted from its ``b_bar`` is inf;
+  sidecar is gone; a four-row DC trace whose steps of 1e-170 square to 0,
+  so the ``mu`` fitted from its ``b_bar`` is inf; a three-row DC trace whose
+  residual over a step of 1e-310 is past the float range; and a DC trace
+  edited so that acceptance alone fails, once as it is and once with the
+  edited row's ``gamma`` negated;
 * ``input``: numbers a config cannot hold (integers beyond the float or
   int64 range or over 4300 digits), non-finite ones and ones outside their
   field's domain, in each block and in ``verify``'s flags; an unknown field
-  in each block; ``pgnls`` with a nonzero and a non-number ``delta``; sizes
-  whose matrix numpy cannot make; a window ``m`` whose default ``kbar`` is
-  past int64; and ``run`` at ``m = 1000``, where the path-length constant is
+  in each block; an ``npg_major`` solver block with two bad fields, which
+  names the first field checked; ``pgnls`` with a nonzero and a non-number
+  ``delta``; sizes whose matrix numpy cannot make; a window ``m`` whose
+  default ``kbar`` is past int64; and ``run`` at ``m = 1000``, where the path-length constant is
   beyond the float range, with ``verify`` of its trace.
 """
 
@@ -98,6 +103,16 @@ UNDERFLOW_TRACE = """k,F,merit,gamma,beta,j_inner,ell,step_norm,residual
 """
 UNDERFLOW_FLAGS = ["--algorithm", "npg_major", "--m", "2", "--a", "0.1", "--alpha", "1",
                    "--delta", "0.5", "--c", "1"]
+# a DC trace whose residual over a subnormal step is past the float range
+SUBNORMAL_TRACE = """k,F,merit,gamma,beta,j_inner,ell,step_norm,residual
+0,1.0,1.0,nan,nan,-1,0,0.0,nan
+1,0.5,0.5,1.0,nan,0,1,1e-310,10000000000.0
+2,0.4,0.4,1.0,nan,0,2,1.0,0.1
+"""
+SUBNORMAL_FLAGS = ["--algorithm", "npg_major", "--m", "0", "--a", "0.1", "--alpha", "1",
+                   "--delta", "0.5", "--c", "1", "--lf", "1"]
+# the npg_major run at default constants whose trace the acceptance cases edit
+DC_RUN = ("lasso", "npg_major", 0, 5)
 
 
 @dataclass(frozen=True)
@@ -227,6 +242,30 @@ def _reader(name: str, run: tuple, edit_csv=None, edit_sidecar=None) -> Call:
     return Call(f"reader/{name}", argv, prepare)
 
 
+def _acceptance_only_fails(negate_gamma: bool) -> Callable[[list], list]:
+    """An edit of a trace of ``DC_RUN``: row 1's ``F`` set halfway between
+    what ``h1`` and the acceptance test allow, so that acceptance alone fails,
+    and its merit raised to at least ``F``; with ``negate_gamma``, its
+    ``gamma`` negated too, which flips the sign of its decrement."""
+    def edit(lines: list) -> list:
+        from kldescent import npg
+
+        cfg = npg.NpgConfig()
+        column = lines[0].split(",").index
+        before, row = lines[1].split(","), lines[2].split(",")
+        peak = float(lines[1 + int(before[column("ell")])].split(",")[column("F")])
+        gamma, step_sq = float(row[column("gamma")]), float(row[column("step_norm")]) ** 2
+        d = npg.decrement(cfg.alpha, cfg.delta, cfg.c, gamma, step_sq)
+        a = npg.decrease_constant(cfg.alpha, cfg.delta, cfg.gamma_min, cfg.c)
+        f_value = peak - 0.5 * (d + a * step_sq)
+        row[column("F")] = repr(f_value)
+        row[column("merit")] = repr(max(float(row[column("merit")]), f_value))
+        if negate_gamma:
+            row[column("gamma")] = repr(-gamma)
+        return lines[:2] + [",".join(row)] + lines[3:]
+    return edit
+
+
 def _input(name: str, problem: str, algorithm: str, solver: Optional[dict] = None,
            **fields) -> Call:
     return _run(f"input/{name}",
@@ -271,7 +310,7 @@ def _sweep(label: str, cfg: dict, param: str, values: str) -> Call:
 def matrix() -> list[Call]:
     import kldescent
 
-    calls = []
+    calls = [Call("help/verify", lambda root, here: ["verify", "--help"])]
     runs = [(problem, algorithm, seed, m) for problem in kldescent.problem_ids()
             for algorithm in ALGORITHMS for seed in SEEDS for m in WINDOWS]
     for run in runs:
@@ -335,6 +374,11 @@ def matrix() -> list[Call]:
         Call("reader/underflowing-step",
              lambda root, here: ["verify", str(here / "trace.csv"), *UNDERFLOW_FLAGS],
              _write("trace.csv", UNDERFLOW_TRACE)),
+        Call("reader/subnormal-step",
+             lambda root, here: ["verify", str(here / "trace.csv"), *SUBNORMAL_FLAGS],
+             _write("trace.csv", SUBNORMAL_TRACE)),
+        _reader("acceptance-fails", DC_RUN, _acceptance_only_fails(False)),
+        _reader("negative-gamma", DC_RUN, _acceptance_only_fails(True)),
         _reader("impossible-ell", SIDECAR_RUN, _set_cell(8, "ell", "99")),
         _reader("ell-moves-back", SIDECAR_RUN, _set_cell(9, "ell", "0")),
         _reader("sidecar-magic", SIDECAR_RUN, edit_sidecar=lambda raw: b"NOTMAGIC" + raw[8:]),
@@ -359,6 +403,7 @@ def matrix() -> list[Call]:
              _write("exp.json", '{"problem": "power4-1d", "algorithm": "pgenls", '
                                 '"params": {"x0": ' + DIGITS_4301 + "}}")),
         _input("c-inf", "lasso", "npg_major", {"c": math.inf}),
+        _input("two-bad-fields", "lasso", "npg_major", {"delta": 2, "max_outer": 0}),
         _input("rho-inf", "lasso", "pgenls", {"rho": math.inf}),
         _input("gamma-bounds-inf", "lasso", "pgenls", {"gamma_min": math.inf,
                                                        "gamma_max": math.inf}),
@@ -423,6 +468,8 @@ def _call(call: Call, root: Path) -> dict:
         warnings.simplefilter("always")  # each call sees its warnings, not just the first
         try:
             exit_code = main(argv)
+        except SystemExit as exc:  # argparse's --help
+            exit_code = exc.code
         except Exception as exc:  # noqa: BLE001 - an escaped exception is an outcome
             exception = f"{type(exc).__name__}: {exc}"
     files = {str(p.relative_to(here)): _sha256(p, root)
