@@ -21,7 +21,6 @@ from .diagnostics import (
     estimate_bbar,
     fit_decay,
     fit_rate,
-    theta_dc,
     xi_gamma,
 )
 from .errors import (
@@ -61,6 +60,6 @@ __all__ = [
     "check_h4", "check_prop_bound", "describe_problems", "estimate_bbar",
     "fit_decay", "fit_rate", "inner_schedule", "l0_oracle", "l1_oracle",
     "l2_norm_oracle", "make_least_squares", "make_power4_1d", "make_problem",
-    "npg_solve", "pgenls_solve", "problem_ids", "read_trace_csv", "theta_dc",
+    "npg_solve", "pgenls_solve", "problem_ids", "read_trace_csv",
     "write_trace_csv", "xi_gamma", "zero_oracle",
 ]

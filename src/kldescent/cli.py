@@ -20,7 +20,7 @@ from typing import Optional
 from ._version import __version__
 from .catalog import describe_problems, make_problem
 from .diagnostics import DiagnosticsReport, build_report
-from .domains import ALGORITHMS, RULES, check, check_known, shown
+from .domains import ALGORITHMS, FIXED, RULES, check, check_known, shown
 from .errors import InsufficientTraceError, InvalidInputError, KlDescentError
 from .npg import NpgConfig, npg_solve
 from .pgenls import PgenlsConfig, pgenls_solve
@@ -120,11 +120,9 @@ def _solver_config(cfg: dict):
     algorithm = cfg["algorithm"]
     solver = cfg.get("solver", {})
     check_known(solver, RULES[algorithm], f"unknown solver field(s) for {algorithm}")
-    if algorithm == "pgnls":
-        zeros = {"delta": 0.0, "beta_max": 0.0}
-        check("pgnls", "solver.", **{name: solver[name] for name in zeros if name in solver})
-        solver = {**solver, **zeros}
-    return (NpgConfig if algorithm == "npg_major" else PgenlsConfig)(**solver)
+    fixed = FIXED.get(algorithm, {})
+    check(algorithm, "solver.", **{name: solver[name] for name in fixed if name in solver})
+    return (NpgConfig if algorithm == "npg_major" else PgenlsConfig)(**{**solver, **fixed})
 
 
 def _build(cfg: dict):
@@ -135,11 +133,6 @@ def _build(cfg: dict):
     solver_cfg = _solver_config(cfg)
     if "kbar" in diag:  # the audit's kbar must exceed the run's m
         check("audit", "diagnostics.", m=solver_cfg.m, kbar=diag["kbar"])
-    if cfg["algorithm"] != "npg_major" and instance.problem.h is not None:
-        raise InvalidInputError(
-            f"algorithm {cfg['algorithm']!r} cannot handle problem "
-            f"{cfg['problem']!r}: the objective has a concave term; use npg_major"
-        )
     return instance, solver_cfg, diag
 
 
@@ -317,19 +310,25 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Re-audit a trace CSV; the solver-constant flags given are its config
-    snapshot, the one source :func:`build_report` reads them from."""
-    snapshot = {name: getattr(args, name) for name in RULES["snapshot"]
-                if getattr(args, name) is not None}
+    """Re-audit a trace CSV; the solver-constant flags given, with the
+    algorithm's :data:`~kldescent.domains.FIXED` values, are its config
+    snapshot, the one source :func:`build_report` reads them from.  A flag of
+    a fixed field may be left out; given, it must hold the fixed value."""
+    given = {name: getattr(args, name) for name in RULES["snapshot"]
+             if getattr(args, name) is not None}
+    fixed = FIXED.get(args.algorithm, {})
+    snapshot = {**given, **fixed}
     missing = ("--m and --a" if args.m is None or args.a is None
-               else "--delta" if args.delta is None and args.algorithm != "npg_major"
+               else "--delta" if "delta" not in snapshot and args.algorithm != "npg_major"
                else None)
     try:
-        # a malformed trace is named first, then a missing flag, then a bad one
+        # a malformed trace is named first, then a missing flag, then a bad
+        # one, those of the fixed fields last
         trace = read_trace_csv(args.trace, algorithm=args.algorithm,
                                config=None if missing else snapshot)
         if missing:
             raise InsufficientTraceError(f"audit constants unavailable: give {missing}")
+        check(args.algorithm, **{name: given[name] for name in fixed if name in given})
         trace.problem_id = args.problem
         trace.terminated = args.terminated
         report = build_report(trace, lipschitz=args.lf, **{

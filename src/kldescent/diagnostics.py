@@ -57,12 +57,12 @@ from .errors import (
     InsufficientTraceError,
     InvalidInputError,
 )
-from .oracles import CompositeProblem, Vector, as_vector
+from .oracles import CompositeProblem
 from .trace import Trace
 
 __all__ = [
-    "xi_gamma", "check_h1", "check_acceptance", "recompute_ell", "theta_dc",
-    "verify_theta", "check_h3", "estimate_bbar", "BbarEstimate", "check_h4",
+    "xi_gamma", "check_h1", "check_acceptance", "recompute_ell", "verify_theta",
+    "check_h3", "estimate_bbar", "BbarEstimate", "check_h4",
     "c_constant", "check_prop_bound", "fit_decay", "fit_rate",
     "estimate_lipschitz", "series_tails", "AuditRecord", "DiagnosticsReport",
     "derive_audit_inputs", "build_report",
@@ -223,23 +223,6 @@ def recompute_ell(trace: Trace) -> AuditRecord:
                        {"mismatches": mismatches})
 
 
-def theta_dc(problem: CompositeProblem, x_prev: Vector, x_curr: Vector,
-             xi: Vector) -> float:
-    """Surrogate-duality merit of the paired state ``(x_curr, xi)``.
-
-    Evaluates ``f(x_curr) + g(x_curr) - h(x_prev) + <xi, x_curr - x_prev>``
-    where ``-xi`` is the subgradient of ``h`` selected at ``x_prev``; with no
-    ``h`` term this reduces to the plain objective.
-    """
-    x_prev = as_vector(x_prev, "x_prev")
-    x_curr = as_vector(x_curr, "x_curr")
-    xi = as_vector(xi, "xi")
-    val = problem.f.value(x_curr) + problem.g.value(x_curr)
-    if problem.h is not None:
-        val -= problem.h.value(x_prev)
-    return float(val + xi @ (x_curr - x_prev))
-
-
 def verify_theta(trace: Trace, problem: CompositeProblem) -> AuditRecord:
     """Recompute the stored merit column of a DC trace from oracles; ``xi`` is
     minus the subgradient of ``h`` at the previous iterate, as in the solver."""
@@ -249,9 +232,12 @@ def verify_theta(trace: Trace, problem: CompositeProblem) -> AuditRecord:
         raise InsufficientTraceError("row 0 has no stored iterate")
     worst = 0.0
     for x_prev, x_curr, merit in zip(trace.X, trace.X[1:], trace.column("merit")[1:].tolist()):
-        xi = (-problem.h.subgradient(x_prev) if problem.h is not None
-              else np.zeros_like(x_prev))
-        recomputed = theta_dc(problem, x_prev, x_curr, xi)
+        if problem.h is not None:
+            xi, h_prev = -problem.h.subgradient(x_prev), problem.h.value(x_prev)
+        else:
+            xi, h_prev = np.zeros_like(x_prev), 0.0
+        recomputed = npg.merit(problem.f.value(x_curr), problem.g.value(x_curr), h_prev, xi,
+                               x_curr - x_prev)
         worst = max(worst, abs(recomputed - merit))
     phi = _phi(trace)
     slack = _phi_slack(phi)
@@ -645,6 +631,9 @@ def derive_audit_inputs(trace: Trace) -> dict:
     return inputs
 
 
+# a square or ratio past the float range is inf, which fails its gate or
+# makes its constant null, so the audits raise no numpy warning
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
                  lipschitz: Optional[float] = None,
                  tau: float = 0.5, mu: Optional[float] = None,

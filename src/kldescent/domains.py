@@ -4,7 +4,8 @@ each stated once, and the functions that check names and values against them.
 :data:`RULES` maps each field of each context to one :class:`Domain`, so its
 keys are the context's fields: ``config`` (an experiment config's top level),
 ``npg_major``, ``pgenls`` and ``pgnls`` (the solver configs; ``pgnls`` holds
-``delta`` and ``beta_max`` at 0), ``audit`` (the constants of a
+the fields of :data:`FIXED` at their values there, for ``run`` and ``verify``
+alike), ``audit`` (the constants of a
 :class:`~kldescent.trace.Trace`'s config snapshot,
 :func:`~kldescent.diagnostics.build_report`, its checks and
 :class:`~kldescent.memory.MemoryWindow`), ``snapshot`` (those of a trace's
@@ -22,7 +23,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import InvalidInputError
 
-__all__ = ["Domain", "ALGORITHMS", "RULES", "check", "check_known", "shown"]
+__all__ = ["Domain", "ALGORITHMS", "FIXED", "RULES", "check", "check_known", "shown"]
 
 
 class Domain(NamedTuple):
@@ -57,8 +58,6 @@ _SOLVER = {"m": COUNT, "gamma_min": REAL, "gamma_max": REAL, "rho": ABOVE_ONE,
 _NPG = {**_SOLVER, "delta": OPEN_UNIT, "alpha": CLOSED_UNIT, "c": POSITIVE}
 _PGENLS = {**_SOLVER, "delta": NONNEGATIVE, "alpha": OPEN_UNIT, "beta_max": CLOSED_UNIT,
            "nu": REAL, "beta_init_rule": _choice("constant", "nesterov")}
-# plain nonmonotone proximal gradient: no proximity term, no extrapolation
-_ZERO = Domain(numbers.Real, lambda v: v == 0.0, "must be 0 for algorithm 'pgnls'")
 # one audit covers both solvers: alpha as npg_major takes it, which holds
 # pgenls's, and delta as pgenls takes it, which holds npg_major's
 _AUDIT = {"m": _SOLVER["m"], "a": POSITIVE, "alpha": _NPG["alpha"],
@@ -67,13 +66,18 @@ _AUDIT = {"m": _SOLVER["m"], "a": POSITIVE, "alpha": _NPG["alpha"],
           "kbar": POSITIVE_COUNT, "lipschitz": NONNEGATIVE}
 
 ALGORITHMS = ("npg_major", "pgenls", "pgnls")
+# the fields an algorithm holds at one value: pgnls is pgenls without a
+# proximity term or extrapolation, the plain nonmonotone proximal gradient
+FIXED = {"pgnls": {"delta": 0.0, "beta_max": 0.0}}
 
 RULES = {
     "config": {"problem": STRING, "params": OBJECT, "algorithm": _choice(*ALGORITHMS),
                "solver": OBJECT, "diagnostics": OBJECT, "output_dir": STRING},
     "npg_major": _NPG,
     "pgenls": _PGENLS,
-    "pgnls": {**_PGENLS, "delta": _ZERO, "beta_max": _ZERO},
+    "pgnls": {**_PGENLS, **{name: Domain(numbers.Real, lambda v, value=value: v == value,
+                                         f"must be {value:g} for algorithm 'pgnls'")
+                            for name, value in FIXED["pgnls"].items()}},
     "audit": _AUDIT,
     "snapshot": {name: _AUDIT[name] for name in ("m", "a", "alpha", "delta", "c", "beta_max")},
     "diagnostics": {name: _AUDIT[name] for name in ("tau", "mu", "kbar")},

@@ -31,7 +31,7 @@ from .domains import check
 from .oracles import CompositeProblem, Vector
 from .trace import Trace
 
-__all__ = ["NpgConfig", "decrease_constant", "decrement", "npg_solve"]
+__all__ = ["NpgConfig", "decrease_constant", "decrement", "merit", "npg_solve"]
 
 
 def decrease_constant(alpha: float, delta: float, gamma_min: float, c: float) -> float:
@@ -44,6 +44,13 @@ def decrement(alpha: float, delta: float, c: float, gamma, step_sq):
     """Forcing decrement ``((alpha*delta*gamma + (1-alpha)*c)/2) ||cand - x||^2``
     of a trial with weight ``gamma``; elementwise on arrays."""
     return 0.5 * (alpha * delta * gamma + (1.0 - alpha) * c) * step_sq
+
+
+def merit(f_value: float, g_value: float, h_prev: float, xi: Vector, step: Vector) -> float:
+    """Surrogate-duality merit ``f(x') + g(x') - h(x) + <xi, x' - x>`` of a
+    step ``x -> x'``, with ``-xi`` the subgradient of ``h`` selected at ``x``;
+    with no concave term (``h_prev = 0``, ``xi = 0``) the plain objective."""
+    return float(f_value + g_value - h_prev + xi @ step)
 
 
 @dataclass(frozen=True)
@@ -89,7 +96,7 @@ def npg_solve(problem: CompositeProblem, x0: Vector, config: NpgConfig | None = 
             grad_next = yield (gamma, cand, F_cand,
                                decrement(config.alpha, config.delta, config.c, gamma, step_sq))
             if grad_next is not None:
-                theta = float(f_cand + g_cand - it.h + xi @ diff)
+                theta = merit(f_cand, g_cand, it.h, xi, diff)
                 it.h = float(h_cand)
                 step_norm = math.sqrt(step_sq)
                 yield (F_cand, theta, math.nan, step_norm,

@@ -83,15 +83,12 @@ __all__ = ["PgenlsConfig", "decrease_constant", "decrement", "degenerate_decreas
 
 
 def decrease_constant(alpha: float, delta: float, gamma_min: float) -> float:
-    """Audited sufficient-decrease constant.
-
-    ``(alpha/2) * min(gamma_min, delta)`` for the paired state; with
-    ``delta = 0`` the audit covers the x-block only, where the acceptance
-    test still forces ``(alpha/2) * gamma_min``.
-    """
-    if delta > 0.0:
-        return 0.5 * alpha * min(gamma_min, delta)
-    return 0.5 * alpha * gamma_min
+    """Audited sufficient-decrease constant: the smaller :func:`decrement` at
+    weight ``gamma_min`` of a unit step and of a unit inertia for the paired
+    state; with ``delta = 0`` the audit covers the x-block only, where the
+    acceptance test still forces the unit step's."""
+    x_block = decrement(alpha, delta, gamma_min, 1.0, 0.0)
+    return min(x_block, decrement(alpha, delta, gamma_min, 0.0, 1.0)) if delta > 0.0 else x_block
 
 
 def decrement(alpha: float, delta: float, gamma, step_sq, inertia_sq):
@@ -145,15 +142,15 @@ def pgenls_solve(problem: CompositeProblem, x0: Vector,
     ``(x^0, x^0)``; see :func:`kldescent.descent.descend` for the stopping
     rules.
 
-    Problems carrying a concave ``-h`` term are rejected; use the DC solver
-    for those.
+    Problems carrying a concave ``-h`` term are rejected, in a message that
+    names ``algorithm_label`` and ``problem_id`` (when given); use the DC
+    solver for those.
     """
     config = config or PgenlsConfig()
     if problem.h is not None:
-        raise InvalidInputError(
-            "the extrapolated solver handles objectives f + g only; "
-            "this problem has a concave term"
-        )
+        named = f" problem {problem_id!r}" if problem_id else ""
+        raise InvalidInputError(f"algorithm {algorithm_label!r} cannot handle{named}: "
+                                "the objective has a concave term; use npg_major")
     delta = config.delta
     alpha = config.alpha
     nesterov = config.beta_init_rule == "nesterov"

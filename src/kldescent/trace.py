@@ -32,7 +32,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .domains import RULES, check
+from .domains import RULES, check, shown
 from .errors import InvalidInputError, LogicError
 from .oracles import Vector
 
@@ -211,6 +211,10 @@ def read_trace_csv(path: str | Path, algorithm: str = "", config: dict | None = 
                 raise InvalidInputError(f"{path}: line {lineno}: {name} is negative")
         if rows and not row["gamma"] > 0.0:  # row 0's is NaN
             raise InvalidInputError(f"{path}: line {lineno}: gamma is not positive")
+        j_low = 0 if rows else -2**63  # row 0's is -1
+        if not j_low <= row["j_inner"] < 2**63:
+            raise InvalidInputError(f"{path}: line {lineno}: j_inner {shown(row['j_inner'])} "
+                                    f"outside [{j_low}, {2**63 - 1}]")
         if not low <= row["ell"] <= row["k"]:
             raise InvalidInputError(
                 f"{path}: line {lineno}: ell {row['ell']} outside [{low}, {row['k']}]"

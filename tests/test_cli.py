@@ -173,10 +173,14 @@ def test_exit_1_kbar_not_above_m_before_the_solve(tmp_path, capsys):
 
 
 def test_exit_1_algorithm_problem_mismatch(tmp_path, capsys):
-    path, _ = write_config(tmp_path, problem="l1-l2-dc", params={"seed": 0})
-    assert main(["run", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert "npg_major" in err and "concave" in err
+    for algorithm in ("pgenls", "pgnls"):
+        path, _ = write_config(tmp_path, problem="l1-l2-dc", params={"seed": 0},
+                               algorithm=algorithm)
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"kldescent: error: algorithm {algorithm!r} cannot handle problem 'l1-l2-dc': "
+            "the objective has a concave term; use npg_major\n")
+        assert not (tmp_path / "out").exists()
 
 
 def test_exit_1_unknown_fields(tmp_path, capsys):
@@ -251,6 +255,23 @@ def test_pgnls_forces_plain_mode(tmp_path):
         path2, _ = write_config(tmp_path, name="bad.json", algorithm="pgnls",
                                 solver={"delta": delta})
         assert main(["run", str(path2)]) == 1
+
+
+def test_verify_of_a_pgnls_trace_needs_no_fixed_flag(tmp_path, capsys):
+    # pgnls holds delta and beta_max at 0, so verify fills them in: the
+    # report is the run's with both flags, with either and with neither
+    path, _ = write_config(tmp_path, params={"seed": 0}, algorithm="pgnls", solver={"m": 5})
+    assert main(["run", str(path)]) == 0
+    out = tmp_path / "out"
+    report = json.loads((out / "report.json").read_text())
+    flags = ["verify", str(out / "trace.csv"), "--algorithm", "pgnls", "--m", "5",
+             "--a", repr(report["constants.a"]), "--alpha", "0.5",
+             "--lf", repr(report["constants.l_f"]), "--problem", "lasso",
+             "--terminated", report["terminated"]]
+    fixed = ["--delta", "0.0", "--beta-max", "0.0"]
+    for given in (fixed, fixed[:2], fixed[2:], []):
+        assert main([*flags, *given]) == 0
+        assert capsys.readouterr().out == (out / "report.json").read_text()
 
 
 def test_list_problems(capsys):
@@ -798,6 +819,13 @@ ERROR_PATHS = [
      lambda t, r: ["verify", str(r[0] / "trace.csv"), "--algorithm", "pgenls",
                    "--m", "5", "--a", "0.1"], 1,
      "audit constants unavailable: give --delta"),
+    # verify: pgnls holds delta and beta_max at 0
+    ("verify-pgnls-delta-nonzero",
+     lambda t, r: _verify(t, r, "--algorithm", "pgnls", "--delta", "0.5"), 1,
+     "kldescent: error: delta must be 0 for algorithm 'pgnls', got 0.5"),
+    ("verify-pgnls-beta-max-nonzero",
+     lambda t, r: _verify(t, r, "--algorithm", "pgnls", "--delta", "0", "--beta-max", "0.9"),
+     1, "kldescent: error: beta_max must be 0 for algorithm 'pgnls', got 0.9"),
     # verify: the trace
     ("verify-missing-trace", lambda t, r: ["verify", str(t / "absent.csv"), *r[1]], 1,
      "cannot read"),
@@ -824,6 +852,11 @@ ERROR_PATHS = [
      "line 10: gamma is not positive"),
     ("verify-nan-gamma", lambda t, r: _verify(t, r, edit=_set_cells(8, gamma="nan")), 1,
      "line 10: gamma is not positive"),
+    ("verify-j_inner-beyond-int64",
+     lambda t, r: _verify(t, r, edit=_set_cells(2, j_inner=str(2**70))), 1,
+     "line 4: j_inner 1180591620717411303424 outside [0, 9223372036854775807]"),
+    ("verify-negative-j_inner", lambda t, r: _verify(t, r, edit=_set_cells(2, j_inner="-7")),
+     1, "line 4: j_inner -7 outside [0, 9223372036854775807]"),
     ("verify-sidecar-magic",
      lambda t, r: _verify(t, r, sidecar=lambda p: p.write_bytes(b"NOTMAGIC" + p.read_bytes()[8:])),
      1, "not a trace sidecar (bad magic)"),
@@ -862,6 +895,8 @@ ERROR_PATHS = [
     ("verify-audit-failure",
      lambda t, r: _verify(t, r, edit=_set_cells(12, F="1000000.0", merit="1000000.0")), 3,
      "audit failure: "),
+    ("verify-step-whose-square-overflows",
+     lambda t, r: _verify(t, r, edit=_set_cells(2, step_norm="1e200")), 3, "audit failure: "),
 ]
 
 

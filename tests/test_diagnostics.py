@@ -34,7 +34,6 @@ from kldescent.diagnostics import (
     fit_rate,
     recompute_ell,
     series_tails,
-    theta_dc,
     verify_theta,
     xi_gamma,
     _phi,
@@ -241,21 +240,6 @@ def test_recompute_ell_tie_break():
     assert rec.passed is False and rec.details["mismatches"] == 1
     with pytest.raises(InvalidInputError):
         recompute_ell(replace(trace, config={"m": -1, "a": 1.0}))
-
-
-def test_theta_dc_worked_example():
-    n2 = make_least_squares(np.eye(2), np.zeros(2))
-    p = CompositeProblem(f=n2, g=l1_oracle(0.5), h=l2_norm_oracle(1.0),
-                        dimension=2)
-    x = np.array([3.0, 4.0])
-    xi = np.array([-0.6, -0.8])          # minus the subgradient of ||.|| at x
-    x_next = np.array([3.1, 4.0])
-    # f(x') + g(x') - h(x) + <xi, x'-x> = 12.805 + 3.55 - 5 - 0.06
-    assert theta_dc(p, x, x_next, xi) == pytest.approx(11.295, abs=1e-12)
-    # with no concave term the merit is the plain objective
-    p2 = CompositeProblem(f=n2, g=l1_oracle(0.5), h=None, dimension=2)
-    assert theta_dc(p2, x, x_next, np.zeros(2)) == pytest.approx(
-        12.805 + 3.55, abs=1e-12)
 
 
 def test_verify_theta_on_real_run():

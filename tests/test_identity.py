@@ -54,6 +54,12 @@ def test_same_checkout_gives_the_same_manifest(identity):
         "kldescent: error: audit failure: acceptance\n")
     assert by_label["reader/negative-gamma"]["stderr"].endswith(
         "trace.csv: line 3: gamma is not positive\n")
+    # j_inner cells the reader rejects, and a step whose square is past float64
+    assert by_label["reader/j_inner-beyond-int64"]["stderr"].endswith(
+        "trace.csv: line 4: j_inner 1180591620717411303424 outside [0, 9223372036854775807]\n")
+    assert by_label["reader/negative-j_inner"]["exit"] == 1
+    huge = by_label["reader/huge-step"]
+    assert huge["exit"] == 3 and huge["stderr"].count("\n") == 1 and huge["warnings"] == []
     magic = by_label["reader/sidecar-magic"]
     assert magic["exit"] == 1
     assert magic["stderr"].startswith("kldescent: error: <tmp>/reader/sidecar-magic/trace.bin")

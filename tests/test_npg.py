@@ -11,7 +11,7 @@ from kldescent.errors import (
     InvalidInputError,
     OracleInconsistencyError,
 )
-from kldescent.npg import NpgConfig, decrease_constant, npg_solve
+from kldescent.npg import NpgConfig, decrease_constant, merit, npg_solve
 from kldescent.oracles import (
     CompositeProblem,
     ProxOracle,
@@ -105,6 +105,19 @@ def test_alpha_zero_uses_free_constant():
     trace = npg_solve(quad_1d(), np.array([4.0]), cfg)
     assert trace.column("j_inner")[1] == 1 and trace.column("gamma")[1] == 4.0
     assert trace.X[1, 0] == 3.0
+
+
+def test_merit_worked_example():
+    n2 = make_least_squares(np.eye(2), np.zeros(2))
+    p = CompositeProblem(f=n2, g=l1_oracle(0.5), h=l2_norm_oracle(1.0), dimension=2)
+    x = np.array([3.0, 4.0])
+    xi = np.array([-0.6, -0.8])          # minus the subgradient of ||.|| at x
+    x_next = np.array([3.1, 4.0])
+    f, g = p.f.value(x_next), p.g.value(x_next)
+    # f(x') + g(x') - h(x) + <xi, x'-x> = 12.805 + 3.55 - 5 - 0.06
+    assert merit(f, g, p.h.value(x), xi, x_next - x) == pytest.approx(11.295, abs=1e-12)
+    # with no concave term the merit is the plain objective
+    assert merit(f, g, 0.0, np.zeros(2), x_next - x) == pytest.approx(12.805 + 3.55, abs=1e-12)
 
 
 def test_sufficient_decrease_constant():

@@ -90,9 +90,17 @@ def test_h1_constant_cases():
 
 
 def test_dc_problem_rejected():
+    # the message names the algorithm, and the problem when one is given
     inst = make_problem("l1-l2-dc", {"seed": 0})
-    with pytest.raises(InvalidInputError, match="concave"):
+    with pytest.raises(InvalidInputError) as exc:
         pgenls_solve(inst.problem, inst.x0, PgenlsConfig())
+    assert str(exc.value) == ("algorithm 'pgenls' cannot handle: "
+                              "the objective has a concave term; use npg_major")
+    with pytest.raises(InvalidInputError) as exc:
+        pgenls_solve(inst.problem, inst.x0, PgenlsConfig(delta=0.0, beta_max=0.0),
+                     problem_id=inst.problem_id, algorithm_label="pgnls")
+    assert str(exc.value) == ("algorithm 'pgnls' cannot handle problem 'l1-l2-dc': "
+                              "the objective has a concave term; use npg_major")
 
 
 def test_plain_pg_mode_halves_quadratic():

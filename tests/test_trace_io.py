@@ -341,6 +341,26 @@ def test_a_gamma_that_is_not_positive_rejected(tmp_path, value):
         read_trace_csv(path)
 
 
+@pytest.mark.parametrize("row, j_inner, bounds", [
+    (2, str(2**70), f"[0, {2**63 - 1}]"),         # past int64
+    (2, str(2**63), f"[0, {2**63 - 1}]"),
+    (2, "-7", f"[0, {2**63 - 1}]"),               # negative after row 0
+    (2, "-1", f"[0, {2**63 - 1}]"),
+    (0, str(2**63), f"[{-2**63}, {2**63 - 1}]"),  # row 0 keeps its -1, in int64
+    (0, str(-2**63 - 1), f"[{-2**63}, {2**63 - 1}]"),
+], ids=["2**70", "2**63", "-7", "-1", "row-0-2**63", "row-0-below-int64"])
+def test_a_j_inner_outside_int64_or_negative_after_row_0_rejected(tmp_path, row, j_inner,
+                                                                  bounds):
+    path = tmp_path / "t.csv"
+    write_trace_csv(_toy_trace(n=2, rows=4), path)
+    rewrite_cell(path, row, "j_inner", j_inner)
+    with pytest.raises(InvalidInputError,
+                       match=rf"line {row + 2}: j_inner {j_inner} outside \{bounds}$"):
+        read_trace_csv(path)
+    rewrite_cell(path, row, "j_inner", str(2**63 - 1))  # the largest int64 passes
+    assert read_trace_csv(path).column("j_inner")[row] == 2**63 - 1
+
+
 @pytest.mark.parametrize("row, ell, bounds", [
     (0, "-1", "[0, 0]"),   # negative
     (2, "3", "[0, 2]"),    # above its row's k

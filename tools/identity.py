@@ -43,15 +43,18 @@ The matrix:
 * ``reader``: one malformed trace per reader message, plus a trace whose
   sidecar is gone; a four-row DC trace whose steps of 1e-170 square to 0,
   so the ``mu`` fitted from its ``b_bar`` is inf; a three-row DC trace whose
-  residual over a step of 1e-310 is past the float range; and a DC trace
+  residual over a step of 1e-310 is past the float range; a DC trace
   edited so that acceptance alone fails, once as it is and once with the
-  edited row's ``gamma`` negated;
+  edited row's ``gamma`` negated; and a trace with a ``j_inner`` of 2**70,
+  one with a ``j_inner`` of -7 and one with a step of 1e200, whose square
+  is past the float range;
 * ``input``: numbers a config cannot hold (integers beyond the float or
   int64 range or over 4300 digits), non-finite ones and ones outside their
   field's domain, in each block and in ``verify``'s flags; an unknown field
   in each block; an ``npg_major`` solver block with two bad fields, which
   names the first field checked; ``pgnls`` with a nonzero and a non-number
-  ``delta``; sizes whose matrix numpy cannot make; a window ``m`` whose
+  ``delta``, and ``verify`` of a ``pgnls`` trace with a nonzero ``delta``
+  and a nonzero ``beta_max``; sizes whose matrix numpy cannot make; a window ``m`` whose
   default ``kbar`` is past int64; and ``run`` at ``m = 1000``, where the path-length constant is
   beyond the float range, with ``verify`` of its trace.
 """
@@ -113,6 +116,8 @@ SUBNORMAL_FLAGS = ["--algorithm", "npg_major", "--m", "0", "--a", "0.1", "--alph
                    "--delta", "0.5", "--c", "1", "--lf", "1"]
 # the npg_major run at default constants whose trace the acceptance cases edit
 DC_RUN = ("lasso", "npg_major", 0, 5)
+# the pgnls run whose trace is verified with a nonzero fixed field
+PGNLS_RUN = ("lasso", "pgnls", 0, 5)
 
 
 @dataclass(frozen=True)
@@ -379,6 +384,9 @@ def matrix() -> list[Call]:
              _write("trace.csv", SUBNORMAL_TRACE)),
         _reader("acceptance-fails", DC_RUN, _acceptance_only_fails(False)),
         _reader("negative-gamma", DC_RUN, _acceptance_only_fails(True)),
+        _reader("j_inner-beyond-int64", SIDECAR_RUN, _set_cell(2, "j_inner", str(2**70))),
+        _reader("negative-j_inner", SIDECAR_RUN, _set_cell(2, "j_inner", "-7")),
+        _reader("huge-step", SIDECAR_RUN, _set_cell(2, "step_norm", "1e200")),
         _reader("impossible-ell", SIDECAR_RUN, _set_cell(8, "ell", "99")),
         _reader("ell-moves-back", SIDECAR_RUN, _set_cell(9, "ell", "0")),
         _reader("sidecar-magic", SIDECAR_RUN, edit_sidecar=lambda raw: b"NOTMAGIC" + raw[8:]),
@@ -429,6 +437,8 @@ def matrix() -> list[Call]:
         _input("unknown-params-field", "lasso", "pgenls", params={"seed": 0, "lamda": 5.0}),
         _input("pgnls-delta-nonzero", "lasso", "pgnls", {"delta": 0.5}),
         _input("pgnls-delta-string", "lasso", "pgnls", {"delta": "abc"}),
+        _verify_input("verify-pgnls-delta-nonzero", PGNLS_RUN, delta=0.5),
+        _verify_input("verify-pgnls-beta-max-nonzero", PGNLS_RUN, **{"beta-max": 0.9}),
         # numpy refuses these sizes before it allocates anything
         _input("rows-times-cols-too-big", "lasso", "pgenls",
                params={"seed": 0, "rows": 2**40, "cols": 2**40}),
