@@ -58,6 +58,20 @@ def _load_csv(path: str, what: str) -> np.ndarray:
 # A matrix drawn in row blocks goes through one C-order buffer of at most
 # 1/_DRAW_BLOCKS of its rows (one row at least).
 _DRAW_BLOCKS = 32
+# the most float64 entries numpy holds in one array, whose bytes must fit in intp
+_MAX_ENTRIES = (2**63 - 1) // 8
+
+
+def _check_size(rows: int, cols: int, mu) -> None:
+    """Refuse generated data whose matrix, the ``rows x cols`` ``A`` with
+    (unless ``mu`` is ``None``) the ridge's ``cols`` rows under it, has more
+    entries than numpy holds, before anything is drawn or allocated."""
+    if rows * cols > _MAX_ENTRIES:
+        raise InvalidInputError(f"params.rows * params.cols must be at most {_MAX_ENTRIES} "
+                                f"entries, got {rows!r} * {cols!r}")
+    if mu is not None and (rows + cols) * cols > _MAX_ENTRIES:
+        raise InvalidInputError(f"(params.rows + params.cols) * params.cols must be at most "
+                                f"{_MAX_ENTRIES} entries, got ({rows!r} + {cols!r}) * {cols!r}")
 
 
 def _matrix(rows: int, cols: int, mu) -> np.ndarray:
@@ -160,12 +174,10 @@ def _sparse_regression_data(params: dict, rows_default: int, cols_default: int,
         return _LeastSquares(A, b)
     if "seed" not in params:
         raise InvalidInputError("randomized problems require a 'seed' parameter")
-    # make_problem has checked the sizes given, and the pair rule (A must fit
-    # in numpy) when both are; with one given, the rule still needs the other
-    rows, cols = params.get("rows", rows_default), params.get("cols", cols_default)
-    if ("rows" in params) != ("cols" in params):
-        check("params", "params.", rows=rows, cols=cols)
-    seed, rows, cols = int(params["seed"]), int(rows), int(cols)
+    # make_problem has checked the sizes given; the matrix they make must fit in numpy
+    seed = int(params["seed"])
+    rows, cols = int(params.get("rows", rows_default)), int(params.get("cols", cols_default))
+    _check_size(rows, cols, mu)
     key = (seed, rows, cols, mu)
     last = _memo
     if last is not None and last[0] == key:

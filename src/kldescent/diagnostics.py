@@ -42,6 +42,7 @@ sequence as linear, sublinear or finite termination.  The checks
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -81,6 +82,18 @@ _SERIES_TAIL = 0.1
 # runs carried more than 1%.
 _SERIES_MIN_TAIL = 4
 
+
+def _quiet(fn):
+    """``fn`` under the error state of every public function here: a square,
+    product or ratio past the float range is inf, which fails its gate or
+    makes its constant null, so no audit raises a numpy warning."""
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return fn(*args, **kwargs)
+    return run
+
+
 def _phi_slack(phi: np.ndarray) -> float:
     return 1e-10 * (1.0 + float(np.max(np.abs(phi))))
 
@@ -119,6 +132,7 @@ class BbarEstimate(NamedTuple):
 # series
 
 
+@_quiet
 def xi_gamma(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
     """Window-peak step series ``Xi`` and peak-gap series ``Gamma``.
 
@@ -149,6 +163,7 @@ def _tail_points(size: int) -> int:
     return max(1, math.ceil(_SERIES_TAIL * size))
 
 
+@_quiet
 def series_tails(values: np.ndarray) -> tuple[float, float]:
     """Total of ``values`` and the fraction contributed by its last decile
     (``_SERIES_TAIL``, at least one point)."""
@@ -178,12 +193,14 @@ def _window_decrease(trace: Trace, name: str, decrement) -> AuditRecord:
                         "worst_k": int(np.argmax(v))})
 
 
+@_quiet
 def check_h1(trace: Trace) -> AuditRecord:
     """Window sufficient decrease with the guaranteed constant ``a``."""
     a = derive_audit_inputs(trace)["a"]
     return _window_decrease(trace, "h1", lambda s: a * s[1:] ** 2)
 
 
+@_quiet
 def check_acceptance(trace: Trace) -> AuditRecord:
     """Re-check the accepted inequality with each iteration's own stepsize
     weight; not evaluated (``None``) when the snapshot lacks ``alpha``,
@@ -201,6 +218,7 @@ def check_acceptance(trace: Trace) -> AuditRecord:
                             lambda s: npg.decrement(alpha, delta, c, gam, s[1:] ** 2))
 
 
+@_quiet
 def recompute_ell(trace: Trace) -> AuditRecord:
     """Re-derive the window argmax column from merits and count mismatches.
 
@@ -223,6 +241,7 @@ def recompute_ell(trace: Trace) -> AuditRecord:
                        {"mismatches": mismatches})
 
 
+@_quiet
 def verify_theta(trace: Trace, problem: CompositeProblem) -> AuditRecord:
     """Recompute the stored merit column of a DC trace from oracles; ``xi`` is
     minus the subgradient of ``h`` at the previous iterate, as in the solver."""
@@ -244,6 +263,7 @@ def verify_theta(trace: Trace, problem: CompositeProblem) -> AuditRecord:
     return AuditRecord("theta", worst <= slack, worst, {"slack": slack})
 
 
+@_quiet
 def check_h3(trace: Trace, lipschitz: Optional[float]) -> AuditRecord:
     """Merit sandwich plus the residual/step ratio cap.
 
@@ -292,8 +312,7 @@ def check_h3(trace: Trace, lipschitz: Optional[float]) -> AuditRecord:
         details["sigma_max"] = 0.0
 
     mask = fsteps[1:] > 0.0
-    with np.errstate(divide="ignore", over="ignore"):  # a ratio past float64 is inf
-        ratios = resid[1:][mask] / fsteps[1:][mask]
+    ratios = resid[1:][mask] / fsteps[1:][mask]  # inf past float64
     b_hat = float(np.max(ratios)) if ratios.size else 0.0
     details["b_hat"] = b_hat
 
@@ -319,6 +338,7 @@ def check_h3(trace: Trace, lipschitz: Optional[float]) -> AuditRecord:
     return AuditRecord("h3", bool(ok), max(worst_left, worst_right), details)
 
 
+@_quiet
 def estimate_bbar(trace: Trace) -> BbarEstimate:
     """Worst upward merit move per squared step: ``max(0, max 2 dPhi / step^2)``.
 
@@ -340,11 +360,11 @@ def estimate_bbar(trace: Trace) -> BbarEstimate:
     resolvable = dphi > 1e-13 * (1.0 + float(np.max(np.abs(phi))))
     if not np.any(resolvable):
         return BbarEstimate(0.0, False)
-    with np.errstate(divide="ignore", over="ignore"):  # a square that underflows: inf
-        ratios = 2.0 * dphi[resolvable] / s[1:][mask][resolvable] ** 2
+    ratios = 2.0 * dphi[resolvable] / s[1:][mask][resolvable] ** 2  # inf if a square underflows
     return BbarEstimate(max(0.0, float(np.max(ratios))), False)
 
 
+@_quiet
 def check_h4(trace: Trace, tau: float, mu: float, kbar: int) -> AuditRecord:
     """Window gap control between consecutive window peaks.
 
@@ -389,6 +409,7 @@ def check_h4(trace: Trace, tau: float, mu: float, kbar: int) -> AuditRecord:
                         "tau": tau, "mu": mu, "kbar": kbar})
 
 
+@_quiet
 def c_constant(mu: float, tau: float, a: float, m: int) -> float:
     """Path-length constant ``c(mu, tau, a, m)``.
 
@@ -409,6 +430,7 @@ def c_constant(mu: float, tau: float, a: float, m: int) -> float:
         return math.inf
 
 
+@_quiet
 def check_prop_bound(trace: Trace, tau: float, mu: float, kbar: int) -> AuditRecord:
     """Path length between consecutive window peaks versus the peak-gap series.
 
@@ -445,6 +467,7 @@ def check_prop_bound(trace: Trace, tau: float, mu: float, kbar: int) -> AuditRec
 # rate fitting
 
 
+@_quiet
 def fit_decay(ks: np.ndarray, values: np.ndarray) -> dict:
     """Least-squares fits of ``log values`` against ``k`` and ``log k``.
 
@@ -479,6 +502,7 @@ _STEP_FLOOR = 1e-13
 _R2_FLOOR = 0.8
 
 
+@_quiet
 def fit_rate(trace: Trace) -> dict:
     """Classify the tail decay of a trace: finite / linear / sublinear.
 
@@ -536,6 +560,7 @@ def fit_rate(trace: Trace) -> dict:
     return out
 
 
+@_quiet
 def estimate_lipschitz(problem: CompositeProblem, trace: Trace) -> Optional[float]:
     """Largest gradient-difference ratio over consecutive trace iterates.
 
@@ -592,6 +617,7 @@ def _put(fields: dict, prefix: str, rec: AuditRecord, *keys: str) -> None:
         fields[f"{prefix}.{key}"] = _clean(values.get(key))
 
 
+@_quiet
 def derive_audit_inputs(trace: Trace) -> dict:
     """Look up the audit constants of ``trace`` in its config snapshot, the
     only place they are read.
@@ -631,9 +657,7 @@ def derive_audit_inputs(trace: Trace) -> dict:
     return inputs
 
 
-# a square or ratio past the float range is inf, which fails its gate or
-# makes its constant null, so the audits raise no numpy warning
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+@_quiet
 def build_report(trace: Trace, *, problem: Optional[CompositeProblem] = None,
                  lipschitz: Optional[float] = None,
                  tau: float = 0.5, mu: Optional[float] = None,

@@ -87,9 +87,6 @@ RULES = {
                "x0": REAL, "mu": POSITIVE},
 }
 
-# the most float64 entries numpy holds in one array, whose bytes must fit in intp
-_MAX_ENTRIES = (2**63 - 1) // 8
-
 
 def shown(value) -> str:
     """``repr(value)``, or, past 40 characters (``10**30`` has 31), its first
@@ -152,7 +149,4 @@ def check(context: str, prefix: str = "", /, **values) -> dict:
     if "m" in v and "kbar" in v and not v["kbar"] > v["m"]:
         raise InvalidInputError(
             f"{prefix}kbar must be an integer greater than m={v['m']}, got {v['kbar']!r}")
-    if "rows" in v and "cols" in v and v["rows"] * v["cols"] > _MAX_ENTRIES:
-        raise InvalidInputError(f"{prefix}rows * {prefix}cols must be at most {_MAX_ENTRIES} "
-                                f"entries, got {v['rows']!r} * {v['cols']!r}")
     return converted

@@ -1,10 +1,8 @@
 """Command-line harness: exit codes, artifacts, sweep aggregation, verify."""
 
 import json
-import math
 import numbers
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kldescent import catalog
+import bad_inputs
+from kldescent import catalog, cli
 from kldescent.catalog import make_problem, problem_ids
 from kldescent.cli import build_parser, main
 from kldescent.domains import RULES
@@ -21,8 +20,6 @@ from kldescent.trace import CSV_COLUMNS
 from kldescent.cli import _apply_sweep_value, _parse_sweep_values, diag_overrides, load_config
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-# 10**400 as an error message shows it: its first 20 characters and its length
-HUGE_SHOWN = "10000000000000000000... (401 characters)"
 
 
 def write_config(tmp_path, name="exp.json", **overrides):
@@ -64,9 +61,9 @@ def test_series_gives_no_verdict_on_a_short_or_stationary_run(tmp_path, capsys, 
                                                                seed, algorithm, m, terminated):
     # each of these correct runs carries more than 1% of a series in its
     # last decile, and failed the series gate when it was applied to them
-    argv = _run(tmp_path, problem=problem, params={"seed": seed}, algorithm=algorithm,
-                solver={"m": m})
-    assert main(argv) == 0, capsys.readouterr().err
+    path, _ = write_config(tmp_path, problem=problem, params={"seed": seed},
+                           algorithm=algorithm, solver={"m": m})
+    assert main(["run", str(path)]) == 0, capsys.readouterr().err
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["terminated"] == terminated
     assert report["series.pass"] is None
@@ -107,11 +104,11 @@ def test_dc_problem_through_dc_solver(tmp_path):
     assert report["final_residual"] <= 1e-6
 
 
-def test_only_build_report_defaults_tau(dc_run, capsys):
+def test_only_build_report_defaults_tau(references, capsys):
     # the config and verify pass only what they are given
     assert diag_overrides({"diagnostics": {}}) == {}
     assert diag_overrides({"diagnostics": {"kbar": 9, "tau": 0.25}}) == {"kbar": 9, "tau": 0.25}
-    out, full = dc_run
+    out, full = references[bad_inputs.NPG]
     reports = []
     for flags in ([], ["--tau", "0.5"]):
         assert main(["verify", str(out / "trace.csv"), *full, *flags]) == 0
@@ -330,8 +327,8 @@ def test_sweep_dotted_param_targets_problem_params(tmp_path):
 def test_sweep_rejects_a_repeated_run_before_any_run(tmp_path, capsys):
     # 1 and 1.0 parse to one value: its run would be solved twice into one
     # directory and listed twice in aggregate.csv
-    assert main(_sweep(tmp_path, "params.seed", "1,1.0,1,0")) == 1
-    assert not (tmp_path / "sweep").exists()
+    assert main(bad_inputs.sweep("params.seed", "1,1.0,1,0")(tmp_path, {})) == 1
+    assert not (tmp_path / "c_out").exists()
 
 
 def test_sweep_value_validation(tmp_path, capsys):
@@ -526,21 +523,12 @@ def test_verify_without_an_acceptance_constant_skips_only_acceptance(tmp_path, c
         {k: v for k, v in full.items() if not k.startswith("acceptance.")}
 
 
-# a DC trace whose two tiny steps square to 0: the merit rise between them
-# makes b_bar, and so the fitted mu, inf
-UNDERFLOW_TRACE = """k,F,merit,gamma,beta,j_inner,ell,step_norm,residual
-0,1.0,1.0,nan,nan,-1,0,0.0,nan
-1,0.5,0.5,1.0,nan,0,0,1e-170,0.0
-2,0.6,0.6,1.0,nan,0,0,1e-170,0.0
-3,0.1,0.1,1.0,nan,0,2,1.0,0.0
-"""
-
-
 def test_verify_of_a_step_whose_square_underflows(tmp_path, capsys):
+    # the merit rise between two steps whose squares are 0 makes b_bar, and
+    # so the fitted mu, inf
     path = tmp_path / "trace.csv"
-    path.write_text(UNDERFLOW_TRACE)
-    assert main(["verify", str(path), "--algorithm", "npg_major", "--m", "2", "--a", "0.1",
-                 "--alpha", "1", "--delta", "0.5", "--c", "1"]) == 0
+    path.write_text(bad_inputs.UNDERFLOW_TRACE)
+    assert main(["verify", str(path), *bad_inputs.UNDERFLOW_FLAGS]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     report = json.loads(captured.out)
@@ -548,22 +536,13 @@ def test_verify_of_a_step_whose_square_underflows(tmp_path, capsys):
     assert report["h4.pass"] is None and report["prop_bound.pass"] is None
 
 
-# a DC trace whose residual over a subnormal step overflows float64
-SUBNORMAL_TRACE = """k,F,merit,gamma,beta,j_inner,ell,step_norm,residual
-0,1.0,1.0,nan,nan,-1,0,0.0,nan
-1,0.5,0.5,1.0,nan,0,1,1e-310,10000000000.0
-2,0.4,0.4,1.0,nan,0,2,1.0,0.1
-"""
-
-
 def test_verify_of_a_residual_ratio_past_float64_prints_one_line(tmp_path):
     # in a process of its own, where a numpy warning would reach stderr
     path = tmp_path / "trace.csv"
-    path.write_text(SUBNORMAL_TRACE)
+    path.write_text(bad_inputs.SUBNORMAL_TRACE)
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
-        [sys.executable, "-m", "kldescent", "verify", str(path), "--algorithm", "npg_major",
-         "--m", "0", "--a", "0.1", "--alpha", "1", "--delta", "0.5", "--c", "1", "--lf", "1"],
+        [sys.executable, "-m", "kldescent", "verify", str(path), *bad_inputs.SUBNORMAL_FLAGS],
         capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 3
     assert done.stderr == "kldescent: error: audit failure: acceptance, h3\n"
@@ -619,285 +598,8 @@ def test_load_config_validation(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def dc_run(tmp_path_factory):
-    """A lasso ``npg_major`` run at seed 0 and ``m = 5`` (dimension 100, so its
-    iterates are in ``trace.bin``) and the complete ``verify`` flags of it."""
-    tmp = tmp_path_factory.mktemp("dc_run")
-    path, _ = write_config(tmp, params={"seed": 0}, algorithm="npg_major", solver={"m": 5})
-    assert main(["run", str(path)]) == 0
-    report = json.loads((tmp / "out" / "report.json").read_text())
-    return tmp / "out", ["--algorithm", "npg_major", "--m", "5",
-                         "--a", repr(report["constants.a"]), "--alpha", "1.0",
-                         "--delta", "0.5", "--c", "1.0", "--lf", repr(report["constants.l_f"])]
-
-
-def _run(tmp, **overrides):
-    return ["run", str(write_config(tmp, **overrides)[0])]
-
-
-def _sweep(tmp, param, values, **overrides):
-    overrides = {"problem": "power4-1d", "params": {}, "solver": {"max_outer": 50},
-                 "output_dir": str(tmp / "sweep"), **overrides}
-    return ["sweep", str(write_config(tmp, **overrides)[0]), "--param", param,
-            "--values", values]
-
-
-def _verify(tmp, run, *flags, edit=None, sidecar=None):
-    """``verify`` with the complete flags and then ``flags``, on a copy of the
-    run's trace whose CSV lines went through ``edit`` and whose sidecar path
-    through ``sidecar``."""
-    out, full = run
-    copy = shutil.copytree(out, tmp / "copy")
-    if edit:
-        lines = edit((copy / "trace.csv").read_text().splitlines())
-        (copy / "trace.csv").write_text("".join(line + "\n" for line in lines))
-    if sidecar:
-        sidecar(copy / "trace.bin")
-    return ["verify", str(copy / "trace.csv"), *full, *flags]
-
-
-def _set_cells(row, **values):
-    """An ``edit`` for :func:`_verify` that sets cells of data row ``row``."""
-    def edit(lines):
-        cells = lines[row + 1].split(",")
-        for column, value in values.items():
-            cells[CSV_COLUMNS.index(column)] = value
-        return lines[:row + 1] + [",".join(cells)] + lines[row + 2:]
-    return edit
-
-
-def _file(path, text="x"):
-    path.write_text(text)
-    return path
-
-
-def _directory(path):
-    path.mkdir(parents=True)
-    return path
-
-
-# (id, argv builder of tmp_path and dc_run, exit status, text in the error line)
-ERROR_PATHS = [
-    # run: the config
-    ("bad-json", lambda t, r: ["run", str(_file(t / "c.json"))], 1, "invalid JSON"),
-    ("missing-config", lambda t, r: ["run", str(t / "absent.json")], 1, "cannot read config"),
-    ("unknown-top-field", lambda t, r: _run(t, extra=1), 1, "unknown config field(s): extra"),
-    ("unknown-solver-field", lambda t, r: _run(t, solver={"momentum": 0.9}), 1,
-     "unknown solver field(s) for pgenls: momentum"),
-    ("unknown-diagnostics-field", lambda t, r: _run(t, diagnostics={"foo": 1}), 1,
-     "unknown diagnostics field(s): foo"),
-    ("diagnostics-unknown-prefix", lambda t, r: _run(t, diagnostics={"prefix": 1}), 1,
-     "unknown diagnostics field(s): prefix"),
-    ("diagnostics-unknown-context", lambda t, r: _run(t, diagnostics={"context": 1}), 1,
-     "unknown diagnostics field(s): context"),
-    ("unknown-params-field", lambda t, r: _run(t, params={"seed": 0, "lamda": 5.0}), 1,
-     "unknown params field(s) for lasso: lamda"),
-    ("params-bool", lambda t, r: _run(t, params={"seed": True}), 1,
-     "params.seed must be an integer, got True"),
-    ("A_csv-list", lambda t, r: _run(t, params={"A_csv": [1], "b_csv": "b.csv"}), 1,
-     "params.A_csv must be a string, got [1]"),
-    ("A_csv-int", lambda t, r: _run(t, params={"A_csv": 5, "b_csv": "b.csv"}), 1,
-     "params.A_csv must be a string, got 5"),
-    ("params-int-beyond-float",
-     lambda t, r: _run(t, problem="power4-1d", params={"x0": 10**400}), 1,
-     "params.x0 must be finite, got " + HUGE_SHOWN),
-    ("config-int-over-4300-digits",
-     lambda t, r: ["run", str(_file(t / "c.json", '{"problem": "power4-1d", "params": '
-                                   '{"x0": 1' + "0" * 4300 + '}}'))], 1,
-     "c.json: invalid JSON: Exceeds the limit (4300 digits)"),
-    ("bad-tau", lambda t, r: _run(t, diagnostics={"tau": 1.5}), 1,
-     "diagnostics.tau must lie in (0, 1), got 1.5"),
-    ("diagnostics-bool", lambda t, r: _run(t, diagnostics={"mu": True}), 1,
-     "diagnostics.mu must be a real number, got True"),
-    ("diagnostics-mu-inf", lambda t, r: _run(t, diagnostics={"mu": math.inf}), 1,
-     "diagnostics.mu must be finite, got inf"),
-    ("diagnostics-int-beyond-float", lambda t, r: _run(t, diagnostics={"mu": 10**400}), 1,
-     "diagnostics.mu must be finite, got " + HUGE_SHOWN),
-    ("kbar-not-above-m", lambda t, r: _run(t, diagnostics={"kbar": 2}), 1,
-     "diagnostics.kbar must be an integer greater than m=5, got 2"),
-    ("diagnostics-kbar-beyond-int64", lambda t, r: _run(t, diagnostics={"kbar": 10**30}), 1,
-     f"diagnostics.kbar must fit in int64, got {10**30}"),
-    ("params-rows-beyond-int64", lambda t, r: _run(t, params={"seed": 0, "rows": 10**30}), 1,
-     f"params.rows must fit in int64, got {10**30}"),
-    ("params-cols-beyond-int64", lambda t, r: _run(t, params={"seed": 0, "cols": 10**400}), 1,
-     "params.cols must fit in int64, got " + HUGE_SHOWN),
-    ("params-seed-beyond-int64", lambda t, r: _run(t, params={"seed": 10**400}), 1,
-     "params.seed must fit in int64, got " + HUGE_SHOWN),
-    ("params-seed-negative", lambda t, r: _run(t, params={"seed": -1}), 1,
-     "params.seed must be a nonnegative integer, got -1"),
-    ("params-rows-times-cols-too-big",
-     lambda t, r: _run(t, params={"seed": 0, "rows": 2**40, "cols": 2**40}), 1,
-     "params.rows * params.cols must be at most 1152921504606846975 entries, "
-     "got 1099511627776 * 1099511627776"),
-    ("quad-l1-rows-times-default-cols-too-big",
-     lambda t, r: _run(t, problem="quad-l1", params={"seed": 0, "rows": 2**62}), 1,
-     "params.rows * params.cols must be at most 1152921504606846975 entries, "
-     "got 4611686018427387904 * 30"),
-    ("diagnostics-tau-beyond-float", lambda t, r: _run(t, diagnostics={"tau": 10**400}), 1,
-     "diagnostics.tau must be finite, got " + HUGE_SHOWN),
-    # run: solver fields past the float or int64 range (JSON's 1e400 is inf)
-    ("solver-c-inf", lambda t, r: _run(t, algorithm="npg_major", solver={"c": math.inf}), 1,
-     "c must be finite, got inf"),
-    ("solver-rho-inf", lambda t, r: _run(t, solver={"rho": math.inf}), 1,
-     "rho must be finite, got inf"),
-    ("solver-gamma-bounds-inf",
-     lambda t, r: _run(t, solver={"gamma_min": math.inf, "gamma_max": math.inf}), 1,
-     "gamma_min must be finite, got inf"),
-    ("solver-gamma_max-inf", lambda t, r: _run(t, solver={"gamma_max": math.inf}), 1,
-     "gamma_max must be finite, got inf"),
-    ("solver-delta-inf", lambda t, r: _run(t, solver={"delta": math.inf}), 1,
-     "delta must be finite, got inf"),
-    ("solver-tol_step-inf", lambda t, r: _run(t, solver={"tol_step": math.inf}), 1,
-     "tol_step must be finite, got inf"),
-    ("solver-m-beyond-int64", lambda t, r: _run(t, solver={"m": 10**400}), 1,
-     "m must fit in int64, got " + HUGE_SHOWN),
-    ("solver-max_outer-beyond-int64", lambda t, r: _run(t, solver={"max_outer": 10**400}), 1,
-     "max_outer must fit in int64, got " + HUGE_SHOWN),
-    ("solver-max_inner-beyond-int64", lambda t, r: _run(t, solver={"max_inner": 10**400}), 1,
-     "max_inner must fit in int64, got " + HUGE_SHOWN),
-    # run: pgnls holds delta and beta_max at 0
-    ("pgnls-delta-nonzero", lambda t, r: _run(t, algorithm="pgnls", solver={"delta": 0.5}), 1,
-     "solver.delta must be 0 for algorithm 'pgnls', got 0.5"),
-    ("pgnls-delta-string", lambda t, r: _run(t, algorithm="pgnls", solver={"delta": "abc"}), 1,
-     "solver.delta must be a real number, got 'abc'"),
-    ("pgnls-unknown-solver-field",
-     lambda t, r: _run(t, algorithm="pgnls", solver={"momentum": 0.9}), 1,
-     "unknown solver field(s) for pgnls: momentum"),
-    ("algorithm-problem-mismatch",
-     lambda t, r: _run(t, problem="l1-l2-dc", params={"seed": 0}), 1, "concave term"),
-    # run: the solve and the outputs
-    ("backtracking-exhaustion",
-     lambda t, r: _run(t, problem="quad-l1", params={"seed": 0}, algorithm="npg_major",
-                       solver={"max_inner": 1, "gamma_min": 0.01, "gamma_max": 0.01,
-                               "gamma_init_rule": "constant"}),
-     2, "solver failure: "),
-    ("run-output-dir-is-a-file",
-     lambda t, r: _run(t, output_dir=str(_file(t / "out"))), 1, "cannot write outputs: "),
-    ("run-trace-csv-is-a-directory",
-     lambda t, r: _run(t, output_dir=str(_directory(t / "out" / "trace.csv").parent)), 1,
-     "cannot write outputs: "),
-    # usage
-    ("usage-no-verb", lambda t, r: [], 1, "required"),
-    ("usage-unknown-verb", lambda t, r: ["frobnicate"], 1, "invalid choice"),
-    ("usage-sweep-flags", lambda t, r: ["sweep", "x.json"], 1, "required"),
-    ("usage-verify-m", lambda t, r: ["verify", "x.csv", "--m", "1.5"], 1, "invalid int value"),
-    ("usage-verify-kbar", lambda t, r: ["verify", "x.csv", "--kbar", "2.5"], 1,
-     "invalid int value"),
-    # sweep
-    ("sweep-bad-values", lambda t, r: _sweep(t, "delta", "a,b"), 1, "is not a number"),
-    ("sweep-value-over-4300-digits", lambda t, r: _sweep(t, "params.x0", "1" + "0" * 4300), 1,
-     "--values entry '1000000000000000000... (4303 characters) is not a number"),
-    ("sweep-run-directory-name-too-long",
-     lambda t, r: _sweep(t, "params.lam", str(10**300), problem="lasso", params={"seed": 0}),
-     1, "run directory name 'params_lam_10000000... (314 characters) is 312 bytes long, "
-        "over 255"),
-    ("sweep-repeated-value", lambda t, r: _sweep(t, "params.seed", "1,1.0,1,0"), 1,
-     "run directory name 'params_seed_1' repeats in --values"),
-    ("sweep-values-that-print-alike", lambda t, r: _sweep(t, "delta", "0.1,0.10"), 1,
-     "run directory name 'delta_0.1' repeats in --values"),
-    ("sweep-param-name-too-long", lambda t, r: _sweep(t, "params." + "x" * 300, "1"), 1,
-     "run directory name 'params_xxxxxxxxxxxx... (311 characters) is 309 bytes long, over 255"),
-    ("sweep-root-under-a-file",
-     lambda t, r: _sweep(t, "m", "1", output_dir=str(_file(t / "root") / "sub")), 1,
-     "cannot write outputs: "),
-    ("sweep-aggregate-is-a-directory",
-     lambda t, r: _sweep(t, "m", "1",
-                         output_dir=str(_directory(t / "sweep" / "aggregate.csv").parent)),
-     1, "cannot write outputs: "),
-    ("sweep-unknown-params-field",
-     lambda t, r: _sweep(t, "lamda", "0.1", problem="lasso", params={"seed": 0}), 1,
-     "unknown params field(s) for lasso: lamda"),
-    ("sweep-diagnostics-unknown-prefix",
-     lambda t, r: _sweep(t, "m", "5", diagnostics={"prefix": 1}), 1,
-     "unknown diagnostics field(s): prefix"),
-    ("sweep-m-past-kbar", lambda t, r: _sweep(t, "m", "5", diagnostics={"kbar": 4}), 1,
-     "diagnostics.kbar must be an integer greater than m=5, got 4"),
-    # verify: missing flags
-    ("verify-no-m-a", lambda t, r: ["verify", str(r[0] / "trace.csv")], 1,
-     "audit constants unavailable: give --m and --a"),
-    ("verify-no-delta",
-     lambda t, r: ["verify", str(r[0] / "trace.csv"), "--algorithm", "pgenls",
-                   "--m", "5", "--a", "0.1"], 1,
-     "audit constants unavailable: give --delta"),
-    # verify: pgnls holds delta and beta_max at 0
-    ("verify-pgnls-delta-nonzero",
-     lambda t, r: _verify(t, r, "--algorithm", "pgnls", "--delta", "0.5"), 1,
-     "kldescent: error: delta must be 0 for algorithm 'pgnls', got 0.5"),
-    ("verify-pgnls-beta-max-nonzero",
-     lambda t, r: _verify(t, r, "--algorithm", "pgnls", "--delta", "0", "--beta-max", "0.9"),
-     1, "kldescent: error: beta_max must be 0 for algorithm 'pgnls', got 0.9"),
-    # verify: the trace
-    ("verify-missing-trace", lambda t, r: ["verify", str(t / "absent.csv"), *r[1]], 1,
-     "cannot read"),
-    ("verify-empty-file", lambda t, r: _verify(t, r, edit=lambda lines: []), 1,
-     "empty trace file (line 1)"),
-    ("verify-header-only", lambda t, r: _verify(t, r, edit=lambda lines: lines[:1]), 1,
-     "trace.csv: line 2: no rows after the header"),
-    ("verify-extra-cell",
-     lambda t, r: _verify(t, r, edit=lambda lines: lines[:4] + [lines[4] + ",x"] + lines[5:]),
-     1, "line 5: expected"),
-    ("verify-unparsable-cell", lambda t, r: _verify(t, r, edit=_set_cells(8, F="abc")), 1,
-     "line 10: could not convert"),
-    ("verify-nan-step", lambda t, r: _verify(t, r, edit=_set_cells(8, step_norm="nan")), 1,
-     "line 10: step_norm is not finite"),
-    ("verify-negative-step",
-     lambda t, r: _verify(t, r, edit=_set_cells(8, step_norm="-0.5")), 1,
-     "line 10: step_norm is negative"),
-    ("verify-negative-residual",
-     lambda t, r: _verify(t, r, edit=_set_cells(8, residual="-0.5")), 1,
-     "line 10: residual is negative"),
-    ("verify-impossible-ell", lambda t, r: _verify(t, r, edit=_set_cells(8, ell="99")), 1,
-     "line 10: ell 99 outside"),
-    ("verify-negative-gamma", lambda t, r: _verify(t, r, edit=_set_cells(8, gamma="-0.5")), 1,
-     "line 10: gamma is not positive"),
-    ("verify-nan-gamma", lambda t, r: _verify(t, r, edit=_set_cells(8, gamma="nan")), 1,
-     "line 10: gamma is not positive"),
-    ("verify-j_inner-beyond-int64",
-     lambda t, r: _verify(t, r, edit=_set_cells(2, j_inner=str(2**70))), 1,
-     "line 4: j_inner 1180591620717411303424 outside [0, 9223372036854775807]"),
-    ("verify-negative-j_inner", lambda t, r: _verify(t, r, edit=_set_cells(2, j_inner="-7")),
-     1, "line 4: j_inner -7 outside [0, 9223372036854775807]"),
-    ("verify-sidecar-magic",
-     lambda t, r: _verify(t, r, sidecar=lambda p: p.write_bytes(b"NOTMAGIC" + p.read_bytes()[8:])),
-     1, "not a trace sidecar (bad magic)"),
-    ("verify-sidecar-length",
-     lambda t, r: _verify(t, r, sidecar=lambda p: p.write_bytes(p.read_bytes()[:-8])), 1,
-     "trace.bin: expected"),
-    ("verify-sidecar-is-a-directory",
-     lambda t, r: _verify(t, r, sidecar=lambda p: (p.unlink(), p.mkdir())), 1,
-     "trace.bin: [Errno"),
-    # verify: the outputs
-    ("verify-report-under-missing-dir",
-     lambda t, r: _verify(t, r, "--report", str(t / "missing" / "r.json")), 1,
-     "cannot write outputs: "),
-    ("verify-report-is-a-directory", lambda t, r: _verify(t, r, "--report", str(t)), 1,
-     "cannot write outputs: "),
-    # verify: constants that would give a wrong verdict
-    ("verify-lf-nan", lambda t, r: _verify(t, r, "--lf", "nan"), 1,
-     "lipschitz must be nonnegative, got nan"),
-    ("verify-lf-negative", lambda t, r: _verify(t, r, "--lf", "-1"), 1,
-     "lipschitz must be nonnegative, got -1.0"),
-    ("verify-a-inf", lambda t, r: _verify(t, r, "--a", "inf"), 1, "a must be finite, got inf"),
-    ("verify-alpha-nan", lambda t, r: _verify(t, r, "--alpha", "nan"), 1,
-     "alpha must lie in [0, 1], got nan"),
-    ("verify-delta-negative", lambda t, r: _verify(t, r, "--delta", "-3"), 1,
-     "delta must be nonnegative, got -3.0"),
-    ("verify-mu-inf", lambda t, r: _verify(t, r, "--mu", "inf"), 1, "mu must be finite, got inf"),
-    ("verify-m-beyond-int64", lambda t, r: _verify(t, r, "--m", str(10**30)), 1,
-     f"m must fit in int64, got {10**30}"),
-    ("verify-m-leaves-no-default-kbar", lambda t, r: _verify(t, r, "--m", str(2**63 - 2)), 1,
-     "the default m + 2 for kbar must fit in int64, got 9223372036854775808"),
-    ("verify-kbar-not-above-m-one-row",
-     lambda t, r: _verify(t, r, "--kbar", "2", edit=lambda lines: lines[:2],
-                          sidecar=lambda p: p.unlink()), 1,
-     "kbar must be an integer greater than m=5, got 2"),
-    # verify: an audit that fails
-    ("verify-audit-failure",
-     lambda t, r: _verify(t, r, edit=_set_cells(12, F="1000000.0", merit="1000000.0")), 3,
-     "audit failure: "),
-    ("verify-step-whose-square-overflows",
-     lambda t, r: _verify(t, r, edit=_set_cells(2, step_norm="1e200")), 3, "audit failure: "),
-]
+def references(tmp_path_factory):
+    return bad_inputs.reference_runs(tmp_path_factory.mktemp("references"))
 
 
 def _no_memory(*args, **kwargs):
@@ -912,19 +614,40 @@ def test_exit_1_when_the_data_does_not_fit_in_memory(empty_memo, tmp_path, capsy
     # the data function is stubbed so that the allocation is never tried
     monkeypatch.setattr(catalog, "_sparse_regression_data", _no_memory)
     params = {"seed": 0, "rows": 2**29, "cols": 2**29}
-    argv = (_run(tmp_path, problem="lasso", params=params) if verb == "run" else
-            _sweep(tmp_path, "params.seed", "0", problem="lasso", params=params))
-    assert main(argv) == 1
+    call = (bad_inputs.run(params=params) if verb == "run" else
+            bad_inputs.sweep("params.seed", "0", params=params))
+    assert main(call(tmp_path, {})) == 1
     err = capsys.readouterr().err
     assert err == ("kldescent: error: out of memory: Unable to allocate 2.00 EiB for an "
                    "array with shape (536870912, 536870912) and data type float64\n")
 
 
-@pytest.mark.parametrize("build, status, fragment",
-                         [pytest.param(*case[1:], id=case[0]) for case in ERROR_PATHS])
-def test_error_paths_exit_with_one_line(tmp_path, capsys, dc_run, build, status, fragment):
-    argv = build(tmp_path, dc_run)
-    assert main(argv) == status
+def test_a_sweep_run_that_raises_a_foreign_exception_fails_alone(tmp_path, capsys, monkeypatch):
+    execute = cli.execute
+
+    def boom_at_m_1(cfg, outdir):
+        if cfg["solver"]["m"] == 1:
+            raise RuntimeError("boom")
+        return execute(cfg, outdir)
+
+    monkeypatch.setattr(cli, "execute", boom_at_m_1)
+    path, _ = write_config(tmp_path, problem="power4-1d", params={},
+                           solver={"max_outer": 50}, output_dir=str(tmp_path / "sweep"))
+    assert main(["sweep", str(path), "--param", "m", "--values", "0,1,2"]) == 2
+    assert capsys.readouterr().err == "kldescent: error: m_1: unexpected failure: boom\n"
+    for m in (0, 2):
+        assert (tmp_path / "sweep" / f"m_{m}" / "report.json").exists()
+    aggregate = (tmp_path / "sweep" / "aggregate.csv").read_text().splitlines()
+    assert [row.split(",")[1] for row in aggregate[1:]] == ["0", "2", "0"]
+    assert aggregate[2] == "1,2,,,,,,"
+
+
+@pytest.mark.parametrize("row", bad_inputs.ROWS, ids=[row.id for row in bad_inputs.ROWS])
+def test_error_paths_exit_with_one_line(tmp_path, capsys, references, row):
+    assert main(row.call(tmp_path, references)) == row.status
     err = capsys.readouterr().err
-    assert err.startswith("kldescent: error: ") and err.count("\n") == 1, err
-    assert err.endswith("\n") and fragment in err, err
+    if row.status == 0:
+        assert err == ""
+    else:
+        assert err.startswith("kldescent: error: ") and err.count("\n") == 1, err
+        assert err.endswith("\n") and row.fragment in err, err

@@ -12,6 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import bad_inputs
 from kldescent import diagnostics, npg, pgenls
 from kldescent import trace as trace_module
 from kldescent.catalog import make_problem
@@ -920,6 +921,28 @@ def test_a_residual_ratio_past_float64_makes_b_hat_null_without_a_warning():
         warnings.simplefilter("error")
         f = build_report(trace, lipschitz=1.0).fields
     assert f["constants.b_hat"] is None and f["h3.pass"] is False
+
+
+def test_the_public_audits_raise_no_warning_on_a_step_past_the_float_range(tmp_path):
+    # a lasso pgenls trace whose step in line 4 is 1e200: its square, and the
+    # products with it, are past the float range (verify prints one line on
+    # it: the bad-input row verify-step-whose-square-overflows)
+    inst = make_problem("lasso", {"seed": 0})
+    path = tmp_path / "trace.csv"
+    write_trace_csv(pgenls_solve(inst.problem, inst.x0, PgenlsConfig(m=5)), path)
+    lines = bad_inputs.cells(2, step_norm="1e200")(path.read_text().splitlines())
+    path.write_text("".join(line + "\n" for line in lines))
+    trace = read_trace_csv(path, algorithm="pgenls", config={
+        "m": 5, "a": 0.0025, "alpha": 0.5, "delta": 1.0, "beta_max": 0.9})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_h1(trace).passed is False
+        assert check_acceptance(trace).passed is False
+        assert check_h3(trace, 1.0).passed is False
+        assert check_h4(trace, 0.5, 1.0, 7).passed is False
+        assert check_prop_bound(trace, 0.5, 1.0, 7).passed is False
+        assert recompute_ell(trace).passed is True
+        estimate_bbar(trace), xi_gamma(trace), fit_rate(trace)
 
 
 def test_build_report_without_a_finite_fitted_mu_skips_h4_and_prop_bound():

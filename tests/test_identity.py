@@ -8,40 +8,38 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
+import bad_inputs
+import identity
 import kldescent.cli
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
-# a run with a sidecar and an inline one, the DC run the acceptance readers
-# edit, the calls that read their traces, and the runs on data files, whose
-# config and report hold the call's path
-PREFIXES = ("run/lasso/pgenls/s0/m5", "run/power4-1d/pgenls/s0/m0", "run/lasso/npg_major/s0/m5",
-            "verify/lasso/pgenls/s0/m5/", "reader/", "input/x0-", "data/")
+# a run with a sidecar and an inline one, the verify calls of the first, the
+# reference runs with the bad inputs that read their traces or size a
+# matrix, and the runs on data files, whose config and report hold the
+# call's path
+PREFIXES = ("run/lasso/pgenls/s0/m5", "run/power4-1d/pgenls/s0/m0",
+            "verify/lasso/pgenls/s0/m5/", "reference", "bad/verify-", "bad/quad-l1-", "data/")
 
 
-@pytest.fixture
-def identity(monkeypatch):
-    monkeypatch.syspath_prepend(str(TOOLS))
-    import identity
-
-    return identity
-
-
-def _calls(identity):
+def _calls():
     return [call for call in identity.matrix() if call.label.startswith(PREFIXES)]
 
 
-def test_same_checkout_gives_the_same_manifest(identity):
-    calls = _calls(identity)
+def test_same_checkout_gives_the_same_manifest():
+    calls = _calls()
     first, second = identity.manifest(calls), identity.manifest(calls)
     assert identity.diff(first, second) == []
     by_label = {c["label"]: c for c in first["calls"]}
     assert len(by_label) == len(calls) > 20
+    assert by_label["reference"] == {"label": "reference", "skipped": True}
     run = by_label["run/lasso/pgenls/s0/m5"]
     assert run["exit"] == 0 and {"exp_out/trace.csv", "exp_out/trace.bin"} <= set(run["files"])
-    missing = by_label["reader/sidecar-missing"]
-    assert missing["exit"] == 0 and missing["stderr"] == ""
+    # each bad input makes the call it makes under the table's own test
+    for row in bad_inputs.ROWS:
+        record = by_label.get(f"bad/{row.id}")
+        if record is not None:
+            assert record["exit"] == row.status and row.fragment in record["stderr"], record
     csv = by_label["data/lasso-csv"]
     assert csv["exit"] == 0 and {"A.csv", "exp.json", "exp_out/report.json"} <= set(csv["files"])
     for name in ("quad-l1-csv-mu2.5", "lasso-lam-given", "lasso-rows-only"):
@@ -49,24 +47,16 @@ def test_same_checkout_gives_the_same_manifest(identity):
     assert by_label["data/lasso-csv-nan"]["stderr"] == (
         "kldescent: error: matrix loaded from '<tmp>/data/lasso-csv-nan/A.csv' "
         "has non-finite entries\n")
-    # the edit that makes acceptance alone fail, and the negated gamma the reader rejects
-    assert by_label["reader/acceptance-fails"]["stderr"] == (
-        "kldescent: error: audit failure: acceptance\n")
-    assert by_label["reader/negative-gamma"]["stderr"].endswith(
-        "trace.csv: line 3: gamma is not positive\n")
-    # j_inner cells the reader rejects, and a step whose square is past float64
-    assert by_label["reader/j_inner-beyond-int64"]["stderr"].endswith(
-        "trace.csv: line 4: j_inner 1180591620717411303424 outside [0, 9223372036854775807]\n")
-    assert by_label["reader/negative-j_inner"]["exit"] == 1
-    huge = by_label["reader/huge-step"]
-    assert huge["exit"] == 3 and huge["stderr"].count("\n") == 1 and huge["warnings"] == []
-    magic = by_label["reader/sidecar-magic"]
-    assert magic["exit"] == 1
-    assert magic["stderr"].startswith("kldescent: error: <tmp>/reader/sidecar-magic/trace.bin")
+    # a step whose square is past float64 warns of nothing
+    huge = by_label["bad/verify-step-whose-square-overflows"]
+    assert huge["stderr"] == "kldescent: error: audit failure: acceptance, h1, h3, h4, prop_bound\n"
+    assert huge["warnings"] == []
+    assert by_label["bad/verify-sidecar-magic"]["stderr"].startswith(
+        "kldescent: error: <tmp>/bad/verify-sidecar-magic/trace.bin")
 
 
-def test_a_one_ulp_change_in_a_trace_cell_is_reported(identity, monkeypatch):
-    calls = _calls(identity)
+def test_a_one_ulp_change_in_a_trace_cell_is_reported(monkeypatch):
+    calls = _calls()
     clean = identity.manifest(calls)
     write = kldescent.cli.write_trace_csv
 
