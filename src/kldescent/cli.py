@@ -291,19 +291,22 @@ def cmd_sweep(args) -> int:
     root = Path(cfg.get("output_dir") or _default_outdir(args.config))
     root.mkdir(parents=True, exist_ok=True)
 
-    results = []
-    for value, name, sub_cfg in zip(values, names, configs):
-        subdir = root / name
-        try:
-            results.append(execute(sub_cfg, subdir))
-        except Exception as exc:  # isolation: one bad run must not kill the sweep
-            results.append((_exit_status(exc, subdir.name), {}))
+    # opened before the first run, so that an unwritable aggregate fails the
+    # sweep before any solve
+    with open(root / "aggregate.csv", "w") as aggregate:
+        results = []
+        for value, name, sub_cfg in zip(values, names, configs):
+            subdir = root / name
+            try:
+                results.append(execute(sub_cfg, subdir))
+            except Exception as exc:  # isolation: one bad run must not kill the sweep
+                results.append((_exit_status(exc, subdir.name), {}))
 
-    rows = [",".join(["value", "exit"] + [column for column, _ in _AGGREGATE_FIELDS])]
-    for value, (status, fields) in zip(values, results):
-        rows.append(",".join([_csv_cell(value), str(status)]
-                             + [_csv_cell(fields.get(key)) for _, key in _AGGREGATE_FIELDS]))
-    (root / "aggregate.csv").write_text("\n".join(rows) + "\n")
+        rows = [",".join(["value", "exit"] + [column for column, _ in _AGGREGATE_FIELDS])]
+        for value, (status, fields) in zip(values, results):
+            rows.append(",".join([_csv_cell(value), str(status)]
+                                 + [_csv_cell(fields.get(key)) for _, key in _AGGREGATE_FIELDS]))
+        aggregate.write("\n".join(rows) + "\n")
     print(f"sweep over {args.param}: {len(values)} runs, aggregate in "
           f"{root / 'aggregate.csv'}")
     return max(status for status, _ in results)

@@ -15,9 +15,9 @@ import kldescent.cli
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 # a run with a sidecar and an inline one, the verify calls of the first, the
-# reference runs with the bad inputs that read their traces or size a
-# matrix, and the runs on data files, whose config and report hold the
-# call's path
+# reference runs with the bad inputs that read their traces (the generated
+# rows of pgnls's fixed flags among them) or size a matrix, and the runs on
+# data files, whose config and report hold the call's path
 PREFIXES = ("run/lasso/pgenls/s0/m5", "run/power4-1d/pgenls/s0/m0",
             "verify/lasso/pgenls/s0/m5/", "reference", "bad/verify-", "bad/quad-l1-", "data/")
 

@@ -4,8 +4,14 @@ A row of :data:`ROWS` is one ``kldescent`` call: its id, how to make it, the
 exit status it must end with, and a fragment of the one ``kldescent: error:``
 line it must print on stderr (a row that exits 0 prints nothing there).
 ``tests/test_cli.py`` runs every row and checks status and line;
-``tools/identity.py`` records every row's outputs byte for byte.  A new bad
-input is one more row.
+``tools/identity.py`` records every row's outputs byte for byte.
+
+:func:`field_rows` makes three rows per field of the rule table a command
+reads, each a value of another kind, one its domain's test turns away and
+one past its range, with the exact line; a new field gets them with no edit
+here.  A row written by hand states what the rule table cannot: rules on two
+fields, sizes, unknown names, files, traces, usage and outputs, or a bad
+value of a field that its generated rows do not draw.
 
 A row makes its call in a directory of its own, ``here``, where ``{here}`` in
 a string of its config or its arguments points, from one of:
@@ -29,13 +35,14 @@ import contextlib
 import io
 import json
 import math
+import numbers
 import shutil
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-from kldescent import NpgConfig, PgenlsConfig, npg
+from kldescent import NpgConfig, PgenlsConfig, catalog, npg
 from kldescent.cli import main
-from kldescent.domains import FIXED
+from kldescent.domains import _NOUNS, ALGORITHMS, FIXED, RULES, Domain, shown
 
 HUGE = 10**400
 # HUGE as an error message shows it: its first 20 characters and its length
@@ -239,6 +246,109 @@ def _rewrite(change: Callable[[bytes], bytes]) -> Callable[[Path], None]:
 
 
 # ---------------------------------------------------------------------------
+# the generated rows: three bad values of each field of each block a command reads
+
+# by kind: a value of another kind; the values to try, in order, for one that
+# fails a domain's test; a value past the kind's machine range
+_OTHER_KIND = {numbers.Integral: 2.5, numbers.Real: True, str: 5}
+_FAILING = {numbers.Integral: (0, -1), numbers.Real: (math.nan,), str: ("y",)}
+_PAST_RANGE = {numbers.Integral: HUGE, numbers.Real: math.inf}
+
+
+def bad_values(domain: Domain) -> list:
+    """The bad values of ``domain``, each as (what, value, the message that
+    follows the field's name): ``kind``, a value of another kind; ``test``,
+    one its test turns away (``nan`` for a real number, not finite, when it
+    has no test); ``range``, one past the int64 or float range, where a
+    real number's test comes before its finiteness.  A string has no range,
+    nor a failing value without a test."""
+    kind, test, rule = domain
+    values = [("kind", _OTHER_KIND[kind], f"must be {_NOUNS[kind]}")]
+    if test or kind is numbers.Real:
+        value = next(v for v in _FAILING[kind] if not (test and test(v)))
+        values.append(("test", value, rule if test else "must be finite"))
+    if kind in _PAST_RANGE:
+        value = _PAST_RANGE[kind]
+        values.append(("range", value, "must fit in int64" if kind is numbers.Integral
+                       else rule if test and not test(value) else "must be finite"))
+    return [(what, value, f"{message}, got {shown(value)}") for what, value, message in values]
+
+
+def _fields(context: str, prefix: str = "", names=None) -> dict:
+    """The fields of ``RULES[context]``, or its ``names``, each with ``prefix``."""
+    rules = RULES[context]
+    return {name: (rules[name], prefix) for name in rules if names is None or name in names}
+
+
+# the fields that verify's flags set, of a trace's snapshot and of the audit
+AUDITED = (*RULES["snapshot"], *RULES["diagnostics"], "lipschitz")
+
+
+def flag(name: str) -> str:
+    """The ``verify`` flag of a field of :data:`AUDITED`, as ``cli.build_parser`` names it."""
+    return "--lf" if name == "lipschitz" else "--" + name.replace("_", "-")
+
+
+def blocks() -> dict:
+    """Each block of fields that a caller reaches, by id, as ``{name:
+    (domain, the prefix of the name in a message)}``: each solver block
+    (``pgnls``'s fixed fields named ``solver.``), each problem's ``params``,
+    ``diagnostics``, ``audit`` (the fields of :data:`AUDITED`, which
+    ``verify``'s flags, ``build_report`` and a trace's snapshot take),
+    ``fixed`` (``pgnls``'s fixed fields as ``verify`` flags) and
+    ``oracle``."""
+    solver = {algorithm: {**_fields(algorithm),
+                          **_fields(algorithm, "solver.", FIXED.get(algorithm, ()))}
+              for algorithm in ALGORITHMS}
+    return {
+        **solver,
+        **{f"params-{problem}": _fields("params", "params.", accepted)
+           for problem, (_, _, accepted) in catalog._REGISTRY.items()},
+        "diagnostics": _fields("diagnostics", "diagnostics."),
+        "audit": _fields("audit", "", AUDITED),
+        "fixed": _fields("pgnls", "", FIXED["pgnls"]),
+        "oracle": _fields("oracle"),
+    }
+
+
+def field_cases(caller: str, fields: dict) -> list:
+    """``(id, name, domain, what, value, message)`` for each bad value of
+    each field of ``fields``, a block of :func:`blocks`, the id led by
+    ``caller``."""
+    return [(f"{caller}.{name}.{what}", name, domain, what, value, f"{prefix}{name} {message}")
+            for name, (domain, prefix) in fields.items()
+            for what, value, message in bad_values(domain)]
+
+
+def field_rows() -> list:
+    """Three rows (see :func:`bad_values`) per field of each block of
+    :func:`blocks` that ``run`` and ``verify`` read, each id led by its
+    block, or by ``verify`` (``audit``, flags after an ``npg_major`` run's)
+    or ``verify-pgnls`` (``fixed``, after a ``pgnls`` run's).  Argparse turns
+    away a flag's text of another kind."""
+    calls = {
+        **{algorithm: lambda name, value, algorithm=algorithm: run(algorithm=algorithm,
+                                                                   solver={name: value})
+           for algorithm in ALGORITHMS},
+        **{f"params-{problem}": lambda name, value, problem=problem: run(problem=problem,
+                                                                         params={name: value})
+           for problem in catalog._REGISTRY},
+        "diagnostics": lambda name, value: run(diagnostics={name: value}),
+        "audit": lambda name, value: verify(NPG, flag(name), str(value)),
+        "fixed": lambda name, value: verify(PGNLS, flag(name), str(value)),
+    }
+    found, labels, rows = blocks(), {"audit": "verify", "fixed": "verify-pgnls"}, []
+    for block, call in calls.items():
+        cases = field_cases(labels.get(block, block), found[block])
+        for case_id, name, domain, what, value, message in cases:
+            if block in ("audit", "fixed") and what == "kind":
+                kind = "int" if domain.kind is numbers.Integral else "float"
+                message = f"argument {flag(name)}: invalid {kind} value: '{value}'"
+            rows.append(Row(case_id, call(name, value), 1, f"kldescent: error: {message}\n"))
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # the table
 
 _TOO_BIG = "params.rows * params.cols must be at most 1152921504606846975 entries, got "
@@ -266,11 +376,20 @@ ROWS = [Row(*row) for row in [
      "unknown diagnostics field(s): context"),
     ("unknown-params-field", run(params={"seed": 0, "lamda": 5.0}), 1,
      "unknown params field(s) for lasso: lamda"),
+    # run: bad values of a field that its generated rows do not draw
     ("params-bool", run(params={"seed": True}), 1, "params.seed must be an integer, got True"),
+    ("diagnostics-kbar-bool", run(diagnostics={"kbar": True}), 1,
+     "diagnostics.kbar must be an integer, got True"),
+    ("params-rows-string", run(params={"seed": 0, "rows": "abc"}), 1,
+     "params.rows must be an integer, got 'abc'"),
+    ("params-seed-fraction", run(params={"seed": 1.5}), 1,
+     "params.seed must be an integer, got 1.5"),
+    ("params-lam-string", run(params={"seed": 0, "lam": "x"}), 1,
+     "params.lam must be a real number, got 'x'"),
+    ("params-x0-numeric-string", run(problem="power4-1d", params={"x0": "2"}), 1,
+     "params.x0 must be a real number, got '2'"),
     ("A_csv-list", run(params={"A_csv": [1], "b_csv": "b.csv"}), 1,
      "params.A_csv must be a string, got [1]"),
-    ("A_csv-int", run(params={"A_csv": 5, "b_csv": "b.csv"}), 1,
-     "params.A_csv must be a string, got 5"),
     ("params-int-beyond-float", run(problem="power4-1d", params={"x0": HUGE}), 1,
      "params.x0 must be finite, got " + HUGE_SHOWN),
     ("params-lam-beyond-float", run(params={"seed": 0, "lam": HUGE}), 1,
@@ -280,34 +399,18 @@ ROWS = [Row(*row) for row in [
     ("params-mu-beyond-float",
      run(problem="quad-l1", algorithm="npg_major", params={"seed": 0, "mu": HUGE}), 1,
      "params.mu must be finite, got " + HUGE_SHOWN),
-    ("params-x0-inf", run(problem="power4-1d", params={"x0": math.inf}), 1,
-     "params.x0 must be finite, got inf"),
-    ("params-lam-inf", run(params={"seed": 0, "lam": math.inf}), 1,
-     "params.lam must be finite, got inf"),
-    ("params-mu-nan",
-     run(problem="quad-l1", algorithm="npg_major", params={"seed": 0, "mu": math.nan}), 1,
-     "params.mu must be positive, got nan"),
     ("bad-tau", run(diagnostics={"tau": 1.5}), 1, "diagnostics.tau must lie in (0, 1), got 1.5"),
-    ("diagnostics-bool", run(diagnostics={"mu": True}), 1,
-     "diagnostics.mu must be a real number, got True"),
-    ("diagnostics-mu-inf", run(diagnostics={"mu": math.inf}), 1,
-     "diagnostics.mu must be finite, got inf"),
     ("diagnostics-int-beyond-float", run(diagnostics={"mu": HUGE}), 1,
      "diagnostics.mu must be finite, got " + HUGE_SHOWN),
     ("diagnostics-tau-beyond-float", run(diagnostics={"tau": HUGE}), 1,
      "diagnostics.tau must be finite, got " + HUGE_SHOWN),
-    ("kbar-not-above-m", run(diagnostics={"kbar": 2}), 1,
-     "diagnostics.kbar must be an integer greater than m=5, got 2"),
     ("diagnostics-kbar-beyond-int64", run(diagnostics={"kbar": 10**30}), 1,
      f"diagnostics.kbar must fit in int64, got {10**30}"),
     ("params-rows-beyond-int64", run(params={"seed": 0, "rows": 10**30}), 1,
      f"params.rows must fit in int64, got {10**30}"),
-    ("params-cols-beyond-int64", run(params={"seed": 0, "cols": HUGE}), 1,
-     "params.cols must fit in int64, got " + HUGE_SHOWN),
-    ("params-seed-beyond-int64", run(params={"seed": HUGE}), 1,
-     "params.seed must fit in int64, got " + HUGE_SHOWN),
-    ("params-seed-negative", run(params={"seed": -1}), 1,
-     "params.seed must be a nonnegative integer, got -1"),
+    # run: rules on two fields
+    ("kbar-not-above-m", run(diagnostics={"kbar": 2}), 1,
+     "diagnostics.kbar must be an integer greater than m=5, got 2"),
     # sizes whose matrix numpy cannot make, refused before anything is allocated
     ("params-rows-times-cols-too-big", run(params={"seed": 0, "rows": 2**40, "cols": 2**40}), 1,
      _TOO_BIG + "1099511627776 * 1099511627776"),
@@ -321,25 +424,9 @@ ROWS = [Row(*row) for row in [
     ("quad-l1-ridge-too-big",
      run(problem="quad-l1", algorithm="npg_major", params={"seed": 0, "cols": 2**30}), 1,
      _RIDGE_TOO_BIG),
-    # run: solver fields past the float or int64 range (JSON's 1e400 is inf)
-    ("solver-c-inf", run(algorithm="npg_major", solver={"c": math.inf}), 1,
-     "c must be finite, got inf"),
+    # run: the first bad field in rule order is named
     ("solver-two-bad-fields", run(algorithm="npg_major", solver={"delta": 2, "max_outer": 0}),
      1, "max_outer must be a positive integer, got 0"),  # the first field checked
-    ("solver-rho-inf", run(solver={"rho": math.inf}), 1, "rho must be finite, got inf"),
-    ("solver-gamma-bounds-inf", run(solver={"gamma_min": math.inf, "gamma_max": math.inf}), 1,
-     "gamma_min must be finite, got inf"),
-    ("solver-gamma_max-inf", run(solver={"gamma_max": math.inf}), 1,
-     "gamma_max must be finite, got inf"),
-    ("solver-delta-inf", run(solver={"delta": math.inf}), 1, "delta must be finite, got inf"),
-    ("solver-tol_step-inf", run(solver={"tol_step": math.inf}), 1,
-     "tol_step must be finite, got inf"),
-    ("solver-m-beyond-int64", run(solver={"m": HUGE}), 1,
-     "m must fit in int64, got " + HUGE_SHOWN),
-    ("solver-max_outer-beyond-int64", run(solver={"max_outer": HUGE}), 1,
-     "max_outer must fit in int64, got " + HUGE_SHOWN),
-    ("solver-max_inner-beyond-int64", run(solver={"max_inner": HUGE}), 1,
-     "max_inner must fit in int64, got " + HUGE_SHOWN),
     # run: pgnls holds delta and beta_max at 0
     ("pgnls-delta-nonzero", run(algorithm="pgnls", solver={"delta": 0.5}), 1,
      "solver.delta must be 0 for algorithm 'pgnls', got 0.5"),
@@ -366,9 +453,14 @@ ROWS = [Row(*row) for row in [
     ("usage-unknown-verb", argv("frobnicate"), 1, "invalid choice"),
     ("usage-sweep-flags", argv("sweep", "x.json"), 1, "required"),
     ("usage-verify-m", argv("verify", "x.csv", "--m", "1.5"), 1, "invalid int value"),
-    ("usage-verify-kbar", argv("verify", "x.csv", "--kbar", "2.5"), 1, "invalid int value"),
     # sweep
     ("sweep-bad-values", sweep("delta", "a,b"), 1, "is not a number"),
+    ("sweep-empty-value", sweep("delta", "0.1,,0.2"), 1,
+     "kldescent: error: empty entry in --values '0.1,,0.2'; give a comma-separated list\n"),
+    ("sweep-boolean-value", sweep("delta", "true"), 1,
+     "kldescent: error: --values entry True is not a number\n"),
+    ("sweep-param-not-a-field", sweep("bogus.block.x", "1"), 1,
+     "kldescent: error: --param 'bogus.block.x' does not name a config field\n"),
     ("sweep-value-over-4300-digits", sweep("params.x0", DIGITS_4301), 1,
      "--values entry '1000000000000000000... (4303 characters) is not a number"),
     ("sweep-run-directory-name-too-long", sweep("params.lam", str(10**300)), 1,
@@ -471,14 +563,10 @@ ROWS = [Row(*row) for row in [
     ("verify-report-is-a-directory", verify(NPG, "--report", "{here}"), 1,
      "cannot write outputs: "),
     # verify: constants that would give a wrong verdict
-    ("verify-lf-nan", verify(NPG, "--lf", "nan"), 1, "lipschitz must be nonnegative, got nan"),
     ("verify-lf-negative", verify(NPG, "--lf", "-1"), 1,
      "lipschitz must be nonnegative, got -1.0"),
-    ("verify-a-inf", verify(NPG, "--a", "inf"), 1, "a must be finite, got inf"),
-    ("verify-alpha-nan", verify(NPG, "--alpha", "nan"), 1, "alpha must lie in [0, 1], got nan"),
     ("verify-delta-negative", verify(NPG, "--delta", "-3"), 1,
      "delta must be nonnegative, got -3.0"),
-    ("verify-mu-inf", verify(NPG, "--mu", "inf"), 1, "mu must be finite, got inf"),
     ("verify-m-beyond-int64", verify(PGENLS, "--m", str(10**30)), 1,
      f"m must fit in int64, got {10**30}"),
     ("verify-m-leaves-no-default-kbar", verify(PGENLS, "--m", str(2**63 - 2)), 1,
@@ -503,4 +591,4 @@ ROWS = [Row(*row) for row in [
     # a step of 1e200, whose square is past the float range
     ("verify-step-whose-square-overflows", verify(PGENLS, edit=cells(2, step_norm="1e200")), 3,
      "audit failure: "),
-]]
+]] + field_rows()
