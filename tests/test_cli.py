@@ -116,6 +116,51 @@ def test_only_build_report_defaults_tau(references, capsys):
     assert reports[0] == reports[1] and json.loads(reports[0])["h4.tau"] == 0.5
 
 
+def test_exit_1_bad_tau(tmp_path, capsys):
+    path, _ = write_config(tmp_path, diagnostics={"tau": 1.5})
+    assert main(["run", str(path)]) == 1
+    assert "diagnostics.tau" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, rule", [
+    ("tau", "must be a real number"), ("mu", "must be a real number"),
+    ("kbar", "must be an integer"),
+], ids=["tau", "mu", "kbar"])
+def test_exit_1_boolean_diagnostics(tmp_path, capsys, name, rule):
+    path, _ = write_config(tmp_path, diagnostics={name: True})
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        f"kldescent: error: diagnostics.{name} {rule}, got True\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("problem, params, message", [
+    ("lasso", {"seed": 0, "rows": "abc"}, "params.rows must be an integer, got 'abc'"),
+    ("lasso", {"seed": 0, "rows": 2.5}, "params.rows must be an integer, got 2.5"),
+    ("lasso", {"seed": 1.5}, "params.seed must be an integer, got 1.5"),
+    ("lasso", {"seed": True}, "params.seed must be an integer, got True"),
+    ("lasso", {"seed": 0, "lam": "x"}, "params.lam must be a real number, got 'x'"),
+    ("power4-1d", {"x0": "2"}, "params.x0 must be a real number, got '2'"),
+    ("lasso", {"A_csv": [1], "b_csv": "b.csv"}, "params.A_csv must be a string, got [1]"),
+    ("lasso", {"A_csv": 5, "b_csv": "b.csv"}, "params.A_csv must be a string, got 5"),
+    ("lasso", {"seed": 0, "lamda": 5.0}, "unknown params field(s) for lasso: lamda"),
+], ids=["rows-str", "rows-float", "seed-float", "seed-bool", "lam-str", "x0-str",
+        "A_csv-list", "A_csv-int", "unknown"])
+def test_exit_1_bad_problem_params(tmp_path, capsys, problem, params, message):
+    path, _ = write_config(tmp_path, problem=problem, params=params)
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == f"kldescent: error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_exit_1_kbar_not_above_m_before_the_solve(tmp_path, capsys):
+    path, _ = write_config(tmp_path, diagnostics={"kbar": 2})
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == ("kldescent: error: diagnostics.kbar must be "
+                                       "an integer greater than m=5, got 2\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_1_algorithm_problem_mismatch(tmp_path, capsys):
     for algorithm in ("pgenls", "pgnls"):
         path, _ = write_config(tmp_path, problem="l1-l2-dc", params={"seed": 0},
@@ -125,6 +170,42 @@ def test_exit_1_algorithm_problem_mismatch(tmp_path, capsys):
             f"kldescent: error: algorithm {algorithm!r} cannot handle problem 'l1-l2-dc': "
             "the objective has a concave term; use npg_major\n")
         assert not (tmp_path / "out").exists()
+
+
+def test_exit_1_unknown_fields(tmp_path, capsys):
+    path, _ = write_config(tmp_path, solver={"momentum": 0.9})
+    assert main(["run", str(path)]) == 1
+    assert "momentum" in capsys.readouterr().err
+
+    path2 = tmp_path / "bad_top.json"
+    path2.write_text(json.dumps({"problem": "lasso", "algorithm": "pgenls",
+                                 "extra": 1}))
+    assert main(["run", str(path2)]) == 1
+    assert "extra" in capsys.readouterr().err
+
+
+def test_exit_1_bad_json_and_missing_file(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text("{not json")
+    assert main(["run", str(path)]) == 1
+    assert "invalid JSON" in capsys.readouterr().err
+    assert main(["run", str(tmp_path / "absent.json")]) == 1
+
+
+def test_exit_1_usage_errors(capsys):
+    assert main([]) == 1
+    assert main(["frobnicate"]) == 1
+    assert main(["sweep", "x.json"]) == 1  # missing --param/--values
+
+
+def test_exit_2_backtracking_exhaustion(tmp_path, capsys):
+    path, _ = write_config(
+        tmp_path, problem="quad-l1", params={"seed": 0},
+        algorithm="npg_major",
+        solver={"max_inner": 1, "gamma_min": 0.01, "gamma_max": 0.01,
+                "gamma_init_rule": "constant"})
+    assert main(["run", str(path)]) == 2
+    assert "solver failure" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("problem, algorithm, message", [
@@ -350,6 +431,16 @@ def test_verify_flags_corrupted_trace(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "audit failure" in err
     assert "h1" in err or "series" in err
+
+
+def test_verify_malformed_trace(tmp_path, capsys):
+    out, args = run_and_verify_args(tmp_path)
+    trace_path = out / "trace.csv"
+    lines = trace_path.read_text().splitlines()
+    lines[4] = lines[4] + ",extra"
+    trace_path.write_text("\n".join(lines) + "\n")
+    assert main(args) == 1
+    assert "line 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("column, value, message", [
