@@ -292,8 +292,9 @@ def cmd_sweep(args) -> int:
     root.mkdir(parents=True, exist_ok=True)
 
     # opened before the first run, so that an unwritable aggregate fails the
-    # sweep before any solve
-    with open(root / "aggregate.csv", "w") as aggregate:
+    # sweep before any solve, and emptied only when its rows are written: an
+    # interrupted sweep leaves the last sweep's aggregate as it was
+    with open(root / "aggregate.csv", "a") as aggregate:
         results = []
         for value, name, sub_cfg in zip(values, names, configs):
             subdir = root / name
@@ -306,6 +307,7 @@ def cmd_sweep(args) -> int:
         for value, (status, fields) in zip(values, results):
             rows.append(",".join([_csv_cell(value), str(status)]
                                  + [_csv_cell(fields.get(key)) for _, key in _AGGREGATE_FIELDS]))
+        aggregate.truncate(0)
         aggregate.write("\n".join(rows) + "\n")
     print(f"sweep over {args.param}: {len(values)} runs, aggregate in "
           f"{root / 'aggregate.csv'}")

@@ -14,7 +14,7 @@ import bad_inputs
 from kldescent import catalog, cli
 from kldescent.catalog import make_problem, problem_ids
 from kldescent.cli import build_parser, main
-from kldescent.domains import RULES
+from kldescent.domains import RULES, Domain
 from kldescent.errors import InvalidInputError
 from kldescent.trace import CSV_COLUMNS
 from kldescent.cli import _apply_sweep_value, _parse_sweep_values, diag_overrides, load_config
@@ -614,6 +614,21 @@ def test_a_sweep_run_that_raises_a_foreign_exception_fails_alone(tmp_path, capsy
     assert aggregate[2] == "1,2,,,,,,"
 
 
+def test_an_interrupted_sweep_leaves_the_last_aggregate(tmp_path, capsys, monkeypatch):
+    path, _ = write_config(tmp_path, problem="power4-1d", params={},
+                           solver={"max_outer": 50}, output_dir=str(tmp_path / "sweep"))
+    assert main(["sweep", str(path), "--param", "m", "--values", "0"]) == 0
+    last = (tmp_path / "sweep" / "aggregate.csv").read_text()
+
+    def interrupt(cfg, outdir):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "execute", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["sweep", str(path), "--param", "m", "--values", "1,2"])
+    assert (tmp_path / "sweep" / "aggregate.csv").read_text() == last
+
+
 @pytest.mark.parametrize("row", bad_inputs.ROWS, ids=[row.id for row in bad_inputs.ROWS])
 def test_error_paths_exit_with_one_line(tmp_path, capsys, references, row):
     argv = row.call(tmp_path, references)
@@ -643,3 +658,7 @@ def test_a_field_added_to_the_rule_table_gets_its_rows(monkeypatch, tmp_path, ca
         (tmp_path / row.id).mkdir()
         assert main(row.call(tmp_path / row.id, {})) == 1
         assert capsys.readouterr().err == row.fragment
+    # a test that every tried value passes gets the other two rows
+    monkeypatch.setitem(RULES["diagnostics"], "zeta", Domain(numbers.Integral, lambda v: True))
+    assert [row.id for row in bad_inputs.field_rows() if ".zeta." in row.id] == [
+        "diagnostics.zeta.kind", "diagnostics.zeta.range"]

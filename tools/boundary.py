@@ -1,23 +1,21 @@
 """Boundary values of every field through the commands that read them.
 
-    PYTHONPATH=src python tools/boundary.py [--sample N] [--seed S]
+    PYTHONPATH=src python tools/boundary.py
 
 Each call sets one field of a command's input to one of :data:`VALUES`, the
 rest at their defaults: a field of the ``solver``, ``params`` or
 ``diagnostics`` block of a ``run`` config, the same through ``sweep
 --values``, or a flag of ``verify`` after a reference run's complete flags
 (``tools/bad_inputs.py``).  Every algorithm runs every problem it takes, the
-least-squares ones at 12x20.  With no ``--sample`` the script makes every
-call, 13640 in about 40 s on a 2-core Xeon; with one, ``N`` calls per field
-and command drawn with seed ``S`` from those whose value ``domains.check``
-accepts for its field.  It prints the count of calls by exit status, then
-each call whose outcome :func:`unexplained` does not explain, and exits 1 if
-there is one.  A change to ``kldescent/domains.py`` runs it whole.
+least-squares ones at 12x20: 13640 calls in about 40 s on a 2-core Xeon.
+It prints the count of calls by exit status, then each call whose outcome
+:func:`unexplained` does not explain, and exits 1 if there is one.  A change
+to ``kldescent/domains.py`` runs it.  :func:`sample` draws a few in-domain
+calls of each field, which ``tests/test_domains.py`` runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
@@ -229,13 +227,8 @@ def judge(selected: list, root: Path) -> tuple[Counter, list]:
     return counts, bad
 
 
-def _main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--sample", type=int, default=None,
-                        help="in-domain calls to draw per field and command")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    selected = cases() if args.sample is None else sample(args.sample, args.seed)
+def _main() -> int:
+    selected = cases()
     with tempfile.TemporaryDirectory(prefix="kldescent-boundary-") as root:
         counts, bad = judge(selected, Path(root))
     print(f"{len(selected)} calls; by exit status: "
