@@ -13,7 +13,9 @@ merits minus a forcing decrement.  This module owns what the two share:
 - the solve loop (:func:`descend`): the start point, ``F(x^0)`` and
   ``grad f(x^0)``, the merit window, the row-0 trace record, the acceptance
   test and its :class:`~kldescent.errors.BacktrackingFailureError`, the trace
-  rows, the rotation of the :class:`Iterate` and the three stopping rules.
+  rows, the rotation of the :class:`Iterate` and the three stopping rules,
+  all under one error state in which a value past the float range is inf,
+  with no warning.
 
 A solver supplies its own parts as a trial generator for one outer
 iteration, ``trials(it, gamma0)``.  Its body up to the first trial is the
@@ -62,7 +64,7 @@ from .oracles import CompositeProblem, Vector, as_vector
 from .trace import CSV_COLUMNS, Trace
 
 __all__ = ["DescentConfig", "Iterate", "PROBE_SCALE", "initial_gamma", "probe_gamma",
-           "checked_penalty", "descend"]
+           "check_decrease", "checked_penalty", "descend"]
 
 # Length of the curvature probe at x^0 relative to 1 + ||x^0||.  A probe of
 # 1e-3 measured worse off quadratics (lasso under pgenls at m = 0).
@@ -142,6 +144,15 @@ def probe_gamma(config, gradient: Callable[[Vector], Vector], x0: Vector, g0: Ve
     return initial_gamma(config, d, float(d.dot(d)), gradient(x0 + d) - g0)
 
 
+def check_decrease(a: float, **fields) -> None:
+    """Reject a solver config whose decrease constant ``a``, derived from
+    ``fields``, is not positive (it underflows to 0 at a subnormal
+    ``gamma_min``, say), naming the fields, before any solve."""
+    if not a > 0.0:
+        given = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+        raise InvalidInputError(f"decrease constant a must be positive, got {a!r} from {given}")
+
+
 def checked_penalty(problem: CompositeProblem, cand: Vector, k: int):
     """``g(cand)`` for a prox output, which must lie in the domain of ``g``."""
     g_cand = problem.g.value(cand)
@@ -166,59 +177,61 @@ def descend(problem: CompositeProblem, x0: Vector, config: DescentConfig, trials
         raise InvalidInputError(
             f"x0 has dimension {x0.shape[0]}, problem expects {problem.dimension}"
         )
-    g0 = problem.g.value(x0)
-    if not math.isfinite(g0):
-        raise InvalidInputError("x0 lies outside the domain of the penalty term")
-    f0 = problem.f.value(x0)
-    h0 = problem.h.value(x0) if problem.h is not None else 0.0
-    F0 = float(f0 + g0 - h0)
+    # a trial value past the float range is inf, which the window rejects
+    with np.errstate(over="ignore"):
+        g0 = problem.g.value(x0)
+        if not math.isfinite(g0):
+            raise InvalidInputError("x0 lies outside the domain of the penalty term")
+        f0 = problem.f.value(x0)
+        h0 = problem.h.value(x0) if problem.h is not None else 0.0
+        F0 = float(f0 + g0 - h0)
 
-    window = MemoryWindow(config.m)
-    window.push(0, F0)  # every merit of the bootstrap pair equals F(x^0)
-    _, ell = window.window_max()
-    rows = [(0, F0, F0, math.nan, math.nan, -1, ell, 0.0, math.nan)]  # CSV order
-    xs = [x0]
-
-    gradient, accept = problem.f.gradient, window.accept
-    it = Iterate(k=0, x=x0, h=float(h0), step=np.zeros_like(x0), step_sq=0.0,
-                 grad=gradient(x0))
-    gamma0 = config.gamma_min
-    if config.gamma_init_rule == "spectral":
-        gamma0 = probe_gamma(config, gradient, x0, it.grad)
-    terminated = "max_outer"
-    for k in range(config.max_outer):
-        if k > 0:
-            gamma0 = initial_gamma(config, it.step, it.step_sq, it.grad_step)
-        steps = trials(it, gamma0)
-        for j in range(config.max_inner):
-            gamma, cand, merit, decrement = next(steps)
-            if merit == merit and accept(merit, decrement):  # a NaN merit is rejected
-                break
-        else:
-            raise BacktrackingFailureError(
-                f"no acceptable step within {config.max_inner} trials at outer "
-                f"iteration {k} (last gamma {gamma:.6g})",
-                k=k, j=j, gamma=gamma,
-            )
-        grad_next = gradient(cand)
-        f_value, row_merit, beta, step_norm, residual, step, step_sq = steps.send(grad_next)
-
-        window.push(k + 1, merit)
+        window = MemoryWindow(config.m)
+        window.push(0, F0)  # every merit of the bootstrap pair equals F(x^0)
         _, ell = window.window_max()
-        rows.append((k + 1, f_value, row_merit, gamma, beta, j, ell, step_norm, residual))
-        xs.append(cand)
+        rows = [(0, F0, F0, math.nan, math.nan, -1, ell, 0.0, math.nan)]  # CSV order
+        xs = [x0]
 
-        if step_norm == 0.0:
-            terminated = "stationary"
-            break
-        if residual <= config.tol_resid and step_norm <= config.tol_step * (
-                1.0 + math.sqrt(float(it.x.dot(it.x)))):
-            terminated = "tolerance"
-            break
+        gradient, accept = problem.f.gradient, window.accept
+        it = Iterate(k=0, x=x0, h=float(h0), step=np.zeros_like(x0), step_sq=0.0,
+                     grad=gradient(x0))
+        gamma0 = config.gamma_min
+        if config.gamma_init_rule == "spectral":
+            gamma0 = probe_gamma(config, gradient, x0, it.grad)
+        terminated = "max_outer"
+        for k in range(config.max_outer):
+            if k > 0:
+                gamma0 = initial_gamma(config, it.step, it.step_sq, it.grad_step)
+            steps = trials(it, gamma0)
+            for j in range(config.max_inner):
+                gamma, cand, merit, decrement = next(steps)
+                if merit == merit and accept(merit, decrement):  # a NaN merit is rejected
+                    break
+            else:
+                raise BacktrackingFailureError(
+                    f"no acceptable step within {config.max_inner} trials at outer "
+                    f"iteration {k} (last gamma {gamma:.6g})",
+                    k=k, j=j, gamma=gamma,
+                )
+            grad_next = gradient(cand)
+            f_value, row_merit, beta, step_norm, residual, step, step_sq = steps.send(grad_next)
 
-        it.k, it.x = k + 1, cand
-        it.step, it.step_sq = step, step_sq
-        it.grad_step, it.grad = grad_next - it.grad, grad_next
+            window.push(k + 1, merit)
+            _, ell = window.window_max()
+            rows.append((k + 1, f_value, row_merit, gamma, beta, j, ell, step_norm, residual))
+            xs.append(cand)
+
+            if step_norm == 0.0:
+                terminated = "stationary"
+                break
+            if residual <= config.tol_resid and step_norm <= config.tol_step * (
+                    1.0 + math.sqrt(float(it.x.dot(it.x)))):
+                terminated = "tolerance"
+                break
+
+            it.k, it.x = k + 1, cand
+            it.step, it.step_sq = step, step_sq
+            it.grad_step, it.grad = grad_next - it.grad, grad_next
     return Trace(algorithm=algorithm, columns=dict(zip(CSV_COLUMNS, zip(*rows))), X=np.array(xs),
                  problem_id=problem_id, config=asdict(config), seed=seed,
                  terminated=terminated)

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .descent import DescentConfig, Iterate, checked_penalty, descend
+from .descent import DescentConfig, Iterate, check_decrease, checked_penalty, descend
 from .domains import check
 from .oracles import CompositeProblem, Vector
 from .trace import Trace
@@ -61,6 +61,8 @@ class NpgConfig(DescentConfig):
 
     def __post_init__(self):
         check("npg_major", **vars(self))
+        fields = dict(alpha=self.alpha, delta=self.delta, gamma_min=self.gamma_min, c=self.c)
+        check_decrease(decrease_constant(**fields), **fields)
 
 
 def _residual(grad_next: Vector, grad: Vector, gamma: float, diff: Vector,

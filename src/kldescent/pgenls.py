@@ -72,7 +72,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .descent import DescentConfig, Iterate, checked_penalty, descend
+from .descent import DescentConfig, Iterate, check_decrease, checked_penalty, descend
 from .domains import check
 from .errors import InvalidInputError
 from .oracles import CompositeProblem, Vector
@@ -113,6 +113,8 @@ class PgenlsConfig(DescentConfig):
 
     def __post_init__(self):
         check("pgenls", **vars(self))
+        fields = dict(alpha=self.alpha, delta=self.delta, gamma_min=self.gamma_min)
+        check_decrease(decrease_constant(**fields), **fields)
         if degenerate_decrease(self.delta, self.beta_max):
             warnings.warn(
                 "delta=0 with beta_max>0: the paired-state decrease constant is "

@@ -116,49 +116,54 @@ def test_only_build_report_defaults_tau(references, capsys):
     assert reports[0] == reports[1] and json.loads(reports[0])["h4.tau"] == 0.5
 
 
+# the rows of the bad-input table by id, which the tests below take their calls from
+ROW = {row.id: row for row in bad_inputs.ROWS}
+
+
+def exits_as(row, here, capsys, refs=None) -> Path:
+    """Make ``row``'s call in ``here`` and check its status and its one line."""
+    here.mkdir(exist_ok=True)
+    assert main(row.call(here, refs or {})) == row.status
+    err = capsys.readouterr().err
+    assert err.startswith("kldescent: error: ") and err.count("\n") == 1, err
+    assert row.fragment in err, err
+    return here
+
+
 def test_exit_1_bad_tau(tmp_path, capsys):
-    path, _ = write_config(tmp_path, diagnostics={"tau": 1.5})
-    assert main(["run", str(path)]) == 1
-    assert "diagnostics.tau" in capsys.readouterr().err
+    exits_as(ROW["bad-tau"], tmp_path, capsys)
 
 
-@pytest.mark.parametrize("name, rule", [
-    ("tau", "must be a real number"), ("mu", "must be a real number"),
-    ("kbar", "must be an integer"),
+@pytest.mark.parametrize("row", [
+    ROW["diagnostics.tau.kind"], ROW["diagnostics.mu.kind"],
+    bad_inputs.Row("kbar", bad_inputs.run(diagnostics={"kbar": True}), 1,
+                   "kldescent: error: diagnostics.kbar must be an integer, got True\n"),
 ], ids=["tau", "mu", "kbar"])
-def test_exit_1_boolean_diagnostics(tmp_path, capsys, name, rule):
-    path, _ = write_config(tmp_path, diagnostics={name: True})
-    assert main(["run", str(path)]) == 1
-    assert capsys.readouterr().err == \
-        f"kldescent: error: diagnostics.{name} {rule}, got True\n"
-    assert not (tmp_path / "out").exists()
+def test_exit_1_boolean_diagnostics(tmp_path, capsys, row):
+    assert not (exits_as(row, tmp_path, capsys) / "c_out").exists()
 
 
-@pytest.mark.parametrize("problem, params, message", [
-    ("lasso", {"seed": 0, "rows": "abc"}, "params.rows must be an integer, got 'abc'"),
-    ("lasso", {"seed": 0, "rows": 2.5}, "params.rows must be an integer, got 2.5"),
-    ("lasso", {"seed": 1.5}, "params.seed must be an integer, got 1.5"),
-    ("lasso", {"seed": True}, "params.seed must be an integer, got True"),
-    ("lasso", {"seed": 0, "lam": "x"}, "params.lam must be a real number, got 'x'"),
-    ("power4-1d", {"x0": "2"}, "params.x0 must be a real number, got '2'"),
-    ("lasso", {"A_csv": [1], "b_csv": "b.csv"}, "params.A_csv must be a string, got [1]"),
-    ("lasso", {"A_csv": 5, "b_csv": "b.csv"}, "params.A_csv must be a string, got 5"),
-    ("lasso", {"seed": 0, "lamda": 5.0}, "unknown params field(s) for lasso: lamda"),
+def _params(problem, params, message):
+    return bad_inputs.Row("", bad_inputs.run(problem=problem, params=params), 1,
+                          f"kldescent: error: {message}\n")
+
+
+@pytest.mark.parametrize("row", [
+    _params("lasso", {"seed": 0, "rows": "abc"}, "params.rows must be an integer, got 'abc'"),
+    ROW["params-lasso.rows.kind"],
+    _params("lasso", {"seed": 1.5}, "params.seed must be an integer, got 1.5"),
+    ROW["params-bool"],
+    _params("lasso", {"seed": 0, "lam": "x"}, "params.lam must be a real number, got 'x'"),
+    _params("power4-1d", {"x0": "2"}, "params.x0 must be a real number, got '2'"),
+    ROW["A_csv-list"], ROW["params-lasso.A_csv.kind"], ROW["unknown-params-field"],
 ], ids=["rows-str", "rows-float", "seed-float", "seed-bool", "lam-str", "x0-str",
         "A_csv-list", "A_csv-int", "unknown"])
-def test_exit_1_bad_problem_params(tmp_path, capsys, problem, params, message):
-    path, _ = write_config(tmp_path, problem=problem, params=params)
-    assert main(["run", str(path)]) == 1
-    assert capsys.readouterr().err == f"kldescent: error: {message}\n"
-    assert not (tmp_path / "out").exists()
+def test_exit_1_bad_problem_params(tmp_path, capsys, row):
+    assert not (exits_as(row, tmp_path, capsys) / "c_out").exists()
 
 
 def test_exit_1_kbar_not_above_m_before_the_solve(tmp_path, capsys):
-    path, _ = write_config(tmp_path, diagnostics={"kbar": 2})
-    assert main(["run", str(path)]) == 1
-    assert capsys.readouterr().err == ("kldescent: error: diagnostics.kbar must be "
-                                       "an integer greater than m=5, got 2\n")
-    assert not (tmp_path / "out").exists()
+    assert not (exits_as(ROW["kbar-not-above-m"], tmp_path, capsys) / "c_out").exists()
 
 
 def test_exit_1_algorithm_problem_mismatch(tmp_path, capsys):
@@ -173,39 +178,22 @@ def test_exit_1_algorithm_problem_mismatch(tmp_path, capsys):
 
 
 def test_exit_1_unknown_fields(tmp_path, capsys):
-    path, _ = write_config(tmp_path, solver={"momentum": 0.9})
-    assert main(["run", str(path)]) == 1
-    assert "momentum" in capsys.readouterr().err
-
-    path2 = tmp_path / "bad_top.json"
-    path2.write_text(json.dumps({"problem": "lasso", "algorithm": "pgenls",
-                                 "extra": 1}))
-    assert main(["run", str(path2)]) == 1
-    assert "extra" in capsys.readouterr().err
+    for row_id in ("unknown-solver-field", "unknown-top-field"):
+        exits_as(ROW[row_id], tmp_path / row_id, capsys)
 
 
 def test_exit_1_bad_json_and_missing_file(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    assert main(["run", str(path)]) == 1
-    assert "invalid JSON" in capsys.readouterr().err
-    assert main(["run", str(tmp_path / "absent.json")]) == 1
+    for row_id in ("bad-json", "missing-config"):
+        exits_as(ROW[row_id], tmp_path / row_id, capsys)
 
 
-def test_exit_1_usage_errors(capsys):
-    assert main([]) == 1
-    assert main(["frobnicate"]) == 1
-    assert main(["sweep", "x.json"]) == 1  # missing --param/--values
+def test_exit_1_usage_errors(tmp_path, capsys):
+    for row_id in ("usage-no-verb", "usage-unknown-verb", "usage-sweep-flags"):
+        exits_as(ROW[row_id], tmp_path / row_id, capsys)
 
 
 def test_exit_2_backtracking_exhaustion(tmp_path, capsys):
-    path, _ = write_config(
-        tmp_path, problem="quad-l1", params={"seed": 0},
-        algorithm="npg_major",
-        solver={"max_inner": 1, "gamma_min": 0.01, "gamma_max": 0.01,
-                "gamma_init_rule": "constant"})
-    assert main(["run", str(path)]) == 2
-    assert "solver failure" in capsys.readouterr().err
+    exits_as(ROW["backtracking-exhaustion"], tmp_path, capsys)
 
 
 @pytest.mark.parametrize("problem, algorithm, message", [
@@ -314,8 +302,7 @@ def test_sweep_dotted_param_targets_problem_params(tmp_path):
 def test_sweep_rejects_a_repeated_run_before_any_run(tmp_path, capsys):
     # 1 and 1.0 parse to one value: its run would be solved twice into one
     # directory and listed twice in aggregate.csv
-    assert main(bad_inputs.sweep("params.seed", "1,1.0,1,0")(tmp_path, {})) == 1
-    assert not (tmp_path / "c_out").exists()
+    assert not (exits_as(ROW["sweep-repeated-value"], tmp_path, capsys) / "c_out").exists()
 
 
 def test_sweep_helpers_direct():
@@ -433,14 +420,8 @@ def test_verify_flags_corrupted_trace(tmp_path, capsys):
     assert "h1" in err or "series" in err
 
 
-def test_verify_malformed_trace(tmp_path, capsys):
-    out, args = run_and_verify_args(tmp_path)
-    trace_path = out / "trace.csv"
-    lines = trace_path.read_text().splitlines()
-    lines[4] = lines[4] + ",extra"
-    trace_path.write_text("\n".join(lines) + "\n")
-    assert main(args) == 1
-    assert "line 5" in capsys.readouterr().err
+def test_verify_malformed_trace(tmp_path, capsys, references):
+    exits_as(ROW["verify-extra-cell"], tmp_path, capsys, references)
 
 
 @pytest.mark.parametrize("column, value, message", [
@@ -501,9 +482,7 @@ def test_verify_without_an_acceptance_constant_skips_only_acceptance(tmp_path, c
 def test_verify_of_a_step_whose_square_underflows(tmp_path, capsys):
     # the merit rise between two steps whose squares are 0 makes b_bar, and
     # so the fitted mu, inf
-    path = tmp_path / "trace.csv"
-    path.write_text(bad_inputs.UNDERFLOW_TRACE)
-    assert main(["verify", str(path), *bad_inputs.UNDERFLOW_FLAGS]) == 0
+    assert main(ROW["verify-step-whose-square-underflows"].call(tmp_path, {})) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     report = json.loads(captured.out)
@@ -513,12 +492,10 @@ def test_verify_of_a_step_whose_square_underflows(tmp_path, capsys):
 
 def test_verify_of_a_residual_ratio_past_float64_prints_one_line(tmp_path):
     # in a process of its own, where a numpy warning would reach stderr
-    path = tmp_path / "trace.csv"
-    path.write_text(bad_inputs.SUBNORMAL_TRACE)
+    argv = ROW["verify-residual-ratio-past-float64"].call(tmp_path, {})
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    done = subprocess.run(
-        [sys.executable, "-m", "kldescent", "verify", str(path), *bad_inputs.SUBNORMAL_FLAGS],
-        capture_output=True, text=True, env=env, timeout=120)
+    done = subprocess.run([sys.executable, "-m", "kldescent", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 3
     assert done.stderr == "kldescent: error: audit failure: acceptance, h3\n"
     report = json.loads(done.stdout)
@@ -533,15 +510,6 @@ def test_verify_has_one_flag_per_snapshot_and_diagnostics_field():
     args = build_parser().parse_args(argv)
     assert {name: type(getattr(args, name)) for name in fields} == {
         name: int if kind is numbers.Integral else float for name, (kind, _, _) in fields.items()}
-
-
-def test_a_decrease_constant_that_underflows_fails_the_report_after_the_trace(tmp_path, capsys):
-    path, _ = write_config(tmp_path, problem="power4-1d", params={}, algorithm="npg_major",
-                           solver={"m": 2, "gamma_min": 5e-324, "max_outer": 5})
-    assert main(["run", str(path)]) == 1
-    assert capsys.readouterr().err == "kldescent: error: a must be positive, got 0.0\n"
-    assert (tmp_path / "out" / "trace.csv").exists()
-    assert not (tmp_path / "out" / "report.json").exists()
 
 
 # ---------------------------------------------------------------------------

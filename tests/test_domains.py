@@ -119,6 +119,8 @@ def test_each_bad_value_of_a_field_is_rejected_by_name(call, name, value, messag
     (lambda: NpgConfig(gamma_min=0.0), "gamma bounds must satisfy 0 < gamma_min <= gamma_max, "
                                        "got [0.0, 10000000000.0]"),
     (lambda: PgenlsConfig(nu=0.5), "nu must lie strictly in (0, 1/rho) = (0, 0.5), got 0.5"),
+    (lambda: NpgConfig(gamma_min=5e-324), "decrease constant a must be positive, got 0.0 "
+                                          "from alpha=1.0, delta=0.5, gamma_min=5e-324, c=1.0"),
     (lambda: derive_audit_inputs(Trace(algorithm="pgenls", config={"m": 10**30, "a": 1.0,
                                                                    "delta": 1.0})),
      f"m must fit in int64, got {10**30}"),
@@ -131,8 +133,9 @@ def test_each_bad_value_of_a_field_is_rejected_by_name(call, name, value, messag
     (lambda: build_report(DEFAULT_KBAR_PAST_INT64),
      "the default m + 2 for kbar must fit in int64, got 9223372036854775808"),
 ], ids=["tol_step-zero", "max_inner-2**63", "shared-field-checked-first", "gamma_min-zero",
-        "nu-past-1/rho", "audit-m-beyond-int64", "params-rows-beyond-int64",
-        "params-rows-times-cols", "oracle-lam-negative", "audit-default-kbar-past-int64"])
+        "nu-past-1/rho", "decrease-constant-underflows", "audit-m-beyond-int64",
+        "params-rows-beyond-int64", "params-rows-times-cols", "oracle-lam-negative",
+        "audit-default-kbar-past-int64"])
 def test_a_value_outside_its_domain_is_rejected_by_name(build, message):
     # the rules on two fields and on sizes, the order of the fields, and bad
     # values that the generated cases above do not draw

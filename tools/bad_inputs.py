@@ -27,6 +27,10 @@ Each can put files of the row's in ``here`` first.
 The runs whose traces :func:`verify` copies are the reference runs of
 :data:`REFERENCES`, which :func:`reference_runs` makes once for all rows, or
 a run of a config that the row gives.
+
+A call of this form, a row's or another's, runs through :func:`invoke`, the
+one runner of ``tools/``: ``tools/identity.py`` and ``tools/boundary.py``
+observe each call through it, and the reference runs are made by it.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ import json
 import math
 import numbers
 import shutil
+import sys
+import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -84,9 +90,10 @@ SUBNORMAL_TRACE = """k,F,merit,gamma,beta,j_inner,ell,step_norm,residual
 SUBNORMAL_FLAGS = ("--algorithm", "npg_major", "--m", "0", "--a", "0.1", "--alpha", "1",
                    "--delta", "0.5", "--c", "1", "--lf", "1")
 
-# fills ``here`` and returns the arguments, given the reference runs by name,
-# each as (output directory, complete verify flags)
-Call = Callable[[Path, dict], list]
+# fills ``here`` and returns the arguments, or ``None`` for nothing to run,
+# given the outputs of earlier calls by name (the reference runs, each as
+# its output directory and complete verify flags)
+Call = Callable[[Path, dict], Optional[list]]
 
 
 class Row(NamedTuple):
@@ -94,6 +101,37 @@ class Row(NamedTuple):
     call: Call
     status: int
     fragment: str  # of the one stderr line; "" when the status is 0 and stderr empty
+
+
+class Outcome(NamedTuple):
+    argv: Optional[list]  # None: the call gave nothing to run
+    status: object  # the exit status, or the exception that escaped main
+    stdout: str
+    stderr: str
+    warnings: list
+
+
+def invoke(call: Call, here: Path, refs: dict) -> Outcome:
+    """Make ``here`` and ``call`` in it, then run its arguments through
+    ``cli.main`` with stdout and stderr captured and every warning recorded.
+    Argparse's ``SystemExit`` gives its code as the status; an exception
+    that escapes ``main``, its type and message."""
+    here.mkdir(parents=True)
+    argv = call(here, refs)
+    if argv is None:
+        return Outcome(None, None, "", "", [])
+    out, err = io.StringIO(), io.StringIO()
+    with (warnings.catch_warnings(record=True) as caught,
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        warnings.simplefilter("always")  # each call sees its warnings, not just the first
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse's --help
+            status = exc.code
+        except Exception as exc:  # noqa: BLE001 - an escaped exception is an outcome
+            status = f"{type(exc).__name__}: {exc}"
+    return Outcome(argv, status, out.getvalue(), err.getvalue(),
+                   [f"{w.category.__name__}: {w.message}" for w in caught])
 
 
 # ---------------------------------------------------------------------------
@@ -127,18 +165,19 @@ def argv_flags(flags: dict) -> list:
             for part in (f"--{name}", value if isinstance(value, str) else repr(value))]
 
 
+def outputs(out: Path, config: dict) -> tuple[Path, list]:
+    """A reference run of ``config`` whose outputs are in ``out``, as the
+    calls take it: ``out`` and the complete verify flags."""
+    return out, argv_flags(verify_flags(out, config["algorithm"], config["solver"]["m"]))
+
+
 def _reference(directory: Path, config: dict) -> tuple[Path, list]:
-    """Run ``config`` into ``directory`` quietly; its output directory and
-    complete verify flags."""
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "c.json").write_text(json.dumps(config))
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        status = main(["run", str(directory / "c.json")])
-    out = directory / "c_out"  # next to c.json
-    flags = verify_flags(out, config["algorithm"], config["solver"]["m"])
-    if status != 0 or flags is None:
+    """Run ``config`` in ``directory``; its :func:`outputs`."""
+    status = invoke(argv("run", "{here}/c.json", files={"c.json": json.dumps(config)}),
+                    directory, {}).status
+    if status != 0:
         raise RuntimeError(f"reference run {config} exited {status}")
-    return out, argv_flags(flags)
+    return outputs(directory / "c_out", config)  # next to c.json
 
 
 def reference_runs(root: Path) -> dict:
@@ -382,12 +421,6 @@ ROWS = [Row(*row) for row in [
     ("params-bool", run(params={"seed": True}), 1, "params.seed must be an integer, got True"),
     ("A_csv-list", run(params={"A_csv": [1], "b_csv": "b.csv"}), 1,
      "params.A_csv must be a string, got [1]"),
-    # two values that generated rows also draw, kept under the ids they had
-    # before the rows were generated
-    ("A_csv-int", run(params={"A_csv": 5, "b_csv": "b.csv"}), 1,
-     "params.A_csv must be a string, got 5"),
-    ("diagnostics-bool", run(diagnostics={"mu": True}), 1,
-     "diagnostics.mu must be a real number, got True"),
     ("params-int-beyond-float", run(problem="power4-1d", params={"x0": HUGE}), 1,
      "params.x0 must be finite, got " + HUGE_SHOWN),
     ("params-lam-beyond-float", run(params={"seed": 0, "lam": HUGE}), 1,
@@ -409,6 +442,10 @@ ROWS = [Row(*row) for row in [
     # run: rules on two fields
     ("kbar-not-above-m", run(diagnostics={"kbar": 2}), 1,
      "diagnostics.kbar must be an integer greater than m=5, got 2"),
+    # run: a decrease constant that underflows to 0, turned away before the solve
+    ("decrease-constant-underflows", run(solver={"gamma_min": 5e-324}), 1,
+     "kldescent: error: decrease constant a must be positive, got 0.0 from alpha=0.5, "
+     "delta=1.0, gamma_min=5e-324\n"),
     # sizes whose matrix numpy cannot make, refused before anything is allocated
     ("params-rows-times-cols-too-big", run(params={"seed": 0, "rows": 2**40, "cols": 2**40}), 1,
      _TOO_BIG + "1099511627776 * 1099511627776"),
@@ -439,6 +476,11 @@ ROWS = [Row(*row) for row in [
          solver={"max_inner": 1, "gamma_min": 0.01, "gamma_max": 0.01,
                  "gamma_init_rule": "constant"}),
      2, "solver failure: "),
+    # a least-squares value past the float range: a rejected trial, with no warning
+    ("quad-l1-mu-at-the-float-max",
+     run(problem="quad-l1", params={"seed": 0, "rows": 12, "cols": 20, "mu": sys.float_info.max}),
+     2, "kldescent: error: solver failure: no acceptable step within 60 trials at outer "
+        "iteration 0 (last gamma 5.76461e+15)\n"),
     # the path-length constant is past the float range: it bounds nothing
     ("run-m1000-npg_major", run(algorithm="npg_major", solver={"m": 1000}), 0, ""),
     ("run-m1000-pgenls", run(solver={"m": 1000}), 0, ""),

@@ -16,21 +16,17 @@ calls of each field, which ``tests/test_domains.py`` runs.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 import math
 import random
 import sys
 import tempfile
-import warnings
 from collections import Counter, defaultdict
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 import bad_inputs
 from kldescent import catalog
-from kldescent.cli import main
 from kldescent.domains import ALGORITHMS, FIXED, RULES, check
 from kldescent.errors import InvalidInputError
 
@@ -108,27 +104,6 @@ def call(case: Case):
     return bad_inputs.verify(case.source, bad_inputs.flag(case.name), _text(case.value))
 
 
-class Outcome(NamedTuple):
-    status: object  # the exit status, or the exception that escaped main
-    stderr: str
-    warnings: list
-
-
-def outcome(case: Case, here: Path, references: dict) -> Outcome:
-    here.mkdir(parents=True)
-    argv = call(case)(here, references)
-    err = io.StringIO()
-    with (warnings.catch_warnings(record=True) as caught,
-          contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
-        warnings.simplefilter("always")
-        try:
-            status = main(argv)
-        except Exception as exc:  # noqa: BLE001 - an escaped exception is the outcome
-            status = f"{type(exc).__name__}: {exc}"
-    return Outcome(status, err.getvalue(),
-                   [f"{w.category.__name__}: {w.message}" for w in caught])
-
-
 # the rules on two fields (and sizes) that an in-domain value can break, each
 # with the fields it is on; its message names them
 PAIR_RULES = {
@@ -139,14 +114,8 @@ PAIR_RULES = {
     "params.rows * params.cols must be at most": {"rows", "cols"},
     "(params.rows + params.cols) * params.cols must be at most": {"rows", "cols"},
     "A_csv and b_csv must be given together": {"A_csv", "b_csv"},
+    "decrease constant a must be positive": {"alpha", "delta", "gamma_min", "c"},
 }
-# two known faults (CHANGES.md, FOUND): a gamma_min, delta or alpha of
-# 5e-324 makes the run's decrease constant a underflow to 0, which the audit
-# turns away after the solve, in a message that names no field of the
-# config; and quad-l1's ridge at the largest float overflows the
-# least-squares value, which warns on stderr before backtracking gives out
-A_UNDERFLOWS = "a must be positive, got 0.0"
-OVERFLOW = "RuntimeWarning: overflow encountered in matmul"
 # the gates that read each flag of verify, which fail when the trace does not
 # bear out the value given
 CLAIMS = {"m": {"ell"}, "a": {"h1"}, "alpha": {"acceptance"}, "delta": {"acceptance", "h3"},
@@ -155,7 +124,9 @@ CLAIMS = {"m": {"ell"}, "a": {"h1"}, "alpha": {"acceptance"}, "delta": {"accepta
 
 def _known_failure(case: Case, status: int, message: str) -> bool:
     """Whether exit ``status`` 2 or 3 of an in-domain ``case`` is one the
-    program gives for a reason it should: see ``ROADMAP.md`` item 25."""
+    program gives for a reason it should, each listed here: backtracking
+    that gives out at an extreme value, and an audit that fails on a
+    constant the trace does not bear out or on ``h3`` at the rounding floor."""
     value, problem = case.value, case.source.split("/")[0]
     if status == 2:  # backtracking gives out at an extreme value
         return message.startswith("solver failure: no acceptable step") and (
@@ -173,15 +144,14 @@ def _known_failure(case: Case, status: int, message: str) -> bool:
     return case.name in ("tol_step", "tol_resid") and value <= 1e-300 and failed == {"h3"}
 
 
-def unexplained(case: Case, result: Outcome) -> Optional[str]:
+def unexplained(case: Case, result: bad_inputs.Outcome) -> Optional[str]:
     """Why ``result`` is not what ``case`` should end in, or ``None``."""
-    status, err, caught = result
+    status, err, caught = result.status, result.stderr, result.warnings
     if status not in (0, 1, 2, 3):
         return f"escaped: {status}"
     if err.count("\n") > 1 or err and not err.startswith("kldescent: error: "):
         return f"stderr: {err!r}"
-    overflow = case.block == "params" and case.name == "mu" and case.value == sys.float_info.max
-    if any(w != DELTA_ZERO and not (overflow and w == OVERFLOW) for w in caught):
+    if any(w != DELTA_ZERO for w in caught):
         return f"warnings: {caught}"
     message = err.removeprefix("kldescent: error: ").rstrip("\n")
     if status == 1 and not case.in_domain:  # the message names the field, or its flag
@@ -192,8 +162,7 @@ def unexplained(case: Case, result: Outcome) -> Optional[str]:
         return None if named else f"unnamed: {message}"
     if status == 1:
         rule = next((rule for rule in PAIR_RULES if rule in message), None)
-        fault = message == A_UNDERFLOWS and case.name in ("gamma_min", "delta", "alpha")
-        return None if fault or rule and case.name in PAIR_RULES[rule] else f"in domain: {message}"
+        return None if rule and case.name in PAIR_RULES[rule] else f"in domain: {message}"
     if status == 0:
         return None if case.in_domain else "accepted out of domain"
     return None if case.in_domain and _known_failure(case, status, message) \
@@ -219,7 +188,7 @@ def judge(selected: list, root: Path) -> tuple[Counter, list]:
     references = bad_inputs.reference_runs(root / "references")
     counts, bad = Counter(), []
     for i, case in enumerate(selected):
-        result = outcome(case, root / str(i), references)
+        result = bad_inputs.invoke(call(case), root / str(i), references)
         counts[result.status if isinstance(result.status, int) else "escaped"] += 1
         why = unexplained(case, result)
         if why:

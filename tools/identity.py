@@ -40,19 +40,24 @@ The matrix:
   window length, back to back on one 600x1200 matrix, whose data and hint
   (on the Lanczos path) the later calls take from the catalog's memo, which
   the first one filled;
-* ``reference``: the reference runs of ``tools/bad_inputs.py``, whose
-  outputs are not recorded (the ``run`` calls above make the same ones);
 * ``bad``: one call per row of ``tools/bad_inputs.py``'s table of bad inputs,
   each in the directory of its call: malformed configs, traces and sidecars,
   numbers outside their field's domain in each block and in ``verify``'s
   flags, unknown fields, usage errors, outputs that cannot be written, sizes
   whose matrix numpy cannot make, and traces whose audit overflows or fails.
+  A row that copies a reference run's trace copies it from the ``run``
+  call above that makes the same run.
+
+Each call is a label, also its directory under the root, and a call of
+``tools/bad_inputs.py``'s form, which ``bad_inputs.invoke`` runs.  Its
+``refs`` hold the directory of each earlier call by label: a ``verify`` call
+reads its run's ``exp_out`` there, and is recorded as skipped when that run
+wrote no report.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import io
 import json
@@ -60,10 +65,8 @@ import math
 import shutil
 import sys
 import tempfile
-import warnings
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy
 
@@ -79,19 +82,9 @@ SWEEPS = {"lasso": "pgenls", "l0-ls": "npg_major", "l1-l2-dc": "npg_major",
 RULE_RUNS = (("lasso", "npg_major", "gamma_init_rule", "constant"),
              ("power4-1d", "pgenls", "gamma_init_rule", "constant"),
              ("lasso", "pgenls", "beta_init_rule", "nesterov"))
+SWEEP_M = ("--param", "m", "--values", "0,5")
 # one generated matrix whose smaller side is above the dense threshold
 LANCZOS_PARAMS = {"seed": 0, "rows": 600, "cols": 1200}
-
-
-@dataclass(frozen=True)
-class Call:
-    """One ``main`` call.  ``argv`` gets the root and the call's own
-    directory and returns the arguments, or ``None`` to skip the call (a
-    call that only prepares); ``prepare`` fills the call's directory first."""
-
-    label: str  # also the call's directory under the root
-    argv: Callable[[Path, Path], Optional[list]]
-    prepare: Optional[Callable[[Path, Path], None]] = None
 
 
 # ---------------------------------------------------------------------------
@@ -106,28 +99,27 @@ def _config(problem: str, algorithm: str, seed: int, solver: dict, **extra) -> d
             "solver": solver, **extra}
 
 
-def _write(name: str, text: str) -> Callable[[Path, Path], None]:
-    def prepare(root: Path, here: Path) -> None:
-        (here / name).write_text(text)
-    return prepare
+def _exp(verb: str, cfg: dict, *flags: str, files: Optional[dict] = None):
+    """``verb`` of ``cfg``, written to ``exp.json`` (with ``files``) in the
+    call's directory, then ``flags``."""
+    import bad_inputs
+
+    return bad_inputs.argv(verb, "{here}/exp.json", *flags,
+                           files={**(files or {}), "exp.json": json.dumps(cfg)})
 
 
-def _run(label: str, cfg: dict) -> Call:
-    return Call(label, lambda root, here: ["run", str(here / "exp.json")],
-                _write("exp.json", json.dumps(cfg)))
+def _csv(array: numpy.ndarray) -> str:
+    text = io.StringIO()
+    numpy.savetxt(text, array, delimiter=",")
+    return text.getvalue()
 
 
-def _from_csv(name: str, A: numpy.ndarray, b: numpy.ndarray, problem: str = "lasso",
-              **params) -> Call:
+def _from_csv(A: numpy.ndarray, b: numpy.ndarray, problem: str = "lasso", **params):
     """``run`` of ``problem`` (with ``params``) under ``pgenls`` at ``m = 5``
     on ``A`` and ``b``, written as CSV files into the call's directory."""
-    def prepare(root: Path, here: Path) -> None:
-        numpy.savetxt(here / "A.csv", A, delimiter=",")
-        numpy.savetxt(here / "b.csv", b, delimiter=",")
-        files = {"A_csv": str(here / "A.csv"), "b_csv": str(here / "b.csv")}
-        (here / "exp.json").write_text(
-            json.dumps(_config(problem, "pgenls", 0, {"m": 5}, params={**files, **params})))
-    return Call(f"data/{name}", lambda root, here: ["run", str(here / "exp.json")], prepare)
+    files = {"A_csv": "{here}/A.csv", "b_csv": "{here}/b.csv"}
+    return _exp("run", _config(problem, "pgenls", 0, {"m": 5}, params={**files, **params}),
+                files={"A.csv": _csv(A), "b.csv": _csv(b)})
 
 
 def _label(run: tuple) -> str:
@@ -138,82 +130,84 @@ def _label(run: tuple) -> str:
         f"/{field}-{value}" for field, value in solver)
 
 
-def _verify(run: tuple, drop: Optional[str]) -> Call:
+def _verify(run: tuple, drop: Optional[str]) -> tuple:
     """``verify`` of ``run``'s trace with its complete flags but ``drop``;
-    skipped if the run wrote no report."""
-    def argv(root: Path, here: Path) -> Optional[list]:
-        import bad_inputs
+    nothing to run if the run wrote no report."""
+    import bad_inputs
 
+    def call(here: Path, refs: dict) -> Optional[list]:
         _, algorithm, _, m, *_ = run
-        out = root / _label(run) / "exp_out"
+        out = refs[_label(run)] / "exp_out"
         flags = bad_inputs.verify_flags(out, algorithm, m)
         if flags is None:
             return None
         flags.pop(drop, None)
         return ["verify", str(out / "trace.csv"), *bad_inputs.argv_flags(flags)]
     label = _label(run).replace("run/", "verify/", 1) + "/" + (f"no-{drop}" if drop else "full")
-    return Call(label, argv)
+    return label, call
 
 
-def _sweep(label: str, cfg: dict, param: str, values: str) -> Call:
-    return Call(label, lambda root, here: ["sweep", str(here / "exp.json"),
-                                           "--param", param, "--values", values],
-                _write("exp.json", json.dumps(cfg)))
-
-
-def _bad_inputs() -> list[Call]:
-    """A call that makes the reference runs, then one call per bad input."""
+def _bad_inputs() -> list:
+    """One call per row of the bad-input table, given as its reference runs
+    the ``run`` calls that make the same runs."""
     import bad_inputs
 
-    references = {}
-    return [Call("reference", lambda root, here: None,
-                 lambda root, here: references.update(bad_inputs.reference_runs(here))),
-            *(Call(f"bad/{row.id}", lambda root, here, row=row: row.call(here, references))
-              for row in bad_inputs.ROWS)]
+    labels = {}
+    for name, cfg in bad_inputs.REFERENCES.items():
+        run = (cfg["problem"], cfg["algorithm"], cfg["params"]["seed"], cfg["solver"]["m"])
+        if cfg != _config(*run[:3], {"m": run[3]}):
+            raise ValueError(f"no run call makes the reference run {name}")
+        labels[name] = _label(run)
+
+    def references(refs: dict) -> dict:
+        return {name: bad_inputs.outputs(refs[label] / "exp_out", bad_inputs.REFERENCES[name])
+                for name, label in labels.items()}
+    return [(f"bad/{row.id}", lambda here, refs, row=row: row.call(here, references(refs)))
+            for row in bad_inputs.ROWS]
 
 
-def matrix() -> list[Call]:
+def matrix() -> list:
+    """Each call, as ``(label, call)``."""
+    import bad_inputs
     import kldescent
 
-    calls = [Call("help/verify", lambda root, here: ["verify", "--help"])]
+    calls = [("help/verify", bad_inputs.argv("verify", "--help"))]
     runs = [(problem, algorithm, seed, m) for problem in kldescent.problem_ids()
             for algorithm in ALGORITHMS for seed in SEEDS for m in WINDOWS]
-    for run in runs:
-        problem, algorithm, seed, m = run
-        calls.append(_run(_label(run), _config(problem, algorithm, seed, {"m": m})))
+    calls += [(_label(run), _exp("run", _config(*run[:3], {"m": run[3]}))) for run in runs]
     for run in runs:
         last = "c" if run[1] == "npg_major" else "beta-max"
-        for drop in (None, "m", "a", "alpha", "delta", last):
-            calls.append(_verify(run, drop))
+        calls += [_verify(run, drop) for drop in (None, "m", "a", "alpha", "delta", last)]
     for problem, algorithm, field, value in RULE_RUNS:
         for m in WINDOWS:
             run = (problem, algorithm, 0, m, (field, value))
-            calls += [_run(_label(run), _config(problem, algorithm, 0, {"m": m, field: value})),
+            calls += [(_label(run), _exp("run", _config(problem, algorithm, 0,
+                                                        {"m": m, field: value}))),
                       _verify(run, None)]
-    for problem, algorithm in SWEEPS.items():
-        calls.append(_sweep(f"sweep/{problem}", _config(problem, algorithm, 0, {}), "m", "0,5"))
+    calls += [(f"sweep/{problem}", _exp("sweep", _config(problem, algorithm, 0, {}), *SWEEP_M))
+              for problem, algorithm in SWEEPS.items()]
 
     rng = numpy.random.default_rng(11)
     A, b = rng.standard_normal((12, 20)), rng.standard_normal(12)
     A_nan = A.copy()
     A_nan[3, 5] = math.nan
     calls += [
-        _run("data/quad-l1-40x25-mu2.5",
-             _config("quad-l1", "npg_major", 0, {"m": 5},
-                     params={"seed": 0, "rows": 40, "cols": 25, "mu": 2.5})),
-        _from_csv("lasso-csv", A, b),
-        _from_csv("lasso-csv-nan", A_nan, b),
-        _from_csv("quad-l1-csv-mu2.5", A, b, "quad-l1", mu=2.5),
-        _run("data/lasso-lam-given",
-             _config("lasso", "npg_major", 0, {"m": 5}, params={"seed": 0, "lam": 0.05})),
-        _run("data/lasso-rows-only",
-             _config("lasso", "pgenls", 0, {"m": 5}, params={"seed": 0, "rows": 80})),
-        _run("data/lasso-600x1200",
-             _config("lasso", "pgenls", 0, {"m": 5}, params=LANCZOS_PARAMS)),
-        _run("data/l1-l2-dc-600x1200",
-             _config("l1-l2-dc", "npg_major", 0, {"m": 5}, params=LANCZOS_PARAMS)),
-        _sweep("data/sweep-lasso-600x1200",
-               _config("lasso", "pgenls", 0, {}, params=LANCZOS_PARAMS), "m", "0,5"),
+        ("data/quad-l1-40x25-mu2.5",
+         _exp("run", _config("quad-l1", "npg_major", 0, {"m": 5},
+                             params={"seed": 0, "rows": 40, "cols": 25, "mu": 2.5}))),
+        ("data/lasso-csv", _from_csv(A, b)),
+        ("data/lasso-csv-nan", _from_csv(A_nan, b)),
+        ("data/quad-l1-csv-mu2.5", _from_csv(A, b, "quad-l1", mu=2.5)),
+        ("data/lasso-lam-given",
+         _exp("run", _config("lasso", "npg_major", 0, {"m": 5}, params={"seed": 0, "lam": 0.05}))),
+        ("data/lasso-rows-only",
+         _exp("run", _config("lasso", "pgenls", 0, {"m": 5}, params={"seed": 0, "rows": 80}))),
+        ("data/lasso-600x1200",
+         _exp("run", _config("lasso", "pgenls", 0, {"m": 5}, params=LANCZOS_PARAMS))),
+        ("data/l1-l2-dc-600x1200",
+         _exp("run", _config("l1-l2-dc", "npg_major", 0, {"m": 5}, params=LANCZOS_PARAMS))),
+        ("data/sweep-lasso-600x1200",
+         _exp("sweep", _config("lasso", "pgenls", 0, {}, params=LANCZOS_PARAMS), *SWEEP_M)),
     ]
     return calls + _bad_inputs()
 
@@ -226,43 +220,33 @@ def _sha256(path: Path, root: Path) -> str:
     return hashlib.sha256(path.read_bytes().replace(bytes(root), b"<tmp>")).hexdigest()
 
 
-def _call(call: Call, root: Path) -> dict:
-    from kldescent.cli import main
-
-    here = root / call.label
-    here.mkdir(parents=True)
-    if call.prepare:
-        call.prepare(root, here)
-    argv = call.argv(root, here)
-    if argv is None:
-        return {"label": call.label, "skipped": True}
-    out, err = io.StringIO(), io.StringIO()
-    exit_code, exception = None, None
-    with (warnings.catch_warnings(record=True) as caught,
-          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
-        warnings.simplefilter("always")  # each call sees its warnings, not just the first
-        try:
-            exit_code = main(argv)
-        except SystemExit as exc:  # argparse's --help
-            exit_code = exc.code
-        except Exception as exc:  # noqa: BLE001 - an escaped exception is an outcome
-            exception = f"{type(exc).__name__}: {exc}"
+def _record(label: str, result, root: Path) -> dict:
+    """The record of call ``label``, a ``bad_inputs.Outcome``, with the
+    hash of each file in its directory and ``<tmp>`` for ``root``."""
+    if result.argv is None:
+        return {"label": label, "skipped": True}
+    here = root / label
     files = {str(p.relative_to(here)): _sha256(p, root)
              for p in sorted(here.rglob("*")) if p.is_file()}
-    record = {"label": call.label, "argv": argv, "exit": exit_code,
-              "exception": exception, "stdout": out.getvalue(), "stderr": err.getvalue(),
-              "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
-              "files": files}
+    escaped = not isinstance(result.status, int)
+    record = {"label": label, "argv": result.argv, "exit": None if escaped else result.status,
+              "exception": result.status if escaped else None, "stdout": result.stdout,
+              "stderr": result.stderr, "warnings": result.warnings, "files": files}
     return json.loads(json.dumps(record).replace(json.dumps(str(root))[1:-1], "<tmp>"))
 
 
-def manifest(calls: list[Call]) -> dict:
-    """Run ``calls`` in order in a fresh temporary directory."""
+def manifest(calls: list) -> dict:
+    """Run ``calls`` in order in a fresh temporary directory, each given
+    the directory of each call before it by label."""
+    import bad_inputs
     import kldescent
 
     root = Path(tempfile.mkdtemp(prefix="kldescent-identity-")).resolve()
+    refs, records = {}, []
     try:
-        records = [_call(call, root) for call in calls]
+        for label, call in calls:
+            records.append(_record(label, bad_inputs.invoke(call, root / label, refs), root))
+            refs[label] = root / label
     finally:
         shutil.rmtree(root, ignore_errors=True)
     return {"python": sys.version.split()[0], "numpy": numpy.__version__,
