@@ -421,6 +421,12 @@ ROWS = [Row(*row) for row in [
     ("params-bool", run(params={"seed": True}), 1, "params.seed must be an integer, got True"),
     ("A_csv-list", run(params={"A_csv": [1], "b_csv": "b.csv"}), 1,
      "params.A_csv must be a string, got [1]"),
+    # two values that generated rows also draw, kept under the ids they had
+    # before the rows were generated
+    ("A_csv-int", run(params={"A_csv": 5, "b_csv": "b.csv"}), 1,
+     "params.A_csv must be a string, got 5"),
+    ("diagnostics-bool", run(diagnostics={"mu": True}), 1,
+     "diagnostics.mu must be a real number, got True"),
     ("params-int-beyond-float", run(problem="power4-1d", params={"x0": HUGE}), 1,
      "params.x0 must be finite, got " + HUGE_SHOWN),
     ("params-lam-beyond-float", run(params={"seed": 0, "lam": HUGE}), 1,
